@@ -13,19 +13,18 @@ from .data import (FoldSplit, InteractionDataset, filter_iterative, ingest,
 from .distance import DistanceKind, euclidean_squared, w2_squared
 from .embeddings import GaussianEmbeddingTable, init_table, project
 from .evaluator import EvalReport, evaluate, ndcg_at_k, rank, recall_at_k
-from .losses import LossReport, TripletBatch
+from .losses import TripletBatch
 from .margin_net import MarginNetParams, indicator
-from .simgraph import NeighborSets, cosine_binary
+from .simgraph import NeighborSets
 from .synth import planted_clusters
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DistanceKind", "EvalReport", "FoldSplit", "GaussianEmbeddingTable",
-    "InteractionDataset", "LossReport", "MarginNetParams", "NeighborSets",
-    "RunConfig", "TrainResult", "TripletBatch", "cosine_binary",
-    "euclidean_squared", "evaluate", "filter_iterative", "indicator",
-    "ingest", "init_table", "make_config", "ndcg_at_k", "planted_clusters",
-    "project", "rank", "recall_at_k", "split_five_fold", "train",
-    "w2_squared",
+    "InteractionDataset", "MarginNetParams", "NeighborSets", "RunConfig",
+    "TrainResult", "TripletBatch", "euclidean_squared", "evaluate",
+    "filter_iterative", "indicator", "ingest", "init_table", "make_config",
+    "ndcg_at_k", "planted_clusters", "project", "rank", "recall_at_k",
+    "split_five_fold", "train", "w2_squared",
 ]

@@ -8,9 +8,12 @@ evaluated at the proxy. The margin-net gradient is the approximate
 hypergradient: the outer gradient at the proxy, pushed through the inner
 objective's mixed second derivative, which is estimated by central finite
 differences of the exact first-order margin-net gradient.
+
+Candidate pools are rebuilt synchronously at the start of every
+``refresh_period``-th epoch from a stream seeded by (seed, epoch), so a
+run's pools depend only on its config.
 """
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,13 +199,6 @@ def _stream(seed, *tags):
     return np.random.default_rng(np.random.SeedSequence([seed, *tags]))
 
 
-def _build_all_pools(relations, exclusions, universes, pool_size, seed, epoch):
-    rng = _stream(seed, 5, epoch)
-    return {rel: sampler.refresh_pool(exclusions[rel], universes[rel],
-                                      pool_size, rng, epoch=epoch)
-            for rel in relations}
-
-
 def _non_finite_dump(where, batches, epoch, it):
     heads = {rel: (b.anchors[:8].tolist(), b.positives[:8].tolist(),
                    b.negatives[:8].tolist())
@@ -277,31 +273,15 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
 
     result = TrainResult(users=users, items=items, phis=phis, cfg=cfg,
                          opt_theta=opt_theta, opt_phi=opt_phi)
-    pools = None
-    prefetch = None  # (target_epoch, thread, box)
     has_test = any(len(t) for t in fold.test_rows)
     best_r10, stale_evals = -1.0, 0
 
     for epoch in range(cfg.epochs):
         if epoch % cfg.refresh_period == 0:
-            if prefetch is not None and prefetch[0] == epoch:
-                prefetch[1].join()
-                pools = prefetch[2][0]
-                prefetch = None
-            else:
-                pools = _build_all_pools(active_rels, exclusions, universes,
-                                         cfg.pool_size, cfg.seed, epoch)
-            next_refresh = epoch + cfg.refresh_period
-            if not cfg.deterministic and next_refresh < cfg.epochs:
-                box = [None]
-
-                def _bg(target=next_refresh, box=box):
-                    box[0] = _build_all_pools(active_rels, exclusions, universes,
-                                              cfg.pool_size, cfg.seed, target)
-
-                thread = threading.Thread(target=_bg, daemon=True)
-                thread.start()
-                prefetch = (next_refresh, thread, box)
+            rng_pool = _stream(cfg.seed, 5, epoch)
+            pools = {rel: sampler.refresh_pool(exclusions[rel], universes[rel],
+                                               cfg.pool_size, rng_pool, epoch=epoch)
+                     for rel in active_rels}
 
         order = rng_sampler.permutation(len(ui_anchors))
         sums = {"inner": 0.0, "outer": 0.0, "ui": 0.0, "uu": 0.0, "ii": 0.0}
@@ -422,8 +402,6 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
                         say(f"early stop at epoch {epoch}")
                         break
 
-    if prefetch is not None:
-        prefetch[1].join()
     result.rng_states = {
         "sampler": rng_sampler.bit_generator.state,
         "noise": rng_noise.bit_generator.state,

@@ -15,13 +15,12 @@ moment buffers. Writes go to a temp file and are renamed into place.
 """
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .config import RunConfig, make_config
+from .data import atomic_write
 from .embeddings import GaussianEmbeddingTable
 from .margin_net import MarginNetParams
 
@@ -83,15 +82,15 @@ def save(path, result, fold_index=0):
         "optimizers": opt_meta,
         "rng_states": result.rng_states,
     }).encode()
-    tmp = tempfile.NamedTemporaryFile("wb", dir=os.path.dirname(path) or ".",
-                                      delete=False, suffix=".tmp")
-    with tmp as f:
+
+    def body(f):
         f.write(CKPT_MAGIC)
         f.write(len(header).to_bytes(8, "little"))
         f.write(header)
         for arr in arrays.values():
             f.write(np.ascontiguousarray(arr).tobytes())
-    os.replace(tmp.name, path)
+
+    atomic_write(path, body, mode="wb")
 
 
 def load(path):

@@ -51,18 +51,19 @@ def _add_config_args(p):
     p.add_argument("--distance-kind", "--distance", dest="distance_kind", metavar="V")
     p.add_argument("--joint-margin-training", dest="joint_margin_training",
                    action="store_const", const="true")
-    p.add_argument("--deterministic", dest="deterministic",
-                   action="store_const", const="true")
+    p.add_argument("--deterministic", action="store_true",
+                   help="accepted for compatibility; pool refresh is always synchronous")
 
 
-def _config_from_args(args):
+def _config_from_args(args, **overrides):
+    """RunConfig from --config, then the flags, then ``overrides``."""
     values = dict(load_config_file(args.config)) if args.config else {}
     for key in [f.replace("-", "_") for f in _CONFIG_FLAGS] + [
-            "distance_kind", "joint_margin_training", "deterministic"]:
+            "distance_kind", "joint_margin_training"]:
         v = getattr(args, key, None)
         if v is not None:
             values[key] = v
-    return make_config(file_values=values)
+    return make_config(file_values={**values, **overrides})
 
 
 def cmd_prepare(args):
@@ -144,8 +145,7 @@ def cmd_ablate(args):
         overrides = dict(ABLATION_VARIANTS[variant])
         r10s, n10s = [], []
         for seed in seeds:
-            cfg = make_config(file_values={**_raw_config_values(args),
-                                           **overrides, "seed": str(seed)})
+            cfg = _config_from_args(args, **overrides, seed=str(seed))
             result = bilevel.train(ds, fold, cfg, cache_dir=args.dataset_dir)
             report = evaluator.evaluate(result.users, result.items, fold,
                                         (10,), cfg.kind())
@@ -166,16 +166,6 @@ def cmd_ablate(args):
         f.write("\n".join(lines) + "\n")
     print(f"wrote {out}")
     return 0
-
-
-def _raw_config_values(args):
-    values = dict(load_config_file(args.config)) if args.config else {}
-    for key in [f.replace("-", "_") for f in _CONFIG_FLAGS] + [
-            "distance_kind", "joint_margin_training", "deterministic"]:
-        v = getattr(args, key, None)
-        if v is not None:
-            values[key] = v
-    return values
 
 
 def cmd_case_study(args):

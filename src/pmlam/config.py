@@ -40,7 +40,6 @@ class RunConfig:
     outer_batch: str = "same"            # "same" | "fresh"
     joint_margin_training: bool = False  # anti-pattern switch: phi follows the inner loss
     early_stop_patience: int = 0         # evaluations without R@10 gain; 0 disables
-    deterministic: bool = False
 
     def kind(self):
         return DistanceKind.W2_SQUARED if self.distance_kind == "w2" \
@@ -102,6 +101,11 @@ def parse_margin_mode(raw):
     raise ValueError(f"unknown margin mode {raw!r}")
 
 
+# Keys that older config files and checkpoints may still carry; accepted and
+# ignored. ``deterministic`` chose between two pool-refresh paths, and pools
+# are now always refreshed synchronously.
+RETIRED_KEYS = ("deterministic",)
+
 _BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,
                "false": False, "off": False, "no": False, "0": False}
 
@@ -145,6 +149,8 @@ def make_config(file_values=None, **overrides):
     for source in (file_values or {},):
         for key, raw in source.items():
             key = key.replace("-", "_")
+            if key in RETIRED_KEYS:
+                continue
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
             values[key] = _coerce(key, known[key], raw) if isinstance(raw, str) else raw

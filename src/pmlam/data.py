@@ -6,7 +6,6 @@ iteratively until every user and item clears its minimum interaction count,
 reindexed densely, and split per user into five folds for cross-validation.
 """
 
-import hashlib
 import os
 import tempfile
 from dataclasses import dataclass
@@ -210,20 +209,21 @@ def split_five_fold(ds, seed, n_folds=5):
     return splits
 
 
-def dataset_digest(ds):
-    """Content hash over the interaction structure (ids excluded)."""
-    hasher = hashlib.sha256()
-    hasher.update(ds.indptr.tobytes())
-    hasher.update(ds.indices.tobytes())
-    return hasher.hexdigest()[:16]
+def atomic_write(path, write_fn, mode="w"):
+    """Call ``write_fn(f)`` on a temp file beside ``path``, then rename it into place.
 
-
-def _atomic_write(path, write_fn):
-    tmp = tempfile.NamedTemporaryFile("w", dir=os.path.dirname(path) or ".",
+    Readers see the old file or the complete new one. If writing or renaming
+    raises, the temp file is removed and ``path`` is left as it was.
+    """
+    tmp = tempfile.NamedTemporaryFile(mode, dir=os.path.dirname(path) or ".",
                                       delete=False, suffix=".tmp")
-    with tmp as f:
-        write_fn(f)
-    os.replace(tmp.name, path)
+    try:
+        with tmp as f:
+            write_fn(f)
+        os.replace(tmp.name, path)
+    except BaseException:
+        os.unlink(tmp.name)
+        raise
 
 
 def save_dataset(dir_path, ds):
@@ -238,27 +238,38 @@ def save_dataset(dir_path, ds):
         for u in range(ds.n_users):
             f.write(" ".join(map(str, ds.row(u))) + "\n")
 
-    _atomic_write(os.path.join(dir_path, "dataset.txt"), body)
+    atomic_write(os.path.join(dir_path, "dataset.txt"), body)
     for name, ids in (("user_ids.txt", ds.user_ids), ("item_ids.txt", ds.item_ids)):
-        _atomic_write(os.path.join(dir_path, name),
-                      lambda f, ids=ids: f.writelines(f"{i}\t{ext}\n"
-                                                      for i, ext in enumerate(ids)))
+        atomic_write(os.path.join(dir_path, name),
+                     lambda f, ids=ids: f.writelines(f"{i}\t{ext}\n"
+                                                     for i, ext in enumerate(ids)))
 
 
 def load_dataset(dir_path):
+    """Read a dataset cache; a file whose rows disagree with its header is rejected."""
     path = os.path.join(dir_path, "dataset.txt")
     with open(path) as f:
         if f.readline().rstrip("\n") != DS_MAGIC:
             raise ValueError(f"{path}: not a {DS_MAGIC} file")
-        n_users = int(f.readline().split()[1])
-        n_items = int(f.readline().split()[1])
-        int(f.readline().split()[1])  # interaction count, re-derived below
+        n_users, n_items, n_interactions = (
+            _header_count(f, path, line_no, name)
+            for line_no, name in ((2, "users"), (3, "items"), (4, "interactions")))
         indptr = np.zeros(n_users + 1, dtype=np.int64)
         chunks = []
         for u in range(n_users):
-            row = np.array([int(t) for t in f.readline().split()], dtype=np.int64)
+            line = f.readline()
+            if not line.endswith("\n"):  # every complete row ends in a newline
+                raise ValueError(f"{path}:{u + 5}: truncated after {u} of "
+                                 f"{n_users} user rows")
+            row = np.array([int(t) for t in line.split()], dtype=np.int64)
             chunks.append(row)
             indptr[u + 1] = indptr[u] + len(row)
+        if f.read().strip():
+            raise ValueError(f"{path}:{n_users + 5}: more rows than the "
+                             f"{n_users} users in the header")
+    if indptr[-1] != n_interactions:
+        raise ValueError(f"{path}:4: header gives {n_interactions} interactions, "
+                         f"rows hold {indptr[-1]}")
     user_ids = _load_ids(os.path.join(dir_path, "user_ids.txt"), n_users)
     item_ids = _load_ids(os.path.join(dir_path, "item_ids.txt"), n_items)
     return InteractionDataset(
@@ -266,6 +277,13 @@ def load_dataset(dir_path):
         indices=np.concatenate(chunks) if chunks else np.empty(0, np.int64),
         user_ids=user_ids, item_ids=item_ids,
     )
+
+
+def _header_count(f, path, line_no, name):
+    parts = f.readline().split()
+    if len(parts) != 2 or parts[0] != name or not parts[1].isdigit():
+        raise ValueError(f"{path}:{line_no}: expected '{name} <count>'")
+    return int(parts[1])
 
 
 def _load_ids(path, expected):
@@ -297,7 +315,7 @@ def save_folds(dir_path, splits):
             order = np.argsort(items)
             f.write(" ".join(map(str, labels[order])) + "\n")
 
-    _atomic_write(os.path.join(dir_path, "folds.txt"), body)
+    atomic_write(os.path.join(dir_path, "folds.txt"), body)
 
 
 def load_folds(dir_path, ds):

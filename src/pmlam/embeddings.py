@@ -78,14 +78,6 @@ def sample(table, index, rng):
     return SampledEmbedding(value, noise)
 
 
-def sample_rows(table, indices, rng):
-    """Vectorized :func:`sample` over an index array; returns (values, noise)."""
-    indices = np.asarray(indices)
-    noise = rng.standard_normal((indices.shape[0], table.h))
-    values = table.mu[indices] + np.sqrt(table.sigma[indices]) * noise
-    return values, noise
-
-
 # Rows renormalize only when the norm exceeds 1 by more than this; the dead
 # band absorbs ulp-level and clamp-floor drift so project is exactly
 # idempotent, at the cost of a <=1e-9 slack on the norm bound.

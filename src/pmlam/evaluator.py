@@ -7,7 +7,7 @@ that ranking. Recall uses |T_i| as the denominator; NDCG uses binary gains
 1/log2(rank+1).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ DEFAULT_KS = (5, 10, 15, 20)
 @dataclass
 class EvalReport:
     ks: tuple
-    recall: dict          # K -> mean over evaluated users
+    recall: dict          # K -> mean over evaluated users, a plain float
     ndcg: dict
     n_users: int          # users with a nonempty test set
     fold_index: int | None = None
@@ -61,76 +61,93 @@ def rank(user, users, items, train_set, kind, k=None):
     return order if k is None else order[:k]
 
 
-def recall_at_k(topk, test_set):
-    """|topk & T| / |T| for a nonempty test set."""
+def top_k(d2, k):
+    """Column indices of each row's ``k`` smallest entries, in (value, index) order.
+
+    Equals ``np.argsort(d2, axis=1, kind="stable")[:, :k]`` without sorting
+    whole rows: every entry below the k-th smallest value is taken, and ties
+    at that value go to the lowest indices.
+    """
+    k = min(k, d2.shape[1])
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    below = d2 < kth
+    tie = d2 == kth
+    need = k - below.sum(axis=1, keepdims=True)
+    cols = np.nonzero(below | (tie & (np.cumsum(tie, axis=1) <= need)))[1]
+    cols = cols.reshape(len(d2), k)
+    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
+def _hit_metrics(hits, n_test, k):
+    """Per-row Recall@k and NDCG@k of ranked lists.
+
+    ``hits[r, j]`` says whether the j-th listed item of row r is in that row's
+    test set, whose size is ``n_test[r]`` (> 0). Only the first ``k`` columns
+    count; a list shorter than k (a tiny catalog) is scored as it stands.
+    NDCG uses binary gains 1/log2(position + 1).
+    """
+    hits = hits[:, :k]
+    width = hits.shape[1]
+    discount = 1.0 / np.log2(np.arange(2, width + 2))
+    idcg = np.cumsum(discount)[np.minimum(width, n_test) - 1]
+    return hits.sum(axis=1) / n_test, (hits @ discount) / idcg
+
+
+def _score_list(topk, test_set, name):
     test_set = np.asarray(test_set)
     if len(test_set) == 0:
-        raise ValueError("recall needs a nonempty test set")
-    hits = np.isin(topk, test_set).sum()
-    return hits / len(test_set)
+        raise ValueError(f"{name} needs a nonempty test set")
+    hits = np.isin(topk, test_set)[None, :]
+    return _hit_metrics(hits, np.array([len(test_set)]), len(hits[0]))
+
+
+def recall_at_k(topk, test_set):
+    """|topk & T| / |T| for a nonempty test set."""
+    return float(_score_list(topk, test_set, "recall")[0][0])
 
 
 def ndcg_at_k(topk, test_set):
     """Binary-gain NDCG of the top-K list against a nonempty test set."""
-    test_set = np.asarray(test_set)
-    if len(test_set) == 0:
-        raise ValueError("ndcg needs a nonempty test set")
-    rel = np.isin(topk, test_set)
-    positions = np.arange(1, len(topk) + 1)
-    dcg = np.sum(rel / np.log2(positions + 1))
-    ideal = min(len(topk), len(test_set))
-    idcg = np.sum(1.0 / np.log2(np.arange(1, ideal + 1) + 1))
-    return float(dcg / idcg)
+    return float(_score_list(topk, test_set, "ndcg")[1][0])
+
+
+def _row_mask(rows, n_cols):
+    """Boolean (len(rows), n_cols) matrix, True at each row's listed columns."""
+    mask = np.zeros((len(rows), n_cols), dtype=bool)
+    lens = [len(r) for r in rows]
+    mask[np.repeat(np.arange(len(rows)), lens),
+         np.concatenate([np.empty(0, np.int64), *rows]).astype(np.int64)] = True
+    return mask
 
 
 def evaluate(users, items, fold, ks=DEFAULT_KS, kind=DistanceKind.W2_SQUARED,
              chunk=256):
     """Mean Recall@K / NDCG@K over users with a nonempty test set."""
     ks = tuple(ks)
-    kmax = max(ks)
     recall_sums = {k: 0.0 for k in ks}
     ndcg_sums = {k: 0.0 for k in ks}
-    n_eval = 0
-    for start in range(0, users.n, chunk):
-        idx = np.arange(start, min(start + chunk, users.n))
-        d2 = pairwise_distances(users, items, kind, user_idx=idx)
-        for local, u in enumerate(idx):
-            test = fold.test_rows[u]
-            if len(test) == 0:
-                continue
-            row = d2[local].copy()
-            row[fold.train_rows[u]] = np.inf
-            top = np.argsort(row, kind="stable")[:kmax]
-            n_eval += 1
-            rel = np.isin(top, test)
-            for k in ks:
-                rk = rel[:k]  # may be shorter than k on tiny catalogs
-                recall_sums[k] += rk.sum() / len(test)
-                positions = np.arange(1, len(rk) + 1)
-                dcg = np.sum(rk / np.log2(positions + 1))
-                ideal = min(k, len(test))
-                idcg = np.sum(1.0 / np.log2(np.arange(1, ideal + 1) + 1))
-                ndcg_sums[k] += dcg / idcg
-    if n_eval == 0:
+    n_test = np.array([len(t) for t in fold.test_rows])
+    evaluated = np.flatnonzero(n_test)
+    if len(evaluated) == 0:
         raise ValueError("no user has test interactions")
+    for start in range(0, len(evaluated), chunk):
+        idx = evaluated[start:start + chunk]
+        d2 = pairwise_distances(users, items, kind, user_idx=idx)
+        d2[_row_mask([fold.train_rows[u] for u in idx], items.n)] = np.inf
+        test = _row_mask([fold.test_rows[u] for u in idx], items.n)
+        hits = np.take_along_axis(test, top_k(d2, max(ks)), axis=1)
+        for k in ks:
+            recall, ndcg = _hit_metrics(hits, n_test[idx], k)
+            recall_sums[k] += float(recall.sum())
+            ndcg_sums[k] += float(ndcg.sum())
+    n_eval = len(evaluated)
     return EvalReport(
         ks=ks,
         recall={k: recall_sums[k] / n_eval for k in ks},
         ndcg={k: ndcg_sums[k] / n_eval for k in ks},
         n_users=n_eval,
         fold_index=fold.fold_index,
-    )
-
-
-def mean_report(reports):
-    """Cross-fold mean of per-fold reports (all sharing one K grid)."""
-    ks = reports[0].ks
-    return EvalReport(
-        ks=ks,
-        recall={k: float(np.mean([r.recall[k] for r in reports])) for k in ks},
-        ndcg={k: float(np.mean([r.ndcg[k] for r in reports])) for k in ks},
-        n_users=int(np.sum([r.n_users for r in reports])),
-        fold_index=None,
     )
 
 
@@ -142,20 +159,6 @@ def format_table(report, title=""):
     for k in report.ks:
         lines.append(f"{k:>4}  {report.recall[k]:>10.4f}  {report.ndcg[k]:>10.4f}")
     return "\n".join(lines)
-
-
-def paired_t_test(scores_a, scores_b):
-    """Paired t-test over per-seed (or per-fold) metric pairs.
-
-    Returns (t statistic, two-sided p-value); used when comparing two model
-    configurations run under matched seeds.
-    """
-    from scipy import stats
-    scores_a, scores_b = np.asarray(scores_a), np.asarray(scores_b)
-    if scores_a.shape != scores_b.shape or scores_a.size < 2:
-        raise ValueError("need two equal-length score arrays with >= 2 entries")
-    t, p = stats.ttest_rel(scores_a, scores_b)
-    return float(t), float(p)
 
 
 def write_report_csv(path, reports, header_lines=()):

@@ -11,7 +11,7 @@ Relations share one implementation: "ui" compares users against items,
 "uu" users against users, "ii" items against items.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,18 +56,6 @@ class TripletBatch:
 
 
 @dataclass
-class LossReport:
-    """Scalar summary of one batch evaluation."""
-
-    relation: str
-    inner: float = 0.0
-    outer: float = 0.0
-    n_active_inner: int = 0
-    n_active_outer: int = 0
-    mean_margin: float = 0.0
-
-
-@dataclass
 class BatchEval:
     """Loss value plus whatever gradients were requested."""
 
@@ -76,20 +64,6 @@ class BatchEval:
     active: np.ndarray
     theta_grads: dict | None = None
     phi_grads: dict | None = None
-
-
-def loss_fixed(d2_pos, d2_neg, m):
-    """Hinge with a fixed margin: ``[d2_pos - d2_neg + m]_+`` (m >= 0)."""
-    if np.any(np.asarray(m) < 0):
-        raise ValueError("fixed margin must be nonnegative")
-    return np.maximum(np.asarray(d2_pos) - np.asarray(d2_neg) + m, 0.0)
-
-
-def loss_adaptive(d2_pos, d2_neg, m_generated):
-    """Hinge with generated margins: ``[d2_pos - d2_neg + m]_+`` (m > 0)."""
-    if np.any(np.asarray(m_generated) <= 0):
-        raise ValueError("generated margins must be strictly positive")
-    return np.maximum(np.asarray(d2_pos) - np.asarray(d2_neg) + m_generated, 0.0)
 
 
 def zero_theta_grads(users, items):
@@ -190,10 +164,11 @@ def batch_inner(batch, users, items, kind, margin_mode, phi=None,
 
     arg = d2_pos - d2_neg + margins
     active = arg > 0.0  # boundary counts as inactive
-    loss = float(np.sum(arg[active])) / B
+    # an empty batch (every sampled anchor had an empty pool) adds nothing
+    loss = float(np.sum(arg[active])) / B if B else 0.0
 
     result = BatchEval(loss=loss, margins=margins, active=active)
-    w = active.astype(float) / B  # per-row weight of the mean reduction
+    w = active.astype(float) / max(B, 1)  # per-row weight of the mean reduction
 
     if grad_theta:
         grads = out_grads if out_grads is not None else zero_theta_grads(users, items)
@@ -248,19 +223,3 @@ def batch_outer(batch, users, items, kind, m=1.0, grad_theta=True, out_grads=Non
     """
     return batch_inner(batch, users, items, kind, ("fixed", m),
                        grad_theta=grad_theta, out_grads=out_grads)
-
-
-def combined(inner_by_rel, outer_by_rel, phis=None, lam=0.0):
-    """Totals across relations; the outer total adds lam * ||phi||_F^2.
-
-    Values may be plain floats or LossReport instances (their ``inner`` and
-    ``outer`` fields are used).
-    """
-    def _get(value, field):
-        return getattr(value, field) if isinstance(value, LossReport) else float(value)
-
-    inner_total = sum(_get(v, "inner") for v in inner_by_rel.values())
-    outer_total = sum(_get(v, "outer") for v in outer_by_rel.values())
-    if phis and lam:
-        outer_total += lam * sum(p.frob_sq() for p in phis.values() if p is not None)
-    return float(inner_total), float(outer_total)

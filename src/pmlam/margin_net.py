@@ -43,10 +43,6 @@ class MarginNetParams:
     def copy(self):
         return MarginNetParams(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
 
-    def frob_sq(self):
-        """Squared Frobenius norm over all parameters."""
-        return sum(float(np.sum(p * p)) for p in self.params().values())
-
 
 def indicator_dim(mode, h):
     """Input width of the margin net for a given feature mode."""

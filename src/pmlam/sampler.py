@@ -4,7 +4,8 @@ Negatives are drawn from per-anchor candidate pools rather than the full
 catalog: every ``refresh_period`` epochs a pool of ``pool_size`` candidates is
 resampled uniformly (without replacement) from the complement of the anchor's
 positive/neighbor set, and within the period negatives come from the pool
-(with replacement across batch rows).
+(with replacement across batch rows). The refresh is one synchronous,
+vectorised pass over all anchors.
 """
 
 from dataclasses import dataclass, field
@@ -12,6 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import TripletBatch
+
+KEY_BLOCK = 1 << 18  # random keys held at once during a refresh (2 MB)
 
 
 @dataclass
@@ -35,21 +38,33 @@ def refresh_pool(exclusions, n_universe, pool_size, rng, epoch=0):
     """Sample a fresh candidate pool for every anchor.
 
     ``exclusions`` is a list of sorted index arrays (the anchor's positive or
-    neighbor set, self included for same-entity relations). Each pool draws
-    min(pool_size, complement size) ids uniformly without replacement; an
-    anchor whose exclusion covers the whole universe gets an empty pool.
+    neighbor set, self included for same-entity relations). Each pool holds
+    min(pool_size, complement size) ids drawn uniformly without replacement,
+    stored in ascending id order; an anchor whose exclusion covers the whole
+    universe gets an empty pool.
+
+    Every (anchor, id) pair gets a uniform random key, excluded ids get +inf,
+    and the pool is the ids of the ``pool_size`` smallest keys. Keys are drawn
+    in row blocks of at most ``KEY_BLOCK`` entries; the generator fills them
+    in row-major order, so the block size does not change the pools.
     """
-    universe = np.arange(n_universe)
-    chunks = []
-    offsets = np.zeros(len(exclusions) + 1, dtype=np.int64)
-    for a, excl in enumerate(exclusions):
-        complement = np.setdiff1d(universe, excl, assume_unique=False)
-        if len(complement) > pool_size:
-            complement = rng.choice(complement, size=pool_size, replace=False)
-        chunks.append(complement)
-        offsets[a + 1] = offsets[a] + len(complement)
-    flat = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return CandidatePool(flat=flat.astype(np.int64), offsets=offsets,
+    k = min(pool_size, n_universe)
+    rows_per_block = max(1, KEY_BLOCK // n_universe)
+    counts = np.zeros(len(exclusions), dtype=np.int64)
+    chunks = [np.empty(0, dtype=np.int64)]
+    for start in range(0, len(exclusions), rows_per_block):
+        block = exclusions[start:start + rows_per_block]
+        keys = rng.random((len(block), n_universe))
+        rows = np.repeat(np.arange(len(block)), [len(e) for e in block])
+        cols = np.concatenate(block).astype(np.int64)
+        keys[rows, cols] = np.inf
+        picked = np.argpartition(keys, k - 1, axis=1)[:, :k]
+        live = np.isfinite(np.take_along_axis(keys, picked, axis=1))
+        picked = np.sort(np.where(live, picked, n_universe), axis=1)
+        counts[start:start + len(block)] = live.sum(axis=1)
+        chunks.append(picked[picked < n_universe])
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    return CandidatePool(flat=np.concatenate(chunks), offsets=offsets,
                          epoch_of_build=epoch, exclusions=exclusions)
 
 

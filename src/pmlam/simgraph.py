@@ -9,11 +9,12 @@ dataset content, fold, and threshold.
 
 import hashlib
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from .data import atomic_write
 
 NBR_MAGIC = "PMLAM-NBR v1"
 
@@ -30,15 +31,6 @@ class NeighborSets:
 
     def degree(self):
         return np.array([len(v) for v in self.neighbors])
-
-
-def cosine_binary(row_a, row_b):
-    """Cosine similarity |A & B| / sqrt(|A| |B|) between two sorted index sets."""
-    row_a, row_b = np.asarray(row_a), np.asarray(row_b)
-    if len(row_a) == 0 or len(row_b) == 0:
-        raise ValueError("cosine similarity of an empty interaction row")
-    inter = len(np.intersect1d(row_a, row_b, assume_unique=True))
-    return inter / np.sqrt(len(row_a) * len(row_b))
 
 
 def build(rows, n_cols, tau, kind="user"):
@@ -86,16 +78,15 @@ def rows_digest(rows):
 
 
 def save(path, nbr):
-    tmp = tempfile.NamedTemporaryFile("w", dir=os.path.dirname(path) or ".",
-                                      delete=False, suffix=".tmp")
-    with tmp as f:
+    def body(f):
         f.write(f"{NBR_MAGIC}\n")
         f.write(f"kind {nbr.kind}\n")
         f.write(f"tau {nbr.tau!r}\n")
         f.write(f"n {nbr.n}\n")
         for r in nbr.neighbors:
             f.write(" ".join(map(str, r)) + "\n")
-    os.replace(tmp.name, path)
+
+    atomic_write(path, body)
 
 
 def load(path):

@@ -1,4 +1,6 @@
-"""Shared test utilities: finite-difference oracles and small builders."""
+"""Shared test utilities: finite-difference and set oracles, small builders."""
+
+import hashlib
 
 import numpy as np
 
@@ -27,6 +29,23 @@ def directional_grad(f, x, direction, step=1e-6):
     x = np.asarray(x, float)
     d = np.asarray(direction, float)
     return (f(x + step * d) - f(x - step * d)) / (2 * step)
+
+
+def cosine_binary(row_a, row_b):
+    """Cosine similarity |A & B| / sqrt(|A| |B|) between two sorted index sets."""
+    row_a, row_b = np.asarray(row_a), np.asarray(row_b)
+    if len(row_a) == 0 or len(row_b) == 0:
+        raise ValueError("cosine similarity of an empty interaction row")
+    inter = len(np.intersect1d(row_a, row_b, assume_unique=True))
+    return inter / np.sqrt(len(row_a) * len(row_b))
+
+
+def dataset_digest(ds):
+    """Content hash over the interaction structure (ids excluded)."""
+    hasher = hashlib.sha256()
+    hasher.update(ds.indptr.tobytes())
+    hasher.update(ds.indices.tobytes())
+    return hasher.hexdigest()[:16]
 
 
 def assert_grad_close(analytic, numeric, rtol=1e-5, atol=1e-8):

@@ -107,6 +107,19 @@ def test_recommend_unknown_user_and_oversize_k(tmp_path, capsys):
     assert len(lines) == ds.n_items - len(fold.train_rows[0])  # full ordering
 
 
+@pytest.mark.parametrize("keep", [2, 6, -2, -30])
+def test_train_on_truncated_dataset_exits_2(tmp_path, capsys, keep):
+    d, _ = planted_dataset_dir(tmp_path)
+    text = (d / "dataset.txt").read_text()
+    # keep the first lines (cut in the header or the rows), or cut the last row
+    cut = ("\n".join(text.split("\n")[:keep]) + "\n" if keep > 0
+           else text[:keep])
+    (d / "dataset.txt").write_text(cut)
+    rc = main(["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet"] + FAST)
+    assert rc == 2
+    assert "dataset.txt:" in capsys.readouterr().err
+
+
 def test_evaluate_missing_checkpoint_exits_2(tmp_path, capsys):
     d, _ = planted_dataset_dir(tmp_path)
     rc = main(["evaluate", str(d), str(tmp_path / "missing.bin")])
@@ -122,6 +135,9 @@ def test_ablate_emits_all_variants(tmp_path, capsys):
     for variant in range(1, 9):
         assert f"\n{variant},0," in text
     assert "# batch_size = 64" in text
+    for line in text.strip().split("\n"):
+        if not line.startswith(("#", "variant")):
+            [float(cell) for cell in line.rstrip(",").split(",")]  # no reprs
     # variant definitions pin the indicator ablations
     assert ABLATION_VARIANTS[4]["indicator_mode"] == "concat"
     assert ABLATION_VARIANTS[5]["indicator_mode"] == "sum"

@@ -64,6 +64,12 @@ def test_unknown_key_rejected():
         make_config(file_values={"hh": "3"})
 
 
+def test_retired_deterministic_key_is_ignored():
+    # config files and checkpoints written before pool refresh became
+    # synchronous-only carry this key
+    assert make_config(file_values={"deterministic": "true"}) == RunConfig()
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         make_config(relations=("uu",))  # ui is mandatory

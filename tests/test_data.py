@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from pmlam.data import (ParseError, dataset_digest, filter_iterative, ingest,
+from pmlam.data import (ParseError, atomic_write, filter_iterative, ingest,
                         load_dataset, load_folds, parse_line, save_dataset,
                         save_folds, split_five_fold)
+
+from helpers import dataset_digest
 
 
 def write_ratings(path, rows, sep="\t"):
@@ -183,3 +185,17 @@ def test_load_rejects_wrong_magic(tmp_path):
     (tmp_path / "dataset.txt").write_text("NOT-A-CACHE\n")
     with pytest.raises(ValueError, match="PMLAM-DS"):
         load_dataset(tmp_path)
+
+
+def test_failed_atomic_write_leaves_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "dataset.txt"
+    target.write_text("old contents\n")
+
+    def failing(f):
+        f.write("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(target, failing)
+    assert target.read_text() == "old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.txt"]

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from pmlam.distance import SIGMA_MIN
-from pmlam.embeddings import (GaussianEmbeddingTable, init_table, project,
-                              sample, sample_rows)
+from pmlam.embeddings import GaussianEmbeddingTable, init_table, project, sample
 
 from helpers import ZeroNoise, random_table
 
@@ -43,16 +42,18 @@ def test_sample_with_floor_variance_stays_near_mean():
 
 def test_sample_value_reconstructs_from_noise():
     table = random_table(6, 5, np.random.default_rng(2))
-    values, noise = sample_rows(table, np.array([0, 3, 5]), np.random.default_rng(9))
-    expect = table.mu[[0, 3, 5]] + np.sqrt(table.sigma[[0, 3, 5]]) * noise
-    np.testing.assert_array_equal(values, expect)
+    rng = np.random.default_rng(9)
+    for i in (0, 3, 5):
+        s = sample(table, i, rng)
+        expect = table.mu[i] + np.sqrt(table.sigma[i]) * s.noise
+        np.testing.assert_array_equal(s.value, expect)
 
 
 def test_sample_is_unbiased_monte_carlo():
     n_draws = 100_000
     table = random_table(1, 4, np.random.default_rng(7))
     rng = np.random.default_rng(123)
-    values, _ = sample_rows(table, np.zeros(n_draws, dtype=int), rng)
+    values = np.array([sample(table, 0, rng).value for _ in range(n_draws)])
     mean_tol = 3.0 * np.sqrt(table.sigma[0] / n_draws)
     assert np.all(np.abs(values.mean(axis=0) - table.mu[0]) < mean_tol)
     # variance of the sample variance is ~2 sigma^2 / n

@@ -4,8 +4,8 @@ import pytest
 from pmlam.data import FoldSplit
 from pmlam.distance import DistanceKind, w2_squared
 from pmlam.embeddings import GaussianEmbeddingTable
-from pmlam.evaluator import (evaluate, format_table, mean_report, ndcg_at_k,
-                             pairwise_distances, rank, recall_at_k,
+from pmlam.evaluator import (evaluate, format_table, ndcg_at_k,
+                             pairwise_distances, rank, recall_at_k, top_k,
                              write_report_csv)
 
 from helpers import random_table
@@ -138,6 +138,15 @@ def test_recall_monotone_and_ndcg_bounded():
     assert all(0.0 <= report.ndcg[k] <= 1.0 for k in report.ks)
 
 
+def test_top_k_matches_stable_sort_with_ties():
+    rng = np.random.default_rng(13)
+    d2 = rng.integers(0, 4, size=(30, 25)).astype(float)  # many ties
+    d2[rng.random(d2.shape) < 0.3] = np.inf  # masked training items
+    for k in (1, 5, 24, 25, 40):
+        np.testing.assert_array_equal(
+            top_k(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
+
+
 def test_squared_and_unsquared_distances_rank_identically():
     rng = np.random.default_rng(10)
     users, items = random_table(1, 5, rng), random_table(50, 5, rng)
@@ -172,18 +181,6 @@ def test_perfect_model_on_planted_blocks():
     assert report.recall[1] == 1.0 and report.recall[5] == 1.0
 
 
-def test_paired_t_test():
-    from pmlam.evaluator import paired_t_test
-    a = [0.52, 0.55, 0.50, 0.58, 0.53]
-    b = [0.41, 0.44, 0.42, 0.45, 0.40]
-    t, p = paired_t_test(a, b)
-    assert t > 0 and p < 0.01
-    _, p_same = paired_t_test(a, a[::-1])
-    assert p_same > 0.5
-    with pytest.raises(ValueError):
-        paired_t_test([0.5], [0.4])
-
-
 def test_report_csv_and_table(tmp_path):
     rng = np.random.default_rng(12)
     users, items = random_table(4, 2, rng), random_table(10, 2, rng)
@@ -194,8 +191,7 @@ def test_report_csv_and_table(tmp_path):
     text = out.read_text()
     assert text.startswith("# seed = 0\nfold,K,recall,ndcg,n_users\n")
     assert len(text.strip().split("\n")) == 4
+    for line in text.strip().split("\n")[2:]:
+        [float(cell) for cell in line.split(",")]  # plain numbers, no reprs
     table = format_table(r, title="check")
     assert "Recall@K" in table and "check" in table
-    merged = mean_report([r, r])
-    assert merged.recall[5] == r.recall[5]
-    assert merged.n_users == 2 * r.n_users

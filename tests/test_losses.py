@@ -3,8 +3,7 @@ import pytest
 
 from pmlam.distance import DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
-from pmlam.losses import (TripletBatch, batch_inner, batch_outer, combined,
-                          loss_adaptive, loss_fixed, zero_theta_grads)
+from pmlam.losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
 from pmlam.margin_net import init_margin_net
 
 from helpers import assert_grad_close, numeric_grad, random_table
@@ -54,18 +53,6 @@ def tables_with(users, items, key, arr):
     parts[key] = arr
     return (GaussianEmbeddingTable(parts["user_mu"], parts["user_sigma"]),
             GaussianEmbeddingTable(parts["item_mu"], parts["item_sigma"]))
-
-
-def test_scalar_hinges():
-    assert loss_fixed(0.5, 2.0, 1.0) == 0.0
-    assert loss_fixed(2.0, 0.5, 1.0) == 2.5
-    assert loss_fixed(1.0, 1.0, 0.0) == 0.0  # boundary
-    assert loss_adaptive(0.0, 1.0, np.log(2.0)) == 0.0
-    assert loss_adaptive(1.0, 1.0, 3.0) == 3.0
-    with pytest.raises(ValueError):
-        loss_fixed(1.0, 1.0, -0.5)
-    with pytest.raises(ValueError):
-        loss_adaptive(1.0, 1.0, 0.0)
 
 
 def test_singleton_batch_equals_scalar_hinge():
@@ -178,30 +165,6 @@ def test_outer_theta_gradient_matches_fd():
             return direct_loss(b, uu, ii, W2, 1.0)
         num = numeric_grad(f, ref.copy(), step=1e-6)
         assert_grad_close(ev.theta_grads[key], num, rtol=1e-5, atol=1e-9)
-
-
-def test_combined_accepts_reports():
-    from pmlam.losses import LossReport
-    reports = {"ui": LossReport("ui", inner=1.0, outer=2.0),
-               "uu": LossReport("uu", inner=0.5, outer=0.25)}
-    ji, jo = combined(reports, reports)
-    assert ji == 1.5 and jo == 2.25
-
-
-def test_combined_totals():
-    rng = np.random.default_rng(23)
-    inner = {"ui": 1.5, "uu": 0.0, "ii": 0.25}
-    outer = {"ui": 2.0, "uu": 0.5, "ii": 0.0}
-    phis = {"ui": init_margin_net(2, 3, rng), "uu": init_margin_net(2, 3, rng)}
-    ji, jo = combined(inner, outer, phis=phis, lam=0.0)
-    assert ji == 1.75 and jo == 2.5  # outer untouched when lam = 0
-    lam = 0.001
-    _, jo_reg = combined(inner, outer, phis=phis, lam=lam)
-    frob = sum(p.frob_sq() for p in phis.values())
-    assert jo_reg == pytest.approx(2.5 + lam * frob, abs=1e-15)
-    # two relations at zero: total equals the third
-    ji_one, _ = combined({"ui": 0.0, "uu": 0.7, "ii": 0.0}, outer)
-    assert ji_one == 0.7
 
 
 def test_gradient_accumulates_into_supplied_buffers():

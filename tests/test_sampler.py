@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from pmlam import sampler
 from pmlam.sampler import (CandidatePool, pairs_from_rows, refresh_pool,
                            sample_triplets)
 
@@ -35,6 +36,27 @@ def test_pool_determinism():
     a = refresh_pool(excl, 50, 8, np.random.default_rng(7))
     b = refresh_pool(excl, 50, 8, np.random.default_rng(7))
     np.testing.assert_array_equal(a.flat, b.flat)
+
+
+def test_pool_spanning_several_key_blocks(monkeypatch):
+    rng = np.random.default_rng(8)
+    n_universe, pool_size = 1000, 50
+    n_anchors = 2 * (sampler.KEY_BLOCK // n_universe) + 5  # three key blocks
+    sizes = rng.integers(0, n_universe + 1, n_anchors)
+    sizes[:3] = (n_universe, n_universe - 10, 0)  # empty, short and full complements
+    exclusions = [np.sort(rng.choice(n_universe, size=s, replace=False)) for s in sizes]
+    pool = refresh_pool(exclusions, n_universe, pool_size, np.random.default_rng(1))
+    for a, excl in enumerate(exclusions):
+        cands = pool.candidates(a)
+        assert len(cands) == min(pool_size, n_universe - len(excl))
+        assert np.all(np.diff(cands) > 0)  # ascending, so no duplicates
+        assert not np.isin(cands, excl).any()
+    again = refresh_pool(exclusions, n_universe, pool_size, np.random.default_rng(1))
+    np.testing.assert_array_equal(again.flat, pool.flat)
+    monkeypatch.setattr(sampler, "KEY_BLOCK", n_universe)  # one row per block
+    one_row = refresh_pool(exclusions, n_universe, pool_size, np.random.default_rng(1))
+    np.testing.assert_array_equal(one_row.flat, pool.flat)
+    np.testing.assert_array_equal(one_row.offsets, pool.offsets)
 
 
 def test_sample_triplets_row_expansion():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pmlam.simgraph import (build, build_or_load, cosine_binary, load,
-                            rows_digest, save)
+from pmlam.simgraph import build, build_or_load, load, rows_digest, save
+
+from helpers import cosine_binary
 
 
 def random_rows(rng, n_rows, n_cols, density=0.3):
