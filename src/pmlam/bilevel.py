@@ -7,7 +7,14 @@ optimizer step on the margin nets against the outer (fixed-margin) objective
 evaluated at the proxy. The margin-net gradient is the approximate
 hypergradient: the outer gradient at the proxy, pushed through the inner
 objective's mixed second derivative, which is estimated by central finite
-differences of the exact first-order margin-net gradient.
+differences of the exact first-order margin-net gradient (the DARTS scheme).
+
+The probes are not a stand-in for an exact product: margins reach the inner
+loss only through hinges, so the exact mixed derivative (hinge mask fixed) is
+0 when no inner hinge is active, as in criterion 4's set-up at epoch 40,
+where the probes still give 9.5e-3 on ``b2``. The +-eps probes push hinges
+across the kink, so ``eps_fd`` is a smoothing width. Training with the exact
+product left every margin at ln 2 and failed criteria 7 (twin) and 8.
 
 Candidate pools are rebuilt synchronously at the start of every
 ``refresh_period``-th epoch from a stream seeded by (seed, epoch), so a
@@ -29,23 +36,7 @@ class NumericFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# first-order optimizers over dicts of named arrays
-
-
-class Sgd:
-    kind = "sgd"
-
-    def __init__(self, alpha):
-        self.alpha = alpha
-        self.t = 0
-
-    def step(self, params, grads):
-        self.t += 1
-        for name, g in grads.items():
-            params[name] -= self.alpha * g
-
-    def state(self):
-        return {"kind": self.kind, "alpha": self.alpha, "t": self.t, "slots": {}}
+# Adam over dicts of named arrays
 
 
 class Adam:
@@ -77,14 +68,6 @@ class Adam:
                 "slots": {"m": self.m, "v": self.v}}
 
 
-def make_optimizer(kind, alpha):
-    if kind == "sgd":
-        return Sgd(alpha)
-    if kind == "adam":
-        return Adam(alpha)
-    raise ValueError(f"unknown optimizer kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # theta updates, proxy, hypergradient
 
@@ -104,8 +87,8 @@ def theta_step(users, items, grads, opt):
 def build_proxy(users, items, grads, alpha):
     """Proxy tables: a plain gradient step from the current tables.
 
-    Always an SGD step with the inner learning rate, regardless of the real
-    optimizer, and never projected. The inputs are left untouched.
+    A plain step with the inner learning rate, not an Adam step, and never
+    projected. The inputs are left untouched.
     """
     proxy_users = GaussianEmbeddingTable(users.mu - alpha * grads["user_mu"],
                                          users.sigma - alpha * grads["user_sigma"])
@@ -182,9 +165,6 @@ class TrainResult:
     opt_phi: object = None
     rng_states: dict = field(default_factory=dict)
 
-    def last_eval(self):
-        return self.evals[-1][1] if self.evals else None
-
 
 def write_trace(path, rows, header_lines=()):
     with open(path, "w") as f:
@@ -219,12 +199,8 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
     kind = cfg.kind()
     say = log if log is not None else (lambda msg: None)
 
-    users = init_table(ds.n_users, cfg.h, np.random.SeedSequence([cfg.seed, 0]),
-                       mu_std=cfg.mu_std, sigma0=cfg.sigma0,
-                       sigma_jitter=cfg.sigma_jitter)
-    items = init_table(ds.n_items, cfg.h, np.random.SeedSequence([cfg.seed, 1]),
-                       mu_std=cfg.mu_std, sigma0=cfg.sigma0,
-                       sigma_jitter=cfg.sigma_jitter)
+    users = init_table(ds.n_users, cfg.h, np.random.SeedSequence([cfg.seed, 0]))
+    items = init_table(ds.n_items, cfg.h, np.random.SeedSequence([cfg.seed, 1]))
 
     modes = {rel: cfg.margin_mode_for(rel) for rel in cfg.relations}
     phis = {}
@@ -233,8 +209,8 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
             phis[rel] = init_margin_net(cfg.h, cfg.hidden, _stream(cfg.seed, 2, r_i),
                                         mode=cfg.indicator_mode)
 
-    opt_theta = make_optimizer(cfg.optimizer, cfg.alpha)
-    opt_phi = make_optimizer(cfg.optimizer, cfg.alpha)
+    opt_theta = Adam(cfg.alpha)
+    opt_phi = Adam(cfg.alpha)
     rng_sampler = _stream(cfg.seed, 3)
     rng_noise = _stream(cfg.seed, 4)
 
@@ -274,7 +250,6 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
     result = TrainResult(users=users, items=items, phis=phis, cfg=cfg,
                          opt_theta=opt_theta, opt_phi=opt_phi)
     has_test = any(len(t) for t in fold.test_rows)
-    best_r10, stale_evals = -1.0, 0
 
     for epoch in range(cfg.epochs):
         if epoch % cfg.refresh_period == 0:
@@ -309,9 +284,7 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
             for rel, b in batches.items():
                 ev = batch_inner(b, users, items, kind, modes[rel],
                                  phi=phis.get(rel), indicator_mode=cfg.indicator_mode,
-                                 grad_theta=True,
-                                 margin_grad_to_theta=cfg.margin_grad_to_theta,
-                                 out_grads=grads)
+                                 grad_theta=True, out_grads=grads)
                 inner_total += ev.loss
                 sums[rel] += ev.loss
                 if modes[rel] == "adaptive":
@@ -392,15 +365,6 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
             k_watch = 10 if 10 in report.ks else report.ks[0]
             say(f"epoch {epoch}: inner={result.trace[-1].inner:.4f} "
                 f"R@{k_watch}={report.recall[k_watch]:.4f}")
-            if cfg.early_stop_patience > 0:
-                r10 = report.recall[k_watch]
-                if r10 > best_r10:
-                    best_r10, stale_evals = r10, 0
-                else:
-                    stale_evals += 1
-                    if stale_evals >= cfg.early_stop_patience:
-                        say(f"early stop at epoch {epoch}")
-                        break
 
     result.rng_states = {
         "sampler": rng_sampler.bit_generator.state,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import RunConfig, make_config
+from .config import RETIRED_KEYS, RunConfig, make_config
 from .data import atomic_write
 from .embeddings import GaussianEmbeddingTable
 from .margin_net import MarginNetParams
@@ -94,19 +94,32 @@ def save(path, result, fold_index=0):
 
 
 def load(path):
+    """Read a checkpoint; a cut payload or trailing bytes are rejected."""
     with open(path, "rb") as f:
         if f.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
             raise ValueError(f"{path}: not a {CKPT_MAGIC.decode().strip()} file")
         header_len = int.from_bytes(f.read(8), "little")
-        header = json.loads(f.read(header_len).decode())
+        raw = f.read(header_len)
+        if len(raw) != header_len:
+            raise ValueError(f"{path}: header needs {header_len} bytes, "
+                             f"file ends after {len(raw)}")
+        header = json.loads(raw.decode())
         arrays = {}
         for entry in header["arrays"]:
-            shape, dtype = tuple(entry["shape"]), np.dtype(entry["dtype"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * dtype.itemsize)
-            arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            name, shape = entry["name"], tuple(entry["shape"])
+            dtype = np.dtype(entry["dtype"])
+            size = (int(np.prod(shape)) if shape else 1) * dtype.itemsize
+            buf = f.read(size)
+            if len(buf) != size:
+                raise ValueError(f"{path}: array {name!r} needs {size} bytes, "
+                                 f"file ends after {len(buf)}")
+            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last array")
 
-    cfg = make_config(file_values=header["config"])
+    # a retired key loads whatever value an older checkpoint recorded for it
+    cfg = make_config(file_values={k: v for k, v in header["config"].items()
+                                   if k not in RETIRED_KEYS})
     users = GaussianEmbeddingTable(arrays["user_mu"], arrays["user_sigma"])
     items = GaussianEmbeddingTable(arrays["item_mu"], arrays["item_sigma"])
     phis = {}
@@ -123,3 +136,10 @@ def load(path):
         opt_theta=header["optimizers"].get("theta", {}),
         opt_phi=header["optimizers"].get("phi", {}),
     )
+
+
+def check_fits(ck, ds, path):
+    """Reject a checkpoint whose tables do not match the dataset's shape."""
+    if (ck.users.n, ck.items.n) != (ds.n_users, ds.n_items):
+        raise ValueError(f"{path}: tables hold {ck.users.n} users x {ck.items.n} "
+                         f"items, the dataset has {ds.n_users} x {ds.n_items}")

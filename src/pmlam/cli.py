@@ -39,8 +39,7 @@ _CONFIG_FLAGS = [
     "h", "hidden", "alpha", "lam", "epochs", "batch-size", "neg-samples",
     "pool-size", "refresh-period", "sim-threshold", "ks", "seed",
     "margin-mode", "margin-mode-uu", "margin-mode-ii", "relations",
-    "indicator-mode", "eval-every", "eps-fd", "sigma0", "mu-std", "optimizer",
-    "margin-grad-to-theta", "outer-batch", "early-stop-patience",
+    "indicator-mode", "eval-every", "eps-fd", "outer-batch",
 ]
 
 
@@ -102,10 +101,17 @@ def cmd_train(args):
     return 0
 
 
-def cmd_evaluate(args):
+def _load_run(args):
+    """The checkpoint, the dataset it must fit, and the checkpoint's fold."""
     ck = checkpoint.load(args.checkpoint)
     ds = data.load_dataset(args.dataset_dir)
+    checkpoint.check_fits(ck, ds, args.checkpoint)
     fold = data.load_folds(args.dataset_dir, ds)[ck.fold_index]
+    return ck, ds, fold
+
+
+def cmd_evaluate(args):
+    ck, _, fold = _load_run(args)
     ks = tuple(int(k) for k in args.ks.split(",")) if args.ks else ck.cfg.ks
     report = evaluator.evaluate(ck.users, ck.items, fold, ks, ck.cfg.kind())
     print(evaluator.format_table(report, title=f"fold {ck.fold_index}"))
@@ -116,9 +122,7 @@ def cmd_evaluate(args):
 
 
 def cmd_recommend(args):
-    ck = checkpoint.load(args.checkpoint)
-    ds = data.load_dataset(args.dataset_dir)
-    fold = data.load_folds(args.dataset_dir, ds)[ck.fold_index]
+    ck, ds, fold = _load_run(args)
     user_index = ds.user_index()
     if args.user not in user_index:
         raise ValueError(f"unknown user id {args.user!r}")
@@ -169,12 +173,10 @@ def cmd_ablate(args):
 
 
 def cmd_case_study(args):
-    ck = checkpoint.load(args.checkpoint)
+    ck, ds, fold = _load_run(args)
     if "ui" not in ck.phis:
         raise ValueError("checkpoint has no user-item margin net (fixed-margin run?)")
-    ds = data.load_dataset(args.dataset_dir)
     labels = synth.load_item_labels(args.dataset_dir, ds)
-    fold = data.load_folds(args.dataset_dir, ds)[ck.fold_index]
     rng = np.random.default_rng(args.seed)
     users_pick = np.sort(rng.choice(ds.n_users, size=min(args.n_users, ds.n_users),
                                     replace=False))

@@ -8,6 +8,7 @@ interchangeable). ``margin_mode`` is ``adaptive`` or ``fixed:<m>``;
 from dataclasses import dataclass, field, fields, replace
 
 from .distance import DistanceKind
+from .embeddings import MU_STD, SIGMA0, SIGMA_JITTER
 
 
 @dataclass
@@ -32,14 +33,8 @@ class RunConfig:
     indicator_mode: str = "squared-diff"  # "squared-diff" | "concat" | "sum"
     eval_every: int = 10
     eps_fd: float = 1e-2
-    sigma0: float = 0.1
-    sigma_jitter: float = 0.1
-    mu_std: float = 0.01
-    optimizer: str = "adam"              # "adam" | "sgd"
-    margin_grad_to_theta: bool = False
     outer_batch: str = "same"            # "same" | "fresh"
     joint_margin_training: bool = False  # anti-pattern switch: phi follows the inner loss
-    early_stop_patience: int = 0         # evaluations without R@10 gain; 0 disables
 
     def kind(self):
         return DistanceKind.W2_SQUARED if self.distance_kind == "w2" \
@@ -73,8 +68,6 @@ class RunConfig:
             raise ValueError(f"unknown indicator_mode {self.indicator_mode!r}")
         if self.outer_batch not in ("same", "fresh"):
             raise ValueError(f"unknown outer_batch {self.outer_batch!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if "ui" not in self.relations:
             raise ValueError("relations must contain 'ui'")
         for rel in self.relations:
@@ -83,8 +76,6 @@ class RunConfig:
             self.margin_mode_for(rel)
         if self.eps_fd <= 0:
             raise ValueError("eps_fd must be > 0")
-        if not 0.0 <= self.sigma_jitter < 1.0:
-            raise ValueError("sigma_jitter must lie in [0, 1)")
         return self
 
 
@@ -101,10 +92,13 @@ def parse_margin_mode(raw):
     raise ValueError(f"unknown margin mode {raw!r}")
 
 
-# Keys that older config files and checkpoints may still carry; accepted and
-# ignored. ``deterministic`` chose between two pool-refresh paths, and pools
-# are now always refreshed synchronously.
-RETIRED_KEYS = ("deterministic",)
+# Keys that older config files and checkpoints may carry, with the one value a
+# config file may still give each: today's behaviour, so no run changes
+# silently. ``deterministic`` (None) takes any value; it chose a pool-refresh
+# path, and pools are now always refreshed synchronously.
+RETIRED_KEYS = {"deterministic": None, "early_stop_patience": 0, "optimizer": "adam",
+                "margin_grad_to_theta": False, "mu_std": MU_STD, "sigma0": SIGMA0,
+                "sigma_jitter": SIGMA_JITTER}
 
 _BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,
                "false": False, "off": False, "no": False, "0": False}
@@ -146,17 +140,28 @@ def make_config(file_values=None, **overrides):
     defaults = RunConfig()
     values = {}
     known = {f.name: getattr(defaults, f.name) for f in fields(RunConfig)}
-    for source in (file_values or {},):
-        for key, raw in source.items():
-            key = key.replace("-", "_")
-            if key in RETIRED_KEYS:
-                continue
-            if key not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = _coerce(key, known[key], raw) if isinstance(raw, str) else raw
+    for key, raw in (file_values or {}).items():
+        key = key.replace("-", "_")
+        if key in RETIRED_KEYS:
+            _check_retired(key, raw)
+            continue
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r}")
+        values[key] = _coerce(key, known[key], raw) if isinstance(raw, str) else raw
     cfg = replace(defaults, **values)
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     return cfg.validate()
+
+
+def _check_retired(key, raw):
+    kept = RETIRED_KEYS[key]
+    try:
+        ok = kept is None or _coerce(key, kept, str(raw)) == kept
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"retired config key {key!r}: only {kept} is accepted, "
+                         f"got {raw!r}")
 
 
 def echo_lines(cfg):

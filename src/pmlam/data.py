@@ -43,18 +43,11 @@ class InteractionDataset:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
     @property
-    def rows(self):
-        return [self.row(u) for u in range(self.n_users)]
-
-    @property
     def n_interactions(self):
         return len(self.indices)
 
     def user_index(self):
         return {ext: i for i, ext in enumerate(self.user_ids)}
-
-    def item_index(self):
-        return {ext: i for i, ext in enumerate(self.item_ids)}
 
     def check(self):
         assert self.indptr[0] == 0 and self.indptr[-1] == len(self.indices)
@@ -163,21 +156,11 @@ def filter_iterative(pairs, min_user=10, min_item=5):
     rows = [[] for _ in range(len(user_map))]
     for u, i in pairs:
         rows[user_map[u]].append(item_map[i])
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    chunks = []
-    for u, r in enumerate(rows):
-        chunks.append(np.sort(np.array(r, dtype=np.int64)))
-        indptr[u + 1] = indptr[u] + len(r)
-    user_ids = [None] * len(user_map)
-    for ext, idx in user_map.items():
-        user_ids[idx] = ext
-    item_ids = [None] * len(item_map)
-    for ext, idx in item_map.items():
-        item_ids[idx] = ext
     return InteractionDataset(
-        n_users=len(user_ids), n_items=len(item_ids),
-        indptr=indptr, indices=np.concatenate(chunks),
-        user_ids=user_ids, item_ids=item_ids,
+        n_users=len(user_map), n_items=len(item_map),
+        indptr=np.cumsum([0] + [len(r) for r in rows], dtype=np.int64),
+        indices=np.concatenate([np.sort(np.array(r, dtype=np.int64)) for r in rows]),
+        user_ids=list(user_map), item_ids=list(item_map),  # ids in index order
     )
 
 
@@ -252,24 +235,16 @@ def load_dataset(dir_path):
         if f.readline().rstrip("\n") != DS_MAGIC:
             raise ValueError(f"{path}: not a {DS_MAGIC} file")
         n_users, n_items, n_interactions = (
-            _header_count(f, path, line_no, name)
+            header_count(f, path, line_no, name)
             for line_no, name in ((2, "users"), (3, "items"), (4, "interactions")))
-        indptr = np.zeros(n_users + 1, dtype=np.int64)
-        chunks = []
-        for u in range(n_users):
-            line = f.readline()
-            if not line.endswith("\n"):  # every complete row ends in a newline
-                raise ValueError(f"{path}:{u + 5}: truncated after {u} of "
-                                 f"{n_users} user rows")
-            row = np.array([int(t) for t in line.split()], dtype=np.int64)
-            chunks.append(row)
-            indptr[u + 1] = indptr[u] + len(row)
-        if f.read().strip():
-            raise ValueError(f"{path}:{n_users + 5}: more rows than the "
-                             f"{n_users} users in the header")
+        chunks = read_index_rows(f, path, 5, n_users, "user rows")
+    indptr = np.cumsum([0] + [len(r) for r in chunks], dtype=np.int64)
     if indptr[-1] != n_interactions:
         raise ValueError(f"{path}:4: header gives {n_interactions} interactions, "
                          f"rows hold {indptr[-1]}")
+    bad = first_row_outside(chunks, n_items)
+    if bad is not None:
+        raise ValueError(f"{path}:{bad + 5}: item index outside [0, {n_items})")
     user_ids = _load_ids(os.path.join(dir_path, "user_ids.txt"), n_users)
     item_ids = _load_ids(os.path.join(dir_path, "item_ids.txt"), n_items)
     return InteractionDataset(
@@ -279,11 +254,47 @@ def load_dataset(dir_path):
     )
 
 
-def _header_count(f, path, line_no, name):
-    parts = f.readline().split()
-    if len(parts) != 2 or parts[0] != name or not parts[1].isdigit():
+def header_count(f, path, line_no, name):
+    """The count of a ``name <count>`` header line."""
+    value = header_value(f, path, line_no, name)
+    if not value.isdigit():
         raise ValueError(f"{path}:{line_no}: expected '{name} <count>'")
-    return int(parts[1])
+    return int(value)
+
+
+def header_value(f, path, line_no, name):
+    """The value of a ``name <value>`` header line."""
+    parts = f.readline().split()
+    if len(parts) != 2 or parts[0] != name:
+        raise ValueError(f"{path}:{line_no}: expected '{name} <value>'")
+    return parts[1]
+
+
+def read_index_rows(f, path, first_line, n_rows, what):
+    """Read ``n_rows`` lines of integers; a cut file or extra lines are rejected."""
+    rows = []
+    for r in range(n_rows):
+        line = f.readline()
+        if not line.endswith("\n"):  # every complete line ends in a newline
+            raise ValueError(f"{path}:{first_line + r}: truncated after {r} of "
+                             f"{n_rows} {what}")
+        try:
+            rows.append(np.array([int(t) for t in line.split()], dtype=np.int64))
+        except ValueError:
+            raise ValueError(f"{path}:{first_line + r}: expected integers") from None
+    if f.read().strip():
+        raise ValueError(f"{path}:{first_line + n_rows}: more lines than the "
+                         f"{n_rows} {what}")
+    return rows
+
+
+def first_row_outside(rows, n):
+    """Index of the first row holding a value outside [0, n), or None."""
+    flat = np.concatenate(rows) if rows else np.empty(0, np.int64)
+    bad = np.flatnonzero((flat < 0) | (flat >= n))
+    if not bad.size:
+        return None
+    return int(np.searchsorted(np.cumsum([len(r) for r in rows]), bad[0], side="right"))
 
 
 def _load_ids(path, expected):
@@ -319,15 +330,23 @@ def save_folds(dir_path, splits):
 
 
 def load_folds(dir_path, ds):
+    """Read the fold labels of ``ds``; a file that does not fit it is rejected."""
     path = os.path.join(dir_path, "folds.txt")
     with open(path) as f:
         if f.readline().rstrip("\n") != FOLDS_MAGIC:
             raise ValueError(f"{path}: not a {FOLDS_MAGIC} file")
-        seed = int(f.readline().split()[1])
-        n_folds = int(f.readline().split()[1])
-        labels = []
-        for u in range(ds.n_users):
-            labels.append(np.array([int(t) for t in f.readline().split()]))
+        seed = header_count(f, path, 2, "seed")
+        n_folds = header_count(f, path, 3, "folds")
+        labels = read_index_rows(f, path, 4, ds.n_users, "user lines")
+    n_labels, row_lens = np.array([len(r) for r in labels]), np.diff(ds.indptr)
+    wrong = np.flatnonzero(n_labels != row_lens)
+    if wrong.size:
+        u = wrong[0]
+        raise ValueError(f"{path}:{u + 4}: {n_labels[u]} labels for user {u}'s "
+                         f"{row_lens[u]} items")
+    bad = first_row_outside(labels, n_folds)
+    if bad is not None:
+        raise ValueError(f"{path}:{bad + 4}: fold label outside [0, {n_folds})")
     splits = []
     for k in range(n_folds):
         train_rows, test_rows = [], []

@@ -15,6 +15,11 @@ from .distance import SIGMA_MIN
 
 SIGMA_MAX = 1.0
 
+# initial scales of init_table
+MU_STD = 0.01
+SIGMA0 = 0.1
+SIGMA_JITTER = 0.1
+
 
 @dataclass
 class GaussianEmbeddingTable:
@@ -51,11 +56,11 @@ class SampledEmbedding:
     noise: np.ndarray
 
 
-def init_table(n_entities, h, seed, mu_std=0.01, sigma0=0.1, sigma_jitter=0.1):
-    """Create a table with mu ~ N(0, mu_std^2) i.i.d. and sigma near sigma0.
+def init_table(n_entities, h, seed):
+    """Create a table with mu ~ N(0, MU_STD^2) i.i.d. and sigma near SIGMA0.
 
-    Variances draw from U[sigma0 (1 - jitter), sigma0 (1 + jitter)]: an exactly
-    uniform sigma table is a stationary saddle of the distance gradient (all
+    Variances draw from SIGMA0 * U[1 - SIGMA_JITTER, 1 + SIGMA_JITTER]: an
+    exactly uniform sigma table is a stationary saddle of the distance gradient (all
     sqrt-variance differences cancel), so a little spread is needed for the
     covariance channel to train at all. The result is projected, so all
     invariants hold from the start. Deterministic for a fixed seed.
@@ -63,8 +68,8 @@ def init_table(n_entities, h, seed, mu_std=0.01, sigma0=0.1, sigma_jitter=0.1):
     if h < 1:
         raise ValueError("latent dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    mu = rng.normal(0.0, mu_std, size=(n_entities, h))
-    sigma = sigma0 * rng.uniform(1.0 - sigma_jitter, 1.0 + sigma_jitter,
+    mu = rng.normal(0.0, MU_STD, size=(n_entities, h))
+    sigma = SIGMA0 * rng.uniform(1.0 - SIGMA_JITTER, 1.0 + SIGMA_JITTER,
                                  size=(n_entities, h))
     table = GaussianEmbeddingTable(mu, sigma)
     project(table)

@@ -76,20 +76,9 @@ def zero_theta_grads(users, items):
 
 
 def _role_keys(relation):
-    """(anchor, other) accumulator prefixes for a relation."""
-    if relation == "ui":
-        return "user", "item"
-    if relation == "uu":
-        return "user", "user"
-    return "item", "item"
-
-
-def _role_tables(relation, users, items):
-    if relation == "ui":
-        return users, items
-    if relation == "uu":
-        return users, users
-    return items, items
+    """(anchor, other) table names, also the accumulator prefixes, of a relation."""
+    return {"ui": ("user", "item"), "uu": ("user", "user"),
+            "ii": ("item", "item")}[relation]
 
 
 def _gather(batch, users, items):
@@ -100,7 +89,8 @@ def _gather(batch, users, items):
     Returns the floored variances plus per-role masks of live (unfloored)
     entries: gradients w.r.t. floored coordinates are zero through the clamp.
     """
-    anchor_t, other_t = _role_tables(batch.relation, users, items)
+    tables = {"user": users, "item": items}
+    anchor_t, other_t = (tables[key] for key in _role_keys(batch.relation))
     mu_a = anchor_t.mu[batch.anchors]
     mu_p = other_t.mu[batch.positives]
     mu_n = other_t.mu[batch.negatives]

@@ -29,10 +29,6 @@ class MarginNetParams:
     b2: np.ndarray  # (1,)
 
     @property
-    def hidden(self):
-        return self.W1.shape[0]
-
-    @property
     def in_dim(self):
         return self.W1.shape[1]
 

@@ -8,7 +8,7 @@ positive/neighbor set, and within the period negatives come from the pool
 vectorised pass over all anchors.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class CandidatePool:
     flat: np.ndarray      # concatenated candidate ids
     offsets: np.ndarray   # (n_anchors + 1,)
     epoch_of_build: int
-    exclusions: list = field(repr=False, default=None)  # kept for debug validation
 
     @property
     def n_anchors(self):
@@ -65,11 +64,10 @@ def refresh_pool(exclusions, n_universe, pool_size, rng, epoch=0):
         chunks.append(picked[picked < n_universe])
     offsets = np.concatenate([[0], np.cumsum(counts)])
     return CandidatePool(flat=np.concatenate(chunks), offsets=offsets,
-                         epoch_of_build=epoch, exclusions=exclusions)
+                         epoch_of_build=epoch)
 
 
-def sample_triplets(relation, anchors, positives, pool, neg_samples, rng,
-                    validate=False):
+def sample_triplets(relation, anchors, positives, pool, neg_samples, rng):
     """Expand (anchor, positive) pairs into a TripletBatch.
 
     Each pair contributes ``neg_samples`` rows, negatives drawn uniformly
@@ -87,22 +85,8 @@ def sample_triplets(relation, anchors, positives, pool, neg_samples, rng,
     rep_len = np.repeat(lens, neg_samples)
     draw = np.floor(rng.random(len(rep_a)) * rep_len).astype(np.int64)
     negs = pool.flat[pool.offsets[rep_a] + draw]
-    batch = TripletBatch(relation=relation, anchors=rep_a, positives=rep_p,
-                         negatives=negs)
-    if validate:
-        _validate_membership(batch, pool)
-    return batch
-
-
-def _validate_membership(batch, pool):
-    for a, p, n in zip(batch.anchors, batch.positives, batch.negatives):
-        excl = pool.exclusions[a]  # sorted: the anchor's positive/neighbor set
-        j = np.searchsorted(excl, n)
-        if j < len(excl) and excl[j] == n:
-            raise AssertionError(f"negative {n} inside exclusion set of anchor {a}")
-        i = np.searchsorted(excl, p)
-        if i >= len(excl) or excl[i] != p:
-            raise AssertionError(f"positive {p} outside positive set of anchor {a}")
+    return TripletBatch(relation=relation, anchors=rep_a, positives=rep_p,
+                        negatives=negs)
 
 
 def pairs_from_rows(rows):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import atomic_write
+from .data import (atomic_write, first_row_outside, header_count, header_value,
+                   read_index_rows)
 
 NBR_MAGIC = "PMLAM-NBR v1"
 
@@ -89,17 +90,23 @@ def save(path, nbr):
     atomic_write(path, body)
 
 
-def load(path):
+def load(path, n_rows=None):
+    """Read cached neighbor sets; a cut file or a wrong row count is rejected.
+
+    ``n_rows``, when given, is the number of entities the caller expects.
+    """
     with open(path) as f:
         if f.readline().rstrip("\n") != NBR_MAGIC:
             raise ValueError(f"{path}: not a {NBR_MAGIC} file")
-        kind = f.readline().split()[1]
-        tau = float(f.readline().split()[1])
-        n = int(f.readline().split()[1])
-        neighbors = []
-        for _ in range(n):
-            parts = f.readline().split()
-            neighbors.append(np.array([int(p) for p in parts], dtype=np.int64))
+        kind = header_value(f, path, 2, "kind")
+        tau = float(header_value(f, path, 3, "tau"))
+        n = header_count(f, path, 4, "n")
+        if n_rows is not None and n != n_rows:
+            raise ValueError(f"{path}:4: holds {n} rows, {n_rows} requested")
+        neighbors = read_index_rows(f, path, 5, n, "neighbor rows")
+    bad = first_row_outside(neighbors, n)
+    if bad is not None:
+        raise ValueError(f"{path}:{bad + 5}: neighbor index outside [0, {n})")
     return NeighborSets(kind=kind, tau=tau, neighbors=neighbors)
 
 
@@ -110,7 +117,7 @@ def build_or_load(cache_dir, rows, n_cols, tau, kind, fold_index):
     key = f"{kind}_f{fold_index}_t{tau:g}_{rows_digest(rows)}"
     path = os.path.join(cache_dir, f"neighbors_{key}.txt")
     if os.path.exists(path):
-        return load(path)
+        return load(path, len(rows))
     nbr = build(rows, n_cols, tau, kind=kind)
     os.makedirs(cache_dir, exist_ok=True)
     save(path, nbr)

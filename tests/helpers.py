@@ -48,6 +48,32 @@ def dataset_digest(ds):
     return hasher.hexdigest()[:16]
 
 
+def validate_membership(batch, exclusions):
+    """Check each triplet against its anchor's sorted exclusion set.
+
+    The positive must lie inside the set and the negative outside it.
+    """
+    for a, p, n in zip(batch.anchors, batch.positives, batch.negatives):
+        excl = exclusions[a]
+        j = np.searchsorted(excl, n)
+        if j < len(excl) and excl[j] == n:
+            raise AssertionError(f"negative {n} inside exclusion set of anchor {a}")
+        i = np.searchsorted(excl, p)
+        if i >= len(excl) or excl[i] != p:
+            raise AssertionError(f"positive {p} outside positive set of anchor {a}")
+
+
+class Sgd:
+    """Plain gradient step over a dict of named arrays, an optimizer stand-in."""
+
+    def __init__(self, alpha):
+        self.alpha = alpha
+
+    def step(self, params, grads):
+        for name, g in grads.items():
+            params[name] -= self.alpha * g
+
+
 def assert_grad_close(analytic, numeric, rtol=1e-5, atol=1e-8):
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 

@@ -1,11 +1,14 @@
+import dataclasses
 import hashlib
+import json
 import os
 
 import numpy as np
 import pytest
 
 from pmlam import checkpoint, evaluator
-from pmlam.cli import ABLATION_VARIANTS, main
+from pmlam.cli import _CONFIG_FLAGS, ABLATION_VARIANTS, main
+from pmlam.config import RunConfig
 from pmlam.data import load_dataset, load_folds, split_five_fold, save_dataset, save_folds
 from pmlam.synth import planted_clusters, write_item_labels
 
@@ -187,3 +190,96 @@ def test_flags_override_config_file(tmp_path, capsys):
     trace = (run / "trace.csv").read_text()
     assert "# epochs = 2" in trace
     assert "# h = 4" in trace
+
+
+@pytest.mark.parametrize("damage", ["cut", "extra", "count", "range"])
+def test_train_on_damaged_folds_exits_2(tmp_path, capsys, damage):
+    d, _ = planted_dataset_dir(tmp_path)
+    lines = (d / "folds.txt").read_text().split("\n")[:-1]
+    if damage == "cut":  # the header and the first five users
+        lines = lines[:8]
+    elif damage == "extra":
+        lines.append("0")
+    elif damage == "count":  # one label short for the first user
+        lines[3] = lines[3].rsplit(" ", 1)[0]
+    else:
+        lines[3] = "5 " + lines[3].split(" ", 1)[1]
+    (d / "folds.txt").write_text("\n".join(lines) + "\n")
+    rc = main(["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet"] + FAST)
+    assert rc == 2
+    assert "folds.txt:" in capsys.readouterr().err
+
+
+def trained_checkpoint(tmp_path, **shape):
+    ds, _, _ = planted_clusters(seed=0, **shape)
+    d = tmp_path / "trained_on"
+    save_dataset(d, ds)
+    save_folds(d, split_five_fold(ds, seed=0))
+    run = tmp_path / "run"
+    assert main(["train", str(d), "--out-dir", str(run), "--quiet"] + FAST) == 0
+    return d, run / "checkpoint.bin"
+
+
+def test_evaluate_cut_checkpoint_names_file_and_array(tmp_path, capsys):
+    d, ck = trained_checkpoint(tmp_path)
+    whole = ck.read_bytes()
+    ck.write_bytes(whole[:-100])
+    capsys.readouterr()
+    assert main(["evaluate", str(d), str(ck)]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.bin: array 'opt.phi." in err
+    ck.write_bytes(whole + b"\0")
+    assert main(["evaluate", str(d), str(ck)]) == 2
+    assert "trailing bytes" in capsys.readouterr().err
+
+
+def test_checkpoint_from_other_dataset_exits_2(tmp_path, capsys):
+    _, ck = trained_checkpoint(tmp_path, n_users=20, n_items=30)
+    other, _, _ = planted_clusters(n_users=24, n_items=20, seed=0)
+    d = tmp_path / "other"
+    save_dataset(d, other)
+    save_folds(d, split_five_fold(other, seed=0))
+    capsys.readouterr()
+    for argv in (["evaluate", str(d), str(ck)],
+                 ["recommend", str(d), str(ck), other.user_ids[0]]):
+        assert main(argv) == 2
+        assert "20 users x 30 items" in capsys.readouterr().err
+
+
+def test_retired_config_keys_accepted_only_at_old_values(tmp_path, capsys):
+    d, _ = planted_dataset_dir(tmp_path)
+    cfg_file = tmp_path / "run.cfg"
+    old = ("early_stop_patience = 0\noptimizer = adam\nmargin_grad_to_theta = off\n"
+           "mu_std = 0.01\nsigma0 = 0.1\nsigma_jitter = 0.1\n")
+    cfg_file.write_text(old)
+    argv = ["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet",
+            "--config", str(cfg_file)] + FAST
+    assert main(argv) == 0
+    capsys.readouterr()
+    cfg_file.write_text(old.replace("adam", "sgd"))
+    assert main(argv) == 2
+    assert "'optimizer'" in capsys.readouterr().err
+
+
+def test_checkpoint_with_retired_keys_still_evaluates(tmp_path, capsys):
+    d, ck = trained_checkpoint(tmp_path)
+    blob = ck.read_bytes()
+    head = len(checkpoint.CKPT_MAGIC)
+    n = int.from_bytes(blob[head:head + 8], "little")
+    header = json.loads(blob[head + 8:head + 8 + n])
+    header["config"].update(early_stop_patience="3", optimizer="sgd",
+                            margin_grad_to_theta="True", mu_std="0.05",
+                            sigma0="0.2", sigma_jitter="0.0")
+    raw = json.dumps(header).encode()
+    ck.write_bytes(blob[:head] + len(raw).to_bytes(8, "little") + raw
+                   + blob[head + 8 + n:])
+    assert main(["evaluate", str(d), str(ck)]) == 0
+    assert "Recall@K" in capsys.readouterr().out
+
+
+def test_every_config_field_has_one_flag():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    flags = [f.replace("-", "_") for f in _CONFIG_FLAGS]
+    flags += ["distance_kind", "joint_margin_training"]
+    assert len(flags) == len(set(flags))
+    assert set(flags) == fields

@@ -41,14 +41,14 @@ def test_config_file_parsing(tmp_path):
         "alpha = 0.01  # inline comment\n"
         "relations = ui,uu\n"
         "ks = 5, 10\n"
-        "margin-grad-to-theta = on\n"
+        "joint-margin-training = on\n"
         "distance_kind = euclidean\n"
     )
     cfg = make_config(file_values=load_config_file(path))
     assert cfg.h == 16 and cfg.alpha == 0.01
     assert cfg.relations == ("ui", "uu")
     assert cfg.ks == (5, 10)
-    assert cfg.margin_grad_to_theta is True
+    assert cfg.joint_margin_training is True
     assert cfg.kind() is DistanceKind.EUCLIDEAN_SQUARED
 
 
@@ -91,3 +91,13 @@ def test_echo_lines_are_stable():
     assert lines == sorted(lines)
     assert "seed = 5" in lines
     assert any(line.startswith("ks = 5,10,15,20") for line in lines)
+
+
+@pytest.mark.parametrize("key,old,new", [
+    ("early_stop_patience", "0", "5"), ("optimizer", "adam", "sgd"),
+    ("margin_grad_to_theta", "off", "on"), ("mu_std", "0.01", "0.02"),
+    ("sigma0", "0.1", "0.3"), ("sigma_jitter", "0.1", "0.0")])
+def test_retired_keys_only_at_their_old_value(key, old, new):
+    assert make_config(file_values={key: old}) == RunConfig()
+    with pytest.raises(ValueError, match=f"retired config key '{key}'"):
+        make_config(file_values={key: new})

@@ -199,3 +199,15 @@ def test_failed_atomic_write_leaves_target_and_no_temp_file(tmp_path):
         atomic_write(target, failing)
     assert target.read_text() == "old contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.txt"]
+
+
+def test_load_rejects_item_index_outside_catalog(tmp_path):
+    ds = filter_iterative([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)],
+                          min_user=1, min_item=1)
+    save_dataset(tmp_path, ds)
+    path = tmp_path / "dataset.txt"
+    lines = path.read_text().split("\n")
+    lines[5] = "0 1 2 4"  # the second user's last item is past the 4-item catalog
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match="dataset.txt:6: item index"):
+        load_dataset(tmp_path)

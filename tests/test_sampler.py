@@ -6,6 +6,8 @@ from pmlam import sampler
 from pmlam.sampler import (CandidatePool, pairs_from_rows, refresh_pool,
                            sample_triplets)
 
+from helpers import validate_membership
+
 
 def test_pool_excludes_positives():
     rng = np.random.default_rng(0)
@@ -61,12 +63,13 @@ def test_pool_spanning_several_key_blocks(monkeypatch):
 
 def test_sample_triplets_row_expansion():
     rng = np.random.default_rng(3)
-    pool = refresh_pool([np.array([0]), np.array([1])], n_universe=6,
-                        pool_size=5, rng=rng)
+    exclusions = [np.array([0]), np.array([1])]
+    pool = refresh_pool(exclusions, n_universe=6, pool_size=5, rng=rng)
     anchors = np.array([0, 1, 0])
     positives = np.array([0, 1, 0])
     batch = sample_triplets("ui", anchors, positives, pool, neg_samples=1,
-                            rng=rng, validate=True)
+                            rng=rng)
+    validate_membership(batch, exclusions)
     assert len(batch) == 3
     np.testing.assert_array_equal(batch.anchors, anchors)
     batch = sample_triplets("ui", anchors, positives, pool, neg_samples=4, rng=rng)
@@ -82,7 +85,8 @@ def test_sample_triplets_membership_invariant():
     pool = refresh_pool(rows, n_universe=30, pool_size=10, rng=rng)
     anchors, positives = pairs_from_rows(rows)
     batch = sample_triplets("ui", anchors, positives, pool, neg_samples=3,
-                            rng=rng, validate=True)
+                            rng=rng)
+    validate_membership(batch, rows)
     for a, n in zip(batch.anchors, batch.negatives):
         assert n not in rows[a]
 

@@ -112,3 +112,21 @@ def test_build_or_load_uses_cache(tmp_path):
     build_or_load(str(tmp_path), rows, 12, 0.4, "user", fold_index=1)
     assert len(list(tmp_path.glob("neighbors_*.txt"))) == 2
     assert rows_digest(rows) == rows_digest([r.copy() for r in rows])
+
+
+@pytest.mark.parametrize("damage", ["cut", "count", "range"])
+def test_load_rejects_damaged_cache(tmp_path, damage):
+    rng = np.random.default_rng(4)
+    rows = random_rows(rng, 30, 15)
+    path = tmp_path / "nbr.txt"
+    save(str(path), build(rows, n_cols=15, tau=0.2))
+    lines = path.read_text().split("\n")[:-1]
+    if damage == "cut":  # the header and the first two entities
+        lines = lines[:6]
+    elif damage == "count":
+        lines[3] = "n 31"
+    else:
+        lines[4] = "30"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="nbr.txt:"):
+        load(str(path), n_rows=30)
