@@ -88,7 +88,7 @@ def cmd_prepare(args):
 def cmd_train(args):
     cfg = _config_from_args(args)
     ds = data.load_dataset(args.dataset_dir)
-    fold = data.load_folds(args.dataset_dir, ds)[args.fold]
+    fold = data.load_fold(args.dataset_dir, ds, args.fold)
     os.makedirs(args.out_dir, exist_ok=True)
     result = bilevel.train(ds, fold, cfg, cache_dir=args.dataset_dir,
                            log=print if not args.quiet else None)
@@ -106,7 +106,7 @@ def _load_run(args):
     ck = checkpoint.load(args.checkpoint)
     ds = data.load_dataset(args.dataset_dir)
     checkpoint.check_fits(ck, ds, args.checkpoint)
-    fold = data.load_folds(args.dataset_dir, ds)[ck.fold_index]
+    fold = data.load_fold(args.dataset_dir, ds, ck.fold_index)
     return ck, ds, fold
 
 
@@ -139,7 +139,7 @@ def cmd_recommend(args):
 def cmd_ablate(args):
     base = _config_from_args(args)
     ds = data.load_dataset(args.dataset_dir)
-    fold = data.load_folds(args.dataset_dir, ds)[args.fold]
+    fold = data.load_fold(args.dataset_dir, ds, args.fold)
     seeds = [int(s) for s in args.seeds.split(",")]
     variants = ([int(v) for v in args.variants.split(",")]
                 if args.variants else sorted(ABLATION_VARIANTS))

@@ -298,11 +298,18 @@ def first_row_outside(rows, n):
 
 
 def _load_ids(path, expected):
-    ids = []
+    """Read an id sidecar: line ``i + 1`` is ``i<TAB><id>``, ids non-empty and unique."""
+    line_of = {}  # id -> its line number, in file order
     with open(path) as f:
-        for line in f:
-            if line.strip():
-                ids.append(line.rstrip("\n").split("\t", 1)[1])
+        for pos, line in enumerate(f):
+            index, tab, ext = line.removesuffix("\n").partition("\t")
+            if not line.endswith("\n") or not tab or index != str(pos) or not ext:
+                raise ValueError(f"{path}:{pos + 1}: expected '{pos}<TAB><id>'")
+            if ext in line_of:
+                raise ValueError(f"{path}:{pos + 1}: id {ext!r} repeats line "
+                                 f"{line_of[ext]}")
+            line_of[ext] = pos + 1
+    ids = list(line_of)
     if len(ids) != expected:
         raise ValueError(f"{path}: expected {expected} ids, found {len(ids)}")
     return ids
@@ -327,6 +334,15 @@ def save_folds(dir_path, splits):
             f.write(" ".join(map(str, labels[order])) + "\n")
 
     atomic_write(os.path.join(dir_path, "folds.txt"), body)
+
+
+def load_fold(dir_path, ds, index):
+    """Split ``index`` of :func:`load_folds`; an index past the fold count is rejected."""
+    splits = load_folds(dir_path, ds)
+    if not 0 <= index < len(splits):
+        raise ValueError(f"{os.path.join(dir_path, 'folds.txt')}: fold {index} "
+                         f"outside the file's {len(splits)} folds")
+    return splits[index]
 
 
 def load_folds(dir_path, ds):

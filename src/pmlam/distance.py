@@ -8,6 +8,10 @@ diagonal-covariance Gaussians, which for variance vectors ``sigma`` reduces to
 and the plain squared Euclidean distance used for deterministic-embedding
 ablations. All functions accept single ``(h,)`` vectors or ``(B, h)`` batches
 and reduce over the last axis. Gradients are hand-derived closed forms.
+
+Both kernels and their gradients are written once, in the unchecked
+:func:`pair_rows`, which the training losses call directly on gathered
+batches; the public functions validate their inputs and then call it.
 """
 
 from enum import Enum
@@ -31,6 +35,33 @@ def _check_same_shape(a, b, name_a, name_b):
         )
 
 
+def pair_rows(mu_a, mu_b, root_a=None, root_b=None, grad=False):
+    """Unchecked row kernel: squared distance and, with ``grad``, its gradient rows.
+
+    ``mu_b`` may carry leading axes that ``mu_a`` broadcasts over. ``root_*``
+    are the square roots of the variances (W2); leave both None for the
+    Euclidean kernel. Returns ``(d2, grads)``, where ``grads`` is None unless
+    ``grad`` is set, and then ``(d_mu_a, d_sigma_a, d_sigma_b)`` with the
+    shape of the differences; ``d_mu_b = -d_mu_a``, and the sigma entries are
+    None for the Euclidean kernel. No input is modified.
+    """
+    dmu = mu_a - mu_b
+    d2 = np.vecdot(dmu, dmu)
+    drt = None
+    if root_a is not None:
+        drt = root_a - root_b
+        d2 += np.vecdot(drt, drt)
+    if not grad:
+        return d2, None
+    dmu *= 2.0
+    if drt is None:
+        return d2, (dmu, None, None)
+    d_sigma_a = drt / root_a
+    drt /= root_b
+    np.negative(drt, out=drt)
+    return d2, (dmu, d_sigma_a, drt)
+
+
 def w2_squared(mu_a, sigma_a, mu_b, sigma_b):
     """Squared W2 distance between diagonal Gaussians (mu_a, sigma_a), (mu_b, sigma_b).
 
@@ -44,9 +75,7 @@ def w2_squared(mu_a, sigma_a, mu_b, sigma_b):
     _check_same_shape(mu_a, sigma_a, "mu_a", "sigma_a")
     if np.any(sigma_a < 0) or np.any(sigma_b < 0):
         raise ValueError("negative variance entries")
-    dmu = mu_a - mu_b
-    dsq = np.sqrt(sigma_a) - np.sqrt(sigma_b)
-    return np.sum(dmu * dmu, axis=-1) + np.sum(dsq * dsq, axis=-1)
+    return pair_rows(mu_a, mu_b, np.sqrt(sigma_a), np.sqrt(sigma_b))[0]
 
 
 def w2_squared_grad(mu_a, sigma_a, mu_b, sigma_b):
@@ -59,12 +88,11 @@ def w2_squared_grad(mu_a, sigma_a, mu_b, sigma_b):
     mu_b, sigma_b = np.asarray(mu_b, float), np.asarray(sigma_b, float)
     _check_same_shape(mu_a, mu_b, "mu_a", "mu_b")
     _check_same_shape(sigma_a, sigma_b, "sigma_a", "sigma_b")
+    _check_same_shape(mu_a, sigma_a, "mu_a", "sigma_a")
     if np.any(sigma_a < SIGMA_MIN) or np.any(sigma_b < SIGMA_MIN):
         raise ValueError(f"variance entries below SIGMA_MIN={SIGMA_MIN}")
-    d_mu_a = 2.0 * (mu_a - mu_b)
-    root_a, root_b = np.sqrt(sigma_a), np.sqrt(sigma_b)
-    d_sigma_a = 1.0 - root_b / root_a
-    d_sigma_b = 1.0 - root_a / root_b
+    _, (d_mu_a, d_sigma_a, d_sigma_b) = pair_rows(
+        mu_a, mu_b, np.sqrt(sigma_a), np.sqrt(sigma_b), grad=True)
     return d_mu_a, d_sigma_a, -d_mu_a, d_sigma_b
 
 
@@ -72,13 +100,12 @@ def euclidean_squared(a, b):
     """Squared Euclidean distance, reduced over the last axis."""
     a, b = np.asarray(a, float), np.asarray(b, float)
     _check_same_shape(a, b, "a", "b")
-    d = a - b
-    return np.sum(d * d, axis=-1)
+    return pair_rows(a, b)[0]
 
 
 def euclidean_squared_grad(a, b):
     """Gradients of :func:`euclidean_squared` w.r.t. ``a`` and ``b``."""
     a, b = np.asarray(a, float), np.asarray(b, float)
     _check_same_shape(a, b, "a", "b")
-    g = 2.0 * (a - b)
+    g = pair_rows(a, b, grad=True)[1][0]
     return g, -g

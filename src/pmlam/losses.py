@@ -3,24 +3,52 @@
 The same hinge ``[d2_pos - d2_neg + margin]_+`` backs both phases of
 training: the inner objective uses per-triplet margins from the margin net
 (or a fixed value for ablations), the outer objective always uses margin 1
-and is evaluated at proxy parameters. Batch reduction is the mean. Gradients
-w.r.t. the embedding tables follow the distance term only, unless the
-margin-to-embedding path is explicitly enabled.
+and is evaluated at proxy parameters. Batch reduction is the mean.
+
+Each call of :func:`batch_inner` runs three stages:
+
+1. gather: the anchor rows and the stacked (positive, negative) rows of the
+   tables its distance reads; a Euclidean call reads no variances;
+2. distance and hinge: :func:`distance.pair_rows` gives both squared
+   distances and, when table gradients are wanted, their gradient rows from
+   the same differences; margins come from the margin net or a constant;
+3. one scatter: the weighted gradient rows go into each table with one
+   sparse product per table role, through the anchor and (positive,
+   negative) selection matrices that the batch builds once and keeps, so
+   the outer pass over the same batch reuses them.
+
+Gradients w.r.t. the embedding tables follow the distance term only, unless
+the margin-to-embedding path is explicitly enabled; its rows then join the
+same scatter.
 
 Relations share one implementation: "ui" compares users against items,
 "uu" users against users, "ii" items against items.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from . import margin_net
-from .distance import SIGMA_MIN, DistanceKind
+from .distance import SIGMA_MIN, DistanceKind, pair_rows
 
 RELATIONS = ("ui", "uu", "ii")
 
 THETA_KEYS = ("user_mu", "user_sigma", "item_mu", "item_sigma")
+
+
+def selection_matrix(rows, n_rows):
+    """(n_rows, len(rows)) CSR matrix with a one at (rows[j], j) for every j.
+
+    Its product with a stack of gradient rows sums each table row's
+    contributions in batch order.
+    """
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+    return sparse.csr_array((np.ones(len(rows)), order, indptr),
+                            shape=(n_rows, len(rows)))
 
 
 @dataclass
@@ -29,7 +57,8 @@ class TripletBatch:
 
     Noise arrays are (B, h) standard-normal draws used for the margin net's
     reparameterized inputs; they are attached once per batch so that repeated
-    evaluations (proxy, hypergradient probes) see identical samples.
+    evaluations (proxy, hypergradient probes) see identical samples. The
+    scatter's selection matrices are kept on the batch the same way.
     """
 
     relation: str
@@ -39,6 +68,8 @@ class TripletBatch:
     noise_anchor: np.ndarray | None = None
     noise_pos: np.ndarray | None = None
     noise_neg: np.ndarray | None = None
+    _selection: tuple | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         if self.relation not in RELATIONS:
@@ -48,6 +79,18 @@ class TripletBatch:
 
     def __len__(self):
         return len(self.anchors)
+
+    @cached_property
+    def others(self):
+        """Positives then negatives, the row order of the other-role gather."""
+        return np.concatenate([self.positives, self.negatives])
+
+    def selection(self, n_anchor_rows, n_other_rows):
+        """Anchor and other-role selection matrices, built on the first call and kept."""
+        if self._selection is None:
+            self._selection = (selection_matrix(self.anchors, n_anchor_rows),
+                               selection_matrix(self.others, n_other_rows))
+        return self._selection
 
     def attach_noise(self, h, rng):
         self.noise_anchor = rng.standard_normal((len(self), h))
@@ -81,38 +124,99 @@ def _role_keys(relation):
             "ii": ("item", "item")}[relation]
 
 
-def _gather(batch, users, items):
-    """Gather (mu, sigma) rows per role; sigma floored for off-manifold params.
+def _gather(batch, users, items, kind):
+    """Rows one pass reads: ``(mu_a, mu_o, sig_a, sig_o, live)``.
 
-    Proxy and hypergradient probes evaluate at unprojected parameters where
-    sigma may drift below SIGMA_MIN or negative; the floor keeps sqrt defined.
-    Returns the floored variances plus per-role masks of live (unfloored)
-    entries: gradients w.r.t. floored coordinates are zero through the clamp.
+    Anchor rows are (B, h); other-role rows are (2, B, h), positives first.
+    Variances are read only for W2 (otherwise the three are None) and are
+    floored at SIGMA_MIN: proxy and hypergradient probes evaluate at
+    unprojected parameters where sigma may drift below SIGMA_MIN or
+    negative; the floor keeps sqrt defined. ``live`` is None when nothing
+    was floored, else the anchor and other-role masks of unfloored entries:
+    gradients w.r.t. floored coordinates are zero through the clamp.
     """
     tables = {"user": users, "item": items}
     anchor_t, other_t = (tables[key] for key in _role_keys(batch.relation))
-    mu_a = anchor_t.mu[batch.anchors]
-    mu_p = other_t.mu[batch.positives]
-    mu_n = other_t.mu[batch.negatives]
-    raw_a = anchor_t.sigma[batch.anchors]
-    raw_p = other_t.sigma[batch.positives]
-    raw_n = other_t.sigma[batch.negatives]
-    live = (raw_a >= SIGMA_MIN, raw_p >= SIGMA_MIN, raw_n >= SIGMA_MIN)
-    return (mu_a, np.maximum(raw_a, SIGMA_MIN), mu_p, np.maximum(raw_p, SIGMA_MIN),
-            mu_n, np.maximum(raw_n, SIGMA_MIN), live)
+    shape_o = (2, len(batch), other_t.mu.shape[1])
+    mu_a = np.take(anchor_t.mu, batch.anchors, axis=0)
+    mu_o = np.take(other_t.mu, batch.others, axis=0).reshape(shape_o)
+    if kind is not DistanceKind.W2_SQUARED:
+        return mu_a, mu_o, None, None, None
+    sig_a = np.take(anchor_t.sigma, batch.anchors, axis=0)
+    sig_o = np.take(other_t.sigma, batch.others, axis=0).reshape(shape_o)
+    live = None
+    if min(sig_a.min(initial=np.inf), sig_o.min(initial=np.inf)) < SIGMA_MIN:
+        live = (sig_a >= SIGMA_MIN, sig_o >= SIGMA_MIN)
+        np.maximum(sig_a, SIGMA_MIN, out=sig_a)
+        np.maximum(sig_o, SIGMA_MIN, out=sig_o)
+    return mu_a, mu_o, sig_a, sig_o, live
 
 
-def _margin_inputs(batch, kind, mu_a, sig_a, mu_p, sig_p, mu_n, sig_n):
+def _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o):
     """Embedding inputs of the margin net: sampled for Gaussian runs, means otherwise."""
     if kind is DistanceKind.W2_SQUARED:
         if batch.noise_anchor is None:
             raise ValueError("adaptive margins with Gaussian embeddings need attached noise")
-        u = mu_a + np.sqrt(sig_a) * batch.noise_anchor
-        vp = mu_p + np.sqrt(sig_p) * batch.noise_pos
-        vn = mu_n + np.sqrt(sig_n) * batch.noise_neg
+        u, vp, vn = (rt * noise for rt, noise in (
+            (rt_a, batch.noise_anchor), (rt_o[0], batch.noise_pos),
+            (rt_o[1], batch.noise_neg)))
+        u += mu_a
+        vp += mu_o[0]
+        vn += mu_o[1]
     else:
-        u, vp, vn = mu_a, mu_p, mu_n
+        u, vp, vn = mu_a, mu_o[0], mu_o[1]
     return u, vp, vn
+
+
+def _distance_rows(rows, w):
+    """Hinge-weighted table-gradient rows of the distance term.
+
+    ``rows`` are :func:`distance.pair_rows`'s (2, B, h) gradients, positive
+    pair first; ``d2_pos`` enters the hinge with weight ``+w`` and ``d2_neg``
+    with ``-w``. Returns ``(anchor, other)`` dicts keyed by parameter, with
+    (B, h) and (2, B, h) rows; ``rows`` is overwritten.
+    """
+    d_mu, d_sig_a, d_sig_o = rows
+    coef = np.stack([w, -w])[:, :, None]
+    anchor, other = {"mu": d_mu[0] - d_mu[1]}, {"mu": d_mu}
+    d_mu *= -coef  # d_mu_b = -d_mu_a
+    if d_sig_a is not None:
+        anchor["sigma"] = d_sig_a[0] - d_sig_a[1]
+        other["sigma"] = d_sig_o
+        d_sig_o *= coef
+    for rows_a in anchor.values():
+        rows_a *= w[:, None]
+    return anchor, other
+
+
+def _add_margin_rows(anchor, other, batch, kind, indicator_mode, margin_io, ds,
+                     sig_a, sig_o):
+    """Add the margin-to-embedding path's gradient rows to ``anchor`` and ``other``."""
+    u, vp, vn = margin_io
+    du, dvp, dvn = margin_net.margin_input_backward(indicator_mode, u, vp, vn, ds)
+    if kind is DistanceKind.W2_SQUARED:
+        du, du_sig = margin_net.reparam_backward(du, sig_a, batch.noise_anchor)
+        dvp, dp_sig = margin_net.reparam_backward(dvp, sig_o[0], batch.noise_pos)
+        dvn, dn_sig = margin_net.reparam_backward(dvn, sig_o[1], batch.noise_neg)
+        anchor["sigma"] += du_sig
+        other["sigma"][0] += dp_sig
+        other["sigma"][1] += dn_sig
+    anchor["mu"] += du
+    other["mu"][0] += dvp
+    other["mu"][1] += dvn
+
+
+def _scatter(batch, anchor, other, live, grads):
+    """Add the gradient rows into ``grads``: one sparse product per table role."""
+    a_key, o_key = _role_keys(batch.relation)
+    sel_a, sel_o = batch.selection(len(grads[a_key + "_mu"]), len(grads[o_key + "_mu"]))
+    if live is not None:  # floored variances pass no gradient
+        anchor["sigma"] *= live[0]
+        other["sigma"] *= live[1]
+    for param, rows_a in anchor.items():
+        rows_o = other[param]
+        grads[f"{a_key}_{param}"] += sel_a @ rows_a
+        grads[f"{o_key}_{param}"] += sel_o @ rows_o.reshape(-1, rows_o.shape[2])
 
 
 def batch_inner(batch, users, items, kind, margin_mode, phi=None,
@@ -127,80 +231,47 @@ def batch_inner(batch, users, items, kind, margin_mode, phi=None,
     dict (see :func:`zero_theta_grads`) to add into.
     """
     B = len(batch)
-    mu_a, sig_a, mu_p, sig_p, mu_n, sig_n, live = _gather(batch, users, items)
-    live_a, live_p, live_n = live
-
+    mu_a, mu_o, sig_a, sig_o, live = _gather(batch, users, items, kind)
+    rt_a = rt_o = None
     if kind is DistanceKind.W2_SQUARED:
-        rt_a, rt_p, rt_n = np.sqrt(sig_a), np.sqrt(sig_p), np.sqrt(sig_n)
-        d2_pos = np.sum((mu_a - mu_p) ** 2, axis=1) + np.sum((rt_a - rt_p) ** 2, axis=1)
-        d2_neg = np.sum((mu_a - mu_n) ** 2, axis=1) + np.sum((rt_a - rt_n) ** 2, axis=1)
-    else:
-        d2_pos = np.sum((mu_a - mu_p) ** 2, axis=1)
-        d2_neg = np.sum((mu_a - mu_n) ** 2, axis=1)
+        rt_a, rt_o = np.sqrt(sig_a), np.sqrt(sig_o)
+    d2, rows = pair_rows(mu_a, mu_o, rt_a, rt_o, grad=grad_theta)
 
     cache = margin_io = None
     if margin_mode == "adaptive":
         if phi is None:
             raise ValueError("adaptive margins need margin-net parameters")
-        u, vp, vn = _margin_inputs(batch, kind, mu_a, sig_a, mu_p, sig_p, mu_n, sig_n)
-        s = margin_net.margin_input(indicator_mode, u, vp, vn)
+        margin_io = _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o)
+        s = margin_net.margin_input(indicator_mode, *margin_io)
         margins, cache = margin_net.forward(phi, s)
-        margin_io = (u, vp, vn)
     else:
         tag, m = margin_mode
         if tag != "fixed":
             raise ValueError(f"unknown margin mode {margin_mode!r}")
         margins = np.full(B, float(m))
 
-    arg = d2_pos - d2_neg + margins
+    arg = d2[0] - d2[1] + margins
     active = arg > 0.0  # boundary counts as inactive
     # an empty batch (every sampled anchor had an empty pool) adds nothing
     loss = float(np.sum(arg[active])) / B if B else 0.0
 
     result = BatchEval(loss=loss, margins=margins, active=active)
     w = active.astype(float) / max(B, 1)  # per-row weight of the mean reduction
-
     if grad_theta:
-        grads = out_grads if out_grads is not None else zero_theta_grads(users, items)
-        a_key, o_key = _role_keys(batch.relation)
-        gp_mu = 2.0 * (mu_a - mu_p) * w[:, None]
-        gn_mu = 2.0 * (mu_a - mu_n) * w[:, None]
-        np.add.at(grads[a_key + "_mu"], batch.anchors, gp_mu - gn_mu)
-        np.add.at(grads[o_key + "_mu"], batch.positives, -gp_mu)
-        np.add.at(grads[o_key + "_mu"], batch.negatives, gn_mu)
-        if kind is DistanceKind.W2_SQUARED:
-            gp_sig_a = (1.0 - rt_p / rt_a) * w[:, None]
-            gn_sig_a = (1.0 - rt_n / rt_a) * w[:, None]
-            np.add.at(grads[a_key + "_sigma"], batch.anchors,
-                      (gp_sig_a - gn_sig_a) * live_a)
-            np.add.at(grads[o_key + "_sigma"], batch.positives,
-                      (1.0 - rt_a / rt_p) * w[:, None] * live_p)
-            np.add.at(grads[o_key + "_sigma"], batch.negatives,
-                      -(1.0 - rt_a / rt_n) * w[:, None] * live_n)
-        result.theta_grads = grads
+        anchor, other = _distance_rows(rows, w)
 
     if margin_mode == "adaptive" and (grad_phi or (grad_theta and margin_grad_to_theta)):
         phi_grads, ds = margin_net.backward(phi, cache, w)
         if grad_phi:
             result.phi_grads = phi_grads
         if grad_theta and margin_grad_to_theta:
-            u, vp, vn = margin_io
-            du, dvp, dvn = margin_net.margin_input_backward(indicator_mode, u, vp, vn, ds)
-            grads = result.theta_grads
-            a_key, o_key = _role_keys(batch.relation)
-            if kind is DistanceKind.W2_SQUARED:
-                du_mu, du_sig = margin_net.reparam_backward(du, sig_a, batch.noise_anchor)
-                dp_mu, dp_sig = margin_net.reparam_backward(dvp, sig_p, batch.noise_pos)
-                dn_mu, dn_sig = margin_net.reparam_backward(dvn, sig_n, batch.noise_neg)
-                np.add.at(grads[a_key + "_sigma"], batch.anchors, du_sig * live_a)
-                np.add.at(grads[o_key + "_sigma"], batch.positives, dp_sig * live_p)
-                np.add.at(grads[o_key + "_sigma"], batch.negatives, dn_sig * live_n)
-            else:
-                du_mu, dp_mu, dn_mu = du, dvp, dvn
-            np.add.at(grads[a_key + "_mu"], batch.anchors, du_mu)
-            np.add.at(grads[o_key + "_mu"], batch.positives, dp_mu)
-            np.add.at(grads[o_key + "_mu"], batch.negatives, dn_mu)
+            _add_margin_rows(anchor, other, batch, kind, indicator_mode, margin_io,
+                             ds, sig_a, sig_o)
 
+    if grad_theta:
+        grads = out_grads if out_grads is not None else zero_theta_grads(users, items)
+        _scatter(batch, anchor, other, live, grads)
+        result.theta_grads = grads
     return result
 
 

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 
+from pmlam.distance import SIGMA_MIN, DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
 
 
@@ -61,6 +62,36 @@ def validate_membership(batch, exclusions):
         i = np.searchsorted(excl, p)
         if i >= len(excl) or excl[i] != p:
             raise AssertionError(f"positive {p} outside positive set of anchor {a}")
+
+
+def add_at_theta_grads(batch, users, items, kind, active, grads):
+    """Reference table gradient of a batch's mean hinge, added row by row.
+
+    The distance-term gradient with the hinge pattern ``active`` held fixed,
+    written out per role and added into ``grads`` with ``np.add.at``.
+    Variances below SIGMA_MIN are floored and pass no gradient.
+    """
+    tables = {"user": users, "item": items}
+    a_key, o_key = {"ui": ("user", "item"), "uu": ("user", "user"),
+                    "ii": ("item", "item")}[batch.relation]
+    a_t, o_t = tables[a_key], tables[o_key]
+    w = (active / len(batch))[:, None]
+    mu_a, mu_p, mu_n = (a_t.mu[batch.anchors], o_t.mu[batch.positives],
+                        o_t.mu[batch.negatives])
+    np.add.at(grads[a_key + "_mu"], batch.anchors,
+              2.0 * w * (mu_a - mu_p) - 2.0 * w * (mu_a - mu_n))
+    np.add.at(grads[o_key + "_mu"], batch.positives, -2.0 * w * (mu_a - mu_p))
+    np.add.at(grads[o_key + "_mu"], batch.negatives, 2.0 * w * (mu_a - mu_n))
+    if kind is not DistanceKind.W2_SQUARED:
+        return
+    raw = (a_t.sigma[batch.anchors], o_t.sigma[batch.positives],
+           o_t.sigma[batch.negatives])
+    live_a, live_p, live_n = (r >= SIGMA_MIN for r in raw)
+    rt_a, rt_p, rt_n = (np.sqrt(np.maximum(r, SIGMA_MIN)) for r in raw)
+    np.add.at(grads[a_key + "_sigma"], batch.anchors,
+              w * ((1.0 - rt_p / rt_a) - (1.0 - rt_n / rt_a)) * live_a)
+    np.add.at(grads[o_key + "_sigma"], batch.positives, w * (1.0 - rt_a / rt_p) * live_p)
+    np.add.at(grads[o_key + "_sigma"], batch.negatives, -w * (1.0 - rt_a / rt_n) * live_n)
 
 
 class Sgd:

@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from pmlam import checkpoint, evaluator
+from pmlam import bilevel, checkpoint, evaluator
 from pmlam.cli import _CONFIG_FLAGS, ABLATION_VARIANTS, main
-from pmlam.config import RunConfig
+from pmlam.config import RunConfig, make_config
 from pmlam.data import load_dataset, load_folds, split_five_fold, save_dataset, save_folds
 from pmlam.synth import planted_clusters, write_item_labels
 
@@ -283,3 +283,31 @@ def test_every_config_field_has_one_flag():
     flags += ["distance_kind", "joint_margin_training"]
     assert len(flags) == len(set(flags))
     assert set(flags) == fields
+
+
+def test_fold_past_the_fold_count_exits_2(tmp_path, capsys):
+    d, ds = planted_dataset_dir(tmp_path, seed=4)
+    capsys.readouterr()
+    for argv in (["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet",
+                  "--fold", "7"] + FAST,
+                 ["ablate", str(d), "--fold", "7", "--seeds", "0",
+                  "--variants", "1"] + FAST):
+        assert main(argv) == 2
+        assert "folds.txt: fold 7 outside the file's 5 folds" in capsys.readouterr().err
+    cfg = make_config(file_values={"h": "4", "hidden": "4", "epochs": "1",
+                                   "batch_size": "64", "pool_size": "8",
+                                   "relations": "ui"})
+    result = bilevel.train(ds, load_folds(d, ds)[0], cfg)
+    ck = tmp_path / "checkpoint.bin"
+    checkpoint.save(ck, result, fold_index=9)
+    assert main(["evaluate", str(d), str(ck)]) == 2
+    assert "folds.txt: fold 9 outside the file's 5 folds" in capsys.readouterr().err
+
+
+def test_train_with_damaged_id_sidecar_exits_2(tmp_path, capsys):
+    d, _ = planted_dataset_dir(tmp_path)
+    path = d / "user_ids.txt"
+    path.write_text(path.read_text().replace("1\t", "1 ", 1))
+    rc = main(["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet"] + FAST)
+    assert rc == 2
+    assert "user_ids.txt:2: expected '1<TAB><id>'" in capsys.readouterr().err

@@ -211,3 +211,25 @@ def test_load_rejects_item_index_outside_catalog(tmp_path):
     path.write_text("\n".join(lines))
     with pytest.raises(ValueError, match="dataset.txt:6: item index"):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("tab", "user_ids.txt:2: expected '1<TAB><id>'"),
+    ("index", "user_ids.txt:2: expected '1<TAB><id>'"),
+    ("empty", "user_ids.txt:2: expected '1<TAB><id>'"),
+    ("duplicate", "user_ids.txt:2: id 'u0' repeats line 1"),
+    ("cut", "user_ids.txt:3: expected '2<TAB><id>'"),
+])
+def test_load_rejects_damaged_id_sidecar(tmp_path, damage, message):
+    ds = filter_iterative([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)],
+                          min_user=1, min_item=1)
+    save_dataset(tmp_path, ds)
+    path = tmp_path / "user_ids.txt"
+    lines = path.read_text().split("\n")[:-1]
+    assert lines[1] == "1\tu1"
+    lines[1] = {"tab": "1 u1", "index": "2\tu1", "empty": "1\t",
+                "duplicate": "1\tu0", "cut": "1\tu1"}[damage]
+    text = "\n".join(lines) + "\n"
+    path.write_text(text[:-1] if damage == "cut" else text)
+    with pytest.raises(ValueError, match=message):
+        load_dataset(tmp_path)

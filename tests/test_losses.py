@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from pmlam import bilevel, losses
+from pmlam.bilevel import build_proxy
+from pmlam.config import make_config
+from pmlam.data import split_five_fold
 from pmlam.distance import DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
 from pmlam.losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
 from pmlam.margin_net import init_margin_net
+from pmlam.synth import planted_clusters
 
-from helpers import assert_grad_close, numeric_grad, random_table
+from helpers import add_at_theta_grads, assert_grad_close, numeric_grad, random_table
 
 W2 = DistanceKind.W2_SQUARED
 EUC = DistanceKind.EUCLIDEAN_SQUARED
@@ -31,8 +36,9 @@ def make_batch(relation, rng, n_anchor, n_other, rows=8, h=None):
 
 def hinge_arguments(batch, users, items, kind, margins):
     from pmlam.losses import _gather
-    mu_a, sig_a, mu_p, sig_p, mu_n, sig_n, _ = _gather(batch, users, items)
+    mu_a, (mu_p, mu_n), sig_a, sig_o, _ = _gather(batch, users, items, kind)
     if kind is W2:
+        sig_p, sig_n = sig_o
         d2p = np.sum((mu_a - mu_p) ** 2, 1) + np.sum((np.sqrt(sig_a) - np.sqrt(sig_p)) ** 2, 1)
         d2n = np.sum((mu_a - mu_n) ** 2, 1) + np.sum((np.sqrt(sig_a) - np.sqrt(sig_n)) ** 2, 1)
     else:
@@ -179,3 +185,89 @@ def test_gradient_accumulates_into_supplied_buffers():
     batch_inner(b2, users, items, W2, ("fixed", 1.0), grad_theta=True, out_grads=solo)
     for k in acc:
         np.testing.assert_allclose(acc[k], snapshot[k] + solo[k], atol=1e-15)
+
+
+@pytest.mark.parametrize("relation", ["ui", "uu", "ii"])
+@pytest.mark.parametrize("kind", [W2, EUC])
+def test_sparse_scatter_matches_add_at_reference(relation, kind):
+    users, items, rng = toy_setup(31, n_users=5, n_items=6, h=3)
+    users.sigma[1, 0] = -0.2  # a proxy-like entry below the floor
+    items.sigma[2, 1] = 1e-9
+    n_anchor, n_other = {"ui": (5, 6), "uu": (5, 5), "ii": (6, 6)}[relation]
+    b = make_batch(relation, rng, n_anchor, n_other, rows=64)
+    for ids in (b.anchors, b.positives, b.negatives):
+        assert len(np.unique(ids)) < len(ids)  # every role repeats indices
+    acc = {k: rng.normal(size=v.shape) for k, v in zero_theta_grads(users, items).items()}
+    ref = {k: v.copy() for k, v in acc.items()}
+    ev = batch_inner(b, users, items, kind, ("fixed", 0.5), grad_theta=True, out_grads=acc)
+    assert 0 < ev.active.sum() < len(b)
+    add_at_theta_grads(b, users, items, kind, ev.active, ref)
+    for key in acc:
+        np.testing.assert_allclose(acc[key], ref[key], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("margin_mode", [("fixed", 0.5), "adaptive"])
+def test_euclidean_call_ignores_sigma(margin_mode):
+    users, items, rng = toy_setup(37)
+    net = init_margin_net(2, 3, rng)
+    net.b2[0] = 0.4
+    b = make_batch("ui", rng, 3, 4, rows=16)
+    nan_users = GaussianEmbeddingTable(users.mu, np.full_like(users.sigma, np.nan))
+    nan_items = GaussianEmbeddingTable(items.mu, np.full_like(items.sigma, np.nan))
+    kwargs = dict(phi=net, grad_theta=True, grad_phi=True, margin_grad_to_theta=True)
+    ev = batch_inner(b, users, items, EUC, margin_mode, **kwargs)
+    ev_nan = batch_inner(b, nan_users, nan_items, EUC, margin_mode, **kwargs)
+    assert ev.active.sum() > 0
+    assert ev_nan.loss == ev.loss
+    for key in ("user_mu", "item_mu"):
+        np.testing.assert_array_equal(ev_nan.theta_grads[key], ev.theta_grads[key])
+    for key in ("user_sigma", "item_sigma"):
+        assert np.all(ev_nan.theta_grads[key] == 0.0)
+
+
+def counting_selection(monkeypatch):
+    """Route losses.selection_matrix through a wrapper that logs each build."""
+    built = []
+    real = losses.selection_matrix
+
+    def counted(rows, n_rows):
+        built.append((len(rows), n_rows))
+        return real(rows, n_rows)
+
+    monkeypatch.setattr(losses, "selection_matrix", counted)
+    return built
+
+
+def test_selection_built_once_and_reused_by_outer_pass(monkeypatch):
+    built = counting_selection(monkeypatch)
+    users, items, rng = toy_setup(41)
+    net = init_margin_net(2, 3, rng)
+    b = make_batch("ui", rng, 3, 4, rows=8, h=2)
+    grads = zero_theta_grads(users, items)
+    batch_inner(b, users, items, W2, "adaptive", phi=net, grad_theta=True, out_grads=grads)
+    assert built == [(8, 3), (16, 4)]  # anchors into users, (pos, neg) into items
+    selection = b.selection(3, 4)
+    proxy_users, proxy_items = build_proxy(users, items, grads, 0.1)
+    batch_outer(b, proxy_users, proxy_items, W2, m=1.0, grad_theta=True)
+    batch_inner(b, proxy_users, proxy_items, W2, "adaptive", phi=net, grad_phi=True)
+    assert built == [(8, 3), (16, 4)]
+    assert all(a is c for a, c in zip(b.selection(3, 4), selection))
+
+
+def test_training_builds_one_selection_per_batch(monkeypatch):
+    built = counting_selection(monkeypatch)
+    sampled = []
+    real_sample = bilevel.sampler.sample_triplets
+
+    def counted_sample(*args):
+        sampled.append(real_sample(*args))
+        return sampled[-1]
+
+    monkeypatch.setattr(bilevel.sampler, "sample_triplets", counted_sample)
+    ds, _, _ = planted_clusters(n_users=20, n_items=20, seed=0, p_in=0.8, p_out=0.1)
+    cfg = make_config(file_values={"h": "4", "hidden": "4", "epochs": "1",
+                                   "batch_size": "32", "pool_size": "8",
+                                   "relations": "ui,uu,ii", "sim_threshold": "0.3"})
+    bilevel.train(ds, split_five_fold(ds, seed=0)[0], cfg)
+    assert {b.relation for b in sampled} == {"ui", "uu", "ii"}
+    assert len(built) == 2 * len(sampled)
