@@ -251,6 +251,13 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
                          opt_theta=opt_theta, opt_phi=opt_phi)
     has_test = any(len(t) for t in fold.test_rows)
 
+    def draw(rel, size):
+        """Triplets of ``size`` pairs of ``rel`` drawn uniformly with replacement."""
+        a, p = pairs[rel]
+        pick = rng_sampler.integers(0, len(a), size=size)
+        return sampler.sample_triplets(rel, a[pick], p[pick], pools[rel],
+                                       cfg.neg_samples, rng_sampler)
+
     for epoch in range(cfg.epochs):
         if epoch % cfg.refresh_period == 0:
             rng_pool = _stream(cfg.seed, 5, epoch)
@@ -267,13 +274,8 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
             batches = {"ui": sampler.sample_triplets(
                 "ui", ui_anchors[chunk], ui_positives[chunk], pools["ui"],
                 cfg.neg_samples, rng_sampler)}
-            for rel in active_rels:
-                if rel == "ui":
-                    continue
-                a, p = pairs[rel]
-                draw = rng_sampler.integers(0, len(a), size=len(chunk))
-                batches[rel] = sampler.sample_triplets(
-                    rel, a[draw], p[draw], pools[rel], cfg.neg_samples, rng_sampler)
+            batches.update((rel, draw(rel, len(chunk)))
+                           for rel in active_rels if rel != "ui")
             for rel, b in batches.items():
                 if modes[rel] == "adaptive" and need_noise:
                     b.attach_noise(cfg.h, rng_noise)
@@ -281,10 +283,14 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
             # inner objective at the current tables
             grads = zero_theta_grads(users, items)
             inner_total = 0.0
+            joint = {}  # joint training: each adaptive net follows its inner gradient
             for rel, b in batches.items():
                 ev = batch_inner(b, users, items, kind, modes[rel],
                                  phi=phis.get(rel), indicator_mode=cfg.indicator_mode,
-                                 grad_theta=True, out_grads=grads)
+                                 grad_theta=True, out_grads=grads,
+                                 grad_phi=cfg.joint_margin_training and rel in phis)
+                if ev.phi_grads is not None:
+                    joint[rel] = ev.phi_grads
                 inner_total += ev.loss
                 sums[rel] += ev.loss
                 if modes[rel] == "adaptive":
@@ -300,22 +306,11 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
             hyper = None
             outer_total = 0.0
             if adaptive_rels and cfg.joint_margin_training:
-                hyper = {}
-                for rel in adaptive_rels:
-                    ev = batch_inner(batches[rel], users, items, kind, "adaptive",
-                                     phi=phis[rel], indicator_mode=cfg.indicator_mode,
-                                     grad_phi=True)
-                    hyper[rel] = ev.phi_grads
+                hyper = joint
             elif adaptive_rels:
                 proxy_users, proxy_items = build_proxy(users, items, grads, cfg.alpha)
                 if cfg.outer_batch == "fresh":
-                    outer_batches = {}
-                    for rel in active_rels:
-                        a, p = pairs[rel]
-                        draw = rng_sampler.integers(0, len(a), size=len(chunk))
-                        outer_batches[rel] = sampler.sample_triplets(
-                            rel, a[draw], p[draw], pools[rel],
-                            cfg.neg_samples, rng_sampler)
+                    outer_batches = {rel: draw(rel, len(chunk)) for rel in active_rels}
                 else:
                     outer_batches = batches
                 v = zero_theta_grads(users, items)

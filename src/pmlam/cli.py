@@ -70,9 +70,9 @@ def cmd_prepare(args):
     pairs = data.ingest(args.ratings, rating_threshold=args.rating_threshold)
     ds = data.filter_iterative(pairs, min_user=args.min_user, min_item=args.min_item)
     ds.check()
-    splits = data.split_five_fold(ds, cfg.seed)
+    folds = data.split_five_fold(ds, cfg.seed)
     data.save_dataset(args.out_dir, ds)
-    data.save_folds(args.out_dir, splits)
+    data.save_folds(args.out_dir, folds)
     with open(os.path.join(args.out_dir, "prepare_config.txt"), "w") as f:
         f.write(f"rating_threshold = {args.rating_threshold}\n")
         f.write(f"min_user = {args.min_user}\n")

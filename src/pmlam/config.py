@@ -110,13 +110,15 @@ def _coerce(name, default, raw):
         if raw.lower() not in _BOOL_WORDS:
             raise ValueError(f"{name}: expected a boolean, got {raw!r}")
         return _BOOL_WORDS[raw.lower()]
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    if isinstance(default, tuple):
+    if isinstance(default, (int, float)):
+        try:
+            return type(default)(raw)
+        except ValueError:
+            expected = "an integer" if isinstance(default, int) else "a number"
+            raise ValueError(f"{name}: expected {expected}, got {raw!r}") from None
+    if isinstance(default, tuple):  # items take the type of the default's items
         parts = [p.strip() for p in raw.split(",") if p.strip()]
-        return tuple(int(p) if p.isdigit() else p for p in parts)
+        return tuple(_coerce(name, default[0], p) for p in parts)
     return raw  # strings and optional strings
 
 

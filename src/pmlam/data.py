@@ -4,8 +4,11 @@ Raw rating files (tab- or comma-separated ``user, item, rating[, timestamp]``)
 are converted to binary positives by thresholding the rating, filtered
 iteratively until every user and item clears its minimum interaction count,
 reindexed densely, and split per user into five folds for cross-validation.
+Folds are one label per interaction in the dataset's row order, as in
+``folds.txt``; :class:`Folds` builds only the :class:`FoldSplit` asked for.
 """
 
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -71,10 +74,6 @@ class FoldSplit:
     train_rows: list    # per-user sorted item arrays (S_i)
     test_rows: list     # per-user sorted item arrays (T_i)
     fold_count: int = 5
-
-    @property
-    def n_users(self):
-        return len(self.train_rows)
 
 
 def parse_line(line, line_no):
@@ -164,6 +163,31 @@ def filter_iterative(pairs, min_user=10, min_item=5):
     )
 
 
+class Folds:
+    """Fold membership of ``ds``: one label per interaction, in ``ds.indices`` order.
+
+    A sequence of ``count`` splits: ``folds[k]`` builds the :class:`FoldSplit`
+    with the interactions labelled ``k`` as its test rows, and only that one;
+    iteration builds them in turn.
+    """
+
+    def __init__(self, ds, labels, seed, count):
+        self.ds, self.labels, self.seed, self.count = ds, labels, seed, count
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, k):
+        k = range(self.count)[operator.index(k)]
+        test = self.labels == k
+        cuts = self.ds.indptr[1:-1]
+        test_cuts = np.searchsorted(np.flatnonzero(test), cuts)  # test items before each cut
+        return FoldSplit(fold_index=k, rng_seed=self.seed,
+                         train_rows=np.split(self.ds.indices[~test], cuts - test_cuts),
+                         test_rows=np.split(self.ds.indices[test], test_cuts),
+                         fold_count=self.count)
+
+
 def split_five_fold(ds, seed, n_folds=5):
     """Per-user random partition into ``n_folds`` near-equal folds.
 
@@ -172,24 +196,10 @@ def split_five_fold(ds, seed, n_folds=5):
     remaining folds as training. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
-    fold_of = []  # per user: fold label aligned with the shuffled row
-    perms = []
-    for u in range(ds.n_users):
-        row = ds.row(u)
-        perm = rng.permutation(len(row))
-        perms.append(row[perm])
-        fold_of.append(np.arange(len(row)) % n_folds)
-    splits = []
-    for k in range(n_folds):
-        train_rows, test_rows = [], []
-        for u in range(ds.n_users):
-            mask = fold_of[u] == k
-            test_rows.append(np.sort(perms[u][mask]))
-            train_rows.append(np.sort(perms[u][~mask]))
-        splits.append(FoldSplit(fold_index=k, rng_seed=seed,
-                                train_rows=train_rows, test_rows=test_rows,
-                                fold_count=n_folds))
-    return splits
+    labels = np.empty(ds.n_interactions, dtype=np.int64)
+    for lo, hi in zip(ds.indptr[:-1], ds.indptr[1:]):
+        labels[lo + rng.permutation(hi - lo)] = np.arange(hi - lo) % n_folds
+    return Folds(ds, labels, seed, n_folds)
 
 
 def atomic_write(path, write_fn, mode="w"):
@@ -218,8 +228,7 @@ def save_dataset(dir_path, ds):
         f.write(f"users {ds.n_users}\n")
         f.write(f"items {ds.n_items}\n")
         f.write(f"interactions {ds.n_interactions}\n")
-        for u in range(ds.n_users):
-            f.write(" ".join(map(str, ds.row(u))) + "\n")
+        write_index_rows(f, map(ds.row, range(ds.n_users)))
 
     atomic_write(os.path.join(dir_path, "dataset.txt"), body)
     for name, ids in (("user_ids.txt", ds.user_ids), ("item_ids.txt", ds.item_ids)):
@@ -270,6 +279,12 @@ def header_value(f, path, line_no, name):
     return parts[1]
 
 
+def write_index_rows(f, rows):
+    """One line of space-separated integers per row: what :func:`read_index_rows` reads."""
+    for row in rows:
+        f.write(" ".join(map(str, row)) + "\n")
+
+
 def read_index_rows(f, path, first_line, n_rows, what):
     """Read ``n_rows`` lines of integers; a cut file or extra lines are rejected."""
     rows = []
@@ -279,8 +294,8 @@ def read_index_rows(f, path, first_line, n_rows, what):
             raise ValueError(f"{path}:{first_line + r}: truncated after {r} of "
                              f"{n_rows} {what}")
         try:
-            rows.append(np.array([int(t) for t in line.split()], dtype=np.int64))
-        except ValueError:
+            rows.append(np.array(line.split(), dtype=np.int64))
+        except (ValueError, OverflowError):
             raise ValueError(f"{path}:{first_line + r}: expected integers") from None
     if f.read().strip():
         raise ValueError(f"{path}:{first_line + n_rows}: more lines than the "
@@ -315,7 +330,7 @@ def _load_ids(path, expected):
     return ids
 
 
-def save_folds(dir_path, splits):
+def save_folds(dir_path, folds):
     """Persist fold membership: one line per user, the fold label of each item.
 
     Labels align with the dataset row order, so splits can be reconstructed
@@ -323,30 +338,24 @@ def save_folds(dir_path, splits):
     """
     def body(f):
         f.write(f"{FOLDS_MAGIC}\n")
-        f.write(f"seed {splits[0].rng_seed}\n")
-        f.write(f"folds {splits[0].fold_count}\n")
-        n_users = splits[0].n_users
-        for u in range(n_users):
-            items = np.concatenate([s.test_rows[u] for s in splits])
-            labels = np.concatenate([np.full(len(s.test_rows[u]), s.fold_index)
-                                     for s in splits])
-            order = np.argsort(items)
-            f.write(" ".join(map(str, labels[order])) + "\n")
+        f.write(f"seed {folds.seed}\n")
+        f.write(f"folds {folds.count}\n")
+        write_index_rows(f, np.split(folds.labels, folds.ds.indptr[1:-1]))
 
     atomic_write(os.path.join(dir_path, "folds.txt"), body)
 
 
 def load_fold(dir_path, ds, index):
-    """Split ``index`` of :func:`load_folds`; an index past the fold count is rejected."""
-    splits = load_folds(dir_path, ds)
-    if not 0 <= index < len(splits):
+    """Split ``index`` of the checked file, the only one built; a fold past the count is rejected."""
+    folds = load_folds(dir_path, ds)
+    if not 0 <= index < len(folds):
         raise ValueError(f"{os.path.join(dir_path, 'folds.txt')}: fold {index} "
-                         f"outside the file's {len(splits)} folds")
-    return splits[index]
+                         f"outside the file's {len(folds)} folds")
+    return folds[index]
 
 
 def load_folds(dir_path, ds):
-    """Read the fold labels of ``ds``; a file that does not fit it is rejected."""
+    """Read the :class:`Folds` of ``ds``; a file that does not fit it is rejected."""
     path = os.path.join(dir_path, "folds.txt")
     with open(path) as f:
         if f.readline().rstrip("\n") != FOLDS_MAGIC:
@@ -363,15 +372,5 @@ def load_folds(dir_path, ds):
     bad = first_row_outside(labels, n_folds)
     if bad is not None:
         raise ValueError(f"{path}:{bad + 4}: fold label outside [0, {n_folds})")
-    splits = []
-    for k in range(n_folds):
-        train_rows, test_rows = [], []
-        for u in range(ds.n_users):
-            row = ds.row(u)
-            mask = labels[u] == k
-            test_rows.append(row[mask])
-            train_rows.append(row[~mask])
-        splits.append(FoldSplit(fold_index=k, rng_seed=seed,
-                                train_rows=train_rows, test_rows=test_rows,
-                                fold_count=n_folds))
-    return splits
+    return Folds(ds, np.concatenate(labels) if labels else np.empty(0, np.int64),
+                 seed, n_folds)

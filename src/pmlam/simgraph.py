@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import (atomic_write, first_row_outside, header_count, header_value,
-                   read_index_rows)
+                   read_index_rows, write_index_rows)
 
 NBR_MAGIC = "PMLAM-NBR v1"
 
@@ -84,8 +84,7 @@ def save(path, nbr):
         f.write(f"kind {nbr.kind}\n")
         f.write(f"tau {nbr.tau!r}\n")
         f.write(f"n {nbr.n}\n")
-        for r in nbr.neighbors:
-            f.write(" ".join(map(str, r)) + "\n")
+        write_index_rows(f, nbr.neighbors)
 
     atomic_write(path, body)
 

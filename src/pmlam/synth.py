@@ -66,9 +66,11 @@ def load_item_labels(dir_path, ds):
     path = os.path.join(dir_path, "item_labels.txt")
     by_ext = {}
     with open(path) as f:
-        for line in f:
+        for line_no, line in enumerate(f, start=1):
             if line.strip():
-                ext, label = line.rstrip("\n").split("\t", 1)
+                ext, tab, label = line.rstrip("\n").partition("\t")
+                if not tab:
+                    raise ValueError(f"{path}:{line_no}: expected '<item id><TAB><label>'")
                 by_ext[ext] = label
     try:
         return [by_ext[ext] for ext in ds.item_ids]

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 
+from pmlam.data import FOLDS_MAGIC, FoldSplit
 from pmlam.distance import SIGMA_MIN, DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
 
@@ -47,6 +48,44 @@ def dataset_digest(ds):
     hasher.update(ds.indptr.tobytes())
     hasher.update(ds.indices.tobytes())
     return hasher.hexdigest()[:16]
+
+
+def reference_split_five_fold(ds, seed, n_folds=5):
+    """Fold splits built user by user and fold by fold, the oracle for ``data.Folds``.
+
+    Each user's row is shuffled with the same draws as ``data.split_five_fold``
+    and dealt round-robin; fold k's test row is what fold k was dealt.
+    """
+    rng = np.random.default_rng(seed)
+    fold_of = []  # per user: fold label aligned with the shuffled row
+    perms = []
+    for u in range(ds.n_users):
+        row = ds.row(u)
+        perm = rng.permutation(len(row))
+        perms.append(row[perm])
+        fold_of.append(np.arange(len(row)) % n_folds)
+    splits = []
+    for k in range(n_folds):
+        train_rows, test_rows = [], []
+        for u in range(ds.n_users):
+            mask = fold_of[u] == k
+            test_rows.append(np.sort(perms[u][mask]))
+            train_rows.append(np.sort(perms[u][~mask]))
+        splits.append(FoldSplit(fold_index=k, rng_seed=seed,
+                                train_rows=train_rows, test_rows=test_rows,
+                                fold_count=n_folds))
+    return splits
+
+
+def reference_folds_text(splits):
+    """The ``folds.txt`` text of a list of splits, labels recovered user by user."""
+    lines = [FOLDS_MAGIC, f"seed {splits[0].rng_seed}", f"folds {splits[0].fold_count}"]
+    for u in range(len(splits[0].test_rows)):
+        items = np.concatenate([s.test_rows[u] for s in splits])
+        labels = np.concatenate([np.full(len(s.test_rows[u]), s.fold_index)
+                                 for s in splits])
+        lines.append(" ".join(map(str, labels[np.argsort(items)])))
+    return "\n".join(lines) + "\n"
 
 
 def validate_membership(batch, exclusions):

@@ -272,6 +272,29 @@ def test_non_finite_losses_abort_with_diagnostic(monkeypatch):
         train(ds, fold, cfg)
 
 
+def test_joint_step_makes_one_inner_call_per_relation(monkeypatch):
+    ds, fold = planted_fold()
+    cfg = quick_config(relations=("ui", "uu", "ii"), joint_margin_training=True,
+                       epochs=2)
+    calls, real_inner = [], bilevel.batch_inner
+    steps, real_step = [], bilevel.theta_step
+
+    def counting_inner(batch, *args, **kw):
+        calls.append(batch.relation)
+        return real_inner(batch, *args, **kw)
+
+    def counting_step(*args):
+        steps.append(sorted(calls))
+        calls.clear()
+        real_step(*args)
+
+    monkeypatch.setattr(bilevel, "batch_inner", counting_inner)
+    monkeypatch.setattr(bilevel, "theta_step", counting_step)
+    train(ds, fold, cfg)
+    assert len(steps) > 1
+    assert all(step == ["ii", "ui", "uu"] for step in steps)
+
+
 def test_theta_step_projects():
     rng = np.random.default_rng(11)
     users, items = random_table(3, 2, rng), random_table(4, 2, rng)

@@ -311,3 +311,44 @@ def test_train_with_damaged_id_sidecar_exits_2(tmp_path, capsys):
     rc = main(["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet"] + FAST)
     assert rc == 2
     assert "user_ids.txt:2: expected '1<TAB><id>'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, line", [("dataset.txt", 5), ("folds.txt", 4)])
+@pytest.mark.parametrize("token", ["1.5", "x", "99999999999999999999"])
+def test_non_integer_token_exits_2(tmp_path, capsys, name, line, token):
+    d, _ = planted_dataset_dir(tmp_path)
+    path = d / name
+    lines = path.read_text().split("\n")
+    lines[line - 1] = " ".join([token] + lines[line - 1].split()[1:])
+    path.write_text("\n".join(lines))
+    rc = main(["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet"] + FAST)
+    assert rc == 2
+    assert f"{name}:{line}: expected integers" in capsys.readouterr().err
+
+
+def test_case_study_on_damaged_item_labels_exits_2(tmp_path, capsys):
+    d, _ = planted_dataset_dir(tmp_path, labels=True)
+    run = tmp_path / "run"
+    assert main(["train", str(d), "--out-dir", str(run), "--quiet",
+                 "--distance", "euclidean", "--relations", "ui"] + FAST) == 0
+    path = d / "item_labels.txt"
+    lines = path.read_text().split("\n")
+    lines[2] = lines[2].replace("\t", " ")
+    path.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert main(["case-study", str(d), str(run / "checkpoint.bin")]) == 2
+    assert "item_labels.txt:3: expected '<item id><TAB><label>'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("epochs", "ten", "epochs: expected an integer, got 'ten'"),
+    ("alpha", "fast", "alpha: expected a number, got 'fast'"),
+    ("ks", "5,x", "ks: expected an integer, got 'x'")])
+def test_bad_config_value_names_its_key(tmp_path, capsys, key, value, message):
+    d, _ = planted_dataset_dir(tmp_path)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    train = ["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet"]
+    for argv in (train + ["--config", str(cfg_file)], train + [f"--{key}", value]):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from pmlam.data import (ParseError, atomic_write, filter_iterative, ingest,
-                        load_dataset, load_folds, parse_line, save_dataset,
-                        save_folds, split_five_fold)
+from pmlam.data import (InteractionDataset, ParseError, atomic_write,
+                        filter_iterative, ingest, load_dataset, load_folds,
+                        parse_line, save_dataset, save_folds, split_five_fold)
+from pmlam.synth import planted_clusters
 
-from helpers import dataset_digest
+from helpers import dataset_digest, reference_folds_text, reference_split_five_fold
 
 
 def write_ratings(path, rows, sep="\t"):
@@ -179,6 +180,54 @@ def test_folds_roundtrip(tmp_path):
         for u in range(ds.n_users):
             np.testing.assert_array_equal(s.test_rows[u], b.test_rows[u])
             np.testing.assert_array_equal(s.train_rows[u], b.train_rows[u])
+
+
+def dataset_from_rows(rows, n_items):
+    return InteractionDataset(
+        n_users=len(rows), n_items=n_items,
+        indptr=np.cumsum([0] + [len(r) for r in rows], dtype=np.int64),
+        indices=np.array([i for r in rows for i in r], dtype=np.int64),
+        user_ids=[f"u{u}" for u in range(len(rows))],
+        item_ids=[f"i{i}" for i in range(n_items)])
+
+
+FOLD_DATASETS = {
+    "five_by_ten": lambda: filter_iterative(
+        [(f"u{u}", f"i{i}") for u in range(5) for i in range(10)], 1, 1),
+    "cyclic": lambda: filter_iterative(
+        [(f"u{u}", f"i{(u + k) % 12}") for u in range(8) for k in range(7)], 1, 1),
+    "planted": lambda: planted_clusters(seed=4, p_in=0.7, p_out=0.1)[0],
+    # users 1 to 4 hold fewer items than there are folds
+    "fewer_items_than_folds": lambda: dataset_from_rows(
+        [[0, 2, 3, 5, 6, 7], [1], [0, 4], [1, 2, 5], [0, 3, 6, 7]], 8),
+    # the first, a middle and the last user hold no item at all
+    "empty_rows": lambda: dataset_from_rows(
+        [[], [0, 2, 3, 5, 6, 7, 9], [], [1, 4], list(range(11)), []], 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_DATASETS))
+@pytest.mark.parametrize("seed", [0, 3])
+def test_folds_match_nested_loop_reference(tmp_path, name, seed):
+    ds = FOLD_DATASETS[name]()
+    expect = reference_split_five_fold(ds, seed)
+    folds = split_five_fold(ds, seed=seed)
+    save_dataset(tmp_path, ds)
+    save_folds(tmp_path, folds)
+    assert (tmp_path / "folds.txt").read_bytes() == reference_folds_text(expect).encode()
+    for got in (folds, load_folds(tmp_path, load_dataset(tmp_path))):
+        assert len(got) == 5
+        splits = list(got)
+        assert len(splits) == 5
+        for s, e in zip(splits, expect):
+            assert (s.fold_index, s.rng_seed, s.fold_count) == (e.fold_index, seed, 5)
+            assert len(s.train_rows) == len(s.test_rows) == ds.n_users
+            for u in range(ds.n_users):
+                np.testing.assert_array_equal(s.train_rows[u], e.train_rows[u])
+                np.testing.assert_array_equal(s.test_rows[u], e.test_rows[u])
+        assert got[-1].fold_index == 4
+        with pytest.raises(IndexError):
+            got[5]
 
 
 def test_load_rejects_wrong_magic(tmp_path):

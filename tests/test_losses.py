@@ -271,3 +271,17 @@ def test_training_builds_one_selection_per_batch(monkeypatch):
     bilevel.train(ds, split_five_fold(ds, seed=0)[0], cfg)
     assert {b.relation for b in sampled} == {"ui", "uu", "ii"}
     assert len(built) == 2 * len(sampled)
+
+
+@pytest.mark.parametrize("kind", [W2, DistanceKind.EUCLIDEAN_SQUARED])
+def test_phi_grads_do_not_depend_on_theta_grads(kind):
+    users, items, rng = toy_setup(41)
+    net = init_margin_net(2, 3, rng)
+    net.b2[0] = 0.4
+    b = make_batch("ui", rng, 3, 4, rows=16, h=2)
+    alone = batch_inner(b, users, items, kind, "adaptive", phi=net, grad_phi=True)
+    both = batch_inner(b, users, items, kind, "adaptive", phi=net, grad_phi=True,
+                       grad_theta=True)
+    assert alone.phi_grads.keys() == both.phi_grads.keys()
+    for name, g in alone.phi_grads.items():
+        np.testing.assert_array_equal(both.phi_grads[name], g)
