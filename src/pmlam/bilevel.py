@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluator, sampler, simgraph
+from .data import Rows
 from .embeddings import GaussianEmbeddingTable, init_table, project
 from .losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
 from .margin_net import init_margin_net
@@ -215,7 +216,7 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
     rng_noise = _stream(cfg.seed, 4)
 
     # pair lists and pool exclusions per relation
-    pairs = {"ui": sampler.pairs_from_rows(fold.train_rows)}
+    pairs = {"ui": fold.train_rows.pairs()}
     exclusions = {"ui": fold.train_rows}
     universes = {"ui": ds.n_items}
     if any(rel in cfg.relations for rel in ("uu", "ii")):
@@ -225,18 +226,20 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
                 cache_dir, fold.train_rows, ds.n_items, cfg.sim_threshold,
                 "user", fold.fold_index)
         if "ii" in cfg.relations and "ii" not in neighbors:
-            item_rows = _transpose_rows(fold.train_rows, ds.n_items)
+            item_rows = Rows.from_pairs(*pairs["ui"][::-1], ds.n_items)  # the transpose
             neighbors["ii"] = simgraph.build_or_load(
                 cache_dir, item_rows, ds.n_users, cfg.sim_threshold,
                 "item", fold.fold_index)
         for rel, n_entities in (("uu", ds.n_users), ("ii", ds.n_items)):
             if rel in cfg.relations:
                 nbr = neighbors[rel].neighbors
-                pairs[rel] = sampler.pairs_from_rows(nbr)
-                exclusions[rel] = [np.union1d(nbr[a], [a]) for a in range(n_entities)]
+                anchors, ids = pairs[rel] = nbr.pairs()
+                own = np.arange(n_entities)  # each pool leaves out self and neighbors
+                exclusions[rel] = Rows.from_pairs(np.concatenate([anchors, own]),
+                                                  np.concatenate([ids, own]), n_entities)
                 universes[rel] = n_entities
                 say(f"{rel}: {len(pairs[rel][0])} pairs, "
-                    f"median degree {int(np.median([len(v) for v in nbr]))}")
+                    f"median degree {int(np.median(nbr.lens()))}")
 
     active_rels = [rel for rel in cfg.relations if len(pairs[rel][0]) > 0]
     if "ui" not in active_rels:
@@ -249,7 +252,7 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
 
     result = TrainResult(users=users, items=items, phis=phis, cfg=cfg,
                          opt_theta=opt_theta, opt_phi=opt_phi)
-    has_test = any(len(t) for t in fold.test_rows)
+    has_test = len(fold.test_rows.indices) > 0
 
     def draw(rel, size):
         """Triplets of ``size`` pairs of ``rel`` drawn uniformly with replacement."""
@@ -371,12 +374,3 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
 def _fixed_margin_mean(modes, active_rels):
     ms = [modes[rel][1] for rel in active_rels if modes[rel] != "adaptive"]
     return float(np.mean(ms)) if ms else 0.0
-
-
-def _transpose_rows(rows, n_cols):
-    """Row lists of the transposed binary matrix."""
-    cols = [[] for _ in range(n_cols)]
-    for r_idx, row in enumerate(rows):
-        for c in row:
-            cols[c].append(r_idx)
-    return [np.array(sorted(c), dtype=np.int64) for c in cols]

@@ -94,7 +94,20 @@ def save(path, result, fold_index=0):
 
 
 def load(path):
-    """Read a checkpoint; a cut payload or trailing bytes are rejected."""
+    """Read a checkpoint; a cut payload, trailing bytes or a damaged header are rejected.
+
+    A header entry that is missing (an array directory, a table) or names an
+    unknown dtype raises ValueError naming the file and the entry.
+    """
+    try:
+        return _read(path)
+    except KeyError as e:
+        raise ValueError(f"{path}: header has no {e.args[0]!r} entry") from None
+    except TypeError as e:  # np.dtype of an unknown name
+        raise ValueError(f"{path}: bad header entry: {e}") from None
+
+
+def _read(path):
     with open(path, "rb") as f:
         if f.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
             raise ValueError(f"{path}: not a {CKPT_MAGIC.decode().strip()} file")

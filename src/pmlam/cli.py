@@ -112,7 +112,7 @@ def _load_run(args):
 
 def cmd_evaluate(args):
     ck, _, fold = _load_run(args)
-    ks = tuple(int(k) for k in args.ks.split(",")) if args.ks else ck.cfg.ks
+    ks = ck.cfg.ks if args.ks is None else make_config(file_values={"ks": args.ks}).ks
     report = evaluator.evaluate(ck.users, ck.items, fold, ks, ck.cfg.kind())
     print(evaluator.format_table(report, title=f"fold {ck.fold_index}"))
     if args.out:
@@ -122,6 +122,8 @@ def cmd_evaluate(args):
 
 
 def cmd_recommend(args):
+    if args.k < 1:
+        raise ValueError(f"-k must be >= 1, got {args.k}")
     ck, ds, fold = _load_run(args)
     user_index = ds.user_index()
     if args.user not in user_index:
@@ -138,11 +140,15 @@ def cmd_recommend(args):
 
 def cmd_ablate(args):
     base = _config_from_args(args)
-    ds = data.load_dataset(args.dataset_dir)
-    fold = data.load_fold(args.dataset_dir, ds, args.fold)
     seeds = [int(s) for s in args.seeds.split(",")]
     variants = ([int(v) for v in args.variants.split(",")]
                 if args.variants else sorted(ABLATION_VARIANTS))
+    unknown = sorted(set(variants) - set(ABLATION_VARIANTS))
+    if unknown:
+        raise ValueError(f"--variants: unknown variant {unknown[0]}; valid variants "
+                         f"are {min(ABLATION_VARIANTS)}-{max(ABLATION_VARIANTS)}")
+    ds = data.load_dataset(args.dataset_dir)
+    fold = data.load_fold(args.dataset_dir, ds, args.fold)
     lines = ["variant,seed,recall10,ndcg10"]
     means = {}
     for variant in variants:
@@ -176,7 +182,7 @@ def cmd_case_study(args):
     ck, ds, fold = _load_run(args)
     if "ui" not in ck.phis:
         raise ValueError("checkpoint has no user-item margin net (fixed-margin run?)")
-    labels = synth.load_item_labels(args.dataset_dir, ds)
+    labels = np.array(synth.load_item_labels(args.dataset_dir, ds))
     rng = np.random.default_rng(args.seed)
     users_pick = np.sort(rng.choice(ds.n_users, size=min(args.n_users, ds.n_users),
                                     replace=False))
@@ -187,14 +193,12 @@ def cmd_case_study(args):
         if len(train) == 0:
             continue
         pos = int(rng.choice(train))
-        full = np.union1d(fold.train_rows[u], fold.test_rows[u])
-        unseen = np.setdiff1d(np.arange(ds.n_items), full)
-        same = [i for i in unseen if labels[i] == labels[pos]]
-        diff = [i for i in unseen if labels[i] != labels[pos]]
-        if not same or not diff:
+        unseen = np.setdiff1d(np.arange(ds.n_items), np.union1d(train, fold.test_rows[u]))
+        same = labels[unseen] == labels[pos]
+        if same.all() or not same.any():
             continue
-        for tag, neg in (("similar", int(rng.choice(same))),
-                         ("dissimilar", int(rng.choice(diff)))):
+        for tag, neg in (("similar", int(rng.choice(unseen[same]))),
+                         ("dissimilar", int(rng.choice(unseen[~same])))):
             m = _margin_of(ck, u, pos, neg)
             rows.append((ds.user_ids[u], ds.item_ids[pos], ds.item_ids[neg], tag, m))
     rows.sort(key=lambda r: (r[0], r[1], r[3]))

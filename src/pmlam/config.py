@@ -62,6 +62,8 @@ class RunConfig:
             raise ValueError("bad epoch bookkeeping values")
         if not 0.0 < self.sim_threshold <= 1.0:
             raise ValueError("sim_threshold must lie in (0, 1]")
+        if not self.ks or min(self.ks) < 1:
+            raise ValueError(f"ks: expected cut-offs >= 1, got {self.ks!r}")
         if self.distance_kind not in ("w2", "euclidean"):
             raise ValueError(f"unknown distance_kind {self.distance_kind!r}")
         if self.indicator_mode not in ("squared-diff", "concat", "sum"):

@@ -6,6 +6,8 @@ iteratively until every user and item clears its minimum interaction count,
 reindexed densely, and split per user into five folds for cross-validation.
 Folds are one label per interaction in the dataset's row order, as in
 ``folds.txt``; :class:`Folds` builds only the :class:`FoldSplit` asked for.
+Every per-entity index list (a user's items, an entity's neighbors, an
+anchor's excluded ids) is held as :class:`Rows`, one CSR pair of arrays.
 """
 
 import operator
@@ -29,6 +31,47 @@ class RawRating:
     item_ext_id: str
     rating: float
     timestamp: int | None = None
+
+
+@dataclass
+class Rows:
+    """Per-entity index lists in CSR form: row ``a`` is ``indices[indptr[a]:indptr[a+1]]``.
+
+    ``rows[a]`` indexes and iterates like a list; negative ``a`` counts from the end.
+    """
+
+    indptr: np.ndarray    # (n_rows + 1,), starts at 0
+    indices: np.ndarray   # int64, row-major
+
+    @classmethod
+    def from_pairs(cls, rows, cols, n_rows):
+        """Rows holding each ``cols[p]`` in row ``rows[p]``, ascending within a row."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        key = rows * (cols.max(initial=-1) + 1) + cols  # one sort key orders by (row, col)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+        return cls(indptr, cols[np.argsort(key)])
+
+    def __len__(self):
+        return len(self.indptr) - 1
+
+    def __getitem__(self, a):
+        a = range(len(self))[operator.index(a)]
+        return self.indices[self.indptr[a]:self.indptr[a + 1]]
+
+    def lens(self):
+        return np.diff(self.indptr)
+
+    def pairs(self):
+        """Row-major ``(anchor, id)`` arrays, one entry per listed id."""
+        return np.repeat(np.arange(len(self)), self.lens()), self.indices
+
+
+def as_rows(rows):
+    """``rows`` as :class:`Rows`; a list of index arrays is stacked in its order."""
+    if isinstance(rows, Rows):
+        return rows
+    return Rows(np.cumsum([0] + [len(r) for r in rows], dtype=np.int64),
+                np.concatenate([np.empty(0, np.int64), *rows]).astype(np.int64))
 
 
 @dataclass
@@ -58,9 +101,9 @@ class InteractionDataset:
         assert len(self.item_ids) == self.n_items
         assert len(set(self.user_ids)) == self.n_users
         assert len(set(self.item_ids)) == self.n_items
-        for u in range(self.n_users):
-            r = self.row(u)
-            assert np.all(np.diff(r) > 0), f"row {u} not strictly increasing"
+        anchors, _ = Rows(self.indptr, self.indices).pairs()
+        bad = np.flatnonzero((np.diff(self.indices) <= 0) & (np.diff(anchors) == 0))
+        assert not bad.size, f"row {anchors[bad[0]]} not strictly increasing"
         if self.n_items:
             assert self.indices.min() >= 0 and self.indices.max() < self.n_items
 
@@ -71,9 +114,12 @@ class FoldSplit:
 
     fold_index: int
     rng_seed: int
-    train_rows: list    # per-user sorted item arrays (S_i)
-    test_rows: list     # per-user sorted item arrays (T_i)
+    train_rows: Rows    # per-user sorted items (S_i); a list of arrays is converted
+    test_rows: Rows     # per-user sorted items (T_i)
     fold_count: int = 5
+
+    def __post_init__(self):
+        self.train_rows, self.test_rows = as_rows(self.train_rows), as_rows(self.test_rows)
 
 
 def parse_line(line, line_no):
@@ -152,13 +198,11 @@ def filter_iterative(pairs, min_user=10, min_item=5):
     for u, i in pairs:
         user_map.setdefault(u, len(user_map))
         item_map.setdefault(i, len(item_map))
-    rows = [[] for _ in range(len(user_map))]
-    for u, i in pairs:
-        rows[user_map[u]].append(item_map[i])
+    rows = Rows.from_pairs(np.array([user_map[u] for u, _ in pairs]),
+                           np.array([item_map[i] for _, i in pairs]), len(user_map))
     return InteractionDataset(
         n_users=len(user_map), n_items=len(item_map),
-        indptr=np.cumsum([0] + [len(r) for r in rows], dtype=np.int64),
-        indices=np.concatenate([np.sort(np.array(r, dtype=np.int64)) for r in rows]),
+        indptr=rows.indptr, indices=rows.indices,
         user_ids=list(user_map), item_ids=list(item_map),  # ids in index order
     )
 
@@ -180,11 +224,10 @@ class Folds:
     def __getitem__(self, k):
         k = range(self.count)[operator.index(k)]
         test = self.labels == k
-        cuts = self.ds.indptr[1:-1]
-        test_cuts = np.searchsorted(np.flatnonzero(test), cuts)  # test items before each cut
+        test_ptr = np.concatenate([[0], np.cumsum(test)])[self.ds.indptr]  # tests before
         return FoldSplit(fold_index=k, rng_seed=self.seed,
-                         train_rows=np.split(self.ds.indices[~test], cuts - test_cuts),
-                         test_rows=np.split(self.ds.indices[test], test_cuts),
+                         train_rows=Rows(self.ds.indptr - test_ptr, self.ds.indices[~test]),
+                         test_rows=Rows(test_ptr, self.ds.indices[test]),
                          fold_count=self.count)
 
 
@@ -228,7 +271,7 @@ def save_dataset(dir_path, ds):
         f.write(f"users {ds.n_users}\n")
         f.write(f"items {ds.n_items}\n")
         f.write(f"interactions {ds.n_interactions}\n")
-        write_index_rows(f, map(ds.row, range(ds.n_users)))
+        write_index_rows(f, Rows(ds.indptr, ds.indices))
 
     atomic_write(os.path.join(dir_path, "dataset.txt"), body)
     for name, ids in (("user_ids.txt", ds.user_ids), ("item_ids.txt", ds.item_ids)):
@@ -246,19 +289,17 @@ def load_dataset(dir_path):
         n_users, n_items, n_interactions = (
             header_count(f, path, line_no, name)
             for line_no, name in ((2, "users"), (3, "items"), (4, "interactions")))
-        chunks = read_index_rows(f, path, 5, n_users, "user rows")
-    indptr = np.cumsum([0] + [len(r) for r in chunks], dtype=np.int64)
-    if indptr[-1] != n_interactions:
+        rows = read_index_rows(f, path, 5, n_users, "user rows")
+    if len(rows.indices) != n_interactions:
         raise ValueError(f"{path}:4: header gives {n_interactions} interactions, "
-                         f"rows hold {indptr[-1]}")
-    bad = first_row_outside(chunks, n_items)
+                         f"rows hold {len(rows.indices)}")
+    bad = first_row_outside(rows, n_items)
     if bad is not None:
         raise ValueError(f"{path}:{bad + 5}: item index outside [0, {n_items})")
     user_ids = _load_ids(os.path.join(dir_path, "user_ids.txt"), n_users)
     item_ids = _load_ids(os.path.join(dir_path, "item_ids.txt"), n_items)
     return InteractionDataset(
-        n_users=n_users, n_items=n_items, indptr=indptr,
-        indices=np.concatenate(chunks) if chunks else np.empty(0, np.int64),
+        n_users=n_users, n_items=n_items, indptr=rows.indptr, indices=rows.indices,
         user_ids=user_ids, item_ids=item_ids,
     )
 
@@ -286,7 +327,7 @@ def write_index_rows(f, rows):
 
 
 def read_index_rows(f, path, first_line, n_rows, what):
-    """Read ``n_rows`` lines of integers; a cut file or extra lines are rejected."""
+    """Read ``n_rows`` lines of integers as :class:`Rows`; cut files and extra lines fail."""
     rows = []
     for r in range(n_rows):
         line = f.readline()
@@ -300,16 +341,15 @@ def read_index_rows(f, path, first_line, n_rows, what):
     if f.read().strip():
         raise ValueError(f"{path}:{first_line + n_rows}: more lines than the "
                          f"{n_rows} {what}")
-    return rows
+    return as_rows(rows)
 
 
 def first_row_outside(rows, n):
-    """Index of the first row holding a value outside [0, n), or None."""
-    flat = np.concatenate(rows) if rows else np.empty(0, np.int64)
-    bad = np.flatnonzero((flat < 0) | (flat >= n))
+    """Index of the first row of :class:`Rows` holding a value outside [0, n), or None."""
+    bad = np.flatnonzero((rows.indices < 0) | (rows.indices >= n))
     if not bad.size:
         return None
-    return int(np.searchsorted(np.cumsum([len(r) for r in rows]), bad[0], side="right"))
+    return int(np.searchsorted(rows.indptr, bad[0], side="right")) - 1
 
 
 def _load_ids(path, expected):
@@ -340,7 +380,7 @@ def save_folds(dir_path, folds):
         f.write(f"{FOLDS_MAGIC}\n")
         f.write(f"seed {folds.seed}\n")
         f.write(f"folds {folds.count}\n")
-        write_index_rows(f, np.split(folds.labels, folds.ds.indptr[1:-1]))
+        write_index_rows(f, Rows(folds.ds.indptr, folds.labels))
 
     atomic_write(os.path.join(dir_path, "folds.txt"), body)
 
@@ -363,7 +403,7 @@ def load_folds(dir_path, ds):
         seed = header_count(f, path, 2, "seed")
         n_folds = header_count(f, path, 3, "folds")
         labels = read_index_rows(f, path, 4, ds.n_users, "user lines")
-    n_labels, row_lens = np.array([len(r) for r in labels]), np.diff(ds.indptr)
+    n_labels, row_lens = labels.lens(), np.diff(ds.indptr)
     wrong = np.flatnonzero(n_labels != row_lens)
     if wrong.size:
         u = wrong[0]
@@ -372,5 +412,4 @@ def load_folds(dir_path, ds):
     bad = first_row_outside(labels, n_folds)
     if bad is not None:
         raise ValueError(f"{path}:{bad + 4}: fold label outside [0, {n_folds})")
-    return Folds(ds, np.concatenate(labels) if labels else np.empty(0, np.int64),
-                 seed, n_folds)
+    return Folds(ds, labels.indices, seed, n_folds)

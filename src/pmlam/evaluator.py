@@ -112,12 +112,12 @@ def ndcg_at_k(topk, test_set):
     return float(_score_list(topk, test_set, "ndcg")[1][0])
 
 
-def _row_mask(rows, n_cols):
-    """Boolean (len(rows), n_cols) matrix, True at each row's listed columns."""
-    mask = np.zeros((len(rows), n_cols), dtype=bool)
-    lens = [len(r) for r in rows]
-    mask[np.repeat(np.arange(len(rows)), lens),
-         np.concatenate([np.empty(0, np.int64), *rows]).astype(np.int64)] = True
+def _row_mask(rows, idx, n_cols):
+    """Boolean (len(idx), n_cols) matrix, True at the columns listed in ``rows[idx]``."""
+    lens = rows.lens()[idx]  # gather row idx[r] from rows.indptr[idx[r]] on
+    at = np.arange(lens.sum()) + np.repeat(rows.indptr[idx] - np.cumsum(lens) + lens, lens)
+    mask = np.zeros((len(idx), n_cols), dtype=bool)
+    mask[np.repeat(np.arange(len(idx)), lens), rows.indices[at]] = True
     return mask
 
 
@@ -127,15 +127,15 @@ def evaluate(users, items, fold, ks=DEFAULT_KS, kind=DistanceKind.W2_SQUARED,
     ks = tuple(ks)
     recall_sums = {k: 0.0 for k in ks}
     ndcg_sums = {k: 0.0 for k in ks}
-    n_test = np.array([len(t) for t in fold.test_rows])
+    n_test = fold.test_rows.lens()
     evaluated = np.flatnonzero(n_test)
     if len(evaluated) == 0:
         raise ValueError("no user has test interactions")
     for start in range(0, len(evaluated), chunk):
         idx = evaluated[start:start + chunk]
         d2 = pairwise_distances(users, items, kind, user_idx=idx)
-        d2[_row_mask([fold.train_rows[u] for u in idx], items.n)] = np.inf
-        test = _row_mask([fold.test_rows[u] for u in idx], items.n)
+        d2[_row_mask(fold.train_rows, idx, items.n)] = np.inf
+        test = _row_mask(fold.test_rows, idx, items.n)
         hits = np.take_along_axis(test, top_k(d2, max(ks)), axis=1)
         for k in ks:
             recall, ndcg = _hit_metrics(hits, n_test[idx], k)

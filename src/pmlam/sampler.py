@@ -36,8 +36,8 @@ class CandidatePool:
 def refresh_pool(exclusions, n_universe, pool_size, rng, epoch=0):
     """Sample a fresh candidate pool for every anchor.
 
-    ``exclusions`` is a list of sorted index arrays (the anchor's positive or
-    neighbor set, self included for same-entity relations). Each pool holds
+    ``exclusions`` are :class:`~pmlam.data.Rows`, one per anchor: its positive
+    or neighbor set, self included for same-entity relations. Each pool holds
     min(pool_size, complement size) ids drawn uniformly without replacement,
     stored in ascending id order; an anchor whose exclusion covers the whole
     universe gets an empty pool.
@@ -49,18 +49,18 @@ def refresh_pool(exclusions, n_universe, pool_size, rng, epoch=0):
     """
     k = min(pool_size, n_universe)
     rows_per_block = max(1, KEY_BLOCK // n_universe)
+    anchor_of, excluded = exclusions.pairs()
     counts = np.zeros(len(exclusions), dtype=np.int64)
     chunks = [np.empty(0, dtype=np.int64)]
     for start in range(0, len(exclusions), rows_per_block):
-        block = exclusions[start:start + rows_per_block]
-        keys = rng.random((len(block), n_universe))
-        rows = np.repeat(np.arange(len(block)), [len(e) for e in block])
-        cols = np.concatenate(block).astype(np.int64)
-        keys[rows, cols] = np.inf
+        stop = min(start + rows_per_block, len(exclusions))
+        lo, hi = exclusions.indptr[start], exclusions.indptr[stop]
+        keys = rng.random((stop - start, n_universe))
+        keys[anchor_of[lo:hi] - start, excluded[lo:hi]] = np.inf
         picked = np.argpartition(keys, k - 1, axis=1)[:, :k]
         live = np.isfinite(np.take_along_axis(keys, picked, axis=1))
         picked = np.sort(np.where(live, picked, n_universe), axis=1)
-        counts[start:start + len(block)] = live.sum(axis=1)
+        counts[start:stop] = live.sum(axis=1)
         chunks.append(picked[picked < n_universe])
     offsets = np.concatenate([[0], np.cumsum(counts)])
     return CandidatePool(flat=np.concatenate(chunks), offsets=offsets,
@@ -87,11 +87,3 @@ def sample_triplets(relation, anchors, positives, pool, neg_samples, rng):
     negs = pool.flat[pool.offsets[rep_a] + draw]
     return TripletBatch(relation=relation, anchors=rep_a, positives=rep_p,
                         negatives=negs)
-
-
-def pairs_from_rows(rows):
-    """Flatten per-anchor positive lists into (anchors, positives) arrays."""
-    anchors = np.concatenate([np.full(len(r), a, dtype=np.int64)
-                              for a, r in enumerate(rows)]) if rows else np.empty(0, np.int64)
-    positives = np.concatenate(rows) if rows else np.empty(0, np.int64)
-    return anchors, positives.astype(np.int64)

@@ -2,9 +2,10 @@
 
 Two users are neighbors when the cosine similarity between their binary
 interaction rows reaches a threshold tau; item-item neighborhoods use the
-transposed matrix. The builder runs a sparse matrix product so only co-rated
-pairs are ever scored, and results can be cached to disk keyed by the
-dataset content, fold, and threshold.
+transposed matrix. Interaction rows and neighbor sets are :class:`~pmlam.data.Rows`.
+:func:`build` runs a sparse matrix product so only co-rated pairs are ever
+scored, and results can be cached to disk keyed by the dataset content, fold,
+and threshold.
 """
 
 import hashlib
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import (atomic_write, first_row_outside, header_count, header_value,
-                   read_index_rows, write_index_rows)
+from .data import (Rows, as_rows, atomic_write, first_row_outside, header_count,
+                   header_value, read_index_rows, write_index_rows)
 
 NBR_MAGIC = "PMLAM-NBR v1"
 
@@ -24,58 +25,40 @@ NBR_MAGIC = "PMLAM-NBR v1"
 class NeighborSets:
     kind: str            # "user" | "item"
     tau: float
-    neighbors: list      # per-entity sorted index arrays
+    neighbors: Rows      # per-entity sorted ids; a list of arrays is converted
 
-    @property
-    def n(self):
-        return len(self.neighbors)
+    def __post_init__(self):
+        self.neighbors = as_rows(self.neighbors)
 
     def degree(self):
-        return np.array([len(v) for v in self.neighbors])
+        return self.neighbors.lens()
 
 
 def build(rows, n_cols, tau, kind="user"):
     """Neighbor sets over the row entities of a binary interaction matrix.
 
-    ``rows`` holds one sorted item-index array per entity; pass transposed
-    rows to get item-item sets. Pairs with similarity >= tau become mutual
-    neighbors; self-loops are dropped. Entities with an empty row end up with
-    empty neighbor sets.
+    ``rows`` are :class:`Rows` of sorted item indices, one per entity; pass
+    transposed rows to get item-item sets. Pairs with similarity >= tau become
+    mutual neighbors; self-loops are dropped. Entities with an empty row end
+    up with empty neighbor sets.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
-    n = len(rows)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, r in enumerate(rows):
-        indptr[i + 1] = indptr[i] + len(r)
-    indices = np.concatenate(rows) if n else np.empty(0, np.int64)
-    x = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n_cols))
+    x = sp.csr_matrix((np.ones(len(rows.indices)), rows.indices, rows.indptr),
+                      shape=(len(rows), n_cols))
 
     co = (x @ x.T).tocoo()  # co-rating counts; touches only co-rated pairs
     deg = np.asarray(x.sum(axis=1)).ravel()
-    i, j, c = co.row, co.col, co.data
-    keep = i != j
-    i, j, c = i[keep], j[keep], c[keep]
-    sim = c / np.sqrt(deg[i] * deg[j])
-    keep = sim >= tau
-    i, j = i[keep], j[keep]
-
-    neighbors = [np.empty(0, dtype=np.int64) for _ in range(n)]
-    order = np.lexsort((j, i))
-    i, j = i[order], j[order]
-    bounds = np.searchsorted(i, np.arange(n + 1))
-    for a in range(n):
-        neighbors[a] = j[bounds[a]:bounds[a + 1]].astype(np.int64)
-    return NeighborSets(kind=kind, tau=float(tau), neighbors=neighbors)
+    i, j = co.row, co.col
+    keep = (i != j) & (co.data / np.sqrt(deg[i] * deg[j]) >= tau)
+    return NeighborSets(kind=kind, tau=float(tau),
+                        neighbors=Rows.from_pairs(i[keep], j[keep], len(rows)))
 
 
 def rows_digest(rows):
-    """Content hash of a row-list, for keying neighbor caches."""
-    hasher = hashlib.sha256()
-    for r in rows:
-        hasher.update(np.asarray(r, dtype=np.int64).tobytes())
-        hasher.update(b"|")
-    return hasher.hexdigest()[:16]
+    """Content hash of :class:`Rows`, row by row, for keying neighbor caches."""
+    rows_bytes = b"".join(np.asarray(r, dtype=np.int64).tobytes() + b"|" for r in rows)
+    return hashlib.sha256(rows_bytes).hexdigest()[:16]
 
 
 def save(path, nbr):
@@ -83,7 +66,7 @@ def save(path, nbr):
         f.write(f"{NBR_MAGIC}\n")
         f.write(f"kind {nbr.kind}\n")
         f.write(f"tau {nbr.tau!r}\n")
-        f.write(f"n {nbr.n}\n")
+        f.write(f"n {len(nbr.neighbors)}\n")
         write_index_rows(f, nbr.neighbors)
 
     atomic_write(path, body)

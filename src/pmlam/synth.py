@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .data import InteractionDataset
+from .data import InteractionDataset, as_rows
 
 
 def planted_clusters(n_users=20, n_items=20, n_clusters=2, seed=0,
@@ -33,7 +33,6 @@ def planted_clusters(n_users=20, n_items=20, n_clusters=2, seed=0,
                                   np.full(n_noise_items, n_clusters)])
     n_total = n_items + n_noise_items
     act = rng.uniform(activity[0], activity[1], size=n_users)
-    indptr = np.zeros(n_users + 1, dtype=np.int64)
     chunks = []
     for u in range(n_users):
         same = user_labels[u] == item_labels
@@ -43,11 +42,10 @@ def planted_clusters(n_users=20, n_items=20, n_clusters=2, seed=0,
         if len(row) == 0:  # keep every user trainable
             own = np.flatnonzero(same)
             row = own[rng.integers(0, len(own), size=1)]
-        chunks.append(row.astype(np.int64))
-        indptr[u + 1] = indptr[u] + len(row)
+        chunks.append(row)
+    rows = as_rows(chunks)
     ds = InteractionDataset(
-        n_users=n_users, n_items=n_total, indptr=indptr,
-        indices=np.concatenate(chunks),
+        n_users=n_users, n_items=n_total, indptr=rows.indptr, indices=rows.indices,
         user_ids=[f"u{u}" for u in range(n_users)],
         item_ids=[f"i{i}" for i in range(n_total)],
     )

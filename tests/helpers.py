@@ -88,6 +88,20 @@ def reference_folds_text(splits):
     return "\n".join(lines) + "\n"
 
 
+def reference_transpose_rows(rows, n_cols):
+    """Rows of the transposed binary matrix, built id by id: a transpose's oracle."""
+    cols = [[] for _ in range(n_cols)]
+    for r_idx, row in enumerate(rows):
+        for c in row:
+            cols[c].append(r_idx)
+    return [np.array(sorted(c), dtype=np.int64) for c in cols]
+
+
+def reference_exclusions(neighbors):
+    """Each entity's neighbors plus itself, one ``np.union1d`` per entity."""
+    return [np.union1d(neighbors[a], [a]) for a in range(len(neighbors))]
+
+
 def validate_membership(batch, exclusions):
     """Check each triplet against its anchor's sorted exclusion set.
 

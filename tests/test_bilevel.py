@@ -12,7 +12,7 @@ from pmlam.losses import TripletBatch, batch_inner, batch_outer
 from pmlam.margin_net import init_margin_net
 from pmlam.synth import planted_clusters
 
-from helpers import Sgd, random_table
+from helpers import Sgd, random_table, reference_exclusions, reference_transpose_rows
 
 W2 = DistanceKind.W2_SQUARED
 
@@ -293,6 +293,44 @@ def test_joint_step_makes_one_inner_call_per_relation(monkeypatch):
     train(ds, fold, cfg)
     assert len(steps) > 1
     assert all(step == ["ii", "ui", "uu"] for step in steps)
+
+
+@pytest.mark.parametrize("p_in, p_out", [(0.7, 0.1), (0.5, 0.05), (1.0, 0.0)])
+def test_item_rows_and_pool_exclusions_match_references(monkeypatch, p_in, p_out):
+    # p_in=0.7 leaves three users without neighbors; p_in=0.5 leaves four
+    # items without training users and six without neighbors; p_in=1 gives
+    # exact blocks
+    ds, fold = planted_fold(n_users=24, n_items=30, n_clusters=3, p_in=p_in,
+                            p_out=p_out)
+    cfg = quick_config(relations=("ui", "uu", "ii"), epochs=1)
+    rows_in, built, excluded = {}, {}, []
+    real_build, real_refresh = bilevel.simgraph.build_or_load, bilevel.sampler.refresh_pool
+
+    def recording_build(cache_dir, rows, n_cols, tau, kind, fold_index):
+        rows_in[kind] = rows
+        built[kind] = real_build(cache_dir, rows, n_cols, tau, kind, fold_index)
+        return built[kind]
+
+    def recording_refresh(exclusions, *args, **kw):
+        excluded.append(exclusions)
+        return real_refresh(exclusions, *args, **kw)
+
+    monkeypatch.setattr(bilevel.simgraph, "build_or_load", recording_build)
+    monkeypatch.setattr(bilevel.sampler, "refresh_pool", recording_refresh)
+    train(ds, fold, cfg)
+    expect_items = reference_transpose_rows(list(fold.train_rows), ds.n_items)
+    assert len(rows_in["item"]) == ds.n_items
+    for got, want in zip(rows_in["item"], expect_items, strict=True):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    ui, uu, ii = excluded  # one refresh, in relation order
+    assert ui is fold.train_rows
+    for got_rows, nbr in ((uu, built["user"]), (ii, built["item"])):
+        expect = reference_exclusions(list(nbr.neighbors))
+        assert len(got_rows) == len(expect)
+        for got, want in zip(got_rows, expect, strict=True):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 def test_theta_step_projects():

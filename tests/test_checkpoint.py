@@ -51,3 +51,19 @@ def test_no_temp_files_left_behind(tmp_path):
     result, _ = small_result()
     save(str(tmp_path / "model.bin"), result)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b'"arrays"', b'"arrayz"', "header has no 'arrays' entry"),
+    (b'"float64"', b'"floatXX"', "data type 'floatXX' not understood"),
+    (b'"user_mu"', b'"user_mv"', "header has no 'user_mu' entry")])
+def test_damaged_header_names_file_and_entry(tmp_path, old, new, message):
+    result, _ = small_result()
+    path = tmp_path / "model.bin"
+    save(str(path), result)
+    blob = path.read_bytes()
+    assert len(old) == len(new) and old in blob
+    path.write_bytes(blob.replace(old, new, 1))  # same length: the header still parses
+    with pytest.raises(ValueError, match="model.bin: ") as err:
+        load(str(path))
+    assert message in str(err.value)

@@ -352,3 +352,46 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, key, value, message):
     for argv in (train + ["--config", str(cfg_file)], train + [f"--{key}", value]):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ks", ["0", "-3", "5,0", ""])
+def test_ks_below_one_exits_2_before_training(tmp_path, capsys, ks):
+    d, _ = planted_dataset_dir(tmp_path)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"ks = {ks}\n")
+    train = ["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet"] + FAST
+    for argv in (train + ["--config", str(cfg_file)], train + ["--ks", ks]):
+        assert main(argv) == 2
+        assert "ks: expected cut-offs >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_evaluate_ks_and_recommend_k_are_checked(tmp_path, capsys):
+    d, ck = trained_checkpoint(tmp_path)
+    capsys.readouterr()
+    for ks, message in (("0", "ks: expected cut-offs >= 1, got (0,)"),
+                        ("5,-3", "ks: expected cut-offs >= 1, got (5, -3)"),
+                        ("", "ks: expected cut-offs >= 1, got ()"),
+                        ("5,x", "ks: expected an integer, got 'x'")):
+        assert main(["evaluate", str(d), str(ck), "--ks", ks]) == 2
+        assert message in capsys.readouterr().err
+    assert main(["evaluate", str(d), str(ck), "--ks", "3,7"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[-2:]
+    assert [row.split()[0] for row in rows] == ["3", "7"]
+    for k in ("0", "-1"):
+        assert main(["recommend", str(d), str(ck), "u0", "-k", k]) == 2
+        assert f"-k must be >= 1, got {k}" in capsys.readouterr().err
+
+
+def test_ablate_unknown_variant_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    d, _ = planted_dataset_dir(tmp_path)
+
+    def no_training(*args, **kw):
+        raise AssertionError("trained before the variants were checked")
+
+    monkeypatch.setattr(bilevel, "train", no_training)
+    for variants, bad in (("9", 9), ("1,9", 9), ("0,3", 0)):
+        argv = ["ablate", str(d), "--seeds", "0", "--variants", variants] + FAST
+        assert main(argv) == 2
+        assert (f"--variants: unknown variant {bad}; valid variants are 1-8"
+                in capsys.readouterr().err)

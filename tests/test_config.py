@@ -101,3 +101,10 @@ def test_retired_keys_only_at_their_old_value(key, old, new):
     assert make_config(file_values={key: old}) == RunConfig()
     with pytest.raises(ValueError, match=f"retired config key '{key}'"):
         make_config(file_values={key: new})
+
+
+@pytest.mark.parametrize("ks", ["0", "5,-1", ""])
+def test_ks_must_be_nonempty_and_at_least_one(ks):
+    with pytest.raises(ValueError, match="ks: expected cut-offs >= 1"):
+        make_config(file_values={"ks": ks})
+    assert make_config(file_values={"ks": "1,3"}).ks == (1, 3)

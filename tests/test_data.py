@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from pmlam.data import (InteractionDataset, ParseError, atomic_write,
+from pmlam.data import (InteractionDataset, ParseError, Rows, as_rows, atomic_write,
                         filter_iterative, ingest, load_dataset, load_folds,
                         parse_line, save_dataset, save_folds, split_five_fold)
 from pmlam.synth import planted_clusters
 
-from helpers import dataset_digest, reference_folds_text, reference_split_five_fold
+from helpers import (dataset_digest, reference_folds_text, reference_split_five_fold,
+                     reference_transpose_rows)
 
 
 def write_ratings(path, rows, sep="\t"):
@@ -282,3 +283,51 @@ def test_load_rejects_damaged_id_sidecar(tmp_path, damage, message):
     path.write_text(text[:-1] if damage == "cut" else text)
     with pytest.raises(ValueError, match=message):
         load_dataset(tmp_path)
+
+
+ROW_LISTS = {
+    "random": lambda rng: [np.flatnonzero(rng.random(9) < 0.4) for _ in range(12)],
+    # empty first, middle and last rows, and a full one
+    "empty_rows": lambda rng: [np.array([], int), np.array([0, 3]), np.array([], int),
+                               np.arange(9), np.array([], int)],
+    "all_empty": lambda rng: [np.array([], int)] * 4,
+    "no_rows": lambda rng: [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_LISTS))
+def test_rows_from_pairs_and_transpose_match_references(name):
+    rng = np.random.default_rng(11)
+    lists = ROW_LISTS[name](rng)
+    rows = as_rows(lists)
+    anchors, ids = rows.pairs()
+    assert anchors.dtype == ids.dtype == np.int64
+    shuffle = rng.permutation(len(ids))  # from_pairs takes pairs in any order
+    again = Rows.from_pairs(anchors[shuffle], ids[shuffle], len(lists))
+    np.testing.assert_array_equal(again.indptr, rows.indptr)
+    np.testing.assert_array_equal(again.indices, rows.indices)
+    assert again.indices.dtype == np.int64
+    transposed = Rows.from_pairs(ids, anchors, 9)
+    expect = reference_transpose_rows(lists, 9)
+    assert len(transposed) == 9
+    for got, want in zip(transposed, expect, strict=True):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_rows_index_like_a_list():
+    lists = [np.array([3, 5]), np.array([], int), np.array([1])]
+    rows = as_rows(lists)
+    assert len(rows) == 3
+    assert [r.tolist() for r in rows] == [[3, 5], [], [1]]
+    np.testing.assert_array_equal(rows.lens(), [2, 0, 1])
+    for a in range(-3, 3):
+        np.testing.assert_array_equal(rows[a], lists[a])
+    np.testing.assert_array_equal(rows[np.int64(-1)], [1])
+    for a in (3, -4):
+        with pytest.raises(IndexError):
+            rows[a]
+    anchors, ids = rows.pairs()
+    np.testing.assert_array_equal(anchors, [0, 0, 2])
+    np.testing.assert_array_equal(ids, [3, 5, 1])
+    assert len(Rows.from_pairs(np.empty(0, int), np.empty(0, int), 0)) == 0

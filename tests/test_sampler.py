@@ -3,8 +3,8 @@ import pytest
 import scipy.stats
 
 from pmlam import sampler
-from pmlam.sampler import (CandidatePool, pairs_from_rows, refresh_pool,
-                           sample_triplets)
+from pmlam.data import as_rows
+from pmlam.sampler import CandidatePool, refresh_pool, sample_triplets
 
 from helpers import validate_membership
 
@@ -12,7 +12,7 @@ from helpers import validate_membership
 def test_pool_excludes_positives():
     rng = np.random.default_rng(0)
     exclusions = [np.array([0, 1, 2]), np.array([5]), np.array([], dtype=int)]
-    pool = refresh_pool(exclusions, n_universe=10, pool_size=4, rng=rng, epoch=3)
+    pool = refresh_pool(as_rows(exclusions), n_universe=10, pool_size=4, rng=rng, epoch=3)
     assert pool.epoch_of_build == 3
     for a in range(3):
         cands = pool.candidates(a)
@@ -23,20 +23,20 @@ def test_pool_excludes_positives():
 
 def test_pool_small_complement_takes_everything():
     rng = np.random.default_rng(1)
-    pool = refresh_pool([np.arange(9)], n_universe=10, pool_size=500, rng=rng)
+    pool = refresh_pool(as_rows([np.arange(9)]), n_universe=10, pool_size=500, rng=rng)
     np.testing.assert_array_equal(pool.candidates(0), [9])
 
 
 def test_pool_full_exclusion_gives_empty_pool():
     rng = np.random.default_rng(2)
-    pool = refresh_pool([np.arange(10)], n_universe=10, pool_size=5, rng=rng)
+    pool = refresh_pool(as_rows([np.arange(10)]), n_universe=10, pool_size=5, rng=rng)
     assert len(pool.candidates(0)) == 0
 
 
 def test_pool_determinism():
     excl = [np.array([1, 2])] * 4
-    a = refresh_pool(excl, 50, 8, np.random.default_rng(7))
-    b = refresh_pool(excl, 50, 8, np.random.default_rng(7))
+    a = refresh_pool(as_rows(excl), 50, 8, np.random.default_rng(7))
+    b = refresh_pool(as_rows(excl), 50, 8, np.random.default_rng(7))
     np.testing.assert_array_equal(a.flat, b.flat)
 
 
@@ -47,16 +47,19 @@ def test_pool_spanning_several_key_blocks(monkeypatch):
     sizes = rng.integers(0, n_universe + 1, n_anchors)
     sizes[:3] = (n_universe, n_universe - 10, 0)  # empty, short and full complements
     exclusions = [np.sort(rng.choice(n_universe, size=s, replace=False)) for s in sizes]
-    pool = refresh_pool(exclusions, n_universe, pool_size, np.random.default_rng(1))
+    pool = refresh_pool(as_rows(exclusions), n_universe, pool_size,
+                        np.random.default_rng(1))
     for a, excl in enumerate(exclusions):
         cands = pool.candidates(a)
         assert len(cands) == min(pool_size, n_universe - len(excl))
         assert np.all(np.diff(cands) > 0)  # ascending, so no duplicates
         assert not np.isin(cands, excl).any()
-    again = refresh_pool(exclusions, n_universe, pool_size, np.random.default_rng(1))
+    again = refresh_pool(as_rows(exclusions), n_universe, pool_size,
+                         np.random.default_rng(1))
     np.testing.assert_array_equal(again.flat, pool.flat)
     monkeypatch.setattr(sampler, "KEY_BLOCK", n_universe)  # one row per block
-    one_row = refresh_pool(exclusions, n_universe, pool_size, np.random.default_rng(1))
+    one_row = refresh_pool(as_rows(exclusions), n_universe, pool_size,
+                           np.random.default_rng(1))
     np.testing.assert_array_equal(one_row.flat, pool.flat)
     np.testing.assert_array_equal(one_row.offsets, pool.offsets)
 
@@ -64,7 +67,7 @@ def test_pool_spanning_several_key_blocks(monkeypatch):
 def test_sample_triplets_row_expansion():
     rng = np.random.default_rng(3)
     exclusions = [np.array([0]), np.array([1])]
-    pool = refresh_pool(exclusions, n_universe=6, pool_size=5, rng=rng)
+    pool = refresh_pool(as_rows(exclusions), n_universe=6, pool_size=5, rng=rng)
     anchors = np.array([0, 1, 0])
     positives = np.array([0, 1, 0])
     batch = sample_triplets("ui", anchors, positives, pool, neg_samples=1,
@@ -82,8 +85,8 @@ def test_sample_triplets_membership_invariant():
     rng = np.random.default_rng(4)
     rows = [np.sort(rng.choice(30, size=rng.integers(3, 10), replace=False))
             for _ in range(12)]
-    pool = refresh_pool(rows, n_universe=30, pool_size=10, rng=rng)
-    anchors, positives = pairs_from_rows(rows)
+    pool = refresh_pool(as_rows(rows), n_universe=30, pool_size=10, rng=rng)
+    anchors, positives = as_rows(rows).pairs()
     batch = sample_triplets("ui", anchors, positives, pool, neg_samples=3,
                             rng=rng)
     validate_membership(batch, rows)
@@ -93,7 +96,7 @@ def test_sample_triplets_membership_invariant():
 
 def test_anchors_with_empty_pools_are_dropped():
     rng = np.random.default_rng(5)
-    pool = refresh_pool([np.arange(10), np.array([0])], n_universe=10,
+    pool = refresh_pool(as_rows([np.arange(10), np.array([0])]), n_universe=10,
                         pool_size=4, rng=rng)
     batch = sample_triplets("ui", np.array([0, 1]), np.array([2, 0]), pool,
                             neg_samples=2, rng=rng)
@@ -105,7 +108,7 @@ def test_full_complement_pool_is_uniform():
     # indistinguishable from plain uniform sampling over the complement
     rng = np.random.default_rng(6)
     exclusion = [np.array([2, 7])]
-    pool = refresh_pool(exclusion, n_universe=10, pool_size=100, rng=rng)
+    pool = refresh_pool(as_rows(exclusion), n_universe=10, pool_size=100, rng=rng)
     assert len(pool.candidates(0)) == 8
     draws = 40_000
     batch = sample_triplets("ui", np.zeros(draws, dtype=int),
@@ -119,6 +122,6 @@ def test_full_complement_pool_is_uniform():
 
 def test_pairs_from_rows():
     rows = [np.array([3, 5]), np.array([], dtype=int), np.array([1])]
-    anchors, positives = pairs_from_rows(rows)
+    anchors, positives = as_rows(rows).pairs()
     np.testing.assert_array_equal(anchors, [0, 0, 2])
     np.testing.assert_array_equal(positives, [3, 5, 1])
