@@ -31,6 +31,8 @@ from .embeddings import GaussianEmbeddingTable, init_table, project
 from .losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
 from .margin_net import init_margin_net
 
+OUTER_BATCHES = ("same", "fresh")  # the outer pass reuses the inner batch or draws its own
+
 
 class NumericFailure(RuntimeError):
     """Non-finite loss or gradient; message carries a dump of the batches."""

@@ -15,11 +15,11 @@ moment buffers. Writes go to a temp file and are renamed into place.
 """
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RETIRED_KEYS, RunConfig, make_config
+from .config import RETIRED_KEYS, RunConfig, config_strings, make_config
 from .data import atomic_write
 from .embeddings import GaussianEmbeddingTable
 from .margin_net import MarginNetParams
@@ -37,16 +37,6 @@ class Checkpoint:
     rng_states: dict
     opt_theta: dict            # {"kind", "alpha", "t"}; moments live in arrays
     opt_phi: dict
-
-
-def _config_strings(cfg):
-    out = {}
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if v is None:
-            continue
-        out[f.name] = ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
-    return out
 
 
 def _collect_arrays(result):
@@ -76,7 +66,7 @@ def save(path, result, fold_index=0):
     directory = [{"name": k, "shape": list(v.shape), "dtype": str(v.dtype)}
                  for k, v in arrays.items()]
     header = json.dumps({
-        "config": _config_strings(result.cfg),
+        "config": config_strings(result.cfg),
         "fold_index": fold_index,
         "arrays": directory,
         "optimizers": opt_meta,
@@ -136,7 +126,7 @@ def _read(path):
     users = GaussianEmbeddingTable(arrays["user_mu"], arrays["user_sigma"])
     items = GaussianEmbeddingTable(arrays["item_mu"], arrays["item_sigma"])
     phis = {}
-    for rel in ("ui", "uu", "ii"):
+    for rel in cfg.relations:
         key = f"phi.{rel}.W1"
         if key in arrays:
             phis[rel] = MarginNetParams(

@@ -11,12 +11,13 @@ Exit codes: 0 success, 2 usage or input error, 3 numeric failure.
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import bilevel, checkpoint, data, evaluator, synth
 from .bilevel import NumericFailure
-from .config import echo_lines, load_config_file, make_config
+from .config import RunConfig, _coerce, echo_lines, load_config_file, make_config
 from . import margin_net
 
 # Ablation matrix: margin scheme x embedding kind x relations x feature mode.
@@ -35,21 +36,15 @@ ABLATION_VARIANTS = {
     8: dict(distance_kind="w2", margin_mode="adaptive", relations="ui,uu,ii"),
 }
 
-_CONFIG_FLAGS = [
-    "h", "hidden", "alpha", "lam", "epochs", "batch-size", "neg-samples",
-    "pool-size", "refresh-period", "sim-threshold", "ks", "seed",
-    "margin-mode", "margin-mode-uu", "margin-mode-ii", "relations",
-    "indicator-mode", "eval-every", "eps-fd", "outer-batch",
-]
-
 
 def _add_config_args(p):
+    """``--config`` plus one flag per :class:`RunConfig` field; a bool field is a switch."""
     p.add_argument("--config", help="flat key = value config file")
-    for flag in _CONFIG_FLAGS:
-        p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), metavar="V")
-    p.add_argument("--distance-kind", "--distance", dest="distance_kind", metavar="V")
-    p.add_argument("--joint-margin-training", dest="joint_margin_training",
-                   action="store_const", const="true")
+    for f in fields(RunConfig):
+        alias = ("--distance",) if f.name == "distance_kind" else ()
+        how = (dict(action="store_const", const="true") if isinstance(f.default, bool)
+               else dict(metavar="V"))
+        p.add_argument("--" + f.name.replace("_", "-"), *alias, dest=f.name, **how)
     p.add_argument("--deterministic", action="store_true",
                    help="accepted for compatibility; pool refresh is always synchronous")
 
@@ -57,11 +52,8 @@ def _add_config_args(p):
 def _config_from_args(args, **overrides):
     """RunConfig from --config, then the flags, then ``overrides``."""
     values = dict(load_config_file(args.config)) if args.config else {}
-    for key in [f.replace("-", "_") for f in _CONFIG_FLAGS] + [
-            "distance_kind", "joint_margin_training"]:
-        v = getattr(args, key, None)
-        if v is not None:
-            values[key] = v
+    values.update({f.name: getattr(args, f.name) for f in fields(RunConfig)
+                   if getattr(args, f.name) is not None})
     return make_config(file_values={**values, **overrides})
 
 
@@ -140,9 +132,12 @@ def cmd_recommend(args):
 
 def cmd_ablate(args):
     base = _config_from_args(args)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    variants = ([int(v) for v in args.variants.split(",")]
-                if args.variants else sorted(ABLATION_VARIANTS))
+    seeds = _coerce("--seeds", (0,), args.seeds)  # as config lists are parsed
+    variants = (_coerce("--variants", (0,), args.variants) if args.variants is not None
+                else sorted(ABLATION_VARIANTS))
+    for flag, values in (("--seeds", seeds), ("--variants", variants)):
+        if not values:
+            raise ValueError(f"{flag}: expected a comma list of integers")
     unknown = sorted(set(variants) - set(ABLATION_VARIANTS))
     if unknown:
         raise ValueError(f"--variants: unknown variant {unknown[0]}; valid variants "

@@ -7,8 +7,11 @@ interchangeable). ``margin_mode`` is ``adaptive`` or ``fixed:<m>``;
 
 from dataclasses import dataclass, field, fields, replace
 
+from .bilevel import OUTER_BATCHES
 from .distance import DistanceKind
 from .embeddings import MU_STD, SIGMA0, SIGMA_JITTER
+from .losses import RELATIONS
+from .margin_net import INDICATOR_MODES
 
 
 @dataclass
@@ -37,8 +40,7 @@ class RunConfig:
     joint_margin_training: bool = False  # anti-pattern switch: phi follows the inner loss
 
     def kind(self):
-        return DistanceKind.W2_SQUARED if self.distance_kind == "w2" \
-            else DistanceKind.EUCLIDEAN_SQUARED
+        return DistanceKind(self.distance_kind)
 
     def margin_mode_for(self, relation):
         """Parsed margin mode of one relation: "adaptive" or ("fixed", m)."""
@@ -64,16 +66,16 @@ class RunConfig:
             raise ValueError("sim_threshold must lie in (0, 1]")
         if not self.ks or min(self.ks) < 1:
             raise ValueError(f"ks: expected cut-offs >= 1, got {self.ks!r}")
-        if self.distance_kind not in ("w2", "euclidean"):
+        if self.distance_kind not in [k.value for k in DistanceKind]:
             raise ValueError(f"unknown distance_kind {self.distance_kind!r}")
-        if self.indicator_mode not in ("squared-diff", "concat", "sum"):
+        if self.indicator_mode not in INDICATOR_MODES:
             raise ValueError(f"unknown indicator_mode {self.indicator_mode!r}")
-        if self.outer_batch not in ("same", "fresh"):
+        if self.outer_batch not in OUTER_BATCHES:
             raise ValueError(f"unknown outer_batch {self.outer_batch!r}")
         if "ui" not in self.relations:
             raise ValueError("relations must contain 'ui'")
         for rel in self.relations:
-            if rel not in ("ui", "uu", "ii"):
+            if rel not in RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
             self.margin_mode_for(rel)
         if self.eps_fd <= 0:
@@ -168,12 +170,17 @@ def _check_retired(key, raw):
                          f"got {raw!r}")
 
 
-def echo_lines(cfg):
-    """Stable key=value lines for embedding into output artifact headers."""
-    out = []
-    for f in sorted(fields(RunConfig), key=lambda f: f.name):
+def config_strings(cfg):
+    """Field name -> value as a config-file string, in field order; None is left out."""
+    out = {}
+    for f in fields(cfg):
         v = getattr(cfg, f.name)
-        if isinstance(v, tuple):
-            v = ",".join(map(str, v))
-        out.append(f"{f.name} = {v}")
+        if v is not None:
+            out[f.name] = ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
     return out
+
+
+def echo_lines(cfg):
+    """Stable key=value lines, sorted by key, for artifact headers; None prints as None."""
+    strings = config_strings(cfg)
+    return [f"{name} = {strings.get(name)}" for name in sorted(f.name for f in fields(cfg))]

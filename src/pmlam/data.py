@@ -7,7 +7,8 @@ reindexed densely, and split per user into five folds for cross-validation.
 Folds are one label per interaction in the dataset's row order, as in
 ``folds.txt``; :class:`Folds` builds only the :class:`FoldSplit` asked for.
 Every per-entity index list (a user's items, an entity's neighbors, an
-anchor's excluded ids) is held as :class:`Rows`, one CSR pair of arrays.
+anchor's excluded ids or negative pool) is held as :class:`Rows`, one CSR
+pair of arrays.
 """
 
 import operator
@@ -16,6 +17,7 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 DS_MAGIC = "PMLAM-DS v1"
 FOLDS_MAGIC = "PMLAM-FOLDS v1"
@@ -64,6 +66,11 @@ class Rows:
     def pairs(self):
         """Row-major ``(anchor, id)`` arrays, one entry per listed id."""
         return np.repeat(np.arange(len(self)), self.lens()), self.indices
+
+    def matrix(self, n_cols):
+        """``(len(self), n_cols)`` sparse CSR matrix with a one at each ``(a, rows[a][j])``."""
+        return sparse.csr_array((np.ones(len(self.indices)), self.indices, self.indptr),
+                                shape=(len(self), n_cols))
 
 
 def as_rows(rows):
@@ -175,36 +182,43 @@ def filter_iterative(pairs, min_user=10, min_item=5):
     """Drop light users/items to a fixed point, then reindex densely.
 
     Removing an item can push a user below the threshold and vice versa, so
-    the two filters are interleaved until nothing changes. External ids keep
-    their first-appearance order in the surviving pair list.
+    the two filters are interleaved until nothing changes. Duplicate pairs
+    count once. External ids keep their first-appearance order in the
+    surviving pair list.
     """
     if min_user < 1 or min_item < 1:
         raise ValueError("minimum interaction counts must be >= 1")
-    pairs = list(dict.fromkeys(pairs))
+    u, user_ids = _first_appearance_index([p[0] for p in pairs])
+    i, item_ids = _first_appearance_index([p[1] for p in pairs])
+    first = np.sort(np.unique(u * len(item_ids) + i, return_index=True)[1])
+    u, i = u[first], i[first]  # one pair per (user, item), in first-appearance order
     while True:
-        user_deg, item_deg = {}, {}
-        for u, i in pairs:
-            user_deg[u] = user_deg.get(u, 0) + 1
-            item_deg[i] = item_deg.get(i, 0) + 1
-        kept = [(u, i) for u, i in pairs
-                if user_deg[u] >= min_user and item_deg[i] >= min_item]
-        if len(kept) == len(pairs):
+        keep = ((np.bincount(u, minlength=len(user_ids)) >= min_user)[u]
+                & (np.bincount(i, minlength=len(item_ids)) >= min_item)[i])
+        if keep.all():
             break
-        pairs = kept
-    if not pairs:
+        u, i = u[keep], i[keep]
+    if not len(u):
         raise ValueError("dataset eliminated by filtering")
-
-    user_map, item_map = {}, {}
-    for u, i in pairs:
-        user_map.setdefault(u, len(user_map))
-        item_map.setdefault(i, len(item_map))
-    rows = Rows.from_pairs(np.array([user_map[u] for u, _ in pairs]),
-                           np.array([item_map[i] for _, i in pairs]), len(user_map))
+    (u, kept_users), (i, kept_items) = _renumber(u), _renumber(i)
+    rows = Rows.from_pairs(u, i, len(kept_users))
     return InteractionDataset(
-        n_users=len(user_map), n_items=len(item_map),
-        indptr=rows.indptr, indices=rows.indices,
-        user_ids=list(user_map), item_ids=list(item_map),  # ids in index order
-    )
+        n_users=len(kept_users), n_items=len(kept_items), indptr=rows.indptr,
+        indices=rows.indices, user_ids=[user_ids[j] for j in kept_users],
+        item_ids=[item_ids[j] for j in kept_items])
+
+
+def _first_appearance_index(keys):
+    """``(index of each key, distinct keys)``: keys are numbered by first appearance."""
+    index = {key: n for n, key in enumerate(dict.fromkeys(keys))}
+    return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys)), list(index)
+
+
+def _renumber(idx):
+    """``idx`` numbered densely by first appearance, and the old index of each new one."""
+    held, first, inverse = np.unique(idx, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], held[order]
 
 
 class Folds:

@@ -52,13 +52,13 @@ def pairwise_distances(users, items, kind, user_idx=None):
 def rank(user, users, items, train_set, kind, k=None):
     """Item indices outside ``train_set`` ordered by ascending distance.
 
-    Ties break by ascending item index. Truncated to ``k`` when given.
+    Ties break by ascending item index. Truncated to ``k`` when given; a ``k``
+    past the unseen items gives them all.
     """
-    d2 = pairwise_distances(users, items, kind, user_idx=np.array([user]))[0]
-    d2[np.asarray(train_set, dtype=np.int64)] = np.inf
-    order = np.argsort(d2, kind="stable")
-    order = order[: items.n - len(train_set)]
-    return order if k is None else order[:k]
+    d2 = pairwise_distances(users, items, kind, user_idx=np.array([user]))
+    d2[0, np.asarray(train_set, dtype=np.int64)] = np.inf
+    n_unseen = items.n - len(train_set)
+    return top_k(d2, n_unseen if k is None else min(k, n_unseen))[0]
 
 
 def top_k(d2, k):
@@ -69,6 +69,8 @@ def top_k(d2, k):
     at that value go to the lowest indices.
     """
     k = min(k, d2.shape[1])
+    if k == 0:
+        return np.empty((len(d2), 0), dtype=np.int64)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
     below = d2 < kth
     tie = d2 == kth

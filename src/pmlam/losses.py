@@ -29,14 +29,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from . import margin_net
+from .data import Rows
 from .distance import SIGMA_MIN, DistanceKind, pair_rows
 
 RELATIONS = ("ui", "uu", "ii")
-
-THETA_KEYS = ("user_mu", "user_sigma", "item_mu", "item_sigma")
 
 
 def selection_matrix(rows, n_rows):
@@ -45,10 +43,7 @@ def selection_matrix(rows, n_rows):
     Its product with a stack of gradient rows sums each table row's
     contributions in batch order.
     """
-    order = np.argsort(rows, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
-    return sparse.csr_array((np.ones(len(rows)), order, indptr),
-                            shape=(n_rows, len(rows)))
+    return Rows.from_pairs(rows, np.arange(len(rows)), n_rows).matrix(len(rows))
 
 
 @dataclass

@@ -12,25 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Rows
 from .losses import TripletBatch
 
 KEY_BLOCK = 1 << 18  # random keys held at once during a refresh (2 MB)
 
 
 @dataclass
-class CandidatePool:
-    """Per-anchor negative candidates in a flat CSR-style layout."""
+class CandidatePool(Rows):
+    """Per-anchor negative candidates: ``pool[a]`` is anchor ``a``'s pool, ascending."""
 
-    flat: np.ndarray      # concatenated candidate ids
-    offsets: np.ndarray   # (n_anchors + 1,)
     epoch_of_build: int
 
     @property
     def n_anchors(self):
-        return len(self.offsets) - 1
-
-    def candidates(self, anchor):
-        return self.flat[self.offsets[anchor]:self.offsets[anchor + 1]]
+        return len(self)
 
 
 def refresh_pool(exclusions, n_universe, pool_size, rng, epoch=0):
@@ -62,8 +58,7 @@ def refresh_pool(exclusions, n_universe, pool_size, rng, epoch=0):
         picked = np.sort(np.where(live, picked, n_universe), axis=1)
         counts[start:stop] = live.sum(axis=1)
         chunks.append(picked[picked < n_universe])
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return CandidatePool(flat=np.concatenate(chunks), offsets=offsets,
+    return CandidatePool(np.concatenate([[0], np.cumsum(counts)]), np.concatenate(chunks),
                          epoch_of_build=epoch)
 
 
@@ -76,7 +71,7 @@ def sample_triplets(relation, anchors, positives, pool, neg_samples, rng):
     """
     anchors = np.asarray(anchors, dtype=np.int64)
     positives = np.asarray(positives, dtype=np.int64)
-    lens = pool.offsets[anchors + 1] - pool.offsets[anchors]
+    lens = pool.lens()[anchors]
     keep = lens > 0
     if not np.all(keep):
         anchors, positives, lens = anchors[keep], positives[keep], lens[keep]
@@ -84,6 +79,6 @@ def sample_triplets(relation, anchors, positives, pool, neg_samples, rng):
     rep_p = np.repeat(positives, neg_samples)
     rep_len = np.repeat(lens, neg_samples)
     draw = np.floor(rng.random(len(rep_a)) * rep_len).astype(np.int64)
-    negs = pool.flat[pool.offsets[rep_a] + draw]
+    negs = pool.indices[pool.indptr[rep_a] + draw]
     return TripletBatch(relation=relation, anchors=rep_a, positives=rep_p,
                         negatives=negs)

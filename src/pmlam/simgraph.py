@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import (Rows, as_rows, atomic_write, first_row_outside, header_count,
                    header_value, read_index_rows, write_index_rows)
@@ -44,11 +43,9 @@ def build(rows, n_cols, tau, kind="user"):
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
-    x = sp.csr_matrix((np.ones(len(rows.indices)), rows.indices, rows.indptr),
-                      shape=(len(rows), n_cols))
-
+    x = rows.matrix(n_cols)
     co = (x @ x.T).tocoo()  # co-rating counts; touches only co-rated pairs
-    deg = np.asarray(x.sum(axis=1)).ravel()
+    deg = rows.lens()
     i, j = co.row, co.col
     keep = (i != j) & (co.data / np.sqrt(deg[i] * deg[j]) >= tau)
     return NeighborSets(kind=kind, tau=float(tau),

@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 
-from pmlam.data import FOLDS_MAGIC, FoldSplit
+from pmlam.data import FOLDS_MAGIC, FoldSplit, InteractionDataset, Rows
 from pmlam.distance import SIGMA_MIN, DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
 
@@ -95,6 +95,34 @@ def reference_transpose_rows(rows, n_cols):
         for c in row:
             cols[c].append(r_idx)
     return [np.array(sorted(c), dtype=np.int64) for c in cols]
+
+
+def reference_filter_iterative(pairs, min_user=10, min_item=5):
+    """``data.filter_iterative`` with per-pair dict loops: its oracle."""
+    pairs = list(dict.fromkeys(pairs))
+    while True:
+        user_deg, item_deg = {}, {}
+        for u, i in pairs:
+            user_deg[u] = user_deg.get(u, 0) + 1
+            item_deg[i] = item_deg.get(i, 0) + 1
+        kept = [(u, i) for u, i in pairs
+                if user_deg[u] >= min_user and item_deg[i] >= min_item]
+        if len(kept) == len(pairs):
+            break
+        pairs = kept
+    if not pairs:
+        raise ValueError("dataset eliminated by filtering")
+    user_map, item_map = {}, {}
+    for u, i in pairs:
+        user_map.setdefault(u, len(user_map))
+        item_map.setdefault(i, len(item_map))
+    rows = Rows.from_pairs(np.array([user_map[u] for u, _ in pairs]),
+                           np.array([item_map[i] for _, i in pairs]), len(user_map))
+    return InteractionDataset(
+        n_users=len(user_map), n_items=len(item_map),
+        indptr=rows.indptr, indices=rows.indices,
+        user_ids=list(user_map), item_ids=list(item_map),
+    )
 
 
 def reference_exclusions(neighbors):

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from pmlam.bilevel import train
-from pmlam.checkpoint import load, save
-from pmlam.config import make_config
+from pmlam.checkpoint import CKPT_MAGIC, load, save
+from pmlam.config import config_strings, make_config
 from pmlam.data import split_five_fold
 from pmlam.synth import planted_clusters
 
@@ -38,6 +40,18 @@ def test_roundtrip(tmp_path):
     assert ck.rng_states["sampler"] == result.rng_states["sampler"]
     assert ck.opt_theta["kind"] == "adam"
     assert ck.opt_theta["t"] == result.opt_theta.t
+
+
+def test_header_config_is_config_strings(tmp_path):
+    result, cfg = small_result()
+    path = tmp_path / "model.bin"
+    save(str(path), result)
+    blob = path.read_bytes()[len(CKPT_MAGIC):]
+    header = json.loads(blob[8:8 + int.from_bytes(blob[:8], "little")])
+    assert header["config"] == config_strings(cfg)
+    assert list(header["config"]) == list(config_strings(cfg))  # field order
+    assert "margin_mode_uu" not in header["config"]  # None is left out
+    assert make_config(file_values=header["config"]) == cfg
 
 
 def test_rejects_wrong_magic(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pmlam import bilevel, checkpoint, evaluator
-from pmlam.cli import _CONFIG_FLAGS, ABLATION_VARIANTS, main
+from pmlam.cli import ABLATION_VARIANTS, build_parser, main
 from pmlam.config import RunConfig, make_config
 from pmlam.data import load_dataset, load_folds, split_five_fold, save_dataset, save_folds
 from pmlam.synth import planted_clusters, write_item_labels
@@ -277,12 +277,27 @@ def test_checkpoint_with_retired_keys_still_evaluates(tmp_path, capsys):
     assert "Recall@K" in capsys.readouterr().out
 
 
+def _subparser(name):
+    sub, = [a for a in build_parser()._actions if a.dest == "command"]
+    return sub.choices[name]
+
+
 def test_every_config_field_has_one_flag():
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    flags = [f.replace("-", "_") for f in _CONFIG_FLAGS]
-    flags += ["distance_kind", "joint_margin_training"]
-    assert len(flags) == len(set(flags))
-    assert set(flags) == fields
+    for command in ("train", "prepare", "ablate"):
+        parser = _subparser(command)
+        for f in dataclasses.fields(RunConfig):
+            action, = [a for a in parser._actions if a.dest == f.name]
+            flag = "--" + f.name.replace("_", "-")
+            extra = ["--distance"] if f.name == "distance_kind" else []
+            assert action.option_strings == [flag] + extra
+            if isinstance(f.default, bool):  # a switch that takes no value
+                assert action.nargs == 0 and action.const == "true"
+            else:
+                assert action.nargs is None
+        positionals = ["ratings", "out"] if command == "prepare" else ["data"]
+        args = parser.parse_args(
+            positionals + ["--distance", "euclidean", "--joint-margin-training"])
+        assert args.distance_kind == "euclidean" and args.joint_margin_training == "true"
 
 
 def test_fold_past_the_fold_count_exits_2(tmp_path, capsys):
@@ -395,3 +410,10 @@ def test_ablate_unknown_variant_exits_2_before_training(tmp_path, capsys, monkey
         assert main(argv) == 2
         assert (f"--variants: unknown variant {bad}; valid variants are 1-8"
                 in capsys.readouterr().err)
+    for flag, raw, message in (  # list tokens are checked as config lists are
+            ("--seeds", "0,x", "--seeds: expected an integer, got 'x'"),
+            ("--variants", "1,x", "--variants: expected an integer, got 'x'"),
+            ("--seeds", "", "--seeds: expected a comma list of integers"),
+            ("--variants", " , ", "--variants: expected a comma list of integers")):
+        assert main(["ablate", str(d), "--seeds", "0", flag, raw] + FAST) == 2
+        assert message in capsys.readouterr().err

@@ -6,8 +6,8 @@ from pmlam.data import (InteractionDataset, ParseError, Rows, as_rows, atomic_wr
                         parse_line, save_dataset, save_folds, split_five_fold)
 from pmlam.synth import planted_clusters
 
-from helpers import (dataset_digest, reference_folds_text, reference_split_five_fold,
-                     reference_transpose_rows)
+from helpers import (dataset_digest, reference_filter_iterative, reference_folds_text,
+                     reference_split_five_fold, reference_transpose_rows)
 
 
 def write_ratings(path, rows, sep="\t"):
@@ -120,6 +120,36 @@ def test_filter_fixed_point_is_idempotent():
          for i in ds.row(u)], min_user=4, min_item=3)
     assert again.n_users == ds.n_users
     assert again.n_interactions == ds.n_interactions
+
+
+FILTER_CASES = {
+    # duplicate pairs, in and out of order, with ids first seen in dropped pairs
+    "duplicates": ([("b", "y"), ("a", "x"), ("b", "y"), ("a", "y"), ("c", "z"),
+                    ("a", "x"), ("b", "x"), ("c", "x")], 2, 2),
+    # a chain hung on a 3x3 core: t3 goes, then j2, t2, j1 and t1, one per round
+    "cascade": ([("t1", "x"), ("t1", "j1"), ("t2", "j1"), ("t2", "j2"), ("t3", "j2")]
+                + [(u, i) for u in "abc" for i in "zyx"] + [("t2", "j2")], 2, 2),
+    "random": ([(f"u{u}", f"i{i}") for u, i in
+                np.random.default_rng(3).integers(0, (40, 30), size=(400, 2))], 6, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILTER_CASES))
+def test_filter_matches_reference_loop(case):
+    pairs, min_user, min_item = FILTER_CASES[case]
+    got = filter_iterative(pairs, min_user=min_user, min_item=min_item)
+    expect = reference_filter_iterative(pairs, min_user=min_user, min_item=min_item)
+    np.testing.assert_array_equal(got.indptr, expect.indptr)
+    np.testing.assert_array_equal(got.indices, expect.indices)
+    assert got.user_ids == expect.user_ids and got.item_ids == expect.item_ids
+    got.check()
+
+
+def test_filter_cascading_to_nothing_matches_reference_loop():
+    pairs = [(f"u{u}", f"i{i}") for u in range(6) for i in (u, u + 1)]
+    for filt in (filter_iterative, reference_filter_iterative):
+        with pytest.raises(ValueError, match="eliminated"):
+            filt(pairs, min_user=2, min_item=2)
 
 
 def test_reindexing_is_dense():

@@ -142,9 +142,30 @@ def test_top_k_matches_stable_sort_with_ties():
     rng = np.random.default_rng(13)
     d2 = rng.integers(0, 4, size=(30, 25)).astype(float)  # many ties
     d2[rng.random(d2.shape) < 0.3] = np.inf  # masked training items
-    for k in (1, 5, 24, 25, 40):
+    for k in (0, 1, 5, 24, 25, 40):
         np.testing.assert_array_equal(
             top_k(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
+
+
+def test_rank_matches_stable_sort_with_ties():
+    rng = np.random.default_rng(14)
+    users = GaussianEmbeddingTable(rng.integers(-1, 2, (1, 2)).astype(float), np.ones((1, 2)))
+    items = GaussianEmbeddingTable(rng.integers(-1, 2, (30, 2)).astype(float),
+                                   np.ones((30, 2)))  # 9 distinct points: many ties
+    train = np.sort(rng.choice(30, 7, replace=False))
+    d2 = pairwise_distances(users, items, W2)[0]
+    d2[train] = np.inf
+    full = np.argsort(d2, kind="stable")[:23]  # the 23 unseen items
+    np.testing.assert_array_equal(rank(0, users, items, train, W2), full)
+    for k in (0, 1, 5, 23, 40):  # past the unseen items gives them all
+        np.testing.assert_array_equal(rank(0, users, items, train, W2, k=k), full[:k])
+
+
+def test_rank_of_a_user_who_has_seen_everything_is_empty():
+    rng = np.random.default_rng(15)
+    users, items = random_table(1, 2, rng), random_table(4, 2, rng)
+    for k in (None, 0, 3):
+        assert len(rank(0, users, items, np.arange(4), W2, k=k)) == 0
 
 
 def test_squared_and_unsquared_distances_rank_identically():

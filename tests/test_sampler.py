@@ -15,7 +15,7 @@ def test_pool_excludes_positives():
     pool = refresh_pool(as_rows(exclusions), n_universe=10, pool_size=4, rng=rng, epoch=3)
     assert pool.epoch_of_build == 3
     for a in range(3):
-        cands = pool.candidates(a)
+        cands = pool[a]
         assert len(cands) == 4
         assert not np.isin(cands, exclusions[a]).any()
         assert len(np.unique(cands)) == len(cands)  # without replacement
@@ -24,20 +24,20 @@ def test_pool_excludes_positives():
 def test_pool_small_complement_takes_everything():
     rng = np.random.default_rng(1)
     pool = refresh_pool(as_rows([np.arange(9)]), n_universe=10, pool_size=500, rng=rng)
-    np.testing.assert_array_equal(pool.candidates(0), [9])
+    np.testing.assert_array_equal(pool[0], [9])
 
 
 def test_pool_full_exclusion_gives_empty_pool():
     rng = np.random.default_rng(2)
     pool = refresh_pool(as_rows([np.arange(10)]), n_universe=10, pool_size=5, rng=rng)
-    assert len(pool.candidates(0)) == 0
+    assert len(pool[0]) == 0
 
 
 def test_pool_determinism():
     excl = [np.array([1, 2])] * 4
     a = refresh_pool(as_rows(excl), 50, 8, np.random.default_rng(7))
     b = refresh_pool(as_rows(excl), 50, 8, np.random.default_rng(7))
-    np.testing.assert_array_equal(a.flat, b.flat)
+    np.testing.assert_array_equal(a.indices, b.indices)
 
 
 def test_pool_spanning_several_key_blocks(monkeypatch):
@@ -50,18 +50,18 @@ def test_pool_spanning_several_key_blocks(monkeypatch):
     pool = refresh_pool(as_rows(exclusions), n_universe, pool_size,
                         np.random.default_rng(1))
     for a, excl in enumerate(exclusions):
-        cands = pool.candidates(a)
+        cands = pool[a]
         assert len(cands) == min(pool_size, n_universe - len(excl))
         assert np.all(np.diff(cands) > 0)  # ascending, so no duplicates
         assert not np.isin(cands, excl).any()
     again = refresh_pool(as_rows(exclusions), n_universe, pool_size,
                          np.random.default_rng(1))
-    np.testing.assert_array_equal(again.flat, pool.flat)
+    np.testing.assert_array_equal(again.indices, pool.indices)
     monkeypatch.setattr(sampler, "KEY_BLOCK", n_universe)  # one row per block
     one_row = refresh_pool(as_rows(exclusions), n_universe, pool_size,
                            np.random.default_rng(1))
-    np.testing.assert_array_equal(one_row.flat, pool.flat)
-    np.testing.assert_array_equal(one_row.offsets, pool.offsets)
+    np.testing.assert_array_equal(one_row.indices, pool.indices)
+    np.testing.assert_array_equal(one_row.indptr, pool.indptr)
 
 
 def test_sample_triplets_row_expansion():
@@ -109,7 +109,7 @@ def test_full_complement_pool_is_uniform():
     rng = np.random.default_rng(6)
     exclusion = [np.array([2, 7])]
     pool = refresh_pool(as_rows(exclusion), n_universe=10, pool_size=100, rng=rng)
-    assert len(pool.candidates(0)) == 8
+    assert len(pool[0]) == 8
     draws = 40_000
     batch = sample_triplets("ui", np.zeros(draws, dtype=int),
                             np.full(draws, 2), pool, neg_samples=1, rng=rng)
