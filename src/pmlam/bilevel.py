@@ -190,13 +190,13 @@ def _non_finite_dump(where, batches, epoch, it):
             f"batch heads (anchor/pos/neg): {heads}")
 
 
-def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
+def train(ds, fold, cfg, cache_dir=None, log=None):
     """Run the alternating procedure on one fold; returns a TrainResult.
 
     ``ds`` supplies entity counts; ``fold`` the per-user train/test item
     sets. Neighbor sets for the same-entity relations are built from the
-    training rows (or taken from ``neighbors``/the cache). Deterministic for
-    a fixed config seed.
+    training rows (or read from the cache in ``cache_dir``). Deterministic
+    for a fixed config seed.
     """
     cfg.validate()
     kind = cfg.kind()
@@ -222,12 +222,12 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
     exclusions = {"ui": fold.train_rows}
     universes = {"ui": ds.n_items}
     if any(rel in cfg.relations for rel in ("uu", "ii")):
-        neighbors = dict(neighbors or {})
-        if "uu" in cfg.relations and "uu" not in neighbors:
+        neighbors = {}
+        if "uu" in cfg.relations:
             neighbors["uu"] = simgraph.build_or_load(
                 cache_dir, fold.train_rows, ds.n_items, cfg.sim_threshold,
                 "user", fold.fold_index)
-        if "ii" in cfg.relations and "ii" not in neighbors:
+        if "ii" in cfg.relations:
             item_rows = Rows.from_pairs(*pairs["ui"][::-1], ds.n_items)  # the transpose
             neighbors["ii"] = simgraph.build_or_load(
                 cache_dir, item_rows, ds.n_users, cfg.sim_threshold,
@@ -267,7 +267,7 @@ def train(ds, fold, cfg, neighbors=None, cache_dir=None, log=None):
         if epoch % cfg.refresh_period == 0:
             rng_pool = _stream(cfg.seed, 5, epoch)
             pools = {rel: sampler.refresh_pool(exclusions[rel], universes[rel],
-                                               cfg.pool_size, rng_pool, epoch=epoch)
+                                               cfg.pool_size, rng_pool)
                      for rel in active_rels}
 
         order = rng_sampler.permutation(len(ui_anchors))

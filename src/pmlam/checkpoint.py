@@ -6,7 +6,9 @@ Byte layout of a checkpoint file:
     8 bytes       little-endian uint64: length of the JSON header
     header        UTF-8 JSON: config (string map), fold index, array
                   directory [{name, shape, dtype} ...], optimizer metadata,
-                  RNG stream states
+                  RNG stream states and, when training recorded them, the
+                  SHA-256 of each file of the dataset it read
+                  (``data_sha256``, file name -> hex digest)
     payload       the arrays from the directory, concatenated in order,
                   C-contiguous raw bytes
 
@@ -15,12 +17,13 @@ moment buffers. Writes go to a temp file and are renamed into place.
 """
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RETIRED_KEYS, RunConfig, config_strings, make_config
-from .data import atomic_write
+from .data import DATA_FILES, atomic_write, file_digests
 from .embeddings import GaussianEmbeddingTable
 from .margin_net import MarginNetParams
 
@@ -37,6 +40,7 @@ class Checkpoint:
     rng_states: dict
     opt_theta: dict            # {"kind", "alpha", "t"}; moments live in arrays
     opt_phi: dict
+    data_sha256: dict | None   # file name -> digest; None in older checkpoints
 
 
 def _collect_arrays(result):
@@ -60,18 +64,25 @@ def _collect_arrays(result):
     return arrays, opt_meta
 
 
-def save(path, result, fold_index=0):
-    """Write a TrainResult (see bilevel.train) as a checkpoint file."""
+def save(path, result, fold_index=0, data_sha256=None):
+    """Write a TrainResult (see bilevel.train) as a checkpoint file.
+
+    ``data_sha256`` (:func:`~pmlam.data.file_digests` of the dataset trained
+    on) is recorded when given, so :func:`check_data` can pin the run to it.
+    """
     arrays, opt_meta = _collect_arrays(result)
     directory = [{"name": k, "shape": list(v.shape), "dtype": str(v.dtype)}
                  for k, v in arrays.items()]
-    header = json.dumps({
+    header = {
         "config": config_strings(result.cfg),
         "fold_index": fold_index,
         "arrays": directory,
         "optimizers": opt_meta,
         "rng_states": result.rng_states,
-    }).encode()
+    }
+    if data_sha256 is not None:
+        header["data_sha256"] = data_sha256
+    header = json.dumps(header).encode()
 
     def body(f):
         f.write(CKPT_MAGIC)
@@ -120,6 +131,9 @@ def _read(path):
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
 
+    digests = header.get("data_sha256")
+    if digests is not None and not isinstance(digests, dict):
+        raise ValueError(f"{path}: bad header entry 'data_sha256'")
     # a retired key loads whatever value an older checkpoint recorded for it
     cfg = make_config(file_values={k: v for k, v in header["config"].items()
                                    if k not in RETIRED_KEYS})
@@ -138,7 +152,23 @@ def _read(path):
         rng_states=header["rng_states"],
         opt_theta=header["optimizers"].get("theta", {}),
         opt_phi=header["optimizers"].get("phi", {}),
+        data_sha256=digests,
     )
+
+
+def check_data(ck, dir_path, path):
+    """Reject a dataset directory whose files differ from those ``ck`` was trained on.
+
+    A checkpoint without digests, written before they were recorded, is let
+    through: :func:`check_fits` is then its only check.
+    """
+    if ck.data_sha256 is None:
+        return
+    found = file_digests(dir_path)
+    for name in DATA_FILES:
+        if found[name] != ck.data_sha256.get(name):
+            raise ValueError(f"{os.path.join(dir_path, name)}: differs from the file "
+                             f"{path} was trained on (SHA-256 mismatch)")
 
 
 def check_fits(ck, ds, path):

@@ -21,26 +21,33 @@ from .config import RunConfig, _coerce, echo_lines, load_config_file, make_confi
 from . import margin_net
 
 # Ablation matrix: margin scheme x embedding kind x relations x feature mode.
-ABLATION_VARIANTS = {
-    1: dict(distance_kind="euclidean", margin_mode="fixed:1.0", relations="ui"),
-    2: dict(distance_kind="w2", margin_mode="fixed:1.0", relations="ui"),
-    3: dict(distance_kind="euclidean", margin_mode="adaptive", relations="ui",
-            indicator_mode="squared-diff"),
-    4: dict(distance_kind="euclidean", margin_mode="adaptive", relations="ui",
-            indicator_mode="concat"),
-    5: dict(distance_kind="euclidean", margin_mode="adaptive", relations="ui",
-            indicator_mode="sum"),
-    6: dict(distance_kind="w2", margin_mode="adaptive", relations="ui"),
-    7: dict(distance_kind="w2", margin_mode="adaptive", relations="ui,uu,ii",
-            margin_mode_uu="fixed:1.0", margin_mode_ii="fixed:1.0"),
-    8: dict(distance_kind="w2", margin_mode="adaptive", relations="ui,uu,ii"),
-}
+# Every variant sets all six keys that define it (None leaves a per-relation
+# margin override unset), so no flag or config value can reach some variants
+# and not others.
+VARIANT_KEYS = ("distance_kind", "margin_mode", "margin_mode_uu", "margin_mode_ii",
+                "relations", "indicator_mode")
+ABLATION_VARIANTS = {variant: dict(zip(VARIANT_KEYS, values)) for variant, values in {
+    1: ("euclidean", "fixed:1.0", None, None, "ui", "squared-diff"),
+    2: ("w2", "fixed:1.0", None, None, "ui", "squared-diff"),
+    3: ("euclidean", "adaptive", None, None, "ui", "squared-diff"),
+    4: ("euclidean", "adaptive", None, None, "ui", "concat"),
+    5: ("euclidean", "adaptive", None, None, "ui", "sum"),
+    6: ("w2", "adaptive", None, None, "ui", "squared-diff"),
+    7: ("w2", "adaptive", "fixed:1.0", "fixed:1.0", "ui,uu,ii", "squared-diff"),
+    8: ("w2", "adaptive", None, None, "ui,uu,ii", "squared-diff"),
+}.items()}
 
 
-def _add_config_args(p):
-    """``--config`` plus one flag per :class:`RunConfig` field; a bool field is a switch."""
+def _add_config_args(p, leave_out=()):
+    """``--config`` plus one flag per :class:`RunConfig` field not in ``leave_out``.
+
+    A bool field is a switch. A command that leaves a field out sets it
+    itself, and its config file may not set it either (:func:`_config_from_args`).
+    """
     p.add_argument("--config", help="flat key = value config file")
     for f in fields(RunConfig):
+        if f.name in leave_out:
+            continue
         alias = ("--distance",) if f.name == "distance_kind" else ()
         how = (dict(action="store_const", const="true") if isinstance(f.default, bool)
                else dict(metavar="V"))
@@ -50,27 +57,32 @@ def _add_config_args(p):
 
 
 def _config_from_args(args, **overrides):
-    """RunConfig from --config, then the flags, then ``overrides``."""
+    """RunConfig from --config, then the flags, then ``overrides``.
+
+    A config file may not set a field the command has no flag for: the
+    command sets that field itself.
+    """
+    names = [f.name for f in fields(RunConfig)]
     values = dict(load_config_file(args.config)) if args.config else {}
-    values.update({f.name: getattr(args, f.name) for f in fields(RunConfig)
-                   if getattr(args, f.name) is not None})
+    for key in values:
+        if key in names and key not in vars(args):
+            raise ValueError(f"{args.config}: {args.command} sets {key!r} itself; "
+                             f"remove it from the file")
+    values.update({name: getattr(args, name) for name in names
+                   if getattr(args, name, None) is not None})
     return make_config(file_values={**values, **overrides})
 
 
 def cmd_prepare(args):
-    cfg = _config_from_args(args)
     pairs = data.ingest(args.ratings, rating_threshold=args.rating_threshold)
     ds = data.filter_iterative(pairs, min_user=args.min_user, min_item=args.min_item)
     ds.check()
-    folds = data.split_five_fold(ds, cfg.seed)
+    folds = data.split_five_fold(ds, args.seed)
     data.save_dataset(args.out_dir, ds)
     data.save_folds(args.out_dir, folds)
     with open(os.path.join(args.out_dir, "prepare_config.txt"), "w") as f:
-        f.write(f"rating_threshold = {args.rating_threshold}\n")
-        f.write(f"min_user = {args.min_user}\n")
-        f.write(f"min_item = {args.min_item}\n")
-        for line in echo_lines(cfg):
-            f.write(line + "\n")
+        for name in ("rating_threshold", "min_user", "min_item", "seed"):
+            f.write(f"{name} = {getattr(args, name)}\n")
     density = ds.n_interactions / (ds.n_users * ds.n_items)
     print(f"users {ds.n_users}  items {ds.n_items}  "
           f"interactions {ds.n_interactions}  density {100 * density:.3f}%")
@@ -79,13 +91,14 @@ def cmd_prepare(args):
 
 def cmd_train(args):
     cfg = _config_from_args(args)
+    digests = data.file_digests(args.dataset_dir)  # before parsing: a later change fails closed
     ds = data.load_dataset(args.dataset_dir)
     fold = data.load_fold(args.dataset_dir, ds, args.fold)
     os.makedirs(args.out_dir, exist_ok=True)
     result = bilevel.train(ds, fold, cfg, cache_dir=args.dataset_dir,
                            log=print if not args.quiet else None)
     checkpoint.save(os.path.join(args.out_dir, "checkpoint.bin"), result,
-                    fold_index=args.fold)
+                    fold_index=args.fold, data_sha256=digests)
     bilevel.write_trace(os.path.join(args.out_dir, "trace.csv"),
                         result.trace, header_lines=echo_lines(cfg))
     if result.evals:
@@ -94,10 +107,11 @@ def cmd_train(args):
 
 
 def _load_run(args):
-    """The checkpoint, the dataset it must fit, and the checkpoint's fold."""
+    """The checkpoint, the dataset it was trained on, and the checkpoint's fold."""
     ck = checkpoint.load(args.checkpoint)
     ds = data.load_dataset(args.dataset_dir)
     checkpoint.check_fits(ck, ds, args.checkpoint)
+    checkpoint.check_data(ck, args.dataset_dir, args.checkpoint)
     fold = data.load_fold(args.dataset_dir, ds, ck.fold_index)
     return ck, ds, fold
 
@@ -147,10 +161,9 @@ def cmd_ablate(args):
     lines = ["variant,seed,recall10,ndcg10"]
     means = {}
     for variant in variants:
-        overrides = dict(ABLATION_VARIANTS[variant])
         r10s, n10s = [], []
         for seed in seeds:
-            cfg = _config_from_args(args, **overrides, seed=str(seed))
+            cfg = _config_from_args(args, **ABLATION_VARIANTS[variant], seed=seed)
             result = bilevel.train(ds, fold, cfg, cache_dir=args.dataset_dir)
             report = evaluator.evaluate(result.users, result.items, fold,
                                         (10,), cfg.kind())
@@ -214,13 +227,16 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="pmlam")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", help="ratings file -> dataset cache + folds")
+    # prepare and ablate take no abbreviated flags: "--h" would mean --help to
+    # prepare, and "--seed" would mean --seeds to ablate.
+    p = sub.add_parser("prepare", help="ratings file -> dataset cache + folds",
+                       allow_abbrev=False)
     p.add_argument("ratings")
     p.add_argument("out_dir")
     p.add_argument("--rating-threshold", type=float, default=4.0)
     p.add_argument("--min-user", type=int, default=10)
     p.add_argument("--min-item", type=int, default=5)
-    _add_config_args(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the five-fold split")
     p.set_defaults(fn=cmd_prepare)
 
     p = sub.add_parser("train", help="train on one fold")
@@ -245,13 +261,13 @@ def build_parser():
     p.add_argument("-k", type=int, default=10)
     p.set_defaults(fn=cmd_recommend)
 
-    p = sub.add_parser("ablate", help="run the eight-variant matrix")
+    p = sub.add_parser("ablate", help="run the eight-variant matrix", allow_abbrev=False)
     p.add_argument("dataset_dir")
     p.add_argument("--fold", type=int, default=0)
     p.add_argument("--seeds", default="0,1,2")
     p.add_argument("--variants", help="comma list, default all eight")
     p.add_argument("--out")
-    _add_config_args(p)
+    _add_config_args(p, leave_out=(*VARIANT_KEYS, "seed"))  # the seed comes from --seeds
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("case-study", help="margins for similar vs dissimilar negatives")

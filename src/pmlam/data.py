@@ -11,6 +11,7 @@ anchor's excluded ids or negative pool) is held as :class:`Rows`, one CSR
 pair of arrays.
 """
 
+import hashlib
 import operator
 import os
 import tempfile
@@ -21,6 +22,8 @@ from scipy import sparse
 
 DS_MAGIC = "PMLAM-DS v1"
 FOLDS_MAGIC = "PMLAM-FOLDS v1"
+# The files of a prepared dataset, in the order their digests are checked.
+DATA_FILES = ("dataset.txt", "folds.txt", "user_ids.txt", "item_ids.txt")
 
 
 class ParseError(ValueError):
@@ -108,9 +111,8 @@ class InteractionDataset:
         assert len(self.item_ids) == self.n_items
         assert len(set(self.user_ids)) == self.n_users
         assert len(set(self.item_ids)) == self.n_items
-        anchors, _ = Rows(self.indptr, self.indices).pairs()
-        bad = np.flatnonzero((np.diff(self.indices) <= 0) & (np.diff(anchors) == 0))
-        assert not bad.size, f"row {anchors[bad[0]]} not strictly increasing"
+        bad = first_row_not_increasing(Rows(self.indptr, self.indices))
+        assert bad is None, f"row {bad} not strictly increasing"
         if self.n_items:
             assert self.indices.min() >= 0 and self.indices.max() < self.n_items
 
@@ -310,6 +312,9 @@ def load_dataset(dir_path):
     bad = first_row_outside(rows, n_items)
     if bad is not None:
         raise ValueError(f"{path}:{bad + 5}: item index outside [0, {n_items})")
+    bad = first_row_not_increasing(rows)
+    if bad is not None:
+        raise ValueError(f"{path}:{bad + 5}: item indices not strictly increasing")
     user_ids = _load_ids(os.path.join(dir_path, "user_ids.txt"), n_users)
     item_ids = _load_ids(os.path.join(dir_path, "item_ids.txt"), n_items)
     return InteractionDataset(
@@ -364,6 +369,26 @@ def first_row_outside(rows, n):
     if not bad.size:
         return None
     return int(np.searchsorted(rows.indptr, bad[0], side="right")) - 1
+
+
+def first_row_not_increasing(rows):
+    """Index of the first row of :class:`Rows` that is not strictly increasing, or None."""
+    bad = np.diff(rows.indices) <= 0  # bad[p]: entry p + 1 does not exceed entry p
+    starts = rows.indptr[1:-1]
+    bad[starts[(starts > 0) & (starts < len(rows.indices))] - 1] = False  # across rows
+    bad = np.flatnonzero(bad)
+    if not bad.size:
+        return None
+    return int(np.searchsorted(rows.indptr, bad[0] + 1, side="right")) - 1
+
+
+def file_digests(dir_path):
+    """SHA-256 hex digest of each of a prepared dataset's :data:`DATA_FILES`."""
+    digests = {}
+    for name in DATA_FILES:
+        with open(os.path.join(dir_path, name), "rb") as f:
+            digests[name] = hashlib.sha256(f.read()).hexdigest()
+    return digests
 
 
 def _load_ids(path, expected):

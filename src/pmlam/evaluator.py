@@ -13,8 +13,6 @@ import numpy as np
 
 from .distance import DistanceKind
 
-DEFAULT_KS = (5, 10, 15, 20)
-
 
 @dataclass
 class EvalReport:
@@ -123,8 +121,7 @@ def _row_mask(rows, idx, n_cols):
     return mask
 
 
-def evaluate(users, items, fold, ks=DEFAULT_KS, kind=DistanceKind.W2_SQUARED,
-             chunk=256):
+def evaluate(users, items, fold, ks, kind, chunk=256):
     """Mean Recall@K / NDCG@K over users with a nonempty test set."""
     ks = tuple(ks)
     recall_sums = {k: 0.0 for k in ks}

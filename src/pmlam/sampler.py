@@ -8,8 +8,6 @@ positive/neighbor set, and within the period negatives come from the pool
 vectorised pass over all anchors.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import Rows
@@ -18,18 +16,15 @@ from .losses import TripletBatch
 KEY_BLOCK = 1 << 18  # random keys held at once during a refresh (2 MB)
 
 
-@dataclass
 class CandidatePool(Rows):
     """Per-anchor negative candidates: ``pool[a]`` is anchor ``a``'s pool, ascending."""
-
-    epoch_of_build: int
 
     @property
     def n_anchors(self):
         return len(self)
 
 
-def refresh_pool(exclusions, n_universe, pool_size, rng, epoch=0):
+def refresh_pool(exclusions, n_universe, pool_size, rng):
     """Sample a fresh candidate pool for every anchor.
 
     ``exclusions`` are :class:`~pmlam.data.Rows`, one per anchor: its positive
@@ -58,8 +53,7 @@ def refresh_pool(exclusions, n_universe, pool_size, rng, epoch=0):
         picked = np.sort(np.where(live, picked, n_universe), axis=1)
         counts[start:stop] = live.sum(axis=1)
         chunks.append(picked[picked < n_universe])
-    return CandidatePool(np.concatenate([[0], np.cumsum(counts)]), np.concatenate(chunks),
-                         epoch_of_build=epoch)
+    return CandidatePool(np.concatenate([[0], np.cumsum(counts)]), np.concatenate(chunks))
 
 
 def sample_triplets(relation, anchors, positives, pool, neg_samples, rng):

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (Rows, as_rows, atomic_write, first_row_outside, header_count,
-                   header_value, read_index_rows, write_index_rows)
+from .data import (Rows, as_rows, atomic_write, first_row_not_increasing,
+                   first_row_outside, header_count, header_value, read_index_rows,
+                   write_index_rows)
 
 NBR_MAGIC = "PMLAM-NBR v1"
 
@@ -70,7 +71,7 @@ def save(path, nbr):
 
 
 def load(path, n_rows=None):
-    """Read cached neighbor sets; a cut file or a wrong row count is rejected.
+    """Read cached neighbor sets; a cut file, a wrong row count or an unsorted row is rejected.
 
     ``n_rows``, when given, is the number of entities the caller expects.
     """
@@ -86,6 +87,9 @@ def load(path, n_rows=None):
     bad = first_row_outside(neighbors, n)
     if bad is not None:
         raise ValueError(f"{path}:{bad + 5}: neighbor index outside [0, {n})")
+    bad = first_row_not_increasing(neighbors)
+    if bad is not None:
+        raise ValueError(f"{path}:{bad + 5}: neighbor indices not strictly increasing")
     return NeighborSets(kind=kind, tau=tau, neighbors=neighbors)
 
 

@@ -9,8 +9,12 @@ import pytest
 from pmlam import bilevel, checkpoint, evaluator
 from pmlam.cli import ABLATION_VARIANTS, build_parser, main
 from pmlam.config import RunConfig, make_config
-from pmlam.data import load_dataset, load_folds, split_five_fold, save_dataset, save_folds
+from pmlam.data import (DATA_FILES, load_dataset, load_folds, split_five_fold, save_dataset,
+                        save_folds)
 from pmlam.synth import planted_clusters, write_item_labels
+
+VARIANT_KEYS = ("distance_kind", "margin_mode", "margin_mode_uu", "margin_mode_ii",
+                "relations", "indicator_mode")
 
 FAST = ["--h", "4", "--hidden", "4", "--epochs", "2", "--batch-size", "64",
         "--neg-samples", "2", "--pool-size", "8", "--refresh-period", "2",
@@ -54,6 +58,23 @@ def test_prepare_writes_cache_and_stats(tmp_path, capsys):
     assert main(["prepare", str(ratings), str(out), "--min-user", "10",
                  "--min-item", "5", "--seed", "0"]) == 0
     assert file_digest(out / "dataset.txt") == digest  # rerun reproduces bytes
+
+
+def test_prepare_takes_only_its_seed(tmp_path, capsys):
+    ratings = tmp_path / "ratings.tsv"
+    write_ratings(ratings)
+    out = tmp_path / "ds"
+    for extra in (["--h", "8"], ["--epochs", "3"], ["--config", str(ratings)],
+                  ["--deterministic"], ["--se", "1"]):
+        with pytest.raises(SystemExit) as e:
+            main(["prepare", str(ratings), str(out)] + extra)
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["prepare", str(ratings), str(out), "--seed", "3"]) == 0
+    assert (out / "prepare_config.txt").read_text() == (
+        "rating_threshold = 4.0\nmin_user = 10\nmin_item = 5\nseed = 3\n")
+    assert "\nseed 3\n" in (out / "folds.txt").read_text()
 
 
 def test_prepare_missing_file_exits_2(tmp_path, capsys):
@@ -145,6 +166,8 @@ def test_ablate_emits_all_variants(tmp_path, capsys):
     assert ABLATION_VARIANTS[4]["indicator_mode"] == "concat"
     assert ABLATION_VARIANTS[5]["indicator_mode"] == "sum"
     assert ABLATION_VARIANTS[8]["relations"] == "ui,uu,ii"
+    for spec in ABLATION_VARIANTS.values():  # each sets every key that defines a variant
+        assert sorted(spec) == sorted(VARIANT_KEYS)
 
 
 def test_case_study_output_is_sorted_and_stable(tmp_path, capsys):
@@ -261,18 +284,23 @@ def test_retired_config_keys_accepted_only_at_old_values(tmp_path, capsys):
     assert "'optimizer'" in capsys.readouterr().err
 
 
-def test_checkpoint_with_retired_keys_still_evaluates(tmp_path, capsys):
-    d, ck = trained_checkpoint(tmp_path)
+def rewrite_header(ck, edit):
+    """Apply ``edit`` to the JSON header of checkpoint file ``ck``, in place."""
     blob = ck.read_bytes()
     head = len(checkpoint.CKPT_MAGIC)
     n = int.from_bytes(blob[head:head + 8], "little")
     header = json.loads(blob[head + 8:head + 8 + n])
-    header["config"].update(early_stop_patience="3", optimizer="sgd",
-                            margin_grad_to_theta="True", mu_std="0.05",
-                            sigma0="0.2", sigma_jitter="0.0")
+    edit(header)
     raw = json.dumps(header).encode()
     ck.write_bytes(blob[:head] + len(raw).to_bytes(8, "little") + raw
                    + blob[head + 8 + n:])
+
+
+def test_checkpoint_with_retired_keys_still_evaluates(tmp_path, capsys):
+    d, ck = trained_checkpoint(tmp_path)
+    rewrite_header(ck, lambda header: header["config"].update(
+        early_stop_patience="3", optimizer="sgd", margin_grad_to_theta="True",
+        mu_std="0.05", sigma0="0.2", sigma_jitter="0.0"))
     assert main(["evaluate", str(d), str(ck)]) == 0
     assert "Recall@K" in capsys.readouterr().out
 
@@ -283,10 +311,16 @@ def _subparser(name):
 
 
 def test_every_config_field_has_one_flag():
-    for command in ("train", "prepare", "ablate"):
+    # train takes every field; ablate all but the keys each variant sets and
+    # the seed, which comes from --seeds
+    for command, left_out in (("train", ()), ("ablate", VARIANT_KEYS + ("seed",))):
         parser = _subparser(command)
         for f in dataclasses.fields(RunConfig):
-            action, = [a for a in parser._actions if a.dest == f.name]
+            actions = [a for a in parser._actions if a.dest == f.name]
+            if f.name in left_out:
+                assert actions == []
+                continue
+            action, = actions
             flag = "--" + f.name.replace("_", "-")
             extra = ["--distance"] if f.name == "distance_kind" else []
             assert action.option_strings == [flag] + extra
@@ -294,10 +328,46 @@ def test_every_config_field_has_one_flag():
                 assert action.nargs == 0 and action.const == "true"
             else:
                 assert action.nargs is None
-        positionals = ["ratings", "out"] if command == "prepare" else ["data"]
-        args = parser.parse_args(
-            positionals + ["--distance", "euclidean", "--joint-margin-training"])
-        assert args.distance_kind == "euclidean" and args.joint_margin_training == "true"
+        fields_taken = {a.dest for a in parser._actions} & {
+            f.name for f in dataclasses.fields(RunConfig)}
+        assert len(fields_taken) == {"train": 22, "ablate": 15}[command]
+        args = parser.parse_args(["data", "--joint-margin-training"])
+        assert args.joint_margin_training == "true"
+    assert _subparser("train").parse_args(
+        ["data", "--distance", "euclidean"]).distance_kind == "euclidean"
+    # prepare reads one setting, the seed of its split
+    prepare = _subparser("prepare")
+    assert sorted(a.option_strings[0] for a in prepare._actions if a.option_strings) == [
+        "--min-item", "--min-user", "--rating-threshold", "--seed", "-h"]
+    assert prepare.parse_args(["ratings", "out"]).seed == 0
+
+
+@pytest.mark.parametrize("key, flags, value", [
+    ("distance_kind", ["--distance-kind", "--distance"], "euclidean"),
+    ("margin_mode", ["--margin-mode"], "fixed:2"),
+    ("margin_mode_uu", ["--margin-mode-uu"], "fixed:2"),
+    ("margin_mode_ii", ["--margin-mode-ii"], "fixed:2"),
+    ("relations", ["--relations"], "ui"),
+    ("indicator_mode", ["--indicator-mode"], "concat"),
+    ("seed", ["--seed"], "3")])
+def test_ablate_rejects_the_keys_it_sets_itself(tmp_path, capsys, monkeypatch,
+                                                key, flags, value):
+    d, _ = planted_dataset_dir(tmp_path)
+
+    def no_training(*args, **kw):
+        raise AssertionError("trained with a key that ablate sets itself")
+
+    monkeypatch.setattr(bilevel, "train", no_training)
+    ablate = ["ablate", str(d), "--seeds", "0", "--variants", "8"] + FAST
+    for flag in flags:
+        with pytest.raises(SystemExit) as e:
+            main(ablate + [flag, value])
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"epochs = 2\n{key.replace('_', '-')} = {value}\n")
+    assert main(ablate + ["--config", str(cfg_file)]) == 2
+    assert f"{cfg_file}: ablate sets {key!r} itself" in capsys.readouterr().err
 
 
 def test_fold_past_the_fold_count_exits_2(tmp_path, capsys):
@@ -417,3 +487,67 @@ def test_ablate_unknown_variant_exits_2_before_training(tmp_path, capsys, monkey
             ("--variants", " , ", "--variants: expected a comma list of integers")):
         assert main(["ablate", str(d), "--seeds", "0", flag, raw] + FAST) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["0 0", "1 0"])
+def test_dataset_row_not_strictly_increasing_exits_2(tmp_path, capsys, row):
+    d, _ = planted_dataset_dir(tmp_path, seed=4)
+    path = d / "dataset.txt"
+    lines = path.read_text().split("\n")
+    assert lines[4].startswith("0 1 2 ")  # user 0's row
+    lines[4] = row + lines[4][3:]
+    path.write_text("\n".join(lines))
+    rc = main(["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet",
+               "--relations", "ui"] + FAST)
+    assert rc == 2
+    assert ("dataset.txt:5: item indices not strictly increasing"
+            in capsys.readouterr().err)
+
+
+SPARSE = dict(n_users=60, n_items=40, n_clusters=2, p_in=0.4, p_out=0.03)
+
+
+def test_checkpoint_on_a_resplit_dataset_exits_2(tmp_path, capsys):
+    d, ck = trained_checkpoint(tmp_path, **SPARSE)
+    ds = load_dataset(d)
+    save_folds(d, split_five_fold(ds, seed=1))  # same data and shape, other folds
+    capsys.readouterr()
+    for argv in (["evaluate", str(d), str(ck)],
+                 ["recommend", str(d), str(ck), ds.user_ids[0]]):
+        assert main(argv) == 2
+        assert f"folds.txt: differs from the file {ck} was trained on" in (
+            capsys.readouterr().err)
+
+
+def edit_one_byte(path):
+    """Change one byte of a prepared-data file so that the file still loads."""
+    lines = path.read_text().split("\n")
+    if path.name == "dataset.txt":  # raise the last item of some row by one
+        n_items = int(lines[2].split()[1])
+        r = next(r for r in range(4, len(lines)) if lines[r][-1:] not in ("", "9")
+                 and int(lines[r].split()[-1]) + 1 < n_items)
+        lines[r] = lines[r][:-1] + str(int(lines[r][-1]) + 1)
+    elif path.name == "folds.txt":  # move user 0's first item to the next fold
+        lines[3] = str((int(lines[3][0]) + 1) % 5) + lines[3][1:]
+    else:  # rename the first id
+        lines[0] = lines[0][:-1] + "~"
+    path.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("name", DATA_FILES)
+def test_one_byte_edit_of_the_training_data_exits_2(tmp_path, capsys, name):
+    d, ck = trained_checkpoint(tmp_path, **SPARSE)
+    edit_one_byte(d / name)
+    load_folds(d, load_dataset(d))  # the edited files load: only the digest tells
+    capsys.readouterr()
+    assert main(["evaluate", str(d), str(ck)]) == 2
+    assert f"{name}: differs from the file {ck} was trained on" in capsys.readouterr().err
+
+
+def test_checkpoint_without_digests_keeps_the_shape_check(tmp_path, capsys):
+    d, ck = trained_checkpoint(tmp_path, **SPARSE)
+    rewrite_header(ck, lambda header: header.pop("data_sha256"))  # an older checkpoint
+    ds = load_dataset(d)
+    save_folds(d, split_five_fold(ds, seed=1))
+    assert main(["evaluate", str(d), str(ck)]) == 0
+    assert "Recall@K" in capsys.readouterr().out

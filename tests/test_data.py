@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pmlam.data import (InteractionDataset, ParseError, Rows, as_rows, atomic_write,
-                        filter_iterative, ingest, load_dataset, load_folds,
-                        parse_line, save_dataset, save_folds, split_five_fold)
+                        filter_iterative, first_row_not_increasing, ingest, load_dataset,
+                        load_folds, parse_line, save_dataset, save_folds, split_five_fold)
 from pmlam.synth import planted_clusters
 
 from helpers import (dataset_digest, reference_filter_iterative, reference_folds_text,
@@ -313,6 +313,15 @@ def test_load_rejects_damaged_id_sidecar(tmp_path, damage, message):
     path.write_text(text[:-1] if damage == "cut" else text)
     with pytest.raises(ValueError, match=message):
         load_dataset(tmp_path)
+
+
+def test_first_row_not_increasing_matches_a_row_loop():
+    rng = np.random.default_rng(5)
+    for _ in range(500):  # short rows of few values: repeats, descents and empty rows
+        lists = [rng.integers(0, 5, size=rng.integers(0, 4))
+                 for _ in range(rng.integers(0, 6))]
+        want = next((r for r, row in enumerate(lists) if np.any(np.diff(row) <= 0)), None)
+        assert first_row_not_increasing(as_rows(lists)) == want
 
 
 ROW_LISTS = {

@@ -12,8 +12,7 @@ from helpers import validate_membership
 def test_pool_excludes_positives():
     rng = np.random.default_rng(0)
     exclusions = [np.array([0, 1, 2]), np.array([5]), np.array([], dtype=int)]
-    pool = refresh_pool(as_rows(exclusions), n_universe=10, pool_size=4, rng=rng, epoch=3)
-    assert pool.epoch_of_build == 3
+    pool = refresh_pool(as_rows(exclusions), n_universe=10, pool_size=4, rng=rng)
     for a in range(3):
         cands = pool[a]
         assert len(cands) == 4

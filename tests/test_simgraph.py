@@ -115,7 +115,7 @@ def test_build_or_load_uses_cache(tmp_path):
     assert rows_digest(rows) == rows_digest([r.copy() for r in rows])
 
 
-@pytest.mark.parametrize("damage", ["cut", "count", "range"])
+@pytest.mark.parametrize("damage", ["cut", "count", "range", "repeat", "order"])
 def test_load_rejects_damaged_cache(tmp_path, damage):
     rng = np.random.default_rng(4)
     rows = random_rows(rng, 30, 15)
@@ -126,10 +126,14 @@ def test_load_rejects_damaged_cache(tmp_path, damage):
         lines = lines[:6]
     elif damage == "count":
         lines[3] = "n 31"
-    else:
+    elif damage == "range":
         lines[4] = "30"
+    else:  # the first entity's row repeats an id or is out of order
+        lines[4] = "1 1" if damage == "repeat" else "2 1"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="nbr.txt:"):
+    unsorted = damage in ("repeat", "order")
+    with pytest.raises(ValueError, match="nbr.txt:" + ("5: neighbor indices not strictly"
+                                                       if unsorted else "")):
         load(str(path), n_rows=30)
 
 
