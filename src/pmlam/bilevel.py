@@ -190,13 +190,12 @@ def _non_finite_dump(where, batches, epoch, it):
             f"batch heads (anchor/pos/neg): {heads}")
 
 
-def train(ds, fold, cfg, cache_dir=None, log=None):
+def train(ds, fold, cfg, log=None):
     """Run the alternating procedure on one fold; returns a TrainResult.
 
     ``ds`` supplies entity counts; ``fold`` the per-user train/test item
     sets. Neighbor sets for the same-entity relations are built from the
-    training rows (or read from the cache in ``cache_dir``). Deterministic
-    for a fixed config seed.
+    training rows. Deterministic for a fixed config seed.
     """
     cfg.validate()
     kind = cfg.kind()
@@ -224,14 +223,11 @@ def train(ds, fold, cfg, cache_dir=None, log=None):
     if any(rel in cfg.relations for rel in ("uu", "ii")):
         neighbors = {}
         if "uu" in cfg.relations:
-            neighbors["uu"] = simgraph.build_or_load(
-                cache_dir, fold.train_rows, ds.n_items, cfg.sim_threshold,
-                "user", fold.fold_index)
+            neighbors["uu"] = simgraph.build(fold.train_rows, ds.n_items,
+                                             cfg.sim_threshold)
         if "ii" in cfg.relations:
             item_rows = Rows.from_pairs(*pairs["ui"][::-1], ds.n_items)  # the transpose
-            neighbors["ii"] = simgraph.build_or_load(
-                cache_dir, item_rows, ds.n_users, cfg.sim_threshold,
-                "item", fold.fold_index)
+            neighbors["ii"] = simgraph.build(item_rows, ds.n_users, cfg.sim_threshold)
         for rel, n_entities in (("uu", ds.n_users), ("ii", ds.n_items)):
             if rel in cfg.relations:
                 nbr = neighbors[rel].neighbors

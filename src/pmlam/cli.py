@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 usage or input error, 3 numeric failure.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields
@@ -36,6 +37,7 @@ ABLATION_VARIANTS = {variant: dict(zip(VARIANT_KEYS, values)) for variant, value
     7: ("w2", "adaptive", "fixed:1.0", "fixed:1.0", "ui,uu,ii", "squared-diff"),
     8: ("w2", "adaptive", None, None, "ui,uu,ii", "squared-diff"),
 }.items()}
+ABLATE_SETS = (*VARIANT_KEYS, "seed")  # the seed comes from --seeds
 
 
 def _add_config_args(p, leave_out=()):
@@ -95,8 +97,7 @@ def cmd_train(args):
     ds = data.load_dataset(args.dataset_dir)
     fold = data.load_fold(args.dataset_dir, ds, args.fold)
     os.makedirs(args.out_dir, exist_ok=True)
-    result = bilevel.train(ds, fold, cfg, cache_dir=args.dataset_dir,
-                           log=print if not args.quiet else None)
+    result = bilevel.train(ds, fold, cfg, log=print if not args.quiet else None)
     checkpoint.save(os.path.join(args.out_dir, "checkpoint.bin"), result,
                     fold_index=args.fold, data_sha256=digests)
     bilevel.write_trace(os.path.join(args.out_dir, "trace.csv"),
@@ -164,7 +165,7 @@ def cmd_ablate(args):
         r10s, n10s = [], []
         for seed in seeds:
             cfg = _config_from_args(args, **ABLATION_VARIANTS[variant], seed=seed)
-            result = bilevel.train(ds, fold, cfg, cache_dir=args.dataset_dir)
+            result = bilevel.train(ds, fold, cfg)
             report = evaluator.evaluate(result.users, result.items, fold,
                                         (10,), cfg.kind())
             r10s.append(report.recall[10])
@@ -178,9 +179,10 @@ def cmd_ablate(args):
         r, n = means[variant]
         lines.append(f"{variant},{r!r},{n!r},")
     out = args.out or os.path.join(args.dataset_dir, "ablation.csv")
-    with open(out, "w") as f:
+    with open(out, "w") as f:  # the header states only what every row shares
         for line in echo_lines(base):
-            f.write(f"# {line}\n")
+            if line.split(" = ")[0] not in ABLATE_SETS:
+                f.write(f"# {line}\n")
         f.write("\n".join(lines) + "\n")
     print(f"wrote {out}")
     return 0
@@ -225,12 +227,11 @@ def _margin_of(ck, u, pos, neg):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="pmlam")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
-    # prepare and ablate take no abbreviated flags: "--h" would mean --help to
-    # prepare, and "--seed" would mean --seeds to ablate.
-    p = sub.add_parser("prepare", help="ratings file -> dataset cache + folds",
-                       allow_abbrev=False)
+    p = sub.add_parser("prepare", help="ratings file -> dataset cache + folds")
     p.add_argument("ratings")
     p.add_argument("out_dir")
     p.add_argument("--rating-threshold", type=float, default=4.0)
@@ -261,13 +262,13 @@ def build_parser():
     p.add_argument("-k", type=int, default=10)
     p.set_defaults(fn=cmd_recommend)
 
-    p = sub.add_parser("ablate", help="run the eight-variant matrix", allow_abbrev=False)
+    p = sub.add_parser("ablate", help="run the eight-variant matrix")
     p.add_argument("dataset_dir")
     p.add_argument("--fold", type=int, default=0)
     p.add_argument("--seeds", default="0,1,2")
     p.add_argument("--variants", help="comma list, default all eight")
     p.add_argument("--out")
-    _add_config_args(p, leave_out=(*VARIANT_KEYS, "seed"))  # the seed comes from --seeds
+    _add_config_args(p, leave_out=ABLATE_SETS)
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("case-study", help="margins for similar vs dissimilar negatives")

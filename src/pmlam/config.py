@@ -127,8 +127,11 @@ def _coerce(name, default, raw):
 
 
 def load_config_file(path):
-    """Parse a flat ``key = value`` file (# comments) into a raw dict."""
-    raw = {}
+    """Parse a flat ``key = value`` file (# comments) into a raw dict.
+
+    A key set twice is rejected; ``-`` and ``_`` in keys are the same.
+    """
+    raw, set_on = {}, {}
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -137,7 +140,11 @@ def load_config_file(path):
             if "=" not in stripped:
                 raise ValueError(f"{path}:{line_no}: expected 'key = value'")
             key, value = stripped.split("=", 1)
-            raw[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in set_on:
+                raise ValueError(f"{path}:{line_no}: {key!r} is already set on "
+                                 f"line {set_on[key]}")
+            raw[key], set_on[key] = value.strip(), line_no
     return raw
 
 

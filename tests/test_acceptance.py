@@ -470,7 +470,7 @@ def test_criterion_8_margin_case_study():
 
 
 # ---------------------------------------------------------------------------
-# criterion 9: bit-identical reruns under --deterministic
+# criterion 9: bit-identical reruns
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -304,18 +304,19 @@ def test_item_rows_and_pool_exclusions_match_references(monkeypatch, p_in, p_out
                             p_out=p_out)
     cfg = quick_config(relations=("ui", "uu", "ii"), epochs=1)
     rows_in, built, excluded = {}, {}, []
-    real_build, real_refresh = bilevel.simgraph.build_or_load, bilevel.sampler.refresh_pool
+    real_build, real_refresh = bilevel.simgraph.build, bilevel.sampler.refresh_pool
 
-    def recording_build(cache_dir, rows, n_cols, tau, kind, fold_index):
+    def recording_build(rows, n_cols, tau):
+        kind = "user" if n_cols == ds.n_items else "item"  # items' rows hold users
         rows_in[kind] = rows
-        built[kind] = real_build(cache_dir, rows, n_cols, tau, kind, fold_index)
+        built[kind] = real_build(rows, n_cols, tau)
         return built[kind]
 
     def recording_refresh(exclusions, *args, **kw):
         excluded.append(exclusions)
         return real_refresh(exclusions, *args, **kw)
 
-    monkeypatch.setattr(bilevel.simgraph, "build_or_load", recording_build)
+    monkeypatch.setattr(bilevel.simgraph, "build", recording_build)
     monkeypatch.setattr(bilevel.sampler, "refresh_pool", recording_refresh)
     train(ds, fold, cfg)
     expect_items = reference_transpose_rows(list(fold.train_rows), ds.n_items)

@@ -159,6 +159,11 @@ def test_ablate_emits_all_variants(tmp_path, capsys):
     for variant in range(1, 9):
         assert f"\n{variant},0," in text
     assert "# batch_size = 64" in text
+    header = [line[2:].split(" = ")[0] for line in text.split("\n") if line.startswith("#")]
+    # the header states only settings every row shares: the variants and
+    # --seeds set the other seven
+    assert len(header) == len(dataclasses.fields(RunConfig)) - 7
+    assert not set(header) & {*VARIANT_KEYS, "seed"}
     for line in text.strip().split("\n"):
         if not line.startswith(("#", "variant")):
             [float(cell) for cell in line.rstrip(",").split(",")]  # no reprs
@@ -370,6 +375,17 @@ def test_ablate_rejects_the_keys_it_sets_itself(tmp_path, capsys, monkeypatch,
     assert f"{cfg_file}: ablate sets {key!r} itself" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["evaluate", "d", "c", "--k", "5"], "--k 5"),  # --ks
+    (["train", "d", "--eps", "0.5"], "--eps 0.5"),  # --eps-fd
+    (["case-study", "d", "c", "--n", "3"], "--n 3")])  # --n-users
+def test_no_command_accepts_abbreviated_flags(capsys, argv, flag):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_fold_past_the_fold_count_exits_2(tmp_path, capsys):
     d, ds = planted_dataset_dir(tmp_path, seed=4)
     capsys.readouterr()
@@ -551,3 +567,33 @@ def test_checkpoint_without_digests_keeps_the_shape_check(tmp_path, capsys):
     save_folds(d, split_five_fold(ds, seed=1))
     assert main(["evaluate", str(d), str(ck)]) == 0
     assert "Recall@K" in capsys.readouterr().out
+
+
+def test_train_and_ablate_leave_the_dataset_directory_unchanged(tmp_path, capsys):
+    d, _ = planted_dataset_dir(tmp_path, labels=True, p_in=0.7, p_out=0.1)
+    before = {path.name: path.read_bytes() for path in d.iterdir()}
+    full_model = ["--relations", "ui,uu,ii", "--distance-kind", "w2",
+                  "--margin-mode", "adaptive"]
+    assert main(["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet"]
+                + FAST + full_model) == 0
+    assert main(["ablate", str(d), "--seeds", "0", "--variants", "8",
+                 "--out", str(tmp_path / "ablation.csv")] + FAST) == 0
+    assert {path.name: path.read_bytes() for path in d.iterdir()} == before
+
+
+def test_a_new_threshold_trains_on_its_own_neighbor_sets(tmp_path, capsys):
+    # 0.2500001 prints as 0.25 under '{:g}', yet keeps 998 of the 1044 user
+    # pairs that 0.25 gives on this data
+    traces = []
+    for name, thresholds in (("reused", ("0.25", "0.2500001")), ("fresh", ("0.2500001",))):
+        d = tmp_path / name
+        ds, _, _ = planted_clusters(seed=0, **SPARSE)
+        save_dataset(d, ds)
+        save_folds(d, split_five_fold(ds, seed=0))
+        for tau in thresholds:
+            run = tmp_path / f"{name}_{tau}"
+            assert main(["train", str(d), "--out-dir", str(run), "--quiet",
+                         "--epochs", "3", "--h", "8", "--hidden", "8",
+                         "--batch-size", "200", "--sim-threshold", tau]) == 0
+        traces.append((run / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from pmlam.cli import main
 from pmlam.config import (RunConfig, echo_lines, load_config_file,
                           make_config, parse_margin_mode)
 from pmlam.distance import DistanceKind
@@ -50,6 +53,16 @@ def test_config_file_parsing(tmp_path):
     assert cfg.ks == (5, 10)
     assert cfg.joint_margin_training is True
     assert cfg.kind() is DistanceKind.EUCLIDEAN_SQUARED
+
+
+def test_config_file_key_set_twice_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("h = 8\nbatch-size = 64\nbatch_size = 128\nh = 16\n")
+    message = f"{path}:3: 'batch_size' is already set on line 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config_file(path)
+    assert main(["train", str(tmp_path / "data"), "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_overrides_beat_file_values(tmp_path):

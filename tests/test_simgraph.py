@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pmlam.data import as_rows
-from pmlam.simgraph import build, build_or_load, load, rows_digest, save
+from pmlam.simgraph import build
 
 from helpers import cosine_binary
 
@@ -86,61 +86,3 @@ def test_tau_validation():
     with pytest.raises(ValueError):
         build(as_rows([np.array([0])]), n_cols=1, tau=1.5)
 
-
-def test_cache_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    rows = random_rows(rng, 12, 15)
-    nbr = build(as_rows(rows), n_cols=15, tau=0.4, kind="item")
-    path = str(tmp_path / "nbr.txt")
-    save(path, nbr)
-    assert open(path).readline() == "PMLAM-NBR v1\n"
-    back = load(path)
-    assert back.kind == "item" and back.tau == 0.4
-    for a, b in zip(nbr.neighbors, back.neighbors):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_build_or_load_uses_cache(tmp_path):
-    rng = np.random.default_rng(3)
-    rows = random_rows(rng, 10, 12)
-    first = build_or_load(str(tmp_path), as_rows(rows), 12, 0.3, "user", fold_index=1)
-    cached = list(tmp_path.glob("neighbors_*.txt"))
-    assert len(cached) == 1
-    second = build_or_load(str(tmp_path), as_rows(rows), 12, 0.3, "user", fold_index=1)
-    for a, b in zip(first.neighbors, second.neighbors):
-        np.testing.assert_array_equal(a, b)
-    # different fold or tau keys a different cache entry
-    build_or_load(str(tmp_path), as_rows(rows), 12, 0.4, "user", fold_index=1)
-    assert len(list(tmp_path.glob("neighbors_*.txt"))) == 2
-    assert rows_digest(rows) == rows_digest([r.copy() for r in rows])
-
-
-@pytest.mark.parametrize("damage", ["cut", "count", "range", "repeat", "order"])
-def test_load_rejects_damaged_cache(tmp_path, damage):
-    rng = np.random.default_rng(4)
-    rows = random_rows(rng, 30, 15)
-    path = tmp_path / "nbr.txt"
-    save(str(path), build(as_rows(rows), n_cols=15, tau=0.2))
-    lines = path.read_text().split("\n")[:-1]
-    if damage == "cut":  # the header and the first two entities
-        lines = lines[:6]
-    elif damage == "count":
-        lines[3] = "n 31"
-    elif damage == "range":
-        lines[4] = "30"
-    else:  # the first entity's row repeats an id or is out of order
-        lines[4] = "1 1" if damage == "repeat" else "2 1"
-    path.write_text("\n".join(lines) + "\n")
-    unsorted = damage in ("repeat", "order")
-    with pytest.raises(ValueError, match="nbr.txt:" + ("5: neighbor indices not strictly"
-                                                       if unsorted else "")):
-        load(str(path), n_rows=30)
-
-
-def test_rows_digest_keys_rows_as_their_list_form():
-    # neighbor caches written when rows were lists of arrays are still found
-    rng = np.random.default_rng(6)
-    for rows in (random_rows(rng, 10, 12), [np.empty(0, np.int64)] * 3, []):
-        assert rows_digest(as_rows(rows)) == rows_digest(rows)
-    # cache file names stay put
-    assert rows_digest([np.array([0, 1]), np.array([2])]) == "63f3ba7526e7ecb6"
