@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluator, sampler, simgraph
-from .data import Rows
+from .data import Rows, atomic_write
 from .embeddings import GaussianEmbeddingTable, init_table, project
 from .losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
 from .margin_net import init_margin_net
@@ -170,12 +170,14 @@ class TrainResult:
 
 
 def write_trace(path, rows, header_lines=()):
-    with open(path, "w") as f:
+    def body(f):
         for line in header_lines:
             f.write(f"# {line}\n")
         f.write("epoch,inner,outer,ui,uu,ii,mean_margin\n")
         for r in rows:
             f.write(r.csv() + "\n")
+
+    atomic_write(path, body)
 
 
 def _stream(seed, *tags):

@@ -6,9 +6,9 @@ Byte layout of a checkpoint file:
     8 bytes       little-endian uint64: length of the JSON header
     header        UTF-8 JSON: config (string map), fold index, array
                   directory [{name, shape, dtype} ...], optimizer metadata,
-                  RNG stream states and, when training recorded them, the
-                  SHA-256 of each file of the dataset it read
-                  (``data_sha256``, file name -> hex digest)
+                  RNG stream states and the SHA-256 of each file of the
+                  dataset it was trained on (``data_sha256``, file name ->
+                  hex digest)
     payload       the arrays from the directory, concatenated in order,
                   C-contiguous raw bytes
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RETIRED_KEYS, RunConfig, config_strings, make_config
+from .config import RunConfig, config_strings, make_config
 from .data import DATA_FILES, atomic_write, file_digests
 from .embeddings import GaussianEmbeddingTable
 from .margin_net import MarginNetParams
@@ -40,7 +40,7 @@ class Checkpoint:
     rng_states: dict
     opt_theta: dict            # {"kind", "alpha", "t"}; moments live in arrays
     opt_phi: dict
-    data_sha256: dict | None   # file name -> digest; None in older checkpoints
+    data_sha256: dict          # file name -> digest of the data trained on
 
 
 def _collect_arrays(result):
@@ -64,11 +64,11 @@ def _collect_arrays(result):
     return arrays, opt_meta
 
 
-def save(path, result, fold_index=0, data_sha256=None):
+def save(path, result, data_sha256, fold_index=0):
     """Write a TrainResult (see bilevel.train) as a checkpoint file.
 
     ``data_sha256`` (:func:`~pmlam.data.file_digests` of the dataset trained
-    on) is recorded when given, so :func:`check_data` can pin the run to it.
+    on) is recorded so that :func:`check_data` can pin the run to it.
     """
     arrays, opt_meta = _collect_arrays(result)
     directory = [{"name": k, "shape": list(v.shape), "dtype": str(v.dtype)}
@@ -79,9 +79,8 @@ def save(path, result, fold_index=0, data_sha256=None):
         "arrays": directory,
         "optimizers": opt_meta,
         "rng_states": result.rng_states,
+        "data_sha256": data_sha256,
     }
-    if data_sha256 is not None:
-        header["data_sha256"] = data_sha256
     header = json.dumps(header).encode()
 
     def body(f):
@@ -97,8 +96,10 @@ def save(path, result, fold_index=0, data_sha256=None):
 def load(path):
     """Read a checkpoint; a cut payload, trailing bytes or a damaged header are rejected.
 
-    A header entry that is missing (an array directory, a table) or names an
-    unknown dtype raises ValueError naming the file and the entry.
+    A header that is not JSON, an entry that is missing (an array directory,
+    a table, the data digests) or names an unknown dtype, and a config key or
+    value that :func:`~pmlam.config.make_config` rejects each raise ValueError
+    naming the file.
     """
     try:
         return _read(path)
@@ -117,7 +118,10 @@ def _read(path):
         if len(raw) != header_len:
             raise ValueError(f"{path}: header needs {header_len} bytes, "
                              f"file ends after {len(raw)}")
-        header = json.loads(raw.decode())
+        try:
+            header = json.loads(raw.decode())
+        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+            raise ValueError(f"{path}: header is not valid JSON: {e}") from None
         arrays = {}
         for entry in header["arrays"]:
             name, shape = entry["name"], tuple(entry["shape"])
@@ -131,12 +135,13 @@ def _read(path):
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the last array")
 
-    digests = header.get("data_sha256")
-    if digests is not None and not isinstance(digests, dict):
+    digests = header["data_sha256"]
+    if not isinstance(digests, dict):
         raise ValueError(f"{path}: bad header entry 'data_sha256'")
-    # a retired key loads whatever value an older checkpoint recorded for it
-    cfg = make_config(file_values={k: v for k, v in header["config"].items()
-                                   if k not in RETIRED_KEYS})
+    try:
+        cfg = make_config(file_values=header["config"])
+    except ValueError as e:
+        raise ValueError(f"{path}: bad header entry 'config': {e}") from None
     users = GaussianEmbeddingTable(arrays["user_mu"], arrays["user_sigma"])
     items = GaussianEmbeddingTable(arrays["item_mu"], arrays["item_sigma"])
     phis = {}
@@ -157,13 +162,7 @@ def _read(path):
 
 
 def check_data(ck, dir_path, path):
-    """Reject a dataset directory whose files differ from those ``ck`` was trained on.
-
-    A checkpoint without digests, written before they were recorded, is let
-    through: :func:`check_fits` is then its only check.
-    """
-    if ck.data_sha256 is None:
-        return
+    """Reject a dataset directory whose files differ from those ``ck`` was trained on."""
     found = file_digests(dir_path)
     for name in DATA_FILES:
         if found[name] != ck.data_sha256.get(name):

@@ -50,12 +50,9 @@ def _add_config_args(p, leave_out=()):
     for f in fields(RunConfig):
         if f.name in leave_out:
             continue
-        alias = ("--distance",) if f.name == "distance_kind" else ()
         how = (dict(action="store_const", const="true") if isinstance(f.default, bool)
                else dict(metavar="V"))
-        p.add_argument("--" + f.name.replace("_", "-"), *alias, dest=f.name, **how)
-    p.add_argument("--deterministic", action="store_true",
-                   help="accepted for compatibility; pool refresh is always synchronous")
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **how)
 
 
 def _config_from_args(args, **overrides):
@@ -98,8 +95,8 @@ def cmd_train(args):
     fold = data.load_fold(args.dataset_dir, ds, args.fold)
     os.makedirs(args.out_dir, exist_ok=True)
     result = bilevel.train(ds, fold, cfg, log=print if not args.quiet else None)
-    checkpoint.save(os.path.join(args.out_dir, "checkpoint.bin"), result,
-                    fold_index=args.fold, data_sha256=digests)
+    checkpoint.save(os.path.join(args.out_dir, "checkpoint.bin"), result, digests,
+                    fold_index=args.fold)
     bilevel.write_trace(os.path.join(args.out_dir, "trace.csv"),
                         result.trace, header_lines=echo_lines(cfg))
     if result.evals:
@@ -178,13 +175,11 @@ def cmd_ablate(args):
     for variant in variants:
         r, n = means[variant]
         lines.append(f"{variant},{r!r},{n!r},")
-    out = args.out or os.path.join(args.dataset_dir, "ablation.csv")
-    with open(out, "w") as f:  # the header states only what every row shares
-        for line in echo_lines(base):
-            if line.split(" = ")[0] not in ABLATE_SETS:
-                f.write(f"# {line}\n")
-        f.write("\n".join(lines) + "\n")
-    print(f"wrote {out}")
+    # the header states only what every row shares
+    shared = [f"# {line}" for line in echo_lines(base)
+              if line.split(" = ")[0] not in ABLATE_SETS]
+    data.atomic_write(args.out, lambda f: f.write("\n".join(shared + lines) + "\n"))
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -267,7 +262,7 @@ def build_parser():
     p.add_argument("--fold", type=int, default=0)
     p.add_argument("--seeds", default="0,1,2")
     p.add_argument("--variants", help="comma list, default all eight")
-    p.add_argument("--out")
+    p.add_argument("--out", required=True, help="CSV file the matrix is written to")
     _add_config_args(p, leave_out=ABLATE_SETS)
     p.set_defaults(fn=cmd_ablate)
 

@@ -3,13 +3,14 @@
 Keys in files and CLI flags use the field names below (``-`` and ``_`` are
 interchangeable). ``margin_mode`` is ``adaptive`` or ``fixed:<m>``;
 ``relations`` is a comma list out of ``ui,uu,ii`` and must contain ``ui``.
+Every float setting must be finite.
 """
 
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from .bilevel import OUTER_BATCHES
 from .distance import DistanceKind
-from .embeddings import MU_STD, SIGMA0, SIGMA_JITTER
 from .losses import RELATIONS
 from .margin_net import INDICATOR_MODES
 
@@ -44,14 +45,18 @@ class RunConfig:
 
     def margin_mode_for(self, relation):
         """Parsed margin mode of one relation: "adaptive" or ("fixed", m)."""
-        raw = self.margin_mode
+        key = "margin_mode"
         if relation == "uu" and self.margin_mode_uu is not None:
-            raw = self.margin_mode_uu
+            key = "margin_mode_uu"
         if relation == "ii" and self.margin_mode_ii is not None:
-            raw = self.margin_mode_ii
-        return parse_margin_mode(raw)
+            key = "margin_mode_ii"
+        return parse_margin_mode(getattr(self, key), key)
 
     def validate(self):
+        for f in fields(self):  # NaN is false in every range check below
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name}: expected a finite number, got {value!r}")
         if self.h < 1 or self.hidden < 1:
             raise ValueError("h and hidden must be >= 1")
         if self.alpha <= 0 or self.lam < 0:
@@ -83,26 +88,24 @@ class RunConfig:
         return self
 
 
-def parse_margin_mode(raw):
+def parse_margin_mode(raw, key="margin_mode"):
+    """``"adaptive"``, or ``("fixed", m)`` for ``fixed:<m>`` with a finite m >= 0.
+
+    ``key`` names the setting in the error.
+    """
     if raw == "adaptive":
         return "adaptive"
-    if raw == "fixed":
-        return ("fixed", 1.0)
-    if raw.startswith("fixed:"):
-        m = float(raw.split(":", 1)[1])
-        if m < 0:
-            raise ValueError("fixed margin must be >= 0")
-        return ("fixed", m)
-    raise ValueError(f"unknown margin mode {raw!r}")
+    if not raw.startswith("fixed:"):
+        raise ValueError(f"{key}: unknown margin mode {raw!r}; expected 'adaptive' "
+                         f"or 'fixed:<m>'")
+    try:
+        m = float(raw.removeprefix("fixed:"))
+    except ValueError:
+        m = math.nan
+    if not (math.isfinite(m) and m >= 0):
+        raise ValueError(f"{key}: fixed margin must be a finite number >= 0, got {raw!r}")
+    return ("fixed", m)
 
-
-# Keys that older config files and checkpoints may carry, with the one value a
-# config file may still give each: today's behaviour, so no run changes
-# silently. ``deterministic`` (None) takes any value; it chose a pool-refresh
-# path, and pools are now always refreshed synchronously.
-RETIRED_KEYS = {"deterministic": None, "early_stop_patience": 0, "optimizer": "adam",
-                "margin_grad_to_theta": False, "mu_std": MU_STD, "sigma0": SIGMA0,
-                "sigma_jitter": SIGMA_JITTER}
 
 _BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,
                "false": False, "off": False, "no": False, "0": False}
@@ -155,26 +158,12 @@ def make_config(file_values=None, **overrides):
     known = {f.name: getattr(defaults, f.name) for f in fields(RunConfig)}
     for key, raw in (file_values or {}).items():
         key = key.replace("-", "_")
-        if key in RETIRED_KEYS:
-            _check_retired(key, raw)
-            continue
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
         values[key] = _coerce(key, known[key], raw) if isinstance(raw, str) else raw
     cfg = replace(defaults, **values)
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     return cfg.validate()
-
-
-def _check_retired(key, raw):
-    kept = RETIRED_KEYS[key]
-    try:
-        ok = kept is None or _coerce(key, kept, str(raw)) == kept
-    except ValueError:
-        ok = False
-    if not ok:
-        raise ValueError(f"retired config key {key!r}: only {kept} is accepted, "
-                         f"got {raw!r}")
 
 
 def config_strings(cfg):

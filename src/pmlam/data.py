@@ -14,7 +14,6 @@ pair of arrays.
 import hashlib
 import operator
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,16 +264,17 @@ def atomic_write(path, write_fn, mode="w"):
     """Call ``write_fn(f)`` on a temp file beside ``path``, then rename it into place.
 
     Readers see the old file or the complete new one. If writing or renaming
-    raises, the temp file is removed and ``path`` is left as it was.
+    raises, the temp file is removed and ``path`` is left as it was. The file
+    gets the permissions a plain ``open(path, mode)`` would give it.
     """
-    tmp = tempfile.NamedTemporaryFile(mode, dir=os.path.dirname(path) or ".",
-                                      delete=False, suffix=".tmp")
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    f = open(tmp, mode.replace("w", "x"))  # exclusive create, mode from the umask
     try:
-        with tmp as f:
+        with f:
             write_fn(f)
-        os.replace(tmp.name, path)
+        os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp.name)
+        os.unlink(tmp)
         raise
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_write
 from .distance import DistanceKind
 
 
@@ -161,10 +162,12 @@ def format_table(report, title=""):
 
 
 def write_report_csv(path, reports, header_lines=()):
-    with open(path, "w") as f:
+    def body(f):
         for line in header_lines:
             f.write(f"# {line}\n")
         f.write("fold,K,recall,ndcg,n_users\n")
         for r in reports:
             for line in r.row_lines():
                 f.write(line + "\n")
+
+    atomic_write(path, body)

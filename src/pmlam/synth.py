@@ -62,14 +62,17 @@ def write_item_labels(dir_path, ds, item_labels):
 
 def load_item_labels(dir_path, ds):
     path = os.path.join(dir_path, "item_labels.txt")
-    by_ext = {}
+    by_ext, line_of = {}, {}
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             if line.strip():
                 ext, tab, label = line.rstrip("\n").partition("\t")
                 if not tab:
                     raise ValueError(f"{path}:{line_no}: expected '<item id><TAB><label>'")
-                by_ext[ext] = label
+                if ext in line_of:
+                    raise ValueError(f"{path}:{line_no}: item {ext!r} repeats line "
+                                     f"{line_of[ext]}")
+                by_ext[ext], line_of[ext] = label, line_no
     try:
         return [by_ext[ext] for ext in ds.item_ids]
     except KeyError as missing:

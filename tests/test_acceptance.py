@@ -480,7 +480,7 @@ def test_criterion_9_determinism(tmp_path):
     d = tmp_path / "data"
     save_dataset(d, ds)
     save_folds(d, split_five_fold(ds, seed=4))
-    args = ["train", str(d), "--quiet", "--deterministic", "--seed", "7",
+    args = ["train", str(d), "--quiet", "--seed", "7",
             "--h", "8", "--hidden", "8", "--epochs", "6", "--batch-size", "64",
             "--pool-size", "16", "--refresh-period", "3", "--eval-every", "2"]
     outs = []

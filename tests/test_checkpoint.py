@@ -6,8 +6,10 @@ import pytest
 from pmlam.bilevel import train
 from pmlam.checkpoint import CKPT_MAGIC, load, save
 from pmlam.config import config_strings, make_config
-from pmlam.data import split_five_fold
+from pmlam.data import DATA_FILES, split_five_fold
 from pmlam.synth import planted_clusters
+
+DIGESTS = {name: f"{n:064x}" for n, name in enumerate(DATA_FILES)}
 
 
 def small_result():
@@ -22,7 +24,7 @@ def small_result():
 def test_roundtrip(tmp_path):
     result, cfg = small_result()
     path = str(tmp_path / "model.bin")
-    save(path, result, fold_index=0)
+    save(path, result, DIGESTS, fold_index=0)
     with open(path, "rb") as f:
         assert f.readline() == b"PMLAM-CKPT v1\n"
 
@@ -40,12 +42,13 @@ def test_roundtrip(tmp_path):
     assert ck.rng_states["sampler"] == result.rng_states["sampler"]
     assert ck.opt_theta["kind"] == "adam"
     assert ck.opt_theta["t"] == result.opt_theta.t
+    assert ck.data_sha256 == DIGESTS
 
 
 def test_header_config_is_config_strings(tmp_path):
     result, cfg = small_result()
     path = tmp_path / "model.bin"
-    save(str(path), result)
+    save(str(path), result, DIGESTS)
     blob = path.read_bytes()[len(CKPT_MAGIC):]
     header = json.loads(blob[8:8 + int.from_bytes(blob[:8], "little")])
     assert header["config"] == config_strings(cfg)
@@ -63,21 +66,24 @@ def test_rejects_wrong_magic(tmp_path):
 
 def test_no_temp_files_left_behind(tmp_path):
     result, _ = small_result()
-    save(str(tmp_path / "model.bin"), result)
+    save(str(tmp_path / "model.bin"), result, DIGESTS)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
 
 
 @pytest.mark.parametrize("old, new, message", [
     (b'"arrays"', b'"arrayz"', "header has no 'arrays' entry"),
     (b'"float64"', b'"floatXX"', "data type 'floatXX' not understood"),
-    (b'"user_mu"', b'"user_mv"', "header has no 'user_mu' entry")])
+    (b'"user_mu"', b'"user_mv"', "header has no 'user_mu' entry"),
+    (b'"data_sha256"', b'"data_sha257"', "header has no 'data_sha256' entry"),
+    (b'{"config"', b'{{config"', "header is not valid JSON: Expecting"),
+    (b'"config"', b'"con\xffig"', "header is not valid JSON: 'utf-8' codec")])
 def test_damaged_header_names_file_and_entry(tmp_path, old, new, message):
     result, _ = small_result()
     path = tmp_path / "model.bin"
-    save(str(path), result)
+    save(str(path), result, DIGESTS)
     blob = path.read_bytes()
     assert len(old) == len(new) and old in blob
-    path.write_bytes(blob.replace(old, new, 1))  # same length: the header still parses
+    path.write_bytes(blob.replace(old, new, 1))  # same length: the header length holds
     with pytest.raises(ValueError, match="model.bin: ") as err:
         load(str(path))
     assert message in str(err.value)

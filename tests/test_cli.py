@@ -6,11 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from pmlam import bilevel, checkpoint, evaluator
+from pmlam import bilevel, checkpoint, data, evaluator
 from pmlam.cli import ABLATION_VARIANTS, build_parser, main
 from pmlam.config import RunConfig, make_config
-from pmlam.data import (DATA_FILES, load_dataset, load_folds, split_five_fold, save_dataset,
-                        save_folds)
+from pmlam.data import (DATA_FILES, file_digests, load_dataset, load_folds, split_five_fold,
+                        save_dataset, save_folds)
 from pmlam.synth import planted_clusters, write_item_labels
 
 VARIANT_KEYS = ("distance_kind", "margin_mode", "margin_mode_uu", "margin_mode_ii",
@@ -180,7 +180,7 @@ def test_case_study_output_is_sorted_and_stable(tmp_path, capsys):
     d, _ = planted_dataset_dir(tmp_path, labels=True, p_in=0.7, p_out=0.1)
     run = tmp_path / "run"
     rc = main(["train", str(d), "--out-dir", str(run), "--quiet",
-               "--distance", "euclidean", "--margin-mode", "adaptive",
+               "--distance-kind", "euclidean", "--margin-mode", "adaptive",
                "--relations", "ui"] + FAST)
     assert rc == 0
     capsys.readouterr()
@@ -274,19 +274,38 @@ def test_checkpoint_from_other_dataset_exits_2(tmp_path, capsys):
         assert "20 users x 30 items" in capsys.readouterr().err
 
 
-def test_retired_config_keys_accepted_only_at_old_values(tmp_path, capsys):
+def test_removed_input_forms_exit_2(tmp_path, capsys):
     d, _ = planted_dataset_dir(tmp_path)
+    train = ["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet"] + FAST
+    ablate = ["ablate", str(d), "--seeds", "0", "--variants", "1",
+              "--out", str(tmp_path / "ablation.csv")] + FAST
+    for argv, extra in ((train, ["--deterministic"]), (ablate, ["--deterministic"]),
+                        (train, ["--distance", "euclidean"])):
+        with pytest.raises(SystemExit) as e:
+            main(argv + extra)
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
     cfg_file = tmp_path / "run.cfg"
-    old = ("early_stop_patience = 0\noptimizer = adam\nmargin_grad_to_theta = off\n"
-           "mu_std = 0.01\nsigma0 = 0.1\nsigma_jitter = 0.1\n")
-    cfg_file.write_text(old)
-    argv = ["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet",
-            "--config", str(cfg_file)] + FAST
-    assert main(argv) == 0
-    capsys.readouterr()
-    cfg_file.write_text(old.replace("adam", "sgd"))
-    assert main(argv) == 2
-    assert "'optimizer'" in capsys.readouterr().err
+    cfg_file.write_text("optimizer = adam\n")
+    assert main(train + ["--config", str(cfg_file)]) == 2
+    assert "unknown config key 'optimizer'" in capsys.readouterr().err
+    assert main(train + ["--margin-mode", "fixed"]) == 2
+    assert "margin_mode: unknown margin mode 'fixed'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "ablation.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lam", "nan"), ("--lam", "inf"), ("--eps-fd", "nan"), ("--eps-fd", "inf"),
+    ("--alpha", "nan"), ("--margin-mode", "fixed:nan"), ("--margin-mode", "fixed:inf"),
+    ("--margin-mode", "fixed:abc")])
+def test_non_finite_setting_exits_2_before_training(tmp_path, capsys, flag, value):
+    # a NaN margin switches every hinge off, so training would "succeed" untrained
+    d, _ = planted_dataset_dir(tmp_path)
+    rc = main(["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet",
+               flag, value] + FAST)
+    assert rc == 2
+    assert f"error: {flag[2:].replace('-', '_')}: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def rewrite_header(ck, edit):
@@ -301,13 +320,13 @@ def rewrite_header(ck, edit):
                    + blob[head + 8 + n:])
 
 
-def test_checkpoint_with_retired_keys_still_evaluates(tmp_path, capsys):
+def test_checkpoint_config_with_an_unknown_key_exits_2(tmp_path, capsys):
     d, ck = trained_checkpoint(tmp_path)
-    rewrite_header(ck, lambda header: header["config"].update(
-        early_stop_patience="3", optimizer="sgd", margin_grad_to_theta="True",
-        mu_std="0.05", sigma0="0.2", sigma_jitter="0.0"))
-    assert main(["evaluate", str(d), str(ck)]) == 0
-    assert "Recall@K" in capsys.readouterr().out
+    rewrite_header(ck, lambda header: header["config"].update(optimizer="adam"))
+    capsys.readouterr()
+    assert main(["evaluate", str(d), str(ck)]) == 2
+    assert (f"{ck}: bad header entry 'config': unknown config key 'optimizer'"
+            in capsys.readouterr().err)
 
 
 def _subparser(name):
@@ -318,6 +337,7 @@ def _subparser(name):
 def test_every_config_field_has_one_flag():
     # train takes every field; ablate all but the keys each variant sets and
     # the seed, which comes from --seeds
+    names = {f.name for f in dataclasses.fields(RunConfig)}
     for command, left_out in (("train", ()), ("ablate", VARIANT_KEYS + ("seed",))):
         parser = _subparser(command)
         for f in dataclasses.fields(RunConfig):
@@ -326,20 +346,20 @@ def test_every_config_field_has_one_flag():
                 assert actions == []
                 continue
             action, = actions
-            flag = "--" + f.name.replace("_", "-")
-            extra = ["--distance"] if f.name == "distance_kind" else []
-            assert action.option_strings == [flag] + extra
+            assert action.option_strings == ["--" + f.name.replace("_", "-")]
             if isinstance(f.default, bool):  # a switch that takes no value
                 assert action.nargs == 0 and action.const == "true"
             else:
                 assert action.nargs is None
-        fields_taken = {a.dest for a in parser._actions} & {
-            f.name for f in dataclasses.fields(RunConfig)}
+        fields_taken = {a.dest for a in parser._actions} & names
         assert len(fields_taken) == {"train": 22, "ablate": 15}[command]
-        args = parser.parse_args(["data", "--joint-margin-training"])
+        required = ["--out", "x.csv"] if command == "ablate" else []
+        args = parser.parse_args(["data", "--joint-margin-training"] + required)
         assert args.joint_margin_training == "true"
-    assert _subparser("train").parse_args(
-        ["data", "--distance", "euclidean"]).distance_kind == "euclidean"
+    # and train takes nothing else but its run directory, fold and --quiet
+    others = [a.option_strings[0] for a in _subparser("train")._actions
+              if a.option_strings and a.dest not in names]
+    assert sorted(others) == ["--config", "--fold", "--out-dir", "--quiet", "-h"]
     # prepare reads one setting, the seed of its split
     prepare = _subparser("prepare")
     assert sorted(a.option_strings[0] for a in prepare._actions if a.option_strings) == [
@@ -348,7 +368,7 @@ def test_every_config_field_has_one_flag():
 
 
 @pytest.mark.parametrize("key, flags, value", [
-    ("distance_kind", ["--distance-kind", "--distance"], "euclidean"),
+    ("distance_kind", ["--distance-kind"], "euclidean"),
     ("margin_mode", ["--margin-mode"], "fixed:2"),
     ("margin_mode_uu", ["--margin-mode-uu"], "fixed:2"),
     ("margin_mode_ii", ["--margin-mode-ii"], "fixed:2"),
@@ -363,7 +383,8 @@ def test_ablate_rejects_the_keys_it_sets_itself(tmp_path, capsys, monkeypatch,
         raise AssertionError("trained with a key that ablate sets itself")
 
     monkeypatch.setattr(bilevel, "train", no_training)
-    ablate = ["ablate", str(d), "--seeds", "0", "--variants", "8"] + FAST
+    ablate = ["ablate", str(d), "--seeds", "0", "--variants", "8",
+              "--out", str(tmp_path / "ablation.csv")] + FAST
     for flag in flags:
         with pytest.raises(SystemExit) as e:
             main(ablate + [flag, value])
@@ -391,8 +412,8 @@ def test_fold_past_the_fold_count_exits_2(tmp_path, capsys):
     capsys.readouterr()
     for argv in (["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet",
                   "--fold", "7"] + FAST,
-                 ["ablate", str(d), "--fold", "7", "--seeds", "0",
-                  "--variants", "1"] + FAST):
+                 ["ablate", str(d), "--fold", "7", "--seeds", "0", "--variants", "1",
+                  "--out", str(tmp_path / "ablation.csv")] + FAST):
         assert main(argv) == 2
         assert "folds.txt: fold 7 outside the file's 5 folds" in capsys.readouterr().err
     cfg = make_config(file_values={"h": "4", "hidden": "4", "epochs": "1",
@@ -400,7 +421,7 @@ def test_fold_past_the_fold_count_exits_2(tmp_path, capsys):
                                    "relations": "ui"})
     result = bilevel.train(ds, load_folds(d, ds)[0], cfg)
     ck = tmp_path / "checkpoint.bin"
-    checkpoint.save(ck, result, fold_index=9)
+    checkpoint.save(ck, result, file_digests(d), fold_index=9)
     assert main(["evaluate", str(d), str(ck)]) == 2
     assert "folds.txt: fold 9 outside the file's 5 folds" in capsys.readouterr().err
 
@@ -431,14 +452,20 @@ def test_case_study_on_damaged_item_labels_exits_2(tmp_path, capsys):
     d, _ = planted_dataset_dir(tmp_path, labels=True)
     run = tmp_path / "run"
     assert main(["train", str(d), "--out-dir", str(run), "--quiet",
-                 "--distance", "euclidean", "--relations", "ui"] + FAST) == 0
+                 "--distance-kind", "euclidean", "--relations", "ui"] + FAST) == 0
     path = d / "item_labels.txt"
-    lines = path.read_text().split("\n")
+    whole = path.read_text()
+    lines = whole.split("\n")
     lines[2] = lines[2].replace("\t", " ")
     path.write_text("\n".join(lines))
     capsys.readouterr()
     assert main(["case-study", str(d), str(run / "checkpoint.bin")]) == 2
     assert "item_labels.txt:3: expected '<item id><TAB><label>'" in capsys.readouterr().err
+    n_lines = whole.count("\n")
+    path.write_text(whole + "i0\t1\n")  # a second label for the first item
+    assert main(["case-study", str(d), str(run / "checkpoint.bin")]) == 2
+    assert (f"item_labels.txt:{n_lines + 1}: item 'i0' repeats line 1"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -492,7 +519,8 @@ def test_ablate_unknown_variant_exits_2_before_training(tmp_path, capsys, monkey
 
     monkeypatch.setattr(bilevel, "train", no_training)
     for variants, bad in (("9", 9), ("1,9", 9), ("0,3", 0)):
-        argv = ["ablate", str(d), "--seeds", "0", "--variants", variants] + FAST
+        argv = ["ablate", str(d), "--seeds", "0", "--variants", variants,
+                "--out", str(tmp_path / "ablation.csv")] + FAST
         assert main(argv) == 2
         assert (f"--variants: unknown variant {bad}; valid variants are 1-8"
                 in capsys.readouterr().err)
@@ -501,7 +529,8 @@ def test_ablate_unknown_variant_exits_2_before_training(tmp_path, capsys, monkey
             ("--variants", "1,x", "--variants: expected an integer, got 'x'"),
             ("--seeds", "", "--seeds: expected a comma list of integers"),
             ("--variants", " , ", "--variants: expected a comma list of integers")):
-        assert main(["ablate", str(d), "--seeds", "0", flag, raw] + FAST) == 2
+        assert main(["ablate", str(d), "--seeds", "0", flag, raw,
+                     "--out", str(tmp_path / "ablation.csv")] + FAST) == 2
         assert message in capsys.readouterr().err
 
 
@@ -560,13 +589,14 @@ def test_one_byte_edit_of_the_training_data_exits_2(tmp_path, capsys, name):
     assert f"{name}: differs from the file {ck} was trained on" in capsys.readouterr().err
 
 
-def test_checkpoint_without_digests_keeps_the_shape_check(tmp_path, capsys):
+def test_checkpoint_without_digests_exits_2(tmp_path, capsys):
     d, ck = trained_checkpoint(tmp_path, **SPARSE)
-    rewrite_header(ck, lambda header: header.pop("data_sha256"))  # an older checkpoint
-    ds = load_dataset(d)
-    save_folds(d, split_five_fold(ds, seed=1))
-    assert main(["evaluate", str(d), str(ck)]) == 0
-    assert "Recall@K" in capsys.readouterr().out
+    rewrite_header(ck, lambda header: header.pop("data_sha256"))  # not pinned to its data
+    capsys.readouterr()
+    for argv in (["evaluate", str(d), str(ck)],
+                 ["recommend", str(d), str(ck), "u0"]):
+        assert main(argv) == 2
+        assert f"{ck}: header has no 'data_sha256' entry" in capsys.readouterr().err
 
 
 def test_train_and_ablate_leave_the_dataset_directory_unchanged(tmp_path, capsys):
@@ -578,7 +608,51 @@ def test_train_and_ablate_leave_the_dataset_directory_unchanged(tmp_path, capsys
                 + FAST + full_model) == 0
     assert main(["ablate", str(d), "--seeds", "0", "--variants", "8",
                  "--out", str(tmp_path / "ablation.csv")] + FAST) == 0
+    with pytest.raises(SystemExit) as e:  # ablate has no default output file
+        main(["ablate", str(d), "--seeds", "0", "--variants", "8"] + FAST)
+    assert e.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in d.iterdir()} == before
+
+
+class HalfWrite:
+    """A file whose first write stops halfway with a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        self.f.write(text[:len(text) // 2])
+        raise OSError("No space left on device")
+
+
+@pytest.mark.parametrize("artifact", ["trace.csv", "report.csv", "ablation.csv"])
+def test_a_cut_artifact_write_leaves_the_previous_file(tmp_path, capsys, monkeypatch,
+                                                       artifact):
+    d, ck = trained_checkpoint(tmp_path)
+    run = ck.parent
+    argv = {"trace.csv": ["train", str(d), "--out-dir", str(run), "--quiet"] + FAST,
+            "report.csv": ["evaluate", str(d), str(ck), "--out", str(run / artifact)],
+            "ablation.csv": ["ablate", str(d), "--seeds", "0", "--variants", "1",
+                             "--out", str(run / artifact)] + FAST}[artifact]
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    monkeypatch.setattr(checkpoint, "save", lambda *args, **kw: None)  # train: trace only
+    def open_cut(path, mode="r", **kw):  # reads go through untouched
+        f = open(path, mode, **kw)
+        return f if mode.startswith("r") else HalfWrite(f)
+
+    monkeypatch.setattr(data, "open", open_cut, raising=False)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 
 def test_a_new_threshold_trains_on_its_own_neighbor_sets(tmp_path, capsys):

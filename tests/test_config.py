@@ -21,12 +21,13 @@ def test_defaults_follow_reported_settings():
 
 def test_margin_mode_parsing():
     assert parse_margin_mode("adaptive") == "adaptive"
-    assert parse_margin_mode("fixed") == ("fixed", 1.0)
     assert parse_margin_mode("fixed:0.5") == ("fixed", 0.5)
     with pytest.raises(ValueError):
         parse_margin_mode("fixed:-1")
     with pytest.raises(ValueError):
         parse_margin_mode("galactic")
+    with pytest.raises(ValueError, match="margin_mode: unknown margin mode 'fixed'"):
+        parse_margin_mode("fixed")  # the margin is always spelled out
 
 
 def test_per_relation_margin_overrides():
@@ -77,12 +78,6 @@ def test_unknown_key_rejected():
         make_config(file_values={"hh": "3"})
 
 
-def test_retired_deterministic_key_is_ignored():
-    # config files and checkpoints written before pool refresh became
-    # synchronous-only carry this key
-    assert make_config(file_values={"deterministic": "true"}) == RunConfig()
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         make_config(relations=("uu",))  # ui is mandatory
@@ -106,14 +101,14 @@ def test_echo_lines_are_stable():
     assert any(line.startswith("ks = 5,10,15,20") for line in lines)
 
 
-@pytest.mark.parametrize("key,old,new", [
-    ("early_stop_patience", "0", "5"), ("optimizer", "adam", "sgd"),
-    ("margin_grad_to_theta", "off", "on"), ("mu_std", "0.01", "0.02"),
-    ("sigma0", "0.1", "0.3"), ("sigma_jitter", "0.1", "0.0")])
-def test_retired_keys_only_at_their_old_value(key, old, new):
-    assert make_config(file_values={key: old}) == RunConfig()
-    with pytest.raises(ValueError, match=f"retired config key '{key}'"):
-        make_config(file_values={key: new})
+@pytest.mark.parametrize("key, value", [
+    ("deterministic", "true"), ("early_stop_patience", "0"), ("optimizer", "adam"),
+    ("margin_grad_to_theta", "off"), ("mu_std", "0.01"), ("sigma0", "0.1"),
+    ("sigma_jitter", "0.1")])
+def test_keys_no_setting_reads_are_unknown(key, value):
+    # even at the value the program now always uses
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        make_config(file_values={key: value})
 
 
 @pytest.mark.parametrize("ks", ["0", "5,-1", ""])

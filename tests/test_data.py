@@ -281,6 +281,14 @@ def test_failed_atomic_write_leaves_target_and_no_temp_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset.txt"]
 
 
+def test_atomic_write_gives_the_permissions_of_a_plain_open(tmp_path):
+    (tmp_path / "plain.txt").write_text("x")
+    atomic_write(tmp_path / "atomic.txt", lambda f: f.write("x"))
+    atomic_write(tmp_path / "atomic.bin", lambda f: f.write(b"x"), mode="wb")
+    modes = {p.name: p.stat().st_mode for p in tmp_path.iterdir()}
+    assert modes["atomic.txt"] == modes["atomic.bin"] == modes["plain.txt"]
+
+
 def test_load_rejects_item_index_outside_catalog(tmp_path):
     ds = filter_iterative([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)],
                           min_user=1, min_item=1)
