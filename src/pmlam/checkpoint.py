@@ -17,30 +17,43 @@ moment buffers. Writes go to a temp file and are renamed into place.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig, config_strings, make_config
-from .data import DATA_FILES, atomic_write, file_digests
+from .data import DATA_FILES, atomic_write
 from .embeddings import GaussianEmbeddingTable
 from .margin_net import MarginNetParams
 
 CKPT_MAGIC = b"PMLAM-CKPT v1\n"
 
 
+# The arrays ranking reads: both embedding tables.
+TABLE_ARRAYS = ("user_mu", "user_sigma", "item_mu", "item_sigma")
+
+
 @dataclass
-class Checkpoint:
+class Tables:
+    """What ranking reads of a checkpoint (:func:`load_tables`)."""
+
     users: GaussianEmbeddingTable
     items: GaussianEmbeddingTable
-    phis: dict                 # relation -> MarginNetParams
     cfg: RunConfig
     fold_index: int
+    data_sha256: dict          # file name -> digest of the data trained on
+
+
+@dataclass
+class Checkpoint(Tables):
+    """All of a checkpoint (:func:`load`)."""
+
+    phis: dict                 # relation -> MarginNetParams
     rng_states: dict
     opt_theta: dict            # {"kind", "alpha", "t"}; moments live in arrays
     opt_phi: dict
-    data_sha256: dict          # file name -> digest of the data trained on
 
 
 def _collect_arrays(result):
@@ -94,22 +107,37 @@ def save(path, result, data_sha256, fold_index=0):
 
 
 def load(path):
-    """Read a checkpoint; a cut payload, trailing bytes or a damaged header are rejected.
-
-    A header that is not JSON, an entry that is missing (an array directory,
-    a table, the data digests) or names an unknown dtype, and a config key or
-    value that :func:`~pmlam.config.make_config` rejects each raise ValueError
-    naming the file.
-    """
+    """Read a checkpoint, every array of it; see :func:`_read` for what is rejected."""
+    header, arrays, tables = _read(path)
     try:
-        return _read(path)
+        phis = {rel: MarginNetParams(**{name: arrays[f"phi.{rel}.{name}"]
+                                        for name in ("W1", "b1", "W2", "b2")})
+                for rel in tables.cfg.relations if f"phi.{rel}.W1" in arrays}
     except KeyError as e:
         raise ValueError(f"{path}: header has no {e.args[0]!r} entry") from None
-    except TypeError as e:  # np.dtype of an unknown name
-        raise ValueError(f"{path}: bad header entry: {e}") from None
+    return Checkpoint(**vars(tables), phis=phis, rng_states=header["rng_states"],
+                      opt_theta=header["optimizers"].get("theta", {}),
+                      opt_phi=header["optimizers"].get("phi", {}))
 
 
-def _read(path):
+def load_tables(path):
+    """What ranking needs of a checkpoint, reading no array but the tables' four.
+
+    The header and size checks of :func:`load` all apply.
+    """
+    return _read(path, TABLE_ARRAYS)[2]
+
+
+def _read(path, names=None):
+    """The checked header, the arrays in ``names`` (every one when None) and the :class:`Tables`.
+
+    Each of these raises ValueError naming the file: a header that is not
+    JSON, an entry that is missing or of the wrong JSON type (see
+    :data:`HEADER_SCHEMA`) or names an unknown dtype, an array directory that
+    needs more bytes than the file has or leaves trailing bytes, a config key
+    or value that :func:`~pmlam.config.make_config` rejects, and a table that
+    breaks :meth:`~pmlam.embeddings.GaussianEmbeddingTable.check`.
+    """
     with open(path, "rb") as f:
         if f.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
             raise ValueError(f"{path}: not a {CKPT_MAGIC.decode().strip()} file")
@@ -122,56 +150,110 @@ def _read(path):
             header = json.loads(raw.decode())
         except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
             raise ValueError(f"{path}: header is not valid JSON: {e}") from None
+        _check_header(path, header)
+        where = _locate(path, header["arrays"], f.tell(), os.fstat(f.fileno()).st_size)
+        missing = [name for name in TABLE_ARRAYS if name not in where]
+        if missing:
+            raise ValueError(f"{path}: header has no {missing[0]!r} entry")
         arrays = {}
-        for entry in header["arrays"]:
-            name, shape = entry["name"], tuple(entry["shape"])
-            dtype = np.dtype(entry["dtype"])
-            size = (int(np.prod(shape)) if shape else 1) * dtype.itemsize
-            buf = f.read(size)
-            if len(buf) != size:
-                raise ValueError(f"{path}: array {name!r} needs {size} bytes, "
-                                 f"file ends after {len(buf)}")
-            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last array")
-
-    digests = header["data_sha256"]
-    if not isinstance(digests, dict):
-        raise ValueError(f"{path}: bad header entry 'data_sha256'")
+        for name in where if names is None else names:
+            offset, shape, dtype = where[name]
+            arrays[name] = np.empty(shape, dtype)
+            f.seek(offset)
+            if f.readinto(arrays[name]) != arrays[name].nbytes:
+                raise ValueError(f"{path}: array {name!r} was cut while it was read")
     try:
         cfg = make_config(file_values=header["config"])
     except ValueError as e:
         raise ValueError(f"{path}: bad header entry 'config': {e}") from None
     users = GaussianEmbeddingTable(arrays["user_mu"], arrays["user_sigma"])
     items = GaussianEmbeddingTable(arrays["item_mu"], arrays["item_sigma"])
-    phis = {}
-    for rel in cfg.relations:
-        key = f"phi.{rel}.W1"
-        if key in arrays:
-            phis[rel] = MarginNetParams(
-                W1=arrays[key], b1=arrays[f"phi.{rel}.b1"],
-                W2=arrays[f"phi.{rel}.W2"], b2=arrays[f"phi.{rel}.b2"])
-    return Checkpoint(
-        users=users, items=items, phis=phis, cfg=cfg,
-        fold_index=header["fold_index"],
-        rng_states=header["rng_states"],
-        opt_theta=header["optimizers"].get("theta", {}),
-        opt_phi=header["optimizers"].get("phi", {}),
-        data_sha256=digests,
-    )
+    for what, table in (("user", users), ("item", items)):
+        try:
+            table.check()
+        except ValueError as e:
+            raise ValueError(f"{path}: {what} table: {e}") from None
+    if users.h != items.h:
+        raise ValueError(f"{path}: user rows have {users.h} dimensions, item rows {items.h}")
+    return header, arrays, Tables(users=users, items=items, cfg=cfg,
+                                  fold_index=header["fold_index"],
+                                  data_sha256=header["data_sha256"])
 
 
-def check_data(ck, dir_path, path):
-    """Reject a dataset directory whose files differ from those ``ck`` was trained on."""
-    found = file_digests(dir_path)
+def _locate(path, directory, offset, file_size):
+    """Array name -> (offset, shape, dtype), for arrays laid out in order from ``offset``.
+
+    The arrays must fill the file from ``offset`` to ``file_size`` exactly.
+    """
+    where = {}
+    for entry in directory:
+        name = entry["name"]
+        try:
+            dtype = np.dtype(entry["dtype"])
+        except (TypeError, ValueError, SyntaxError):  # numpy parses some names as code
+            raise ValueError(f"{path}: bad header entry: data type {entry['dtype']!r} "
+                             f"not understood") from None
+        if dtype.kind != "f":  # save writes only floats; raw bytes fit no object type
+            raise ValueError(f"{path}: array {name!r} has dtype {dtype}, not a float type")
+        size = math.prod(entry["shape"]) * dtype.itemsize
+        if offset + size > file_size:
+            raise ValueError(f"{path}: array {name!r} needs {size} bytes, "
+                             f"file ends after {file_size - offset}")
+        where[name] = offset, tuple(entry["shape"]), dtype
+        offset += size
+    if offset < file_size:
+        raise ValueError(f"{path}: trailing bytes after the last array")
+    return where
+
+
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_string_map(value):  # JSON object keys are always strings
+    return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+
+
+def _is_directory(value):
+    return isinstance(value, list) and all(
+        isinstance(entry, dict) and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("dtype"), str) and isinstance(entry.get("shape"), list)
+        and all(map(_is_count, entry["shape"])) for entry in value)
+
+
+# Header entry -> (test of its JSON value, what the test asks for).
+HEADER_SCHEMA = {
+    "config": (_is_string_map, "an object of strings"),
+    "fold_index": (_is_count, "an integer >= 0"),
+    "arrays": (_is_directory,
+               "a list of {name: string, shape: [integer >= 0, ...], dtype: string}"),
+    "optimizers": (lambda value: isinstance(value, dict), "an object"),
+    "rng_states": (lambda value: isinstance(value, dict), "an object"),
+    "data_sha256": (_is_string_map, "an object of strings"),
+}
+
+
+def _check_header(path, header):
+    """Reject a header with an entry missing or of the wrong JSON type."""
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    for key, (ok, what) in HEADER_SCHEMA.items():
+        if key not in header:
+            raise ValueError(f"{path}: header has no {key!r} entry")
+        if not ok(header[key]):
+            raise ValueError(f"{path}: bad header entry {key!r}: expected {what}")
+
+
+def check_data(ck, found, dir_path, path):
+    """Reject dataset files whose digests ``found`` differ from those ``ck`` was trained on."""
     for name in DATA_FILES:
         if found[name] != ck.data_sha256.get(name):
             raise ValueError(f"{os.path.join(dir_path, name)}: differs from the file "
                              f"{path} was trained on (SHA-256 mismatch)")
 
 
-def check_fits(ck, ds, path):
+def check_fits(ck, n_users, n_items, path):
     """Reject a checkpoint whose tables do not match the dataset's shape."""
-    if (ck.users.n, ck.items.n) != (ds.n_users, ds.n_items):
+    if (ck.users.n, ck.items.n) != (n_users, n_items):
         raise ValueError(f"{path}: tables hold {ck.users.n} users x {ck.items.n} "
-                         f"items, the dataset has {ds.n_users} x {ds.n_items}")
+                         f"items, the dataset has {n_users} x {n_items}")

@@ -108,8 +108,9 @@ def _load_run(args):
     """The checkpoint, the dataset it was trained on, and the checkpoint's fold."""
     ck = checkpoint.load(args.checkpoint)
     ds = data.load_dataset(args.dataset_dir)
-    checkpoint.check_fits(ck, ds, args.checkpoint)
-    checkpoint.check_data(ck, args.dataset_dir, args.checkpoint)
+    checkpoint.check_fits(ck, ds.n_users, ds.n_items, args.checkpoint)
+    checkpoint.check_data(ck, data.file_digests(args.dataset_dir), args.dataset_dir,
+                          args.checkpoint)
     fold = data.load_fold(args.dataset_dir, ds, ck.fold_index)
     return ck, ds, fold
 
@@ -126,19 +127,29 @@ def cmd_evaluate(args):
 
 
 def cmd_recommend(args):
+    """One user's top-K, from the checkpoint's tables and that user's lines of the data.
+
+    The checks run in the order :func:`_load_run` gives them. Once the data
+    digests match, the files are the ones ``train`` parsed and checked in
+    full, so only the user's lines are parsed again.
+    """
     if args.k < 1:
         raise ValueError(f"-k must be >= 1, got {args.k}")
-    ck, ds, fold = _load_run(args)
-    user_index = ds.user_index()
-    if args.user not in user_index:
+    ck = checkpoint.load_tables(args.checkpoint)
+    files = data.DataFiles(args.dataset_dir)
+    checkpoint.check_fits(ck, files.n_users, files.n_items, args.checkpoint)
+    checkpoint.check_data(ck, files.digests(), args.dataset_dir, args.checkpoint)
+    n_folds = files.fold_count()
+    data.check_fold_index(files.path("folds.txt"), ck.fold_index, n_folds)
+    u = files.user_index(args.user)
+    if u is None:
         raise ValueError(f"unknown user id {args.user!r}")
-    u = user_index[args.user]
-    topk = evaluator.rank(u, ck.users, ck.items, fold.train_rows[u],
+    topk = evaluator.rank(u, ck.users, ck.items, files.train_row(u, ck.fold_index, n_folds),
                           ck.cfg.kind(), k=args.k)
     d2 = evaluator.pairwise_distances(ck.users, ck.items, ck.cfg.kind(),
                                       user_idx=np.array([u]))[0]
-    for rank_pos, item in enumerate(topk, start=1):
-        print(f"{rank_pos:>3}  {ds.item_ids[item]}  {d2[item]:.6f}")
+    for rank_pos, (item, item_id) in enumerate(zip(topk, files.item_ids(topk)), start=1):
+        print(f"{rank_pos:>3}  {item_id}  {d2[item]:.6f}")
     return 0
 
 

@@ -8,12 +8,17 @@ Folds are one label per interaction in the dataset's row order, as in
 ``folds.txt``; :class:`Folds` builds only the :class:`FoldSplit` asked for.
 Every per-entity index list (a user's items, an entity's neighbors, an
 anchor's excluded ids or negative pool) is held as :class:`Rows`, one CSR
-pair of arrays.
+pair of arrays. :class:`DataFiles` serves one user's query: it reads the
+files once and parses only that user's lines, with the full readers'
+per-line checks.
 """
 
 import hashlib
+import io
+import itertools
 import operator
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,27 +305,33 @@ def load_dataset(dir_path):
     """Read a dataset cache; a file whose rows disagree with its header is rejected."""
     path = os.path.join(dir_path, "dataset.txt")
     with open(path) as f:
-        if f.readline().rstrip("\n") != DS_MAGIC:
-            raise ValueError(f"{path}: not a {DS_MAGIC} file")
-        n_users, n_items, n_interactions = (
-            header_count(f, path, line_no, name)
-            for line_no, name in ((2, "users"), (3, "items"), (4, "interactions")))
+        n_users, n_items, n_interactions = _dataset_header(f, path)
         rows = read_index_rows(f, path, 5, n_users, "user rows")
     if len(rows.indices) != n_interactions:
         raise ValueError(f"{path}:4: header gives {n_interactions} interactions, "
                          f"rows hold {len(rows.indices)}")
-    bad = first_row_outside(rows, n_items)
-    if bad is not None:
-        raise ValueError(f"{path}:{bad + 5}: item index outside [0, {n_items})")
-    bad = first_row_not_increasing(rows)
-    if bad is not None:
-        raise ValueError(f"{path}:{bad + 5}: item indices not strictly increasing")
+    _check_item_rows(rows, path, 5, n_items)
     user_ids = _load_ids(os.path.join(dir_path, "user_ids.txt"), n_users)
     item_ids = _load_ids(os.path.join(dir_path, "item_ids.txt"), n_items)
     return InteractionDataset(
         n_users=n_users, n_items=n_items, indptr=rows.indptr, indices=rows.indices,
         user_ids=user_ids, item_ids=item_ids,
     )
+
+
+def _dataset_header(f, path):
+    """The user, item and interaction counts on lines 2-4 of ``dataset.txt``."""
+    if f.readline().rstrip("\n") != DS_MAGIC:
+        raise ValueError(f"{path}: not a {DS_MAGIC} file")
+    return tuple(header_count(f, path, line_no, name)
+                 for line_no, name in ((2, "users"), (3, "items"), (4, "interactions")))
+
+
+def _folds_header(f, path):
+    """The seed and the fold count on lines 2-3 of ``folds.txt``."""
+    if f.readline().rstrip("\n") != FOLDS_MAGIC:
+        raise ValueError(f"{path}: not a {FOLDS_MAGIC} file")
+    return header_count(f, path, 2, "seed"), header_count(f, path, 3, "folds")
 
 
 def header_count(f, path, line_no, name):
@@ -347,20 +358,46 @@ def write_index_rows(f, rows):
 
 def read_index_rows(f, path, first_line, n_rows, what):
     """Read ``n_rows`` lines of integers as :class:`Rows`; cut files and extra lines fail."""
-    rows = []
-    for r in range(n_rows):
-        line = f.readline()
-        if not line.endswith("\n"):  # every complete line ends in a newline
-            raise ValueError(f"{path}:{first_line + r}: truncated after {r} of "
-                             f"{n_rows} {what}")
-        try:
-            rows.append(np.array(line.split(), dtype=np.int64))
-        except (ValueError, OverflowError):
-            raise ValueError(f"{path}:{first_line + r}: expected integers") from None
+    rows = [_index_line(f.readline(), path, first_line, r, n_rows, what)
+            for r in range(n_rows)]
     if f.read().strip():
         raise ValueError(f"{path}:{first_line + n_rows}: more lines than the "
                          f"{n_rows} {what}")
     return as_rows(rows)
+
+
+def _index_line(line, path, first_line, r, n_rows, what):
+    """Row ``r`` of ``n_rows``, read from line ``first_line + r``: its integers."""
+    if not line.endswith("\n"):  # every complete line ends in a newline
+        raise ValueError(f"{path}:{first_line + r}: truncated after {r} of "
+                         f"{n_rows} {what}")
+    try:
+        return np.array(line.split(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{path}:{first_line + r}: expected integers") from None
+
+
+def _check_item_rows(rows, path, first_line, n_items):
+    """Reject rows of item indices, from line ``first_line`` on, out of range or order."""
+    bad = first_row_outside(rows, n_items)
+    if bad is not None:
+        raise ValueError(f"{path}:{bad + first_line}: item index outside [0, {n_items})")
+    bad = first_row_not_increasing(rows)
+    if bad is not None:
+        raise ValueError(f"{path}:{bad + first_line}: item indices not strictly increasing")
+
+
+def _check_label_rows(labels, row_lens, path, first_user, n_folds):
+    """Reject fold-label rows, of users ``first_user`` on, of the wrong length or range."""
+    n_labels = labels.lens()
+    wrong = np.flatnonzero(n_labels != row_lens)
+    if wrong.size:
+        r = wrong[0]
+        raise ValueError(f"{path}:{first_user + r + 4}: {n_labels[r]} labels for user "
+                         f"{first_user + r}'s {row_lens[r]} items")
+    bad = first_row_outside(labels, n_folds)
+    if bad is not None:
+        raise ValueError(f"{path}:{first_user + bad + 4}: fold label outside [0, {n_folds})")
 
 
 def first_row_outside(rows, n):
@@ -384,11 +421,20 @@ def first_row_not_increasing(rows):
 
 def file_digests(dir_path):
     """SHA-256 hex digest of each of a prepared dataset's :data:`DATA_FILES`."""
-    digests = {}
+    return _digests(_read_files(dir_path))
+
+
+def _read_files(dir_path):
+    """The bytes of each of :data:`DATA_FILES`."""
+    blobs = {}
     for name in DATA_FILES:
         with open(os.path.join(dir_path, name), "rb") as f:
-            digests[name] = hashlib.sha256(f.read()).hexdigest()
-    return digests
+            blobs[name] = f.read()
+    return blobs
+
+
+def _digests(blobs):
+    return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
 
 
 def _load_ids(path, expected):
@@ -396,9 +442,7 @@ def _load_ids(path, expected):
     line_of = {}  # id -> its line number, in file order
     with open(path) as f:
         for pos, line in enumerate(f):
-            index, tab, ext = line.removesuffix("\n").partition("\t")
-            if not line.endswith("\n") or not tab or index != str(pos) or not ext:
-                raise ValueError(f"{path}:{pos + 1}: expected '{pos}<TAB><id>'")
+            ext = _id_line(line, path, pos)
             if ext in line_of:
                 raise ValueError(f"{path}:{pos + 1}: id {ext!r} repeats line "
                                  f"{line_of[ext]}")
@@ -407,6 +451,14 @@ def _load_ids(path, expected):
     if len(ids) != expected:
         raise ValueError(f"{path}: expected {expected} ids, found {len(ids)}")
     return ids
+
+
+def _id_line(line, path, pos):
+    """The id on line ``pos + 1`` of a sidecar, a line that must read ``pos<TAB><id>``."""
+    index, tab, ext = line.removesuffix("\n").partition("\t")
+    if not line.endswith("\n") or not tab or index != str(pos) or not ext:
+        raise ValueError(f"{path}:{pos + 1}: expected '{pos}<TAB><id>'")
+    return ext
 
 
 def save_folds(dir_path, folds):
@@ -427,28 +479,95 @@ def save_folds(dir_path, folds):
 def load_fold(dir_path, ds, index):
     """Split ``index`` of the checked file, the only one built; a fold past the count is rejected."""
     folds = load_folds(dir_path, ds)
-    if not 0 <= index < len(folds):
-        raise ValueError(f"{os.path.join(dir_path, 'folds.txt')}: fold {index} "
-                         f"outside the file's {len(folds)} folds")
+    check_fold_index(os.path.join(dir_path, "folds.txt"), index, len(folds))
     return folds[index]
+
+
+def check_fold_index(path, index, n_folds):
+    """Reject a fold ``index`` past the ``n_folds`` of the folds file ``path``."""
+    if not 0 <= index < n_folds:
+        raise ValueError(f"{path}: fold {index} outside the file's {n_folds} folds")
 
 
 def load_folds(dir_path, ds):
     """Read the :class:`Folds` of ``ds``; a file that does not fit it is rejected."""
     path = os.path.join(dir_path, "folds.txt")
     with open(path) as f:
-        if f.readline().rstrip("\n") != FOLDS_MAGIC:
-            raise ValueError(f"{path}: not a {FOLDS_MAGIC} file")
-        seed = header_count(f, path, 2, "seed")
-        n_folds = header_count(f, path, 3, "folds")
+        seed, n_folds = _folds_header(f, path)
         labels = read_index_rows(f, path, 4, ds.n_users, "user lines")
-    n_labels, row_lens = labels.lens(), np.diff(ds.indptr)
-    wrong = np.flatnonzero(n_labels != row_lens)
-    if wrong.size:
-        u = wrong[0]
-        raise ValueError(f"{path}:{u + 4}: {n_labels[u]} labels for user {u}'s "
-                         f"{row_lens[u]} items")
-    bad = first_row_outside(labels, n_folds)
-    if bad is not None:
-        raise ValueError(f"{path}:{bad + 4}: fold label outside [0, {n_folds})")
+    _check_label_rows(labels, np.diff(ds.indptr), path, 0, n_folds)
     return Folds(ds, labels.indices, seed, n_folds)
+
+
+class DataFiles:
+    """A prepared dataset's :data:`DATA_FILES`, each read once, for one user's query.
+
+    Construction reads the four files and the counts in the header of
+    ``dataset.txt``. Once :meth:`digests` match those recorded when a
+    checkpoint was trained, the bytes are the ones :func:`load_dataset` and
+    :func:`load_folds` parsed and checked in full, so the other methods parse
+    only the lines they need, with those readers' per-line checks and
+    ``file:line`` messages.
+    """
+
+    def __init__(self, dir_path):
+        self.dir = dir_path
+        self.blobs = _read_files(dir_path)
+        with self._open("dataset.txt") as f:
+            self.n_users, self.n_items, _ = _dataset_header(f, self.path("dataset.txt"))
+
+    def path(self, name):
+        return os.path.join(self.dir, name)
+
+    def _open(self, name):
+        """File ``name`` as text, decoded and split into lines as ``open`` does."""
+        return io.TextIOWrapper(io.BytesIO(self.blobs[name]))
+
+    def _line(self, name, line_no):
+        """Line ``line_no`` (from 1) of file ``name``, as ``readline`` returns it there."""
+        with self._open(name) as f:
+            return next(itertools.islice(f, line_no - 1, None), "")
+
+    def digests(self):
+        """SHA-256 hex digest of the bytes read, as :func:`file_digests` gives."""
+        return _digests(self.blobs)
+
+    def fold_count(self):
+        """The fold count in the header of ``folds.txt``."""
+        with self._open("folds.txt") as f:
+            return _folds_header(f, self.path("folds.txt"))[1]
+
+    def user_index(self, user_id):
+        """The internal index of external user ``user_id``, or None if no line holds it."""
+        if "\n" in user_id:  # no id holds one, and the search below would span lines
+            return None
+        path = self.path("user_ids.txt")
+        with self._open("user_ids.txt") as f:
+            text = f.read()
+        found = re.search(rf"^[^\t\n]*\t{re.escape(user_id)}(?:\n|\Z)", text, re.MULTILINE)
+        if found is None:
+            return None
+        start = found.start()
+        u = text.count("\n", 0, start)
+        _id_line(text[start:text.find("\n", start) + 1 or len(text)], path, u)
+        if u >= self.n_users:
+            raise ValueError(f"{path}:{u + 1}: id past the dataset's {self.n_users} users")
+        return u
+
+    def train_row(self, u, fold_index, n_folds):
+        """User ``u``'s items whose fold label is not ``fold_index``, in ascending order."""
+        rows_path, folds_path = self.path("dataset.txt"), self.path("folds.txt")
+        items = _index_line(self._line("dataset.txt", u + 5), rows_path, 5, u,
+                            self.n_users, "user rows")
+        _check_item_rows(as_rows([items]), rows_path, u + 5, self.n_items)
+        labels = _index_line(self._line("folds.txt", u + 4), folds_path, 4, u,
+                             self.n_users, "user lines")
+        _check_label_rows(as_rows([labels]), [len(items)], folds_path, u, n_folds)
+        return items[labels != fold_index]
+
+    def item_ids(self, items):
+        """The external id of each internal item index in ``items``."""
+        with self._open("item_ids.txt") as f:
+            lines = f.readlines()
+        return [_id_line(lines[i] if i < len(lines) else "", self.path("item_ids.txt"), i)
+                for i in items]

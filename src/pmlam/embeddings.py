@@ -40,12 +40,20 @@ class GaussianEmbeddingTable:
         return GaussianEmbeddingTable(self.mu.copy(), self.sigma.copy())
 
     def check(self, norm_slack=1e-9):
-        """Assert the table invariants; raises AssertionError on violation."""
-        assert np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.sigma))
-        assert np.all(np.linalg.norm(self.mu, axis=1) <= 1.0 + norm_slack)
+        """Check the table invariants; raises ValueError naming the first one broken."""
+        if self.mu.ndim != 2 or self.sigma.shape != self.mu.shape:
+            raise ValueError(f"mu {self.mu.shape} and sigma {self.sigma.shape} are not "
+                             f"one (n, h) shape")
+        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.sigma))):
+            raise ValueError("a value is not finite")
+        with np.errstate(over="ignore"):  # a square that overflows is inf, and fails
+            if not np.all(np.linalg.norm(self.mu, axis=1) <= 1.0 + norm_slack):
+                raise ValueError("a mu row lies outside the unit ball")
+        if not (np.all(self.sigma >= SIGMA_MIN) and np.all(self.sigma <= SIGMA_MAX)):
+            raise ValueError(f"a sigma value lies outside [{SIGMA_MIN}, {SIGMA_MAX}]")
         # flooring after renormalization can exceed the norm bound by O(h * SIGMA_MIN^2)
-        assert np.all(np.linalg.norm(self.sigma, axis=1) <= 1.0 + norm_slack)
-        assert np.all(self.sigma >= SIGMA_MIN) and np.all(self.sigma <= SIGMA_MAX)
+        if not np.all(np.linalg.norm(self.sigma, axis=1) <= 1.0 + norm_slack):
+            raise ValueError("a sigma row lies outside the unit ball")
 
 
 @dataclass

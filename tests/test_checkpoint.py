@@ -73,6 +73,8 @@ def test_no_temp_files_left_behind(tmp_path):
 @pytest.mark.parametrize("old, new, message", [
     (b'"arrays"', b'"arrayz"', "header has no 'arrays' entry"),
     (b'"float64"', b'"floatXX"', "data type 'floatXX' not understood"),
+    (b'"float64"', b'"i4,,,,,"', "data type 'i4,,,,,' not understood"),
+    (b'"float64"', b'"O"      ', "array 'user_mu' has dtype object, not a float type"),
     (b'"user_mu"', b'"user_mv"', "header has no 'user_mu' entry"),
     (b'"data_sha256"', b'"data_sha257"', "header has no 'data_sha256' entry"),
     (b'{"config"', b'{{config"', "header is not valid JSON: Expecting"),

@@ -671,3 +671,255 @@ def test_a_new_threshold_trains_on_its_own_neighbor_sets(tmp_path, capsys):
                          "--batch-size", "200", "--sim-threshold", tau]) == 0
         traces.append((run / "trace.csv").read_bytes())
     assert traces[0] == traces[1]
+
+
+# criterion 9's data and training flags (tests/test_acceptance.py)
+CRITERION_9 = ["--seed", "7", "--h", "8", "--hidden", "8", "--epochs", "6",
+               "--batch-size", "64", "--pool-size", "16", "--refresh-period", "3",
+               "--eval-every", "2"]
+
+
+@pytest.fixture(scope="module")
+def criterion_9_run(tmp_path_factory):
+    """Criterion 9's dataset directory and the checkpoint trained on it."""
+    tmp = tmp_path_factory.mktemp("criterion_9")
+    ds, _, _ = planted_clusters(seed=4)
+    save_dataset(tmp / "data", ds)
+    save_folds(tmp / "data", split_five_fold(ds, seed=4))
+    assert main(["train", str(tmp / "data"), "--quiet", "--out-dir", str(tmp / "run")]
+                + CRITERION_9) == 0
+    return tmp / "data", tmp / "run" / "checkpoint.bin"
+
+
+def own_copy(tmp_path, run):
+    """A copy of ``run``'s dataset directory and checkpoint that a test may damage."""
+    d, ck = tmp_path / "data", tmp_path / "checkpoint.bin"
+    d.mkdir()
+    for name in DATA_FILES:
+        (d / name).write_bytes((run[0] / name).read_bytes())
+    ck.write_bytes(run[1].read_bytes())
+    return d, ck
+
+
+def full_parse_recommend(d, ck, u, k):
+    """The lines ``recommend`` prints for user ``u``, from the full readers."""
+    ck = checkpoint.load(str(ck))
+    ds = load_dataset(d)
+    fold = load_folds(d, ds)[ck.fold_index]
+    topk = evaluator.rank(u, ck.users, ck.items, fold.train_rows[u], ck.cfg.kind(), k=k)
+    d2 = evaluator.pairwise_distances(ck.users, ck.items, ck.cfg.kind(),
+                                      user_idx=np.array([u]))[0]
+    return "".join(f"{pos:>3}  {ds.item_ids[i]}  {d2[i]:.6f}\n"
+                   for pos, i in enumerate(topk, start=1))
+
+
+def test_recommend_equals_the_full_parse_for_every_user(criterion_9_run, capsys):
+    d, ck = criterion_9_run
+    ds = load_dataset(d)
+    capsys.readouterr()
+    for u, user in enumerate(ds.user_ids):
+        for k in (10, 999):
+            assert main(["recommend", str(d), str(ck), user, "-k", str(k)]) == 0
+            assert capsys.readouterr().out == full_parse_recommend(d, ck, u, k)
+
+
+class ReadLog:
+    """A binary file that records the byte range of each read."""
+
+    def __init__(self, f, ranges):
+        self.f, self.ranges = f, ranges
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def _logged(self, read, arg):
+        start = self.f.tell()
+        got = read(arg)
+        self.ranges.append((start, start + (got if isinstance(got, int) else len(got))))
+        return got
+
+    def read(self, n=-1):
+        return self._logged(self.f.read, n)
+
+    def readinto(self, buf):
+        return self._logged(self.f.readinto, buf)
+
+
+def array_ranges(ck):
+    """Array name -> its (start, end) byte range in checkpoint file ``ck``."""
+    blob = ck.read_bytes()
+    head = len(checkpoint.CKPT_MAGIC)
+    n = int.from_bytes(blob[head:head + 8], "little")
+    offset, ranges = head + 8 + n, {}
+    for entry in json.loads(blob[head + 8:offset])["arrays"]:
+        size = int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
+        ranges[entry["name"]] = (offset, offset + size)
+        offset += size
+    return ranges
+
+
+def test_recommend_parses_no_whole_file_and_reads_no_optimizer_array(
+        criterion_9_run, capsys, monkeypatch):
+    d, ck = criterion_9_run
+    user = load_dataset(d).user_ids[3]
+    expect = full_parse_recommend(d, ck, 3, 10)
+
+    def whole_parse(*args, **kw):
+        raise AssertionError("recommend parsed a whole file")
+
+    for owner, name in ((data, "load_dataset"), (data, "load_folds"),
+                        (data.Folds, "__getitem__")):
+        monkeypatch.setattr(owner, name, whole_parse)
+    reads = []
+    monkeypatch.setattr(checkpoint, "open", lambda path, mode: ReadLog(open(path, mode), reads),
+                        raising=False)
+    capsys.readouterr()
+    assert main(["recommend", str(d), str(ck), user]) == 0
+    assert capsys.readouterr().out == expect
+    opt = [span for name, span in array_ranges(ck).items() if name.startswith("opt.")]
+    assert opt and reads
+    for start, end in reads:
+        assert not any(start < b and a < end for a, b in opt), (start, end)
+
+
+def test_recommend_checks_the_arrays_it_does_not_read(criterion_9_run, tmp_path, capsys):
+    d, ck = own_copy(tmp_path, criterion_9_run)
+    whole = ck.read_bytes()
+    assert max(end for _, end in array_ranges(ck).values()) == len(whole)
+    ck.write_bytes(whole[:-100])  # cut inside the last array, an Adam moment
+    capsys.readouterr()
+    assert main(["recommend", str(d), str(ck), "u0"]) == 2
+    assert f"{ck}: array 'opt.phi." in capsys.readouterr().err
+    ck.write_bytes(whole + b"\0")
+    assert main(["recommend", str(d), str(ck), "u0"]) == 2
+    assert f"{ck}: trailing bytes after the last array" in capsys.readouterr().err
+
+
+def edit_line(path, line_no, edit):
+    lines = path.read_text().split("\n")
+    lines[line_no - 1] = edit(lines[line_no - 1])
+    path.write_text("\n".join(lines))
+
+
+def on_line(line_no, edit):
+    """A text edit that applies ``edit`` to line ``line_no`` (from 1)."""
+    def edit_text(text):
+        lines = text.split("\n")
+        lines[line_no - 1] = edit(lines[line_no - 1])
+        return "\n".join(lines)
+    return edit_text
+
+
+@pytest.mark.parametrize("name, edit, user, line, message", [
+    ("dataset.txt", on_line(5, lambda row: "x " + row), "u0", 5, "expected integers"),
+    ("dataset.txt", on_line(5, lambda row: "1 " + row), "u0", 5,
+     "item indices not strictly increasing"),
+    ("dataset.txt", on_line(5, lambda row: row + " 20"), "u0", 5,
+     "item index outside [0, 20)"),
+    ("dataset.txt", lambda text: text.rstrip("\n"), "u19", 24,
+     "truncated after 19 of 20 user rows"),
+    ("folds.txt", on_line(4, lambda row: row + " 0"), "u0", 4,
+     "11 labels for user 0's 10 items"),
+    ("folds.txt", on_line(4, lambda row: "9" + row[1:]), "u0", 4,
+     "fold label outside [0, 5)"),
+    ("user_ids.txt", on_line(1, lambda line: "7" + line[1:]), "u0", 1,
+     "expected '0<TAB><id>'"),
+    ("user_ids.txt", lambda text: text + "20\tghost\n", "ghost", 21,
+     "id past the dataset's 20 users"),
+    ("item_ids.txt", on_line(20, lambda line: line.replace("\t", " ")), "u0", 20,
+     "expected '19<TAB><id>'")])
+def test_a_pinned_malformed_line_of_the_user_exits_2(criterion_9_run, tmp_path, capsys,
+                                                      name, edit, user, line, message):
+    # rewriting the digests pins the damaged data, so only the line checks can tell
+    d, ck = own_copy(tmp_path, criterion_9_run)
+    path = d / name
+    path.write_text(edit(path.read_text()))
+    rewrite_header(ck, lambda header: header.update(data_sha256=file_digests(d)))
+    capsys.readouterr()
+    assert main(["recommend", str(d), str(ck), user, "-k", "999"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{line}: {message}" in err and "Traceback" not in err
+
+
+WRONG_JSON = (None, True, -1, 2.5, "0", [], {})
+HEADER_TYPES = {"config": dict, "fold_index": int, "arrays": list, "optimizers": dict,
+                "rng_states": dict, "data_sha256": dict}
+
+
+def _set_entry(entry, value):
+    return lambda header, rng: header.__setitem__(entry, value)
+
+
+def _set_inside(entry, pick, value):
+    """Set a value inside header entry ``entry``, found by ``pick(entry's value, rng)``."""
+    def edit(header, rng):
+        container, key = pick(header[entry], rng)
+        container[key] = value
+    return edit
+
+
+def _some_key(mapping, rng):
+    return mapping, sorted(mapping)[rng.integers(len(mapping))]
+
+
+def _some_field(field):
+    return lambda arrays, rng: (arrays[rng.integers(len(arrays))], field)
+
+
+def _some_dimension(arrays, rng):
+    shape = arrays[rng.integers(len(arrays))]["shape"]
+    return shape, rng.integers(len(shape))
+
+
+def header_edits():
+    """(entry, case id, edit): every header entry set to each JSON type it may not
+    have, then values inside the entries, picked with a seeded generator."""
+    edits = [(entry, f"{entry}={value!r}", _set_entry(entry, value))
+             for entry, right in HEADER_TYPES.items() for value in WRONG_JSON
+             if type(value) is not right or value == -1]  # -1 is an int, but no count
+    inner = [("config", "config[key]", _some_key, (str,)),
+             ("data_sha256", "data_sha256[file]", _some_key, (str,)),
+             ("arrays", "arrays[i].name", _some_field("name"), (str,)),
+             ("arrays", "arrays[i].dtype", _some_field("dtype"), (str,)),
+             ("arrays", "arrays[i].shape", _some_field("shape"), (list,)),
+             ("arrays", "arrays[i].shape[j]", _some_dimension, ())]
+    for entry, where, pick, right in inner:
+        edits += [(entry, f"{where}={value!r}", _set_inside(entry, pick, value))
+                  for value in WRONG_JSON if type(value) not in right]
+    return edits
+
+
+@pytest.mark.parametrize("case, entry, edit",
+                         [(case, entry, edit)
+                          for case, (entry, _, edit) in enumerate(header_edits())],
+                         ids=[case_id for _, case_id, _ in header_edits()])
+def test_a_header_entry_of_the_wrong_json_type_exits_2(criterion_9_run, tmp_path, capsys,
+                                                       case, entry, edit):
+    d, ck = own_copy(tmp_path, criterion_9_run)
+    rng = np.random.default_rng([11, case])
+    rewrite_header(ck, lambda header: edit(header, rng))
+    capsys.readouterr()
+    for argv in (["evaluate", str(d), str(ck)], ["recommend", str(d), str(ck), "u0"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{ck}: bad header entry {entry!r}: expected " in err
+        assert "Traceback" not in err
+
+
+def test_a_flipped_exponent_bit_in_a_table_exits_2(criterion_9_run, tmp_path, capsys):
+    d, ck = own_copy(tmp_path, criterion_9_run)
+    start, _ = array_ranges(ck)["user_mu"]
+    blob = bytearray(ck.read_bytes())
+    blob[start + 7] ^= 0x40  # the top exponent bit of user_mu[0, 0], stored little-endian
+    ck.write_bytes(bytes(blob))
+    capsys.readouterr()
+    for argv in (["evaluate", str(d), str(ck)], ["recommend", str(d), str(ck), "u0"]):
+        assert main(argv) == 2
+        assert (f"{ck}: user table: a mu row lies outside the unit ball"
+                in capsys.readouterr().err)

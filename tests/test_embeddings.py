@@ -88,3 +88,18 @@ def test_project_is_idempotent_and_valid():
     project(t)
     np.testing.assert_array_equal(t.mu, snapshot[0])
     np.testing.assert_array_equal(t.sigma, snapshot[1])
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("mu", np.nan, "a value is not finite"),
+    ("sigma", np.inf, "a value is not finite"),
+    ("mu", 1e300, "a mu row lies outside the unit ball"),
+    ("sigma", SIGMA_MIN / 2, "a sigma value lies outside"),
+    ("sigma", 1.5, "a sigma value lies outside")])
+def test_check_raises_value_error_naming_the_broken_invariant(where, value, message):
+    t = init_table(5, 3, seed=0)
+    getattr(t, where)[2, 1] = value
+    with pytest.raises(ValueError, match=message):
+        t.check()
+    with pytest.raises(ValueError, match="not one .n, h. shape"):
+        GaussianEmbeddingTable(np.zeros((2, 3)), np.full((2, 4), 0.1)).check()
