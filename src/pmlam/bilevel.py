@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluator, sampler, simgraph
+from .buffers import BufferPool
 from .data import Rows, atomic_write
 from .embeddings import GaussianEmbeddingTable, init_table, project
 from .losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
@@ -261,14 +262,14 @@ def train(ds, fold, cfg, log=None):
         return sampler.sample_triplets(rel, a[pick], p[pick], pools[rel],
                                        cfg.neg_samples, rng_sampler)
 
-    for epoch in range(cfg.epochs):
-        if epoch % cfg.refresh_period == 0:
-            rng_pool = _stream(cfg.seed, 5, epoch)
-            pools = {rel: sampler.refresh_pool(exclusions[rel], universes[rel],
-                                               cfg.pool_size, rng_pool)
-                     for rel in active_rels}
+    def run_steps(epoch, order):
+        """Run one epoch's steps; returns the trace sums, margin sum and count, and steps.
 
-        order = rng_sampler.permutation(len(ui_anchors))
+        The steps share one pool ``ws`` for their row buffers and noise. It
+        goes with this frame, so no buffer outlives the epoch's steps into the
+        pool refresh or the evaluation.
+        """
+        ws = BufferPool()
         sums = {"inner": 0.0, "outer": 0.0, "ui": 0.0, "uu": 0.0, "ii": 0.0}
         margin_sum, margin_count, n_iter = 0.0, 0, 0
 
@@ -281,7 +282,7 @@ def train(ds, fold, cfg, log=None):
                            for rel in active_rels if rel != "ui")
             for rel, b in batches.items():
                 if modes[rel] == "adaptive" and need_noise:
-                    b.attach_noise(cfg.h, rng_noise)
+                    b.attach_noise(cfg.h, rng_noise, ws)
 
             # inner objective at the current tables
             grads = zero_theta_grads(users, items)
@@ -291,7 +292,7 @@ def train(ds, fold, cfg, log=None):
                 ev = batch_inner(b, users, items, kind, modes[rel],
                                  phi=phis.get(rel), indicator_mode=cfg.indicator_mode,
                                  grad_theta=True, out_grads=grads,
-                                 grad_phi=cfg.joint_margin_training and rel in phis)
+                                 grad_phi=cfg.joint_margin_training and rel in phis, ws=ws)
                 if ev.phi_grads is not None:
                     joint[rel] = ev.phi_grads
                 inner_total += ev.loss
@@ -319,7 +320,7 @@ def train(ds, fold, cfg, log=None):
                 v = zero_theta_grads(users, items)
                 for rel, b in outer_batches.items():
                     ov = batch_outer(b, proxy_users, proxy_items, kind,
-                                     m=1.0, grad_theta=True, out_grads=v)
+                                     m=1.0, grad_theta=True, out_grads=v, ws=ws)
                     outer_total += ov.loss
                 sums["outer"] += outer_total
 
@@ -333,7 +334,7 @@ def train(ds, fold, cfg, log=None):
                         ev = batch_inner(batches[rel], t_users, t_items, kind,
                                          "adaptive", phi=phis[rel],
                                          indicator_mode=cfg.indicator_mode,
-                                         grad_phi=True)
+                                         grad_phi=True, ws=ws)
                         out[rel] = ev.phi_grads
                     return out
 
@@ -345,6 +346,17 @@ def train(ds, fold, cfg, log=None):
                 lam = 0.0 if cfg.joint_margin_training else cfg.lam
                 phi_step(phis, hyper, lam, opt_phi)
             n_iter += 1
+        return sums, margin_sum, margin_count, n_iter
+
+    for epoch in range(cfg.epochs):
+        if epoch % cfg.refresh_period == 0:
+            rng_pool = _stream(cfg.seed, 5, epoch)
+            pools = {rel: sampler.refresh_pool(exclusions[rel], universes[rel],
+                                               cfg.pool_size, rng_pool)
+                     for rel in active_rels}
+
+        order = rng_sampler.permutation(len(ui_anchors))
+        sums, margin_sum, margin_count, n_iter = run_steps(epoch, order)
 
         result.trace.append(TraceRow(
             epoch=epoch,

@@ -144,10 +144,9 @@ def cmd_recommend(args):
     u = files.user_index(args.user)
     if u is None:
         raise ValueError(f"unknown user id {args.user!r}")
-    topk = evaluator.rank(u, ck.users, ck.items, files.train_row(u, ck.fold_index, n_folds),
-                          ck.cfg.kind(), k=args.k)
     d2 = evaluator.pairwise_distances(ck.users, ck.items, ck.cfg.kind(),
                                       user_idx=np.array([u]))[0]
+    topk = evaluator.rank_row(d2, files.train_row(u, ck.fold_index, n_folds), k=args.k)
     for rank_pos, (item, item_id) in enumerate(zip(topk, files.item_ids(topk)), start=1):
         print(f"{rank_pos:>3}  {item_id}  {d2[item]:.6f}")
     return 0

@@ -18,6 +18,8 @@ from enum import Enum
 
 import numpy as np
 
+from .buffers import BufferPool
+
 # Variance floor: the sigma-gradient has a 1/sqrt(sigma) factor, singular at 0.
 SIGMA_MIN = 1e-6
 
@@ -35,7 +37,7 @@ def _check_same_shape(a, b, name_a, name_b):
         )
 
 
-def pair_rows(mu_a, mu_b, root_a=None, root_b=None, grad=False):
+def pair_rows(mu_a, mu_b, root_a=None, root_b=None, grad=False, ws=None):
     """Unchecked row kernel: squared distance and, with ``grad``, its gradient rows.
 
     ``mu_b`` may carry leading axes that ``mu_a`` broadcasts over. ``root_*``
@@ -43,20 +45,24 @@ def pair_rows(mu_a, mu_b, root_a=None, root_b=None, grad=False):
     Euclidean kernel. Returns ``(d2, grads)``, where ``grads`` is None unless
     ``grad`` is set, and then ``(d_mu_a, d_sigma_a, d_sigma_b)`` with the
     shape of the differences; ``d_mu_b = -d_mu_a``, and the sigma entries are
-    None for the Euclidean kernel. No input is modified.
+    None for the Euclidean kernel. The gradient rows are views of the pool
+    ``ws`` (its ``dmu``, ``drt`` and ``d_sigma_a`` buffers); ``d2`` is a new
+    array. No input is modified.
     """
-    dmu = mu_a - mu_b
+    ws = ws or BufferPool()
+    shape = np.broadcast_shapes(np.shape(mu_a), np.shape(mu_b))
+    dmu = np.subtract(mu_a, mu_b, out=ws.get("dmu", shape))
     d2 = np.vecdot(dmu, dmu)
     drt = None
     if root_a is not None:
-        drt = root_a - root_b
+        drt = np.subtract(root_a, root_b, out=ws.get("drt", shape))
         d2 += np.vecdot(drt, drt)
     if not grad:
         return d2, None
     dmu *= 2.0
     if drt is None:
         return d2, (dmu, None, None)
-    d_sigma_a = drt / root_a
+    d_sigma_a = np.divide(drt, root_a, out=ws.get("d_sigma_a", shape))
     drt /= root_b
     np.negative(drt, out=drt)
     return d2, (dmu, d_sigma_a, drt)

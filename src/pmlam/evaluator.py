@@ -54,10 +54,19 @@ def rank(user, users, items, train_set, kind, k=None):
     Ties break by ascending item index. Truncated to ``k`` when given; a ``k``
     past the unseen items gives them all.
     """
-    d2 = pairwise_distances(users, items, kind, user_idx=np.array([user]))
-    d2[0, np.asarray(train_set, dtype=np.int64)] = np.inf
-    n_unseen = items.n - len(train_set)
-    return top_k(d2, n_unseen if k is None else min(k, n_unseen))[0]
+    d2 = pairwise_distances(users, items, kind, user_idx=np.array([user]))[0]
+    return rank_row(d2, train_set, k)
+
+
+def rank_row(d2, train_set, k=None):
+    """:func:`rank` from one user's row ``d2`` of distances to every item.
+
+    ``d2`` is left as it is, so a caller can read the ranked items' distances.
+    """
+    masked = d2[None, :].copy()
+    masked[0, np.asarray(train_set, dtype=np.int64)] = np.inf
+    n_unseen = len(d2) - len(train_set)
+    return top_k(masked, n_unseen if k is None else min(k, n_unseen))[0]
 
 
 def top_k(d2, k):

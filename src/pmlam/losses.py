@@ -23,6 +23,18 @@ same scatter.
 
 Relations share one implementation: "ui" compares users against items,
 "uu" users against users, "ii" items against items.
+
+Buffers: a pass writes its row arrays (the gathered rows, their roots, the
+distance differences and gradient rows, the margin-net inputs, features and
+hidden layers) into a :class:`~pmlam.buffers.BufferPool` ``ws`` that the
+caller owns and passes to every pass; with none, each call uses a fresh
+one. Those arrays are scratch: they are overwritten by the next pass on the
+same pool. Nothing a pass returns is a view of the pool: a
+:class:`BatchEval`'s margins, active mask and gradients, and the
+accumulators it adds into, stay valid after later passes.
+:meth:`TripletBatch.attach_noise` draws into the pool's ``noise.<relation>``
+buffer, so a batch's noise is valid until the next ``attach_noise`` for
+that relation on the same pool, which in training is the next step's.
 """
 
 from dataclasses import dataclass, field
@@ -31,6 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from . import margin_net
+from .buffers import BufferPool
 from .data import Rows
 from .distance import SIGMA_MIN, DistanceKind, pair_rows
 
@@ -52,8 +65,10 @@ class TripletBatch:
 
     Noise arrays are (B, h) standard-normal draws used for the margin net's
     reparameterized inputs; they are attached once per batch so that repeated
-    evaluations (proxy, hypergradient probes) see identical samples. The
-    scatter's selection matrices are kept on the batch the same way.
+    evaluations (proxy, hypergradient probes) see identical samples. They are
+    views of the pool passed to :meth:`attach_noise` and live as long as the
+    module docstring says. The scatter's selection matrices are kept on the
+    batch, which owns them.
     """
 
     relation: str
@@ -87,10 +102,14 @@ class TripletBatch:
                                selection_matrix(self.others, n_other_rows))
         return self._selection
 
-    def attach_noise(self, h, rng):
-        self.noise_anchor = rng.standard_normal((len(self), h))
-        self.noise_pos = rng.standard_normal((len(self), h))
-        self.noise_neg = rng.standard_normal((len(self), h))
+    def attach_noise(self, h, rng, ws=None):
+        """Draw anchor, positive and negative noise, in that order, with one call.
+
+        One (3, B, h) draw into the pool's ``noise.<relation>`` buffer takes
+        the same numbers from ``rng`` as three (B, h) draws.
+        """
+        buf = (ws or BufferPool()).get(f"noise.{self.relation}", (3, len(self), h))
+        self.noise_anchor, self.noise_pos, self.noise_neg = rng.standard_normal(out=buf)
 
 
 @dataclass
@@ -119,7 +138,18 @@ def _role_keys(relation):
             "ii": ("item", "item")}[relation]
 
 
-def _gather(batch, users, items, kind):
+def _take(table, rows, out):
+    """``table[rows]`` written into ``out``.
+
+    ``np.take`` copies through a temporary when it must raise on a bad index,
+    so the bounds are checked here and the take clips.
+    """
+    if len(rows) and not (rows.min() >= 0 and rows.max() < len(table)):
+        raise IndexError(f"row index outside a table of {len(table)} rows")
+    return np.take(table, rows, axis=0, out=out, mode="clip")
+
+
+def _gather(batch, users, items, kind, ws=None):
     """Rows one pass reads: ``(mu_a, mu_o, sig_a, sig_o, live)``.
 
     Anchor rows are (B, h); other-role rows are (2, B, h), positives first.
@@ -130,15 +160,16 @@ def _gather(batch, users, items, kind):
     was floored, else the anchor and other-role masks of unfloored entries:
     gradients w.r.t. floored coordinates are zero through the clamp.
     """
+    ws = ws or BufferPool()
     tables = {"user": users, "item": items}
     anchor_t, other_t = (tables[key] for key in _role_keys(batch.relation))
-    shape_o = (2, len(batch), other_t.mu.shape[1])
-    mu_a = np.take(anchor_t.mu, batch.anchors, axis=0)
-    mu_o = np.take(other_t.mu, batch.others, axis=0).reshape(shape_o)
+    B, h = len(batch), other_t.mu.shape[1]
+    mu_a = _take(anchor_t.mu, batch.anchors, ws.get("mu_a", (B, h)))
+    mu_o = _take(other_t.mu, batch.others, ws.get("mu_o", (2 * B, h))).reshape(2, B, h)
     if kind is not DistanceKind.W2_SQUARED:
         return mu_a, mu_o, None, None, None
-    sig_a = np.take(anchor_t.sigma, batch.anchors, axis=0)
-    sig_o = np.take(other_t.sigma, batch.others, axis=0).reshape(shape_o)
+    sig_a = _take(anchor_t.sigma, batch.anchors, ws.get("sig_a", (B, h)))
+    sig_o = _take(other_t.sigma, batch.others, ws.get("sig_o", (2 * B, h))).reshape(2, B, h)
     live = None
     if min(sig_a.min(initial=np.inf), sig_o.min(initial=np.inf)) < SIGMA_MIN:
         live = (sig_a >= SIGMA_MIN, sig_o >= SIGMA_MIN)
@@ -147,14 +178,15 @@ def _gather(batch, users, items, kind):
     return mu_a, mu_o, sig_a, sig_o, live
 
 
-def _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o):
+def _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o, ws):
     """Embedding inputs of the margin net: sampled for Gaussian runs, means otherwise."""
     if kind is DistanceKind.W2_SQUARED:
         if batch.noise_anchor is None:
             raise ValueError("adaptive margins with Gaussian embeddings need attached noise")
-        u, vp, vn = (rt * noise for rt, noise in (
-            (rt_a, batch.noise_anchor), (rt_o[0], batch.noise_pos),
-            (rt_o[1], batch.noise_neg)))
+        u, vp, vn = (np.multiply(rt, noise, out=ws.get(name, rt.shape))
+                     for name, rt, noise in (
+                         ("u", rt_a, batch.noise_anchor), ("vp", rt_o[0], batch.noise_pos),
+                         ("vn", rt_o[1], batch.noise_neg)))
         u += mu_a
         vp += mu_o[0]
         vn += mu_o[1]
@@ -163,20 +195,23 @@ def _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o):
     return u, vp, vn
 
 
-def _distance_rows(rows, w):
+def _distance_rows(rows, w, ws):
     """Hinge-weighted table-gradient rows of the distance term.
 
     ``rows`` are :func:`distance.pair_rows`'s (2, B, h) gradients, positive
     pair first; ``d2_pos`` enters the hinge with weight ``+w`` and ``d2_neg``
     with ``-w``. Returns ``(anchor, other)`` dicts keyed by parameter, with
-    (B, h) and (2, B, h) rows; ``rows`` is overwritten.
+    (B, h) rows in the pool's ``g_mu_a`` and ``g_sigma_a`` buffers and
+    (2, B, h) rows that are ``rows``, overwritten.
     """
     d_mu, d_sig_a, d_sig_o = rows
     coef = np.stack([w, -w])[:, :, None]
-    anchor, other = {"mu": d_mu[0] - d_mu[1]}, {"mu": d_mu}
+    anchor = {"mu": np.subtract(d_mu[0], d_mu[1], out=ws.get("g_mu_a", d_mu.shape[1:]))}
+    other = {"mu": d_mu}
     d_mu *= -coef  # d_mu_b = -d_mu_a
     if d_sig_a is not None:
-        anchor["sigma"] = d_sig_a[0] - d_sig_a[1]
+        anchor["sigma"] = np.subtract(d_sig_a[0], d_sig_a[1],
+                                      out=ws.get("g_sigma_a", d_sig_a.shape[1:]))
         other["sigma"] = d_sig_o
         d_sig_o *= coef
     for rows_a in anchor.values():
@@ -216,29 +251,32 @@ def _scatter(batch, anchor, other, live, grads):
 
 def batch_inner(batch, users, items, kind, margin_mode, phi=None,
                 indicator_mode="squared-diff", grad_theta=False, grad_phi=False,
-                margin_grad_to_theta=False, out_grads=None):
+                margin_grad_to_theta=False, out_grads=None, ws=None):
     """Mean hinge loss of one batch plus requested gradients.
 
     ``margin_mode`` is either ``("fixed", m)`` or ``"adaptive"`` (with ``phi``
     supplied). Embedding-table gradients flow through the distance term; the
     margin term is treated as constant w.r.t. the tables unless
     ``margin_grad_to_theta`` is set. ``out_grads`` may supply an accumulator
-    dict (see :func:`zero_theta_grads`) to add into.
+    dict (see :func:`zero_theta_grads`) to add into. ``ws`` is the pool the
+    pass's row arrays go into (see the module docstring).
     """
+    ws = ws or BufferPool()
     B = len(batch)
-    mu_a, mu_o, sig_a, sig_o, live = _gather(batch, users, items, kind)
+    mu_a, mu_o, sig_a, sig_o, live = _gather(batch, users, items, kind, ws)
     rt_a = rt_o = None
     if kind is DistanceKind.W2_SQUARED:
-        rt_a, rt_o = np.sqrt(sig_a), np.sqrt(sig_o)
-    d2, rows = pair_rows(mu_a, mu_o, rt_a, rt_o, grad=grad_theta)
+        rt_a = np.sqrt(sig_a, out=ws.get("rt_a", sig_a.shape))
+        rt_o = np.sqrt(sig_o, out=ws.get("rt_o", sig_o.shape))
+    d2, rows = pair_rows(mu_a, mu_o, rt_a, rt_o, grad=grad_theta, ws=ws)
 
     cache = margin_io = None
     if margin_mode == "adaptive":
         if phi is None:
             raise ValueError("adaptive margins need margin-net parameters")
-        margin_io = _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o)
-        s = margin_net.margin_input(indicator_mode, *margin_io)
-        margins, cache = margin_net.forward(phi, s)
+        margin_io = _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o, ws)
+        s = margin_net.margin_input(indicator_mode, *margin_io, ws=ws)
+        margins, cache = margin_net.forward(phi, s, ws=ws)
     else:
         tag, m = margin_mode
         if tag != "fixed":
@@ -253,13 +291,14 @@ def batch_inner(batch, users, items, kind, margin_mode, phi=None,
     result = BatchEval(loss=loss, margins=margins, active=active)
     w = active.astype(float) / max(B, 1)  # per-row weight of the mean reduction
     if grad_theta:
-        anchor, other = _distance_rows(rows, w)
+        anchor, other = _distance_rows(rows, w, ws)
 
-    if margin_mode == "adaptive" and (grad_phi or (grad_theta and margin_grad_to_theta)):
-        phi_grads, ds = margin_net.backward(phi, cache, w)
+    to_theta = grad_theta and margin_grad_to_theta
+    if margin_mode == "adaptive" and (grad_phi or to_theta):
+        phi_grads, ds = margin_net.backward(phi, cache, w, input_grad=to_theta, ws=ws)
         if grad_phi:
             result.phi_grads = phi_grads
-        if grad_theta and margin_grad_to_theta:
+        if to_theta:
             _add_margin_rows(anchor, other, batch, kind, indicator_mode, margin_io,
                              ds, sig_a, sig_o)
 
@@ -270,7 +309,8 @@ def batch_inner(batch, users, items, kind, margin_mode, phi=None,
     return result
 
 
-def batch_outer(batch, users, items, kind, m=1.0, grad_theta=True, out_grads=None):
+def batch_outer(batch, users, items, kind, m=1.0, grad_theta=True, out_grads=None,
+                ws=None):
     """Mean fixed-margin hinge at (typically proxy) parameters.
 
     Same hinge core as :func:`batch_inner` with ``("fixed", m)`` margins;
@@ -278,4 +318,4 @@ def batch_outer(batch, users, items, kind, m=1.0, grad_theta=True, out_grads=Non
     margin net.
     """
     return batch_inner(batch, users, items, kind, ("fixed", m),
-                       grad_theta=grad_theta, out_grads=out_grads)
+                       grad_theta=grad_theta, out_grads=out_grads, ws=ws)

@@ -11,12 +11,21 @@ anchor and each of the two candidates (plus their difference), which mimics a
 Euclidean distance computation without the final sum. ``concat`` and ``sum``
 feature modes are kept for ablations. Forward and backward passes are
 hand-rolled and vectorized over the batch.
+
+Every function that builds a row array takes an optional
+:class:`~pmlam.buffers.BufferPool` ``ws`` and writes the array into it: the
+features into ``features`` (``margin_input``), the hidden activations into
+``z`` (``forward``) and the hidden-layer gradients into ``da1`` and
+``dtanh`` (``backward``). Those views stay valid until the pool's next use
+of the name. Margins, parameter gradients and ``ds`` are new arrays.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
+
+from .buffers import BufferPool
 
 INDICATOR_MODES = ("squared-diff", "concat", "sum")
 
@@ -60,64 +69,79 @@ def init_margin_net(h, hidden, rng, mode="squared-diff"):
     )
 
 
-def indicator(u, v_pos, v_neg):
+def indicator(u, v_pos, v_neg, ws=None):
     """Squared-difference features [chi(u,v_pos); chi(u,v_neg); chi_neg - chi_pos].
 
     chi(u, v)_d = (u_d - v_d)^2. Works on (h,) vectors or (B, h) batches.
+    Each block is written straight into its slice of the ``features`` buffer.
     """
     u, v_pos, v_neg = np.asarray(u, float), np.asarray(v_pos, float), np.asarray(v_neg, float)
     if u.shape != v_pos.shape or u.shape != v_neg.shape:
         raise ValueError("indicator inputs must share a shape")
-    chi_pos = (u - v_pos) ** 2
-    chi_neg = (u - v_neg) ** 2
-    return np.concatenate([chi_pos, chi_neg, chi_neg - chi_pos], axis=-1)
+    h = u.shape[-1]
+    s = (ws or BufferPool()).get("features", u.shape[:-1] + (3 * h,))
+    chi_pos, chi_neg = s[..., :h], s[..., h:2 * h]
+    np.square(np.subtract(u, v_pos, out=chi_pos), out=chi_pos)
+    np.square(np.subtract(u, v_neg, out=chi_neg), out=chi_neg)
+    np.subtract(chi_neg, chi_pos, out=s[..., 2 * h:])
+    return s
 
 
-def margin_input(mode, u, v_pos, v_neg):
-    """Margin-net input under the given feature mode."""
+def margin_input(mode, u, v_pos, v_neg, ws=None):
+    """Margin-net input under the given feature mode, in the pool's ``features`` buffer."""
     if mode == "squared-diff":
-        return indicator(u, v_pos, v_neg)
+        return indicator(u, v_pos, v_neg, ws)
+    ws = ws or BufferPool()
     if mode == "concat":
-        return np.concatenate([u, v_pos, v_neg], axis=-1)
+        shape = np.shape(u)[:-1] + (3 * np.shape(u)[-1],)
+        return np.concatenate([u, v_pos, v_neg], axis=-1, out=ws.get("features", shape))
     if mode == "sum":
-        return u + v_pos + v_neg
+        s = np.add(u, v_pos, out=ws.get("features", np.shape(u)))
+        s += v_neg
+        return s
     raise ValueError(f"unknown indicator mode {mode!r}")
 
 
-def forward(params, s):
+def forward(params, s, ws=None):
     """Margins for a batch of feature rows ``s`` with shape (B, in_dim).
 
     Returns ``(m, cache)`` where ``m`` is (B,) and strictly positive; the
-    cache is consumed by :func:`backward`.
+    cache is consumed by :func:`backward` and holds the pool's ``z`` view.
     """
     s = np.atleast_2d(np.asarray(s, float))
     if s.shape[1] != params.in_dim:
         raise ValueError(f"feature width {s.shape[1]} != net input width {params.in_dim}")
-    z = np.tanh(s @ params.W1.T + params.b1)
+    z = np.matmul(s, params.W1.T, out=(ws or BufferPool()).get("z", (len(s), len(params.b1))))
+    z += params.b1
+    np.tanh(z, out=z)
     a2 = z @ params.W2 + params.b2[0]
     m = np.logaddexp(0.0, a2)  # softplus, overflow-safe
     return m, (s, z, a2)
 
 
-def backward(params, cache, upstream):
+def backward(params, cache, upstream, input_grad=True, ws=None):
     """Reverse pass of :func:`forward`.
 
     ``upstream`` is dL/dm per row, shape (B,). Returns ``(grads, ds)`` with
     ``grads`` matching :meth:`MarginNetParams.params` and ``ds`` of shape
-    (B, in_dim) for chaining into the feature construction.
+    (B, in_dim) for chaining into the feature construction; ``ds`` is None
+    unless ``input_grad`` is set.
     """
     s, z, a2 = cache
+    ws = ws or BufferPool()
     upstream = np.asarray(upstream, float)
     da2 = upstream * expit(a2)
     grads = {
         "W2": da2 @ z,
         "b2": np.array([np.sum(da2)]),
     }
-    dz = np.outer(da2, params.W2)
-    da1 = dz * (1.0 - z * z)
+    da1 = np.multiply(da2[:, None], params.W2, out=ws.get("da1", z.shape))  # np.outer
+    dtanh = np.multiply(z, z, out=ws.get("dtanh", z.shape))
+    np.subtract(1.0, dtanh, out=dtanh)
+    da1 *= dtanh
     grads["W1"] = da1.T @ s
     grads["b1"] = np.sum(da1, axis=0)
-    ds = da1 @ params.W1
+    ds = da1 @ params.W1 if input_grad else None
     return grads, ds
 
 

@@ -788,6 +788,24 @@ def test_recommend_parses_no_whole_file_and_reads_no_optimizer_array(
         assert not any(start < b and a < end for a, b in opt), (start, end)
 
 
+def test_recommend_computes_the_distance_row_once(criterion_9_run, capsys, monkeypatch):
+    d, ck = criterion_9_run
+    user = load_dataset(d).user_ids[3]
+    expect = full_parse_recommend(d, ck, 3, 10)
+    calls = []
+    real = evaluator.pairwise_distances
+
+    def counted(*args, **kw):
+        calls.append(kw.get("user_idx"))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(evaluator, "pairwise_distances", counted)
+    capsys.readouterr()
+    assert main(["recommend", str(d), str(ck), user]) == 0
+    assert capsys.readouterr().out == expect
+    assert [list(idx) for idx in calls] == [[3]]
+
+
 def test_recommend_checks_the_arrays_it_does_not_read(criterion_9_run, tmp_path, capsys):
     d, ck = own_copy(tmp_path, criterion_9_run)
     whole = ck.read_bytes()

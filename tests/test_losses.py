@@ -3,6 +3,7 @@ import pytest
 
 from pmlam import bilevel, losses
 from pmlam.bilevel import build_proxy
+from pmlam.buffers import BufferPool
 from pmlam.config import make_config
 from pmlam.data import split_five_fold
 from pmlam.distance import DistanceKind
@@ -285,3 +286,84 @@ def test_phi_grads_do_not_depend_on_theta_grads(kind):
     assert alone.phi_grads.keys() == both.phi_grads.keys()
     for name, g in alone.phi_grads.items():
         np.testing.assert_array_equal(both.phi_grads[name], g)
+
+
+POOL_PASSES = {  # batch_inner keywords of each kind of pass a training step makes
+    "inner": dict(grad_theta=True, grad_phi=True),
+    "inner-margin-path": dict(grad_theta=True, margin_grad_to_theta=True),
+    "outer": dict(grad_theta=True),
+    "probe": dict(grad_phi=True),
+}
+
+
+def pool_pass(name, b, users, items, kind, net, ws):
+    kwargs = dict(POOL_PASSES[name], ws=ws)
+    if name == "outer":
+        return batch_outer(b, users, items, kind, **kwargs)
+    return batch_inner(b, users, items, kind, "adaptive", phi=net, **kwargs)
+
+
+def eval_arrays(ev):
+    """Every array a BatchEval holds, by name, copied."""
+    out = {"loss": np.array(ev.loss), "margins": ev.margins.copy(), "active": ev.active.copy()}
+    for prefix, grads in (("theta", ev.theta_grads), ("phi", ev.phi_grads)):
+        out.update((f"{prefix}.{k}", g.copy()) for k, g in (grads or {}).items())
+    return out
+
+
+def assert_same_arrays(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+@pytest.mark.parametrize("kind", [W2, EUC])
+@pytest.mark.parametrize("name", sorted(POOL_PASSES))
+def test_a_reused_pool_gives_the_results_of_fresh_calls(name, kind):
+    users, items, rng = toy_setup(43, n_users=5, n_items=7, h=3)
+    users.sigma[2, 1] = -0.1  # floored in the gather, as at a probe's tables
+    net = init_margin_net(3, 4, rng)
+    net.b2[0] = 0.6
+    ws = BufferPool()
+    for rows in (8, 40, 16, 3, 0, 40):  # grow, shrink, empty, regrow
+        batch_rng = np.random.default_rng(rows)
+        b = make_batch("ui", batch_rng, 5, 7, rows=rows)
+        b.attach_noise(3, np.random.default_rng([rows, 1]), ws)
+        pooled = eval_arrays(pool_pass(name, b, users, items, kind, net, ws))
+        b.attach_noise(3, np.random.default_rng([rows, 1]))
+        assert_same_arrays(pooled, eval_arrays(pool_pass(name, b, users, items, kind, net, None)))
+
+
+def test_a_returned_batch_eval_is_unchanged_by_later_calls_on_its_pool():
+    users, items, rng = toy_setup(47, n_users=5, n_items=7, h=3)
+    net = init_margin_net(3, 4, rng)
+    ws = BufferPool()
+    b = make_batch("ui", rng, 5, 7, rows=24)
+    b.attach_noise(3, rng, ws)
+    kept = []
+    for name in sorted(POOL_PASSES):
+        ev = pool_pass(name, b, users, items, W2, net, ws)
+        kept.append((ev, eval_arrays(ev)))
+    for rows in (12, 24, 48):  # smaller and equal batches write over the same buffers
+        other = make_batch("uu", rng, 5, 5, rows=rows)
+        other.attach_noise(3, rng, ws)
+        for name in sorted(POOL_PASSES):
+            pool_pass(name, other, users, items, W2, net, ws)
+    for ev, snapshot in kept:
+        assert_same_arrays(eval_arrays(ev), snapshot)
+
+
+def test_attach_noise_into_a_pool_draws_the_numbers_of_three_draws():
+    ws = BufferPool()
+    for rows in (30, 10):  # the second draw reuses the first one's buffer
+        b = make_batch("ii", np.random.default_rng(rows), 6, 6, rows=rows)
+        pooled_rng, fresh_rng, rng = (np.random.default_rng(rows) for _ in range(3))
+        b.attach_noise(4, pooled_rng, ws)
+        pooled = (b.noise_anchor, b.noise_pos, b.noise_neg)
+        b.attach_noise(4, fresh_rng)
+        fresh = (b.noise_anchor, b.noise_pos, b.noise_neg)
+        for got, unpooled in zip(pooled, fresh):
+            want = rng.standard_normal((rows, 4))
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(unpooled, want)
+        assert pooled_rng.bit_generator.state == rng.bit_generator.state
