@@ -265,9 +265,9 @@ def train(ds, fold, cfg, log=None):
     def run_steps(epoch, order):
         """Run one epoch's steps; returns the trace sums, margin sum and count, and steps.
 
-        The steps share one pool ``ws`` for their row buffers and noise. It
-        goes with this frame, so no buffer outlives the epoch's steps into the
-        pool refresh or the evaluation.
+        The steps share one :class:`BufferPool` ``ws`` for their row buffers
+        and noise. It goes with this frame, so no buffer outlives the steps
+        into the evaluation or the next candidate-pool refresh.
         """
         ws = BufferPool()
         sums = {"inner": 0.0, "outer": 0.0, "ui": 0.0, "uu": 0.0, "ii": 0.0}

@@ -111,7 +111,8 @@ def forward(params, s, ws=None):
     s = np.atleast_2d(np.asarray(s, float))
     if s.shape[1] != params.in_dim:
         raise ValueError(f"feature width {s.shape[1]} != net input width {params.in_dim}")
-    z = np.matmul(s, params.W1.T, out=(ws or BufferPool()).get("z", (len(s), len(params.b1))))
+    ws = ws or BufferPool()
+    z = np.matmul(s, params.W1.T, out=ws.get("z", (len(s), len(params.b1))))
     z += params.b1
     np.tanh(z, out=z)
     a2 = z @ params.W2 + params.b2[0]

@@ -331,7 +331,8 @@ def test_a_reused_pool_gives_the_results_of_fresh_calls(name, kind):
         b.attach_noise(3, np.random.default_rng([rows, 1]), ws)
         pooled = eval_arrays(pool_pass(name, b, users, items, kind, net, ws))
         b.attach_noise(3, np.random.default_rng([rows, 1]))
-        assert_same_arrays(pooled, eval_arrays(pool_pass(name, b, users, items, kind, net, None)))
+        fresh = eval_arrays(pool_pass(name, b, users, items, kind, net, None))
+        assert_same_arrays(pooled, fresh)
 
 
 def test_a_returned_batch_eval_is_unchanged_by_later_calls_on_its_pool():
