@@ -7,7 +7,11 @@ from ``split_five_fold(ds, seed=4)``) and keeps three files under
 - ``trace.csv``, as ``train`` writes it;
 - ``report.csv``, from ``evaluate --out``;
 - ``recommend.txt``, the ``recommend -k 10`` output of every user, each
-  block headed by ``# <user id>``.
+  block headed by ``# <user id>``;
+- ``case-study.txt``, the ``case-study`` output for every user. The item
+  labels written beside the data are the item index's parity: under the
+  planted labels every user holds their whole cluster, so no user would have
+  both a similar and a dissimilar unseen item.
 
 ``tests/test_golden.py`` reruns them and compares the files. A change that
 moves them on purpose regenerates them and states the old and new values:
@@ -21,12 +25,14 @@ import os
 import shutil
 import tempfile
 
+import numpy as np
+
 from pmlam.cli import main
 from pmlam.data import save_dataset, save_folds, split_five_fold
-from pmlam.synth import planted_clusters
+from pmlam.synth import planted_clusters, write_item_labels
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-FILES = ("trace.csv", "report.csv", "recommend.txt")
+FILES = ("trace.csv", "report.csv", "recommend.txt", "case-study.txt")
 
 # criterion 9's flags, then the two other paths the step takes
 BASE = ["--seed", "7", "--h", "8", "--hidden", "8", "--epochs", "6",
@@ -55,6 +61,7 @@ def produce(out_dir, work_dir):
     data_dir = os.path.join(work_dir, "data")
     save_dataset(data_dir, ds)
     save_folds(data_dir, split_five_fold(ds, seed=4))
+    write_item_labels(data_dir, ds, np.arange(ds.n_items) % 2)
     for name, flags in RUNS.items():
         run_dir = os.path.join(work_dir, name)
         dest = os.path.join(out_dir, name)
@@ -67,6 +74,8 @@ def produce(out_dir, work_dir):
             for user in ds.user_ids:
                 f.write(f"# {user}\n")
                 f.write(_quiet(["recommend", data_dir, ckpt, user, "-k", 10]))
+        with open(os.path.join(dest, "case-study.txt"), "w") as f:
+            f.write(_quiet(["case-study", data_dir, ckpt, "--n-users", ds.n_users]))
 
 
 if __name__ == "__main__":
