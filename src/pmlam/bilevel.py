@@ -28,6 +28,7 @@ import numpy as np
 from . import evaluator, sampler, simgraph
 from .buffers import BufferPool
 from .data import Rows, atomic_write
+from .distance import DistanceKind
 from .embeddings import GaussianEmbeddingTable, init_table, project
 from .losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
 from .margin_net import init_margin_net
@@ -223,24 +224,20 @@ def train(ds, fold, cfg, log=None):
     pairs = {"ui": fold.train_rows.pairs()}
     exclusions = {"ui": fold.train_rows}
     universes = {"ui": ds.n_items}
-    if any(rel in cfg.relations for rel in ("uu", "ii")):
-        neighbors = {}
-        if "uu" in cfg.relations:
-            neighbors["uu"] = simgraph.build(fold.train_rows, ds.n_items,
-                                             cfg.sim_threshold)
-        if "ii" in cfg.relations:
-            item_rows = Rows.from_pairs(*pairs["ui"][::-1], ds.n_items)  # the transpose
-            neighbors["ii"] = simgraph.build(item_rows, ds.n_users, cfg.sim_threshold)
-        for rel, n_entities in (("uu", ds.n_users), ("ii", ds.n_items)):
-            if rel in cfg.relations:
-                nbr = neighbors[rel].neighbors
-                anchors, ids = pairs[rel] = nbr.pairs()
-                own = np.arange(n_entities)  # each pool leaves out self and neighbors
-                exclusions[rel] = Rows.from_pairs(np.concatenate([anchors, own]),
-                                                  np.concatenate([ids, own]), n_entities)
-                universes[rel] = n_entities
-                say(f"{rel}: {len(pairs[rel][0])} pairs, "
-                    f"median degree {int(np.median(nbr.lens()))}")
+    for rel in ("uu", "ii"):
+        if rel not in cfg.relations:
+            continue
+        if rel == "uu":
+            rows, n_cols = fold.train_rows, ds.n_items
+        else:  # the transpose, built only when ii is trained
+            rows, n_cols = Rows.from_pairs(*pairs["ui"][::-1], ds.n_items), ds.n_users
+        nbr = simgraph.build(rows, n_cols, cfg.sim_threshold).neighbors
+        anchors, ids = pairs[rel] = nbr.pairs()
+        own = np.arange(len(rows))  # each pool leaves out self and neighbors
+        exclusions[rel] = Rows.from_pairs(np.concatenate([anchors, own]),
+                                          np.concatenate([ids, own]), len(rows))
+        universes[rel] = len(rows)
+        say(f"{rel}: {len(anchors)} pairs, median degree {int(np.median(nbr.lens()))}")
 
     active_rels = [rel for rel in cfg.relations if len(pairs[rel][0]) > 0]
     if "ui" not in active_rels:
@@ -249,7 +246,7 @@ def train(ds, fold, cfg, log=None):
 
     ui_anchors, ui_positives = pairs["ui"]
     pairs_per_batch = max(1, cfg.batch_size // cfg.neg_samples)
-    need_noise = kind.name == "W2_SQUARED"
+    need_noise = kind is DistanceKind.W2_SQUARED
 
     result = TrainResult(users=users, items=items, phis=phis, cfg=cfg,
                          opt_theta=opt_theta, opt_phi=opt_phi)

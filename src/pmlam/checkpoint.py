@@ -80,8 +80,9 @@ def _collect_arrays(result):
 def save(path, result, data_sha256, fold_index=0):
     """Write a TrainResult (see bilevel.train) as a checkpoint file.
 
-    ``data_sha256`` (:func:`~pmlam.data.file_digests` of the dataset trained
-    on) is recorded so that :func:`check_data` can pin the run to it.
+    ``data_sha256`` (:meth:`~pmlam.data.DataFiles.digests` of the files
+    trained on, the bytes that were parsed) is recorded so that
+    :func:`check_data` can pin the run to them.
     """
     arrays, opt_meta = _collect_arrays(result)
     directory = [{"name": k, "shape": list(v.shape), "dtype": str(v.dtype)}

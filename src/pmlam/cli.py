@@ -79,20 +79,29 @@ def cmd_prepare(args):
     folds = data.split_five_fold(ds, args.seed)
     data.save_dataset(args.out_dir, ds)
     data.save_folds(args.out_dir, folds)
-    with open(os.path.join(args.out_dir, "prepare_config.txt"), "w") as f:
-        for name in ("rating_threshold", "min_user", "min_item", "seed"):
-            f.write(f"{name} = {getattr(args, name)}\n")
+    text = "".join(f"{name} = {getattr(args, name)}\n"
+                   for name in ("rating_threshold", "min_user", "min_item", "seed"))
+    data.atomic_write(os.path.join(args.out_dir, "prepare_config.txt"), lambda f: f.write(text))
     density = ds.n_interactions / (ds.n_users * ds.n_items)
     print(f"users {ds.n_users}  items {ds.n_items}  "
           f"interactions {ds.n_interactions}  density {100 * density:.3f}%")
     return 0
 
 
+def _read_split(dataset_dir, fold_index):
+    """The digests of the dataset's files, the dataset, and fold ``fold_index`` of it.
+
+    The files are read once, and their bytes are dropped on return: training
+    holds only what was parsed from them.
+    """
+    files = data.DataFiles(dataset_dir)
+    ds = data.load_dataset(files)
+    return files.digests(), ds, data.load_fold(files, ds, fold_index)
+
+
 def cmd_train(args):
     cfg = _config_from_args(args)
-    digests = data.file_digests(args.dataset_dir)  # before parsing: a later change fails closed
-    ds = data.load_dataset(args.dataset_dir)
-    fold = data.load_fold(args.dataset_dir, ds, args.fold)
+    digests, ds, fold = _read_split(args.dataset_dir, args.fold)
     os.makedirs(args.out_dir, exist_ok=True)
     result = bilevel.train(ds, fold, cfg, log=print if not args.quiet else None)
     checkpoint.save(os.path.join(args.out_dir, "checkpoint.bin"), result, digests,
@@ -104,15 +113,26 @@ def cmd_train(args):
     return 0
 
 
+def _check_run(args, read):
+    """The checkpoint ``read`` gives and the :class:`~pmlam.data.DataFiles` it was trained on.
+
+    Its tables must fit the header counts of ``dataset.txt``, the files must
+    be the bytes it was trained on, and its fold must be one of the file's.
+    Once these hold, ``train`` has parsed and checked these bytes in full.
+    """
+    ck = read(args.checkpoint)
+    files = data.DataFiles(args.dataset_dir)
+    checkpoint.check_fits(ck, files.n_users, files.n_items, args.checkpoint)
+    checkpoint.check_data(ck, files.digests(), args.dataset_dir, args.checkpoint)
+    data.check_fold_index(files.path("folds.txt"), ck.fold_index, files.fold_count())
+    return ck, files
+
+
 def _load_run(args):
     """The checkpoint, the dataset it was trained on, and the checkpoint's fold."""
-    ck = checkpoint.load(args.checkpoint)
-    ds = data.load_dataset(args.dataset_dir)
-    checkpoint.check_fits(ck, ds.n_users, ds.n_items, args.checkpoint)
-    checkpoint.check_data(ck, data.file_digests(args.dataset_dir), args.dataset_dir,
-                          args.checkpoint)
-    fold = data.load_fold(args.dataset_dir, ds, ck.fold_index)
-    return ck, ds, fold
+    ck, files = _check_run(args, checkpoint.load)
+    ds = data.load_dataset(files)
+    return ck, ds, data.load_folds(files, ds)[ck.fold_index]
 
 
 def cmd_evaluate(args):
@@ -127,26 +147,16 @@ def cmd_evaluate(args):
 
 
 def cmd_recommend(args):
-    """One user's top-K, from the checkpoint's tables and that user's lines of the data.
-
-    The checks run in the order :func:`_load_run` gives them. Once the data
-    digests match, the files are the ones ``train`` parsed and checked in
-    full, so only the user's lines are parsed again.
-    """
+    """One user's top-K, from the checkpoint's tables and that user's lines of the data."""
     if args.k < 1:
         raise ValueError(f"-k must be >= 1, got {args.k}")
-    ck = checkpoint.load_tables(args.checkpoint)
-    files = data.DataFiles(args.dataset_dir)
-    checkpoint.check_fits(ck, files.n_users, files.n_items, args.checkpoint)
-    checkpoint.check_data(ck, files.digests(), args.dataset_dir, args.checkpoint)
-    n_folds = files.fold_count()
-    data.check_fold_index(files.path("folds.txt"), ck.fold_index, n_folds)
+    ck, files = _check_run(args, checkpoint.load_tables)
     u = files.user_index(args.user)
     if u is None:
         raise ValueError(f"unknown user id {args.user!r}")
     d2 = evaluator.pairwise_distances(ck.users, ck.items, ck.cfg.kind(),
                                       user_idx=np.array([u]))[0]
-    topk = evaluator.rank_row(d2, files.train_row(u, ck.fold_index, n_folds), k=args.k)
+    topk = evaluator.rank_row(d2, files.train_row(u, ck.fold_index), k=args.k)
     for rank_pos, (item, item_id) in enumerate(zip(topk, files.item_ids(topk)), start=1):
         print(f"{rank_pos:>3}  {item_id}  {d2[item]:.6f}")
     return 0
@@ -164,8 +174,7 @@ def cmd_ablate(args):
     if unknown:
         raise ValueError(f"--variants: unknown variant {unknown[0]}; valid variants "
                          f"are {min(ABLATION_VARIANTS)}-{max(ABLATION_VARIANTS)}")
-    ds = data.load_dataset(args.dataset_dir)
-    fold = data.load_fold(args.dataset_dir, ds, args.fold)
+    _, ds, fold = _read_split(args.dataset_dir, args.fold)
     lines = ["variant,seed,recall10,ndcg10"]
     means = {}
     for variant in variants:
@@ -230,6 +239,7 @@ def _margin_of(ck, u, pos, neg):
     return float(m[0])
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="pmlam")
     sub = parser.add_subparsers(

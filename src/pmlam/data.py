@@ -8,9 +8,8 @@ Folds are one label per interaction in the dataset's row order, as in
 ``folds.txt``; :class:`Folds` builds only the :class:`FoldSplit` asked for.
 Every per-entity index list (a user's items, an entity's neighbors, an
 anchor's excluded ids or negative pool) is held as :class:`Rows`, one CSR
-pair of arrays. :class:`DataFiles` serves one user's query: it reads the
-files once and parses only that user's lines, with the full readers'
-per-line checks.
+pair of arrays. :class:`DataFiles` is the one reader of a prepared dataset's
+files: it reads each once, and its digests are of the bytes the parsers read.
 """
 
 import hashlib
@@ -301,21 +300,20 @@ def save_dataset(dir_path, ds):
                                                      for i, ext in enumerate(ids)))
 
 
-def load_dataset(dir_path):
-    """Read a dataset cache; a file whose rows disagree with its header is rejected."""
-    path = os.path.join(dir_path, "dataset.txt")
-    with open(path) as f:
+def load_dataset(files):
+    """The dataset in :class:`DataFiles` ``files``; rows that disagree with the header fail."""
+    path = files.path("dataset.txt")
+    with files.open("dataset.txt") as f:
         n_users, n_items, n_interactions = _dataset_header(f, path)
         rows = read_index_rows(f, path, 5, n_users, "user rows")
     if len(rows.indices) != n_interactions:
         raise ValueError(f"{path}:4: header gives {n_interactions} interactions, "
                          f"rows hold {len(rows.indices)}")
     _check_item_rows(rows, path, 5, n_items)
-    user_ids = _load_ids(os.path.join(dir_path, "user_ids.txt"), n_users)
-    item_ids = _load_ids(os.path.join(dir_path, "item_ids.txt"), n_items)
     return InteractionDataset(
         n_users=n_users, n_items=n_items, indptr=rows.indptr, indices=rows.indices,
-        user_ids=user_ids, item_ids=item_ids,
+        user_ids=_load_ids(files, "user_ids.txt", n_users),
+        item_ids=_load_ids(files, "item_ids.txt", n_items),
     )
 
 
@@ -419,28 +417,11 @@ def first_row_not_increasing(rows):
     return int(np.searchsorted(rows.indptr, bad[0] + 1, side="right")) - 1
 
 
-def file_digests(dir_path):
-    """SHA-256 hex digest of each of a prepared dataset's :data:`DATA_FILES`."""
-    return _digests(_read_files(dir_path))
-
-
-def _read_files(dir_path):
-    """The bytes of each of :data:`DATA_FILES`."""
-    blobs = {}
-    for name in DATA_FILES:
-        with open(os.path.join(dir_path, name), "rb") as f:
-            blobs[name] = f.read()
-    return blobs
-
-
-def _digests(blobs):
-    return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
-
-
-def _load_ids(path, expected):
-    """Read an id sidecar: line ``i + 1`` is ``i<TAB><id>``, ids non-empty and unique."""
+def _load_ids(files, name, expected):
+    """Read id sidecar ``name``: line ``i + 1`` is ``i<TAB><id>``, ids non-empty and unique."""
+    path = files.path(name)
     line_of = {}  # id -> its line number, in file order
-    with open(path) as f:
+    with files.open(name) as f:
         for pos, line in enumerate(f):
             ext = _id_line(line, path, pos)
             if ext in line_of:
@@ -476,10 +457,10 @@ def save_folds(dir_path, folds):
     atomic_write(os.path.join(dir_path, "folds.txt"), body)
 
 
-def load_fold(dir_path, ds, index):
+def load_fold(files, ds, index):
     """Split ``index`` of the checked file, the only one built; a fold past the count is rejected."""
-    folds = load_folds(dir_path, ds)
-    check_fold_index(os.path.join(dir_path, "folds.txt"), index, len(folds))
+    folds = load_folds(files, ds)
+    check_fold_index(files.path("folds.txt"), index, len(folds))
     return folds[index]
 
 
@@ -489,10 +470,10 @@ def check_fold_index(path, index, n_folds):
         raise ValueError(f"{path}: fold {index} outside the file's {n_folds} folds")
 
 
-def load_folds(dir_path, ds):
-    """Read the :class:`Folds` of ``ds``; a file that does not fit it is rejected."""
-    path = os.path.join(dir_path, "folds.txt")
-    with open(path) as f:
+def load_folds(files, ds):
+    """The :class:`Folds` of ``ds`` in :class:`DataFiles` ``files``; a misfit file fails."""
+    path = files.path("folds.txt")
+    with files.open("folds.txt") as f:
         seed, n_folds = _folds_header(f, path)
         labels = read_index_rows(f, path, 4, ds.n_users, "user lines")
     _check_label_rows(labels, np.diff(ds.indptr), path, 0, n_folds)
@@ -500,41 +481,46 @@ def load_folds(dir_path, ds):
 
 
 class DataFiles:
-    """A prepared dataset's :data:`DATA_FILES`, each read once, for one user's query.
+    """A prepared dataset's :data:`DATA_FILES`, each read once; the only reader of them.
 
     Construction reads the four files and the counts in the header of
-    ``dataset.txt``. Once :meth:`digests` match those recorded when a
-    checkpoint was trained, the bytes are the ones :func:`load_dataset` and
-    :func:`load_folds` parsed and checked in full, so the other methods parse
-    only the lines they need, with those readers' per-line checks and
-    ``file:line`` messages.
+    ``dataset.txt``. :meth:`digests` hashes the bytes read, and every parse
+    (:func:`load_dataset`, :func:`load_folds` and the methods below) reads
+    those same bytes through :meth:`open`, so what a command checks against a
+    checkpoint is what it parses. Once the digests match those recorded when
+    a checkpoint was trained, ``train`` has parsed and checked these bytes in
+    full, so the methods below parse only the lines they need, with the full
+    readers' per-line checks and ``file:line`` messages.
     """
 
     def __init__(self, dir_path):
         self.dir = dir_path
-        self.blobs = _read_files(dir_path)
-        with self._open("dataset.txt") as f:
+        self.blobs = {}
+        for name in DATA_FILES:
+            with open(self.path(name), "rb") as f:
+                self.blobs[name] = f.read()
+        with self.open("dataset.txt") as f:
             self.n_users, self.n_items, _ = _dataset_header(f, self.path("dataset.txt"))
 
     def path(self, name):
         return os.path.join(self.dir, name)
 
-    def _open(self, name):
+    def open(self, name):
         """File ``name`` as text, decoded and split into lines as ``open`` does."""
         return io.TextIOWrapper(io.BytesIO(self.blobs[name]))
 
     def _line(self, name, line_no):
         """Line ``line_no`` (from 1) of file ``name``, as ``readline`` returns it there."""
-        with self._open(name) as f:
+        with self.open(name) as f:
             return next(itertools.islice(f, line_no - 1, None), "")
 
     def digests(self):
-        """SHA-256 hex digest of the bytes read, as :func:`file_digests` gives."""
-        return _digests(self.blobs)
+        """SHA-256 hex digest of the bytes read, file name -> digest."""
+        return {name: hashlib.sha256(blob).hexdigest() for name, blob in self.blobs.items()}
 
     def fold_count(self):
         """The fold count in the header of ``folds.txt``."""
-        with self._open("folds.txt") as f:
+        with self.open("folds.txt") as f:
             return _folds_header(f, self.path("folds.txt"))[1]
 
     def user_index(self, user_id):
@@ -542,7 +528,7 @@ class DataFiles:
         if "\n" in user_id:  # no id holds one, and the search below would span lines
             return None
         path = self.path("user_ids.txt")
-        with self._open("user_ids.txt") as f:
+        with self.open("user_ids.txt") as f:
             text = f.read()
         found = re.search(rf"^[^\t\n]*\t{re.escape(user_id)}(?:\n|\Z)", text, re.MULTILINE)
         if found is None:
@@ -554,7 +540,7 @@ class DataFiles:
             raise ValueError(f"{path}:{u + 1}: id past the dataset's {self.n_users} users")
         return u
 
-    def train_row(self, u, fold_index, n_folds):
+    def train_row(self, u, fold_index):
         """User ``u``'s items whose fold label is not ``fold_index``, in ascending order."""
         rows_path, folds_path = self.path("dataset.txt"), self.path("folds.txt")
         items = _index_line(self._line("dataset.txt", u + 5), rows_path, 5, u,
@@ -562,12 +548,12 @@ class DataFiles:
         _check_item_rows(as_rows([items]), rows_path, u + 5, self.n_items)
         labels = _index_line(self._line("folds.txt", u + 4), folds_path, 4, u,
                              self.n_users, "user lines")
-        _check_label_rows(as_rows([labels]), [len(items)], folds_path, u, n_folds)
+        _check_label_rows(as_rows([labels]), [len(items)], folds_path, u, self.fold_count())
         return items[labels != fold_index]
 
     def item_ids(self, items):
         """The external id of each internal item index in ``items``."""
-        with self._open("item_ids.txt") as f:
+        with self.open("item_ids.txt") as f:
             lines = f.readlines()
         return [_id_line(lines[i] if i < len(lines) else "", self.path("item_ids.txt"), i)
                 for i in items]

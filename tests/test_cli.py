@@ -1,5 +1,8 @@
+import argparse
+import builtins
 import dataclasses
 import hashlib
+import io
 import json
 import os
 
@@ -9,7 +12,7 @@ import pytest
 from pmlam import bilevel, checkpoint, data, evaluator
 from pmlam.cli import ABLATION_VARIANTS, build_parser, main
 from pmlam.config import RunConfig, make_config
-from pmlam.data import (DATA_FILES, file_digests, load_dataset, load_folds, split_five_fold,
+from pmlam.data import (DATA_FILES, DataFiles, load_dataset, load_folds, split_five_fold,
                         save_dataset, save_folds)
 from pmlam.synth import planted_clusters, write_item_labels
 
@@ -52,8 +55,9 @@ def test_prepare_writes_cache_and_stats(tmp_path, capsys):
     assert rc == 0
     stats = capsys.readouterr().out
     assert "users 12" in stats and "items 10" in stats and "interactions 120" in stats
-    ds = load_dataset(out)
-    assert len(load_folds(out, ds)) == 5
+    files = DataFiles(out)
+    ds = load_dataset(files)
+    assert len(load_folds(files, ds)) == 5
     digest = file_digest(out / "dataset.txt")
     assert main(["prepare", str(ratings), str(out), "--min-user", "10",
                  "--min-item", "5", "--seed", "0"]) == 0
@@ -108,7 +112,7 @@ def test_train_evaluate_recommend_roundtrip(tmp_path, capsys):
     assert len(lines) == 5
     # the printed list must match the ranking oracle on the stored tables
     ck = checkpoint.load(str(run / "checkpoint.bin"))
-    fold = load_folds(d, ds)[0]
+    fold = load_folds(DataFiles(d), ds)[0]
     expect = evaluator.rank(3, ck.users, ck.items, fold.train_rows[3],
                             ck.cfg.kind(), k=5)
     got = [line.split()[1] for line in lines]
@@ -127,7 +131,7 @@ def test_recommend_unknown_user_and_oversize_k(tmp_path, capsys):
                "-k", "999"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().split("\n")
-    fold = load_folds(d, ds)[0]
+    fold = load_folds(DataFiles(d), ds)[0]
     assert len(lines) == ds.n_items - len(fold.train_rows[0])  # full ordering
 
 
@@ -419,9 +423,9 @@ def test_fold_past_the_fold_count_exits_2(tmp_path, capsys):
     cfg = make_config(file_values={"h": "4", "hidden": "4", "epochs": "1",
                                    "batch_size": "64", "pool_size": "8",
                                    "relations": "ui"})
-    result = bilevel.train(ds, load_folds(d, ds)[0], cfg)
+    result = bilevel.train(ds, load_folds(DataFiles(d), ds)[0], cfg)
     ck = tmp_path / "checkpoint.bin"
-    checkpoint.save(ck, result, file_digests(d), fold_index=9)
+    checkpoint.save(ck, result, DataFiles(d).digests(), fold_index=9)
     assert main(["evaluate", str(d), str(ck)]) == 2
     assert "folds.txt: fold 9 outside the file's 5 folds" in capsys.readouterr().err
 
@@ -554,7 +558,7 @@ SPARSE = dict(n_users=60, n_items=40, n_clusters=2, p_in=0.4, p_out=0.03)
 
 def test_checkpoint_on_a_resplit_dataset_exits_2(tmp_path, capsys):
     d, ck = trained_checkpoint(tmp_path, **SPARSE)
-    ds = load_dataset(d)
+    ds = load_dataset(DataFiles(d))
     save_folds(d, split_five_fold(ds, seed=1))  # same data and shape, other folds
     capsys.readouterr()
     for argv in (["evaluate", str(d), str(ck)],
@@ -583,10 +587,81 @@ def edit_one_byte(path):
 def test_one_byte_edit_of_the_training_data_exits_2(tmp_path, capsys, name):
     d, ck = trained_checkpoint(tmp_path, **SPARSE)
     edit_one_byte(d / name)
-    load_folds(d, load_dataset(d))  # the edited files load: only the digest tells
+    files = DataFiles(d)
+    load_folds(files, load_dataset(files))  # the edited files load: only the digest tells
     capsys.readouterr()
     assert main(["evaluate", str(d), str(ck)]) == 2
     assert f"{name}: differs from the file {ck} was trained on" in capsys.readouterr().err
+
+
+def patch_open(monkeypatch, opener):
+    """Route every ``open`` of a file through ``opener(file, *args, **kw)``."""
+    for owner in (builtins, io):
+        monkeypatch.setattr(owner, "open", opener)
+
+
+def test_each_command_opens_each_data_file_once(tmp_path, capsys, monkeypatch):
+    d, _ = planted_dataset_dir(tmp_path, labels=True, p_in=0.7, p_out=0.1)
+    run = tmp_path / "run"
+    ck = str(run / "checkpoint.bin")
+    commands = {
+        "train": ["train", str(d), "--out-dir", str(run), "--quiet"] + FAST,
+        "evaluate": ["evaluate", str(d), ck],
+        "case-study": ["case-study", str(d), ck],
+        "recommend": ["recommend", str(d), ck, "u0"],
+        "ablate": ["ablate", str(d), "--seeds", "0", "--variants", "1",
+                   "--out", str(tmp_path / "ablation.csv")] + FAST,
+    }
+    opened, real = [], io.open
+
+    def logged(file, *args, **kw):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(os.path.abspath(file))
+        return real(file, *args, **kw)
+
+    patch_open(monkeypatch, logged)
+    for command, argv in commands.items():
+        opened.clear()
+        assert main(argv) == 0, command
+        counts = {name: opened.count(str(d / name)) for name in DATA_FILES}
+        assert counts == dict.fromkeys(DATA_FILES, 1), (command, counts)
+
+
+def test_data_edited_between_two_reads_exits_2(tmp_path, capsys, monkeypatch):
+    # the first read of dataset.txt sees an edited copy, any later one the pinned bytes
+    d, ck = trained_checkpoint(tmp_path, **SPARSE)
+    edited = tmp_path / "edited" / "dataset.txt"
+    edited.parent.mkdir()
+    edited.write_bytes((d / "dataset.txt").read_bytes())
+    edit_one_byte(edited)
+    served, real = [], io.open
+
+    def swapping(file, *args, **kw):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(d / "dataset.txt"):
+            served.append(file)
+            if len(served) == 1:
+                file = edited
+        return real(file, *args, **kw)
+
+    patch_open(monkeypatch, swapping)
+    capsys.readouterr()
+    assert main(["evaluate", str(d), str(ck)]) == 2
+    assert len(served) == 1
+    assert (f"{d / 'dataset.txt'}: differs from the file {ck} was trained on"
+            in capsys.readouterr().err)
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    parsers, real = [], argparse.ArgumentParser.parse_args
+
+    def recorded(self, *args, **kw):
+        parsers.append(self)
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+    for _ in range(2):
+        assert main(["prepare", str(tmp_path / "nope.tsv"), str(tmp_path / "out")]) == 2
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_checkpoint_without_digests_exits_2(tmp_path, capsys):
@@ -632,21 +707,26 @@ class HalfWrite:
         raise OSError("No space left on device")
 
 
-@pytest.mark.parametrize("artifact", ["trace.csv", "report.csv", "ablation.csv"])
+@pytest.mark.parametrize("artifact", ["trace.csv", "report.csv", "ablation.csv",
+                                      "prepare_config.txt"])
 def test_a_cut_artifact_write_leaves_the_previous_file(tmp_path, capsys, monkeypatch,
                                                        artifact):
     d, ck = trained_checkpoint(tmp_path)
     run = ck.parent
+    write_ratings(tmp_path / "ratings.tsv")
     argv = {"trace.csv": ["train", str(d), "--out-dir", str(run), "--quiet"] + FAST,
             "report.csv": ["evaluate", str(d), str(ck), "--out", str(run / artifact)],
             "ablation.csv": ["ablate", str(d), "--seeds", "0", "--variants", "1",
-                             "--out", str(run / artifact)] + FAST}[artifact]
+                             "--out", str(run / artifact)] + FAST,
+            "prepare_config.txt": ["prepare", str(tmp_path / "ratings.tsv"),
+                                   str(run)]}[artifact]
     assert main(argv) == 0
     before = {path.name: path.read_bytes() for path in run.iterdir()}
     monkeypatch.setattr(checkpoint, "save", lambda *args, **kw: None)  # train: trace only
-    def open_cut(path, mode="r", **kw):  # reads go through untouched
+    def open_cut(path, mode="r", **kw):  # reads and the other files' writes go through
         f = open(path, mode, **kw)
-        return f if mode.startswith("r") else HalfWrite(f)
+        cut = not mode.startswith("r") and os.path.basename(path).startswith(artifact)
+        return HalfWrite(f) if cut else f
 
     monkeypatch.setattr(data, "open", open_cut, raising=False)
     capsys.readouterr()
@@ -704,8 +784,9 @@ def own_copy(tmp_path, run):
 def full_parse_recommend(d, ck, u, k):
     """The lines ``recommend`` prints for user ``u``, from the full readers."""
     ck = checkpoint.load(str(ck))
-    ds = load_dataset(d)
-    fold = load_folds(d, ds)[ck.fold_index]
+    files = DataFiles(d)
+    ds = load_dataset(files)
+    fold = load_folds(files, ds)[ck.fold_index]
     topk = evaluator.rank(u, ck.users, ck.items, fold.train_rows[u], ck.cfg.kind(), k=k)
     d2 = evaluator.pairwise_distances(ck.users, ck.items, ck.cfg.kind(),
                                       user_idx=np.array([u]))[0]
@@ -715,7 +796,7 @@ def full_parse_recommend(d, ck, u, k):
 
 def test_recommend_equals_the_full_parse_for_every_user(criterion_9_run, capsys):
     d, ck = criterion_9_run
-    ds = load_dataset(d)
+    ds = load_dataset(DataFiles(d))
     capsys.readouterr()
     for u, user in enumerate(ds.user_ids):
         for k in (10, 999):
@@ -767,7 +848,7 @@ def array_ranges(ck):
 def test_recommend_parses_no_whole_file_and_reads_no_optimizer_array(
         criterion_9_run, capsys, monkeypatch):
     d, ck = criterion_9_run
-    user = load_dataset(d).user_ids[3]
+    user = load_dataset(DataFiles(d)).user_ids[3]
     expect = full_parse_recommend(d, ck, 3, 10)
 
     def whole_parse(*args, **kw):
@@ -790,7 +871,7 @@ def test_recommend_parses_no_whole_file_and_reads_no_optimizer_array(
 
 def test_recommend_computes_the_distance_row_once(criterion_9_run, capsys, monkeypatch):
     d, ck = criterion_9_run
-    user = load_dataset(d).user_ids[3]
+    user = load_dataset(DataFiles(d)).user_ids[3]
     expect = full_parse_recommend(d, ck, 3, 10)
     calls = []
     real = evaluator.pairwise_distances
@@ -858,7 +939,7 @@ def test_a_pinned_malformed_line_of_the_user_exits_2(criterion_9_run, tmp_path, 
     d, ck = own_copy(tmp_path, criterion_9_run)
     path = d / name
     path.write_text(edit(path.read_text()))
-    rewrite_header(ck, lambda header: header.update(data_sha256=file_digests(d)))
+    rewrite_header(ck, lambda header: header.update(data_sha256=DataFiles(d).digests()))
     capsys.readouterr()
     assert main(["recommend", str(d), str(ck), user, "-k", "999"]) == 2
     err = capsys.readouterr().err

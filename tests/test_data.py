@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from pmlam.data import (InteractionDataset, ParseError, Rows, as_rows, atomic_write,
-                        filter_iterative, first_row_not_increasing, ingest, load_dataset,
-                        load_folds, parse_line, save_dataset, save_folds, split_five_fold)
+from pmlam.data import (DataFiles, InteractionDataset, ParseError, Rows, as_rows,
+                        atomic_write, filter_iterative, first_row_not_increasing, ingest,
+                        load_dataset, load_folds, parse_line, save_dataset, save_folds,
+                        split_five_fold)
 from pmlam.synth import planted_clusters
 
 from helpers import (dataset_digest, reference_filter_iterative, reference_folds_text,
@@ -192,8 +193,9 @@ def test_dataset_cache_roundtrip(tmp_path):
     pairs = [(f"user-{u}", f"item:{i}") for u in range(4) for i in range(5)]
     ds = filter_iterative(pairs, min_user=1, min_item=1)
     save_dataset(tmp_path, ds)
+    save_folds(tmp_path, split_five_fold(ds, seed=0))
     assert (tmp_path / "dataset.txt").read_text().startswith("PMLAM-DS v1\n")
-    back = load_dataset(tmp_path)
+    back = load_dataset(DataFiles(tmp_path))
     assert back.user_ids == ds.user_ids and back.item_ids == ds.item_ids
     np.testing.assert_array_equal(back.indptr, ds.indptr)
     np.testing.assert_array_equal(back.indices, ds.indices)
@@ -206,7 +208,8 @@ def test_folds_roundtrip(tmp_path):
     splits = split_five_fold(ds, seed=3)
     save_dataset(tmp_path, ds)
     save_folds(tmp_path, splits)
-    back = load_folds(tmp_path, load_dataset(tmp_path))
+    files = DataFiles(tmp_path)
+    back = load_folds(files, load_dataset(files))
     for s, b in zip(splits, back):
         for u in range(ds.n_users):
             np.testing.assert_array_equal(s.test_rows[u], b.test_rows[u])
@@ -246,7 +249,8 @@ def test_folds_match_nested_loop_reference(tmp_path, name, seed):
     save_dataset(tmp_path, ds)
     save_folds(tmp_path, folds)
     assert (tmp_path / "folds.txt").read_bytes() == reference_folds_text(expect).encode()
-    for got in (folds, load_folds(tmp_path, load_dataset(tmp_path))):
+    files = DataFiles(tmp_path)
+    for got in (folds, load_folds(files, load_dataset(files))):
         assert len(got) == 5
         splits = list(got)
         assert len(splits) == 5
@@ -262,9 +266,12 @@ def test_folds_match_nested_loop_reference(tmp_path, name, seed):
 
 
 def test_load_rejects_wrong_magic(tmp_path):
+    ds = filter_iterative([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)], 1, 1)
+    save_dataset(tmp_path, ds)
+    save_folds(tmp_path, split_five_fold(ds, seed=0))
     (tmp_path / "dataset.txt").write_text("NOT-A-CACHE\n")
     with pytest.raises(ValueError, match="PMLAM-DS"):
-        load_dataset(tmp_path)
+        load_dataset(DataFiles(tmp_path))
 
 
 def test_failed_atomic_write_leaves_target_and_no_temp_file(tmp_path):
@@ -293,12 +300,13 @@ def test_load_rejects_item_index_outside_catalog(tmp_path):
     ds = filter_iterative([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)],
                           min_user=1, min_item=1)
     save_dataset(tmp_path, ds)
+    save_folds(tmp_path, split_five_fold(ds, seed=0))
     path = tmp_path / "dataset.txt"
     lines = path.read_text().split("\n")
     lines[5] = "0 1 2 4"  # the second user's last item is past the 4-item catalog
     path.write_text("\n".join(lines))
     with pytest.raises(ValueError, match="dataset.txt:6: item index"):
-        load_dataset(tmp_path)
+        load_dataset(DataFiles(tmp_path))
 
 
 @pytest.mark.parametrize("damage, message", [
@@ -312,6 +320,7 @@ def test_load_rejects_damaged_id_sidecar(tmp_path, damage, message):
     ds = filter_iterative([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)],
                           min_user=1, min_item=1)
     save_dataset(tmp_path, ds)
+    save_folds(tmp_path, split_five_fold(ds, seed=0))
     path = tmp_path / "user_ids.txt"
     lines = path.read_text().split("\n")[:-1]
     assert lines[1] == "1\tu1"
@@ -320,7 +329,7 @@ def test_load_rejects_damaged_id_sidecar(tmp_path, damage, message):
     text = "\n".join(lines) + "\n"
     path.write_text(text[:-1] if damage == "cut" else text)
     with pytest.raises(ValueError, match=message):
-        load_dataset(tmp_path)
+        load_dataset(DataFiles(tmp_path))
 
 
 def test_first_row_not_increasing_matches_a_row_loop():
