@@ -228,6 +228,9 @@ def cmd_case_study(args):
     rows.sort(key=lambda r: (r[0], r[1], r[3]))
     for user, pos, neg, tag, m in rows:
         print(f"{user:>8}  {pos:>10}  {neg:>10}  {tag:>9}  {m:.4f}")
+    if not rows:
+        print(f"note: none of the {len(users_pick)} sampled users has both a similar and "
+              f"a dissimilar unseen item, so the table is empty", file=sys.stderr)
     return 0
 
 

@@ -12,13 +12,17 @@ pair of arrays. :class:`DataFiles` is the one reader of a prepared dataset's
 files: it reads each once, and its digests are of the bytes the parsers read.
 """
 
+import filecmp
 import hashlib
 import io
 import itertools
+import math
 import operator
 import os
 import re
+import stat
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -33,8 +37,7 @@ class ParseError(ValueError):
     """A malformed line in a ratings file, carrying its 1-based line number."""
 
 
-@dataclass
-class RawRating:
+class RawRating(NamedTuple):
     user_ext_id: str
     item_ext_id: str
     rating: float
@@ -149,13 +152,13 @@ def parse_line(line, line_no):
         rating = float(parts[2])
     except ValueError:
         raise ParseError(f"line {line_no}: bad rating {parts[2]!r}") from None
-    if not np.isfinite(rating):
+    if not math.isfinite(rating):
         raise ParseError(f"line {line_no}: non-finite rating")
     ts = None
     if len(parts) == 4 and parts[3].strip():
         try:
             ts = int(float(parts[3]))
-        except ValueError:
+        except (ValueError, OverflowError):  # int(inf) overflows
             raise ParseError(f"line {line_no}: bad timestamp {parts[3]!r}") from None
     return RawRating(user, item, rating, ts)
 
@@ -166,21 +169,17 @@ def ingest(path, rating_threshold=4.0):
     Duplicate pairs collapse to one. Raises ParseError on malformed lines and
     ValueError when no positive survives.
     """
-    pairs = []
-    seen = set()
+    pairs = {}  # (user, item) -> None, in first-appearance order
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             r = parse_line(line, line_no)
             if r.rating >= rating_threshold:
-                key = (r.user_ext_id, r.item_ext_id)
-                if key not in seen:
-                    seen.add(key)
-                    pairs.append(key)
+                pairs[r.user_ext_id, r.item_ext_id] = None
     if not pairs:
         raise ValueError(f"{path}: no positives at rating threshold {rating_threshold}")
-    return pairs
+    return list(pairs)
 
 
 def filter_iterative(pairs, min_user=10, min_item=5):
@@ -268,18 +267,39 @@ def atomic_write(path, write_fn, mode="w"):
     """Call ``write_fn(f)`` on a temp file beside ``path``, then rename it into place.
 
     Readers see the old file or the complete new one. If writing or renaming
-    raises, the temp file is removed and ``path`` is left as it was. The file
-    gets the permissions a plain ``open(path, mode)`` would give it.
+    raises, the temp file is removed and ``path`` is left as it was. A new file
+    gets the permissions a plain ``open(path, mode)`` would give it, and a
+    replaced regular file keeps its permission bits, as it would under ``open``.
+    When ``path`` is a regular file that already holds exactly the bytes
+    written, it is left in place, mtime and all, and the temp file is removed:
+    a rename over a file whose blocks are allocated can cost tens of
+    milliseconds, and a rerun mostly writes the bytes already there.
     """
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     f = open(tmp, mode.replace("w", "x"))  # exclusive create, mode from the umask
     try:
         with f:
             write_fn(f)
-        os.replace(tmp, path)
+        old = _regular_file_stat(path)
+        same = old is not None and filecmp.cmp(tmp, path, shallow=False)  # in 8 kB chunks
+        if not same:
+            if old is not None:
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))
+            os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    if same:
+        os.unlink(tmp)
+
+
+def _regular_file_stat(path):
+    """``os.lstat(path)`` if ``path`` is a regular file, else None; a symlink is None."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        return None
+    return st if stat.S_ISREG(st.st_mode) else None
 
 
 def save_dataset(dir_path, ds):

@@ -1022,3 +1022,35 @@ def test_a_flipped_exponent_bit_in_a_table_exits_2(criterion_9_run, tmp_path, ca
         assert main(argv) == 2
         assert (f"{ck}: user table: a mu row lies outside the unit ball"
                 in capsys.readouterr().err)
+
+
+def test_a_rerun_of_evaluate_out_leaves_the_identical_report_in_place(
+        criterion_9_run, tmp_path, capsys, monkeypatch):
+    d, ck = criterion_9_run
+    report = tmp_path / "report.csv"
+    replaced = []
+    real = os.replace
+
+    def counted(src, dst, **kw):
+        replaced.append(os.fspath(dst))
+        return real(src, dst, **kw)
+
+    monkeypatch.setattr(os, "replace", counted)
+    assert main(["evaluate", str(d), str(ck), "--out", str(report)]) == 0
+    first = report.read_bytes()
+    assert main(["evaluate", str(d), str(ck), "--out", str(report)]) == 0
+    assert report.read_bytes() == first
+    assert replaced == [str(report)]
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+def test_case_study_with_no_usable_user_says_why(criterion_9_run, tmp_path, capsys):
+    d, ck = own_copy(tmp_path, criterion_9_run)
+    ds, _, item_labels = planted_clusters(seed=4)
+    write_item_labels(d, ds, item_labels)  # every user holds their whole cluster
+    capsys.readouterr()
+    assert main(["case-study", str(d), str(ck), "--n-users", str(ds.n_users)]) == 0
+    out, err = capsys.readouterr()
+    assert out.split("\n")[1:] == [""]  # the header line alone
+    assert err == (f"note: none of the {ds.n_users} sampled users has both a similar and "
+                   f"a dissimilar unseen item, so the table is empty\n")

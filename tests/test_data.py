@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,11 @@ def test_parse_line_rejects_empty_ids_and_bad_values():
         parse_line("a\tx\t4\tlater", 1)
     r = parse_line("a\tx\t4\t123", 7)
     assert r.timestamp == 123
+
+
+def test_parse_line_rejects_an_infinite_timestamp():
+    with pytest.raises(ParseError, match="line 3: bad timestamp 'inf'"):
+        parse_line("a\tx\t4\tinf", 3)
 
 
 def test_filter_keeps_qualifying_users():
@@ -294,6 +302,52 @@ def test_atomic_write_gives_the_permissions_of_a_plain_open(tmp_path):
     atomic_write(tmp_path / "atomic.bin", lambda f: f.write(b"x"), mode="wb")
     modes = {p.name: p.stat().st_mode for p in tmp_path.iterdir()}
     assert modes["atomic.txt"] == modes["atomic.bin"] == modes["plain.txt"]
+
+
+@pytest.mark.parametrize("mode", ["w", "wb"])
+def test_an_identical_rewrite_leaves_the_file_in_place(tmp_path, mode):
+    target = tmp_path / "report.csv"
+    text = "fold,K,recall\n0,10,0.5\n"
+    atomic_write(target, lambda f: f.write(text if mode == "w" else text.encode()), mode)
+    os.utime(target, ns=(1_000_000_000, 1_000_000_000))  # an mtime a rewrite would change
+    before = target.stat()
+    atomic_write(target, lambda f: f.write(text if mode == "w" else text.encode()), mode)
+    after = target.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert target.read_text() == text
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+@pytest.mark.parametrize("new", ["0,10,0.25\n", "0,10,0.6\n"],
+                         ids=["longer", "same-size"])
+def test_a_changed_rewrite_replaces_the_file(tmp_path, new):
+    target = tmp_path / "report.csv"
+    target.write_text("0,10,0.5\n")
+    inode = target.stat().st_ino
+    atomic_write(target, lambda f: f.write(new))
+    assert target.read_text() == new
+    assert target.stat().st_ino != inode
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+@pytest.mark.parametrize("mode", ["w", "wb"])
+def test_a_replaced_file_keeps_its_permission_bits(tmp_path, mode):
+    target = tmp_path / "report.csv"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    atomic_write(target, lambda f: f.write("new\n" if mode == "w" else b"new\n"), mode)
+    assert target.read_text() == "new\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+@pytest.mark.parametrize("new", ["same\n", "other\n"])
+def test_a_symlink_at_the_path_is_replaced_not_written_through(tmp_path, new):
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("same\n")
+    link.symlink_to(real)
+    atomic_write(link, lambda f: f.write(new))
+    assert not link.is_symlink() and link.read_text() == new
+    assert real.read_text() == "same\n"
 
 
 def test_load_rejects_item_index_outside_catalog(tmp_path):
