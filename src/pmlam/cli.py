@@ -72,7 +72,14 @@ def _config_from_args(args, **overrides):
     return make_config(file_values={**values, **overrides})
 
 
+def _at_least(flag, value, low):
+    """Reject a command-line count ``value`` below ``low``, naming its ``flag``."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def cmd_prepare(args):
+    _at_least("--seed", args.seed, 0)
     pairs = data.ingest(args.ratings, rating_threshold=args.rating_threshold)
     ds = data.filter_iterative(pairs, min_user=args.min_user, min_item=args.min_item)
     ds.check()
@@ -128,15 +135,15 @@ def _check_run(args, read):
     return ck, files
 
 
-def _load_run(args):
-    """The checkpoint, the dataset it was trained on, and the checkpoint's fold."""
-    ck, files = _check_run(args, checkpoint.load)
+def _load_run(args, read=checkpoint.load):
+    """The checkpoint ``read`` gives, the dataset it was trained on, and its fold."""
+    ck, files = _check_run(args, read)
     ds = data.load_dataset(files)
     return ck, ds, data.load_folds(files, ds)[ck.fold_index]
 
 
 def cmd_evaluate(args):
-    ck, _, fold = _load_run(args)
+    ck, _, fold = _load_run(args, checkpoint.load_tables)
     ks = ck.cfg.ks if args.ks is None else make_config(file_values={"ks": args.ks}).ks
     report = evaluator.evaluate(ck.users, ck.items, fold, ks, ck.cfg.kind())
     print(evaluator.format_table(report, title=f"fold {ck.fold_index}"))
@@ -148,8 +155,7 @@ def cmd_evaluate(args):
 
 def cmd_recommend(args):
     """One user's top-K, from the checkpoint's tables and that user's lines of the data."""
-    if args.k < 1:
-        raise ValueError(f"-k must be >= 1, got {args.k}")
+    _at_least("-k", args.k, 1)
     ck, files = _check_run(args, checkpoint.load_tables)
     u = files.user_index(args.user)
     if u is None:
@@ -170,6 +176,8 @@ def cmd_ablate(args):
     for flag, values in (("--seeds", seeds), ("--variants", variants)):
         if not values:
             raise ValueError(f"{flag}: expected a comma list of integers")
+    for seed in seeds:  # every seed, before the first variant trains
+        _at_least("--seeds", seed, 0)
     unknown = sorted(set(variants) - set(ABLATION_VARIANTS))
     if unknown:
         raise ValueError(f"--variants: unknown variant {unknown[0]}; valid variants "
@@ -203,6 +211,8 @@ def cmd_ablate(args):
 
 
 def cmd_case_study(args):
+    _at_least("--n-users", args.n_users, 1)
+    _at_least("--seed", args.seed, 0)
     ck, ds, fold = _load_run(args)
     if "ui" not in ck.phis:
         raise ValueError("checkpoint has no user-item margin net (fixed-margin run?)")

@@ -71,6 +71,12 @@ class RunConfig:
             raise ValueError("sim_threshold must lie in (0, 1]")
         if not self.ks or min(self.ks) < 1:
             raise ValueError(f"ks: expected cut-offs >= 1, got {self.ks!r}")
+        repeated = [k for k in self.ks if self.ks.count(k) > 1]
+        if repeated:
+            raise ValueError(f"ks: cut-off {repeated[0]} is given more than once "
+                             f"in {self.ks!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed: expected an integer >= 0, got {self.seed}")
         if self.distance_kind not in [k.value for k in DistanceKind]:
             raise ValueError(f"unknown distance_kind {self.distance_kind!r}")
         if self.indicator_mode not in INDICATOR_MODES:

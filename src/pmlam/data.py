@@ -108,9 +108,6 @@ class InteractionDataset:
     def n_interactions(self):
         return len(self.indices)
 
-    def user_index(self):
-        return {ext: i for i, ext in enumerate(self.user_ids)}
-
     def check(self):
         assert self.indptr[0] == 0 and self.indptr[-1] == len(self.indices)
         assert len(self.user_ids) == self.n_users

@@ -8,7 +8,8 @@ and is evaluated at proxy parameters. Batch reduction is the mean.
 Each call of :func:`batch_inner` runs three stages:
 
 1. gather: the anchor rows and the stacked (positive, negative) rows of the
-   tables its distance reads; a Euclidean call reads no variances;
+   tables its distance reads, variances as floored square roots; a
+   Euclidean call reads no variances;
 2. distance and hinge: :func:`distance.pair_rows` gives both squared
    distances and, when table gradients are wanted, their gradient rows from
    the same differences; margins come from the margin net or a constant;
@@ -17,19 +18,19 @@ Each call of :func:`batch_inner` runs three stages:
    negative) selection matrices that the batch builds once and keeps, so
    the outer pass over the same batch reuses them.
 
-Gradients w.r.t. the embedding tables follow the distance term only, unless
-the margin-to-embedding path is explicitly enabled; its rows then join the
-same scatter.
+Gradients w.r.t. the embedding tables follow the distance term only: the
+margins are constants there, and reach the tables only through the bilevel
+hypergradient (:mod:`pmlam.bilevel`).
 
 Relations share one implementation: "ui" compares users against items,
 "uu" users against users, "ii" items against items.
 
-Buffers: a pass writes its row arrays (the gathered rows, their roots, the
-distance differences and gradient rows, the margin-net inputs, features and
-hidden layers) into a :class:`~pmlam.buffers.BufferPool` ``ws`` that the
-caller owns and passes to every pass; with none, each call uses a fresh
-one. Those arrays are scratch: they are overwritten by the next pass on the
-same pool. Nothing a pass returns is a view of the pool: a
+Buffers: a pass writes its row arrays (the gathered means and variance
+roots, the distance differences and gradient rows, the margin-net inputs,
+features and hidden layers) into a :class:`~pmlam.buffers.BufferPool` ``ws``
+that the caller owns and passes to every pass; with none, each call uses a
+fresh one. Those arrays are scratch: they are overwritten by the next pass on
+the same pool. Nothing a pass returns is a view of the pool: a
 :class:`BatchEval`'s margins, active mask and gradients, and the
 accumulators it adds into, stay valid after later passes.
 :meth:`TripletBatch.attach_noise` draws into the pool's ``noise.<relation>``
@@ -150,15 +151,16 @@ def _take(table, rows, out):
 
 
 def _gather(batch, users, items, kind, ws=None):
-    """Rows one pass reads: ``(mu_a, mu_o, sig_a, sig_o, live)``.
+    """Rows one pass reads: ``(mu_a, mu_o, rt_a, rt_o, live)``.
 
     Anchor rows are (B, h); other-role rows are (2, B, h), positives first.
-    Variances are read only for W2 (otherwise the three are None) and are
-    floored at SIGMA_MIN: proxy and hypergradient probes evaluate at
-    unprojected parameters where sigma may drift below SIGMA_MIN or
-    negative; the floor keeps sqrt defined. ``live`` is None when nothing
-    was floored, else the anchor and other-role masks of unfloored entries:
-    gradients w.r.t. floored coordinates are zero through the clamp.
+    Variances are read only for W2 (otherwise the three are None), floored
+    at SIGMA_MIN and returned as their square roots: proxy and
+    hypergradient probes evaluate at unprojected parameters where sigma may
+    drift below SIGMA_MIN or negative; the floor keeps sqrt defined.
+    ``live`` is None when nothing was floored, else the anchor and
+    other-role masks of unfloored entries: gradients w.r.t. floored
+    coordinates are zero through the clamp.
     """
     ws = ws or BufferPool()
     tables = {"user": users, "item": items}
@@ -168,14 +170,16 @@ def _gather(batch, users, items, kind, ws=None):
     mu_o = _take(other_t.mu, batch.others, ws.get("mu_o", (2 * B, h))).reshape(2, B, h)
     if kind is not DistanceKind.W2_SQUARED:
         return mu_a, mu_o, None, None, None
-    sig_a = _take(anchor_t.sigma, batch.anchors, ws.get("sig_a", (B, h)))
-    sig_o = _take(other_t.sigma, batch.others, ws.get("sig_o", (2 * B, h))).reshape(2, B, h)
+    rt_a = _take(anchor_t.sigma, batch.anchors, ws.get("rt_a", (B, h)))
+    rt_o = _take(other_t.sigma, batch.others, ws.get("rt_o", (2 * B, h))).reshape(2, B, h)
     live = None
-    if min(sig_a.min(initial=np.inf), sig_o.min(initial=np.inf)) < SIGMA_MIN:
-        live = (sig_a >= SIGMA_MIN, sig_o >= SIGMA_MIN)
-        np.maximum(sig_a, SIGMA_MIN, out=sig_a)
-        np.maximum(sig_o, SIGMA_MIN, out=sig_o)
-    return mu_a, mu_o, sig_a, sig_o, live
+    if min(rt_a.min(initial=np.inf), rt_o.min(initial=np.inf)) < SIGMA_MIN:
+        live = (rt_a >= SIGMA_MIN, rt_o >= SIGMA_MIN)
+        np.maximum(rt_a, SIGMA_MIN, out=rt_a)
+        np.maximum(rt_o, SIGMA_MIN, out=rt_o)
+    np.sqrt(rt_a, out=rt_a)
+    np.sqrt(rt_o, out=rt_o)
+    return mu_a, mu_o, rt_a, rt_o, live
 
 
 def _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o, ws):
@@ -195,87 +199,54 @@ def _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o, ws):
     return u, vp, vn
 
 
-def _distance_rows(rows, w, ws):
-    """Hinge-weighted table-gradient rows of the distance term.
+def _scatter(batch, rows, w, live, grads, ws):
+    """Add the hinge-weighted distance-gradient rows into ``grads``.
 
     ``rows`` are :func:`distance.pair_rows`'s (2, B, h) gradients, positive
-    pair first; ``d2_pos`` enters the hinge with weight ``+w`` and ``d2_neg``
-    with ``-w``. Returns ``(anchor, other)`` dicts keyed by parameter, with
-    (B, h) rows in the pool's ``g_mu_a`` and ``g_sigma_a`` buffers and
-    (2, B, h) rows that are ``rows``, overwritten.
+    pair first, and are overwritten; ``d2_pos`` enters the hinge with weight
+    ``+w`` and ``d2_neg`` with ``-w``. The anchor rows of each parameter go
+    into the pool's ``g_mu_a`` or ``g_sigma_a`` buffer. Each table role gets
+    one sparse product per parameter. Floored variances pass no gradient.
     """
-    d_mu, d_sig_a, d_sig_o = rows
-    coef = np.stack([w, -w])[:, :, None]
-    anchor = {"mu": np.subtract(d_mu[0], d_mu[1], out=ws.get("g_mu_a", d_mu.shape[1:]))}
-    other = {"mu": d_mu}
-    d_mu *= -coef  # d_mu_b = -d_mu_a
-    if d_sig_a is not None:
-        anchor["sigma"] = np.subtract(d_sig_a[0], d_sig_a[1],
-                                      out=ws.get("g_sigma_a", d_sig_a.shape[1:]))
-        other["sigma"] = d_sig_o
-        d_sig_o *= coef
-    for rows_a in anchor.values():
-        rows_a *= w[:, None]
-    return anchor, other
-
-
-def _add_margin_rows(anchor, other, batch, kind, indicator_mode, margin_io, ds,
-                     sig_a, sig_o):
-    """Add the margin-to-embedding path's gradient rows to ``anchor`` and ``other``."""
-    u, vp, vn = margin_io
-    du, dvp, dvn = margin_net.margin_input_backward(indicator_mode, u, vp, vn, ds)
-    if kind is DistanceKind.W2_SQUARED:
-        du, du_sig = margin_net.reparam_backward(du, sig_a, batch.noise_anchor)
-        dvp, dp_sig = margin_net.reparam_backward(dvp, sig_o[0], batch.noise_pos)
-        dvn, dn_sig = margin_net.reparam_backward(dvn, sig_o[1], batch.noise_neg)
-        anchor["sigma"] += du_sig
-        other["sigma"][0] += dp_sig
-        other["sigma"][1] += dn_sig
-    anchor["mu"] += du
-    other["mu"][0] += dvp
-    other["mu"][1] += dvn
-
-
-def _scatter(batch, anchor, other, live, grads):
-    """Add the gradient rows into ``grads``: one sparse product per table role."""
     a_key, o_key = _role_keys(batch.relation)
     sel_a, sel_o = batch.selection(len(grads[a_key + "_mu"]), len(grads[o_key + "_mu"]))
-    if live is not None:  # floored variances pass no gradient
-        anchor["sigma"] *= live[0]
-        other["sigma"] *= live[1]
-    for param, rows_a in anchor.items():
-        rows_o = other[param]
+    coef = np.stack([w, -w])[:, :, None]
+    d_mu, d_sig_a, d_sig_o = rows
+    parts = [("mu", d_mu, d_mu, -coef)]  # d_mu_b = -d_mu_a
+    if d_sig_a is not None:
+        parts.append(("sigma", d_sig_a, d_sig_o, coef))
+    for param, d_a, rows_o, c in parts:
+        rows_a = np.subtract(d_a[0], d_a[1], out=ws.get(f"g_{param}_a", d_a.shape[1:]))
+        rows_a *= w[:, None]
+        rows_o *= c
+        if param == "sigma" and live is not None:
+            rows_a *= live[0]
+            rows_o *= live[1]
         grads[f"{a_key}_{param}"] += sel_a @ rows_a
         grads[f"{o_key}_{param}"] += sel_o @ rows_o.reshape(-1, rows_o.shape[2])
 
 
 def batch_inner(batch, users, items, kind, margin_mode, phi=None,
                 indicator_mode="squared-diff", grad_theta=False, grad_phi=False,
-                margin_grad_to_theta=False, out_grads=None, ws=None):
+                out_grads=None, ws=None):
     """Mean hinge loss of one batch plus requested gradients.
 
     ``margin_mode`` is either ``("fixed", m)`` or ``"adaptive"`` (with ``phi``
     supplied). Embedding-table gradients flow through the distance term; the
-    margin term is treated as constant w.r.t. the tables unless
-    ``margin_grad_to_theta`` is set. ``out_grads`` may supply an accumulator
-    dict (see :func:`zero_theta_grads`) to add into. ``ws`` is the pool the
-    pass's row arrays go into (see the module docstring).
+    margins are constants w.r.t. the tables. ``out_grads`` may supply an
+    accumulator dict (see :func:`zero_theta_grads`) to add into. ``ws`` is
+    the pool the pass's row arrays go into (see the module docstring).
     """
     ws = ws or BufferPool()
     B = len(batch)
-    mu_a, mu_o, sig_a, sig_o, live = _gather(batch, users, items, kind, ws)
-    rt_a = rt_o = None
-    if kind is DistanceKind.W2_SQUARED:
-        rt_a = np.sqrt(sig_a, out=ws.get("rt_a", sig_a.shape))
-        rt_o = np.sqrt(sig_o, out=ws.get("rt_o", sig_o.shape))
+    mu_a, mu_o, rt_a, rt_o, live = _gather(batch, users, items, kind, ws)
     d2, rows = pair_rows(mu_a, mu_o, rt_a, rt_o, grad=grad_theta, ws=ws)
 
-    cache = margin_io = None
     if margin_mode == "adaptive":
         if phi is None:
             raise ValueError("adaptive margins need margin-net parameters")
-        margin_io = _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o, ws)
-        s = margin_net.margin_input(indicator_mode, *margin_io, ws=ws)
+        s = margin_net.margin_input(
+            indicator_mode, *_margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o, ws), ws=ws)
         margins, cache = margin_net.forward(phi, s, ws=ws)
     else:
         tag, m = margin_mode
@@ -290,21 +261,11 @@ def batch_inner(batch, users, items, kind, margin_mode, phi=None,
 
     result = BatchEval(loss=loss, margins=margins, active=active)
     w = active.astype(float) / max(B, 1)  # per-row weight of the mean reduction
-    if grad_theta:
-        anchor, other = _distance_rows(rows, w, ws)
-
-    to_theta = grad_theta and margin_grad_to_theta
-    if margin_mode == "adaptive" and (grad_phi or to_theta):
-        phi_grads, ds = margin_net.backward(phi, cache, w, input_grad=to_theta, ws=ws)
-        if grad_phi:
-            result.phi_grads = phi_grads
-        if to_theta:
-            _add_margin_rows(anchor, other, batch, kind, indicator_mode, margin_io,
-                             ds, sig_a, sig_o)
-
+    if grad_phi and margin_mode == "adaptive":
+        result.phi_grads = margin_net.backward(phi, cache, w, ws=ws)
     if grad_theta:
         grads = out_grads if out_grads is not None else zero_theta_grads(users, items)
-        _scatter(batch, anchor, other, live, grads)
+        _scatter(batch, rows, w, live, grads, ws)
         result.theta_grads = grads
     return result
 

@@ -10,14 +10,16 @@ The default feature is built from elementwise squared differences between the
 anchor and each of the two candidates (plus their difference), which mimics a
 Euclidean distance computation without the final sum. ``concat`` and ``sum``
 feature modes are kept for ablations. Forward and backward passes are
-hand-rolled and vectorized over the batch.
+hand-rolled and vectorized over the batch. The backward pass gives the
+parameter gradients only: training treats the margins as constants w.r.t.
+the embeddings, so nothing chains a gradient back into the features.
 
 Every function that builds a row array takes an optional
 :class:`~pmlam.buffers.BufferPool` ``ws`` and writes the array into it: the
 features into ``features`` (``margin_input``), the hidden activations into
 ``z`` (``forward``) and the hidden-layer gradients into ``da1`` and
 ``dtanh`` (``backward``). Those views stay valid until the pool's next use
-of the name. Margins, parameter gradients and ``ds`` are new arrays.
+of the name. Margins and parameter gradients are new arrays.
 """
 
 from dataclasses import dataclass
@@ -120,13 +122,11 @@ def forward(params, s, ws=None):
     return m, (s, z, a2)
 
 
-def backward(params, cache, upstream, input_grad=True, ws=None):
-    """Reverse pass of :func:`forward`.
+def backward(params, cache, upstream, ws=None):
+    """Reverse pass of :func:`forward`: the parameter gradients.
 
-    ``upstream`` is dL/dm per row, shape (B,). Returns ``(grads, ds)`` with
-    ``grads`` matching :meth:`MarginNetParams.params` and ``ds`` of shape
-    (B, in_dim) for chaining into the feature construction; ``ds`` is None
-    unless ``input_grad`` is set.
+    ``upstream`` is dL/dm per row, shape (B,). Returns a dict matching
+    :meth:`MarginNetParams.params`.
     """
     s, z, a2 = cache
     ws = ws or BufferPool()
@@ -142,32 +142,4 @@ def backward(params, cache, upstream, input_grad=True, ws=None):
     da1 *= dtanh
     grads["W1"] = da1.T @ s
     grads["b1"] = np.sum(da1, axis=0)
-    ds = da1 @ params.W1 if input_grad else None
-    return grads, ds
-
-
-def margin_input_backward(mode, u, v_pos, v_neg, ds):
-    """Chain feature grads ``ds`` back to the three embedding inputs."""
-    if mode == "squared-diff":
-        h = u.shape[-1]
-        d_chi_pos = ds[..., :h] - ds[..., 2 * h:]
-        d_chi_neg = ds[..., h:2 * h] + ds[..., 2 * h:]
-        dp = 2.0 * (u - v_pos)
-        dn = 2.0 * (u - v_neg)
-        du = d_chi_pos * dp + d_chi_neg * dn
-        return du, -d_chi_pos * dp, -d_chi_neg * dn
-    if mode == "concat":
-        h = u.shape[-1]
-        return ds[..., :h].copy(), ds[..., h:2 * h].copy(), ds[..., 2 * h:].copy()
-    if mode == "sum":
-        return ds.copy(), ds.copy(), ds.copy()
-    raise ValueError(f"unknown indicator mode {mode!r}")
-
-
-def reparam_backward(d_value, sigma, noise):
-    """Chain a sampled-embedding grad to (mu, sigma) grads.
-
-    With value = mu + sqrt(sigma) * noise: d/dmu = d_value and
-    d/dsigma = d_value * noise / (2 sqrt(sigma)).
-    """
-    return d_value, d_value * noise / (2.0 * np.sqrt(sigma))
+    return grads

@@ -3,10 +3,13 @@
 import hashlib
 
 import numpy as np
+from scipy.special import expit
 
 from pmlam.data import FOLDS_MAGIC, FoldSplit, InteractionDataset, Rows
 from pmlam.distance import SIGMA_MIN, DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
+from pmlam.losses import batch_inner
+from pmlam.margin_net import forward, margin_input
 
 
 def numeric_grad(f, x, step=1e-6):
@@ -173,6 +176,83 @@ def add_at_theta_grads(batch, users, items, kind, active, grads):
               w * ((1.0 - rt_p / rt_a) - (1.0 - rt_n / rt_a)) * live_a)
     np.add.at(grads[o_key + "_sigma"], batch.positives, w * (1.0 - rt_a / rt_p) * live_p)
     np.add.at(grads[o_key + "_sigma"], batch.negatives, -w * (1.0 - rt_a / rt_n) * live_n)
+
+
+def margin_input_grad(params, cache, upstream):
+    """dL/ds of the margin net's features, for dL/dm ``upstream`` per row.
+
+    ``cache`` is the one :func:`pmlam.margin_net.forward` returned; the
+    chain is the parameter backward pass's, carried one layer further.
+    """
+    s, z, a2 = cache
+    da2 = np.asarray(upstream, float) * expit(a2)
+    da1 = da2[:, None] * params.W2 * (1.0 - z * z)
+    return da1 @ params.W1
+
+
+def margin_input_backward(mode, u, v_pos, v_neg, ds):
+    """Chain feature grads ``ds`` back to the three embedding inputs."""
+    if mode == "squared-diff":
+        h = u.shape[-1]
+        d_chi_pos = ds[..., :h] - ds[..., 2 * h:]
+        d_chi_neg = ds[..., h:2 * h] + ds[..., 2 * h:]
+        dp = 2.0 * (u - v_pos)
+        dn = 2.0 * (u - v_neg)
+        du = d_chi_pos * dp + d_chi_neg * dn
+        return du, -d_chi_pos * dp, -d_chi_neg * dn
+    if mode == "concat":
+        h = u.shape[-1]
+        return ds[..., :h].copy(), ds[..., h:2 * h].copy(), ds[..., 2 * h:].copy()
+    if mode == "sum":
+        return ds.copy(), ds.copy(), ds.copy()
+    raise ValueError(f"unknown indicator mode {mode!r}")
+
+
+def reparam_backward(d_value, sigma, noise):
+    """Chain a sampled-embedding grad to (mu, sigma) grads.
+
+    With value = mu + sqrt(sigma) * noise: d/dmu = d_value and
+    d/dsigma = d_value * noise / (2 sqrt(sigma)).
+    """
+    return d_value, d_value * noise / (2.0 * np.sqrt(sigma))
+
+
+def inner_theta_grads(batch, users, items, kind, phi, indicator_mode="squared-diff"):
+    """Table gradient of a batch's adaptive-margin mean hinge, margin term included.
+
+    ``batch_inner`` gives the distance term's gradient with the margins held
+    constant; the margin net's gradient w.r.t. its embedding inputs (means,
+    or for W2 the samples ``mu + sqrt(sigma) * noise`` at the batch's frozen
+    noise) is added to it row by row with ``np.add.at``, under the same hinge
+    pattern. Variances below SIGMA_MIN are floored and pass no gradient.
+    """
+    ev = batch_inner(batch, users, items, kind, "adaptive", phi=phi,
+                     indicator_mode=indicator_mode, grad_theta=True)
+    grads = ev.theta_grads
+    tables = {"user": users, "item": items}
+    a_key, o_key = {"ui": ("user", "item"), "uu": ("user", "user"),
+                    "ii": ("item", "item")}[batch.relation]
+    a_t, o_t = tables[a_key], tables[o_key]
+    roles = ((a_key, a_t, batch.anchors, batch.noise_anchor),
+             (o_key, o_t, batch.positives, batch.noise_pos),
+             (o_key, o_t, batch.negatives, batch.noise_neg))
+    mus = [t.mu[ids] for _, t, ids, _ in roles]
+    if kind is DistanceKind.W2_SQUARED:
+        raw = [t.sigma[ids] for _, t, ids, _ in roles]
+        sigmas = [np.maximum(r, SIGMA_MIN) for r in raw]
+        inputs = [mu + np.sqrt(sig) * noise
+                  for mu, sig, (_, _, _, noise) in zip(mus, sigmas, roles)]
+    else:
+        inputs = mus
+    _, cache = forward(phi, margin_input(indicator_mode, *inputs))
+    ds = margin_input_grad(phi, cache, ev.active / max(len(batch), 1))
+    d_inputs = margin_input_backward(indicator_mode, *inputs, ds)
+    for i, ((key, _, ids, noise), d_value) in enumerate(zip(roles, d_inputs)):
+        if kind is DistanceKind.W2_SQUARED:
+            d_value, d_sigma = reparam_backward(d_value, sigmas[i], noise)
+            np.add.at(grads[key + "_sigma"], ids, d_sigma * (raw[i] >= SIGMA_MIN))
+        np.add.at(grads[key + "_mu"], ids, d_value)
+    return grads
 
 
 class Sgd:

@@ -25,11 +25,11 @@ from pmlam.distance import (DistanceKind, euclidean_squared_grad, w2_squared,
 from pmlam.embeddings import GaussianEmbeddingTable
 from pmlam.evaluator import evaluate
 from pmlam.losses import TripletBatch, batch_inner, batch_outer
-from pmlam.margin_net import (backward, forward, init_margin_net,
-                              margin_input, margin_input_backward)
+from pmlam.margin_net import backward, forward, init_margin_net, margin_input
 from pmlam.synth import planted_clusters
 
-from helpers import random_table
+from helpers import (inner_theta_grads, margin_input_backward, margin_input_grad,
+                     random_table)
 
 W2 = DistanceKind.W2_SQUARED
 EUC = DistanceKind.EUCLIDEAN_SQUARED
@@ -129,7 +129,7 @@ def test_criterion_2_gradient_suite():
             upstream = rng.normal(size=1)
             s = margin_input("squared-diff", u, vp, vn)
             m, cache = forward(net, s)
-            phi_grads, ds = backward(net, cache, upstream)
+            phi_grads = backward(net, cache, upstream)
             names = list(net.params())
             packed_phi = np.concatenate([net.params()[n].ravel() for n in names])
             sizes = np.cumsum([net.params()[n].size for n in names])[:-1]
@@ -146,6 +146,7 @@ def test_criterion_2_gradient_suite():
                 np.concatenate([phi_grads[n].ravel() for n in names]), rng,
                 step=1e-5))
 
+            ds = margin_input_grad(net, cache, upstream)
             du, dvp, dvn = margin_input_backward("squared-diff", u[None], vp[None],
                                                  vn[None], ds)
 
@@ -222,8 +223,7 @@ def test_criterion_3_hypergradient():
     b.attach_noise(2, rng)
 
     def inner_grads(net_now):
-        return batch_inner(b, users, items, W2, "adaptive", phi=net_now,
-                           grad_theta=True, margin_grad_to_theta=True).theta_grads
+        return inner_theta_grads(b, users, items, W2, net_now)
 
     def outer_of(net_now):
         pu, pi = build_proxy(users, items, inner_grads(net_now), alpha)

@@ -12,7 +12,8 @@ from pmlam.losses import TripletBatch, batch_inner, batch_outer
 from pmlam.margin_net import init_margin_net
 from pmlam.synth import planted_clusters
 
-from helpers import Sgd, random_table, reference_exclusions, reference_transpose_rows
+from helpers import (Sgd, inner_theta_grads, random_table, reference_exclusions,
+                     reference_transpose_rows)
 
 W2 = DistanceKind.W2_SQUARED
 
@@ -116,8 +117,7 @@ def test_full_model_hypergradient_vs_fd_on_phi():
     b.attach_noise(2, rng)
 
     def inner_grads(net_now):
-        return batch_inner(b, users, items, W2, "adaptive", phi=net_now,
-                           grad_theta=True, margin_grad_to_theta=True).theta_grads
+        return inner_theta_grads(b, users, items, W2, net_now)
 
     def outer_of(net_now):
         pu, pi = build_proxy(users, items, inner_grads(net_now), alpha)

@@ -475,7 +475,8 @@ def test_case_study_on_damaged_item_labels_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("key, value, message", [
     ("epochs", "ten", "epochs: expected an integer, got 'ten'"),
     ("alpha", "fast", "alpha: expected a number, got 'fast'"),
-    ("ks", "5,x", "ks: expected an integer, got 'x'")])
+    ("ks", "5,x", "ks: expected an integer, got 'x'"),
+    ("ks", "10,5,10", "ks: cut-off 10 is given more than once in (10, 5, 10)")])
 def test_bad_config_value_names_its_key(tmp_path, capsys, key, value, message):
     d, _ = planted_dataset_dir(tmp_path)
     cfg_file = tmp_path / "run.cfg"
@@ -504,7 +505,8 @@ def test_evaluate_ks_and_recommend_k_are_checked(tmp_path, capsys):
     for ks, message in (("0", "ks: expected cut-offs >= 1, got (0,)"),
                         ("5,-3", "ks: expected cut-offs >= 1, got (5, -3)"),
                         ("", "ks: expected cut-offs >= 1, got ()"),
-                        ("5,x", "ks: expected an integer, got 'x'")):
+                        ("5,x", "ks: expected an integer, got 'x'"),
+                        ("5,5", "ks: cut-off 5 is given more than once in (5, 5)")):
         assert main(["evaluate", str(d), str(ck), "--ks", ks]) == 2
         assert message in capsys.readouterr().err
     assert main(["evaluate", str(d), str(ck), "--ks", "3,7"]) == 0
@@ -513,6 +515,8 @@ def test_evaluate_ks_and_recommend_k_are_checked(tmp_path, capsys):
     for k in ("0", "-1"):
         assert main(["recommend", str(d), str(ck), "u0", "-k", k]) == 2
         assert f"-k must be >= 1, got {k}" in capsys.readouterr().err
+        assert main(["case-study", str(d), str(ck), "--n-users", k]) == 2
+        assert f"--n-users must be >= 1, got {k}" in capsys.readouterr().err
 
 
 def test_ablate_unknown_variant_exits_2_before_training(tmp_path, capsys, monkeypatch):
@@ -888,16 +892,63 @@ def test_recommend_computes_the_distance_row_once(criterion_9_run, capsys, monke
 
 
 def test_recommend_checks_the_arrays_it_does_not_read(criterion_9_run, tmp_path, capsys):
+    # evaluate reads only the tables too, and is held to the same checks
     d, ck = own_copy(tmp_path, criterion_9_run)
     whole = ck.read_bytes()
     assert max(end for _, end in array_ranges(ck).values()) == len(whole)
-    ck.write_bytes(whole[:-100])  # cut inside the last array, an Adam moment
+    for argv in (["recommend", str(d), str(ck), "u0"], ["evaluate", str(d), str(ck)]):
+        ck.write_bytes(whole[:-100])  # cut inside the last array, an Adam moment
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"{ck}: array 'opt.phi." in capsys.readouterr().err
+        ck.write_bytes(whole + b"\0")
+        assert main(argv) == 2
+        assert f"{ck}: trailing bytes after the last array" in capsys.readouterr().err
+
+
+def test_evaluate_reads_no_array_but_the_tables(criterion_9_run, capsys, monkeypatch):
+    d, ck = criterion_9_run
     capsys.readouterr()
-    assert main(["recommend", str(d), str(ck), "u0"]) == 2
-    assert f"{ck}: array 'opt.phi." in capsys.readouterr().err
-    ck.write_bytes(whole + b"\0")
-    assert main(["recommend", str(d), str(ck), "u0"]) == 2
-    assert f"{ck}: trailing bytes after the last array" in capsys.readouterr().err
+    assert main(["evaluate", str(d), str(ck)]) == 0
+    expect = capsys.readouterr().out
+    reads = []
+    monkeypatch.setattr(checkpoint, "open", lambda path, mode: ReadLog(open(path, mode), reads),
+                        raising=False)
+    assert main(["evaluate", str(d), str(ck)]) == 0
+    assert capsys.readouterr().out == expect
+    unread = [span for name, span in array_ranges(ck).items()
+              if name not in checkpoint.TABLE_ARRAYS]
+    assert unread and reads
+    for start, end in reads:
+        assert not any(start < b and a < end for a, b in unread), (start, end)
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "prepare", "case-study"])
+def test_a_negative_seed_exits_2_naming_its_setting(criterion_9_run, tmp_path, capsys,
+                                                    monkeypatch, command):
+    d, ck = criterion_9_run
+
+    def no_training(*args, **kw):
+        raise AssertionError("trained before every seed was checked")
+
+    monkeypatch.setattr(bilevel, "train", no_training)
+    write_ratings(tmp_path / "ratings.tsv")
+    argv, message = {
+        "train": (["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet",
+                   "--seed", "-1"], "seed: expected an integer >= 0, got -1"),
+        "ablate": (["ablate", str(d), "--seeds", "0,-1", "--variants", "1",
+                    "--out", str(tmp_path / "ablation.csv")], "--seeds must be >= 0, got -1"),
+        "prepare": (["prepare", str(tmp_path / "ratings.tsv"), str(tmp_path / "prepared"),
+                     "--seed", "-1"], "--seed must be >= 0, got -1"),
+        "case-study": (["case-study", str(d), str(ck), "--seed", "-1"],
+                       "--seed must be >= 0, got -1"),
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not {"run", "ablation.csv", "prepared"} & set(os.listdir(tmp_path))
+
+
 
 
 def edit_line(path, line_no, edit):

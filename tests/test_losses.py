@@ -12,7 +12,8 @@ from pmlam.losses import TripletBatch, batch_inner, batch_outer, zero_theta_grad
 from pmlam.margin_net import init_margin_net
 from pmlam.synth import planted_clusters
 
-from helpers import add_at_theta_grads, assert_grad_close, numeric_grad, random_table
+from helpers import (add_at_theta_grads, assert_grad_close, inner_theta_grads,
+                     numeric_grad, random_table)
 
 W2 = DistanceKind.W2_SQUARED
 EUC = DistanceKind.EUCLIDEAN_SQUARED
@@ -37,11 +38,11 @@ def make_batch(relation, rng, n_anchor, n_other, rows=8, h=None):
 
 def hinge_arguments(batch, users, items, kind, margins):
     from pmlam.losses import _gather
-    mu_a, (mu_p, mu_n), sig_a, sig_o, _ = _gather(batch, users, items, kind)
+    mu_a, (mu_p, mu_n), rt_a, rt_o, _ = _gather(batch, users, items, kind)
     if kind is W2:
-        sig_p, sig_n = sig_o
-        d2p = np.sum((mu_a - mu_p) ** 2, 1) + np.sum((np.sqrt(sig_a) - np.sqrt(sig_p)) ** 2, 1)
-        d2n = np.sum((mu_a - mu_n) ** 2, 1) + np.sum((np.sqrt(sig_a) - np.sqrt(sig_n)) ** 2, 1)
+        rt_p, rt_n = rt_o
+        d2p = np.sum((mu_a - mu_p) ** 2, 1) + np.sum((rt_a - rt_p) ** 2, 1)
+        d2n = np.sum((mu_a - mu_n) ** 2, 1) + np.sum((rt_a - rt_n) ** 2, 1)
     else:
         d2p = np.sum((mu_a - mu_p) ** 2, 1)
         d2n = np.sum((mu_a - mu_n) ** 2, 1)
@@ -127,16 +128,15 @@ def test_theta_gradient_fd_with_margin_path_enabled(kind):
     net = init_margin_net(2, 3, rng)
     net.b2[0] = 0.4
     b = make_batch("ui", rng, 3, 4, h=2)
-    ev = batch_inner(b, users, items, kind, "adaptive", phi=net,
-                     grad_theta=True, margin_grad_to_theta=True)
-    # oracle re-runs the full forward (frozen noise), so the margin term moves
+    theta_grads = inner_theta_grads(b, users, items, kind, net)
+    # the differences re-run the full forward (frozen noise), so the margin term moves
     for key, ref in (("user_mu", users.mu), ("user_sigma", users.sigma),
                      ("item_mu", items.mu), ("item_sigma", items.sigma)):
         def f(x, key=key):
             uu, ii = tables_with(users, items, key, x)
             return batch_inner(b, uu, ii, kind, "adaptive", phi=net).loss
         num = numeric_grad(f, ref.copy(), step=1e-6)
-        assert_grad_close(ev.theta_grads[key], num, rtol=1e-5, atol=1e-8)
+        assert_grad_close(theta_grads[key], num, rtol=1e-5, atol=1e-8)
 
 
 def test_phi_gradient_matches_fd():
@@ -215,7 +215,7 @@ def test_euclidean_call_ignores_sigma(margin_mode):
     b = make_batch("ui", rng, 3, 4, rows=16)
     nan_users = GaussianEmbeddingTable(users.mu, np.full_like(users.sigma, np.nan))
     nan_items = GaussianEmbeddingTable(items.mu, np.full_like(items.sigma, np.nan))
-    kwargs = dict(phi=net, grad_theta=True, grad_phi=True, margin_grad_to_theta=True)
+    kwargs = dict(phi=net, grad_theta=True, grad_phi=True)
     ev = batch_inner(b, users, items, EUC, margin_mode, **kwargs)
     ev_nan = batch_inner(b, nan_users, nan_items, EUC, margin_mode, **kwargs)
     assert ev.active.sum() > 0
@@ -290,7 +290,6 @@ def test_phi_grads_do_not_depend_on_theta_grads(kind):
 
 POOL_PASSES = {  # batch_inner keywords of each kind of pass a training step makes
     "inner": dict(grad_theta=True, grad_phi=True),
-    "inner-margin-path": dict(grad_theta=True, margin_grad_to_theta=True),
     "outer": dict(grad_theta=True),
     "probe": dict(grad_phi=True),
 }
