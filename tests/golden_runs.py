@@ -1,7 +1,7 @@
 """Pinned outputs of three short runs, compared byte for byte across commits.
 
 Each run trains on criterion 9's data (``planted_clusters(seed=4)``, folds
-from ``split_five_fold(ds, seed=4)``) and keeps three files under
+from ``split_five_fold(ds, seed=4)``) and keeps five files under
 ``tests/golden/<run>/``:
 
 - ``trace.csv``, as ``train`` writes it;
@@ -11,7 +11,9 @@ from ``split_five_fold(ds, seed=4)``) and keeps three files under
 - ``case-study.txt``, the ``case-study`` output for every user. The item
   labels written beside the data are the item index's parity: under the
   planted labels every user holds their whole cluster, so no user would have
-  both a similar and a dissimilar unseen item.
+  both a similar and a dissimilar unseen item;
+- ``checkpoint.sha256``, the SHA-256 of ``checkpoint.bin``, which pins the
+  tables, margin nets, optimizer moments and RNG states the run ends with.
 
 ``tests/test_golden.py`` reruns them and compares the files. A change that
 moves them on purpose regenerates them and states the old and new values:
@@ -20,6 +22,7 @@ moves them on purpose regenerates them and states the old and new values:
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import shutil
@@ -32,7 +35,7 @@ from pmlam.data import save_dataset, save_folds, split_five_fold
 from pmlam.synth import planted_clusters, write_item_labels
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-FILES = ("trace.csv", "report.csv", "recommend.txt", "case-study.txt")
+FILES = ("trace.csv", "report.csv", "recommend.txt", "case-study.txt", "checkpoint.sha256")
 
 # criterion 9's flags, then the two other paths the step takes
 BASE = ["--seed", "7", "--h", "8", "--hidden", "8", "--epochs", "6",
@@ -68,6 +71,8 @@ def produce(out_dir, work_dir):
         os.makedirs(dest, exist_ok=True)
         _quiet(["train", data_dir, "--quiet", "--out-dir", run_dir, *flags])
         ckpt = os.path.join(run_dir, "checkpoint.bin")
+        with open(ckpt, "rb") as f, open(os.path.join(dest, "checkpoint.sha256"), "w") as out:
+            out.write(hashlib.sha256(f.read()).hexdigest() + "\n")
         _quiet(["evaluate", data_dir, ckpt, "--out", os.path.join(dest, "report.csv")])
         shutil.copyfile(os.path.join(run_dir, "trace.csv"), os.path.join(dest, "trace.csv"))
         with open(os.path.join(dest, "recommend.txt"), "w") as f:
