@@ -45,6 +45,17 @@ class NumericFailure(RuntimeError):
 
 
 class Adam:
+    """Adam (Kingma & Ba, arXiv:1412.6980) over dicts of named arrays.
+
+    The moments of every array in ``params`` are allocated once, as zeros,
+    on the first step that sees it, in ``params``' order. A step updates
+    only the arrays named in ``grads``; the others keep zero moments and
+    their values, which is what a zero gradient would give them. The update
+    is written through two scratch buffers the optimizer keeps, in the
+    operation order of ``m_hat = m / (1 - b1^t)``, ``v_hat = v / (1 - b2^t)``,
+    ``p -= alpha * m_hat / (sqrt(v_hat) + eps)``.
+    """
+
     kind = "adam"
 
     def __init__(self, alpha, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -53,20 +64,32 @@ class Adam:
         self.m = {}
         self.v = {}
         self.t = 0
+        self._scratch = BufferPool()
 
     def step(self, params, grads):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        for name, p in params.items():
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p)
+                self.v[name] = np.zeros_like(p)
         for name, g in grads.items():
-            m = self.m.setdefault(name, np.zeros_like(g))
-            v = self.v.setdefault(name, np.zeros_like(g))
+            m, v = self.m[name], self.v[name]
+            step = self._scratch.get("step", g.shape)
+            root = self._scratch.get("root", g.shape)
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(1 - b1, g, out=step)
             v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            params[name] -= self.alpha * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(1 - b2, g, out=step)
+            step *= g
+            v += step
+            np.divide(v, 1 - b2 ** self.t, out=root)
+            np.sqrt(root, out=root)
+            root += self.eps
+            np.divide(m, 1 - b1 ** self.t, out=step)
+            np.multiply(self.alpha, step, out=step)
+            step /= root
+            params[name] -= step
 
     def state(self):
         return {"kind": self.kind, "alpha": self.alpha, "t": self.t,
@@ -83,23 +106,32 @@ def theta_dict(users, items):
 
 
 def theta_step(users, items, grads, opt):
-    """One optimizer step on the embedding tables, then projection."""
+    """One optimizer step on the tables named in ``grads``, then their projection.
+
+    ``grads`` comes from :func:`~pmlam.losses.zero_theta_grads`, so it names
+    the tables the run's distance reads: a Euclidean run's variance tables
+    are neither stepped nor projected.
+    """
     opt.step(theta_dict(users, items), grads)
-    project(users)
-    project(items)
+    with_sigma = "user_sigma" in grads
+    project(users, sigma=with_sigma)
+    project(items, sigma=with_sigma)
 
 
 def build_proxy(users, items, grads, alpha):
     """Proxy tables: a plain gradient step from the current tables.
 
     A plain step with the inner learning rate, not an Adam step, and never
-    projected. The inputs are left untouched.
+    projected. The inputs are left untouched. Variances with no entry in
+    ``grads`` (a Euclidean run's) are shared with the proxy, not copied.
     """
-    proxy_users = GaussianEmbeddingTable(users.mu - alpha * grads["user_mu"],
-                                         users.sigma - alpha * grads["user_sigma"])
-    proxy_items = GaussianEmbeddingTable(items.mu - alpha * grads["item_mu"],
-                                         items.sigma - alpha * grads["item_sigma"])
-    return proxy_users, proxy_items
+    def stepped(table, key):
+        g_sigma = grads.get(f"{key}_sigma")
+        return GaussianEmbeddingTable(
+            table.mu - alpha * grads[f"{key}_mu"],
+            table.sigma if g_sigma is None else table.sigma - alpha * g_sigma)
+
+    return stepped(users, "user"), stepped(items, "item")
 
 
 def _tree_scale_diff(plus, minus, scale):
@@ -115,14 +147,16 @@ def darts_hypergradient(theta, v, alpha, eps_fd, grad_phi_fn):
     proxy); ``grad_phi_fn(theta_like)`` must return the margin-net gradient
     of the inner objective, as a possibly nested dict. Estimates
     -alpha * (d^2 inner / d phi d theta) @ v by central differences with
-    step eps_fd / ||v||. Returns None when v is zero.
+    step eps_fd / ||v||. An array of ``theta`` that ``v`` does not name has
+    a zero direction and goes into both probes as it is. Returns None when
+    v is zero.
     """
     v_norm = np.sqrt(sum(float(np.sum(a * a)) for a in v.values()))
     if v_norm == 0.0:
         return None
     eps = eps_fd / v_norm
-    plus = grad_phi_fn({k: theta[k] + eps * v[k] for k in theta})
-    minus = grad_phi_fn({k: theta[k] - eps * v[k] for k in theta})
+    plus = grad_phi_fn({**theta, **{k: theta[k] + eps * v[k] for k in v}})
+    minus = grad_phi_fn({**theta, **{k: theta[k] - eps * v[k] for k in v}})
     return _tree_scale_diff(plus, minus, -alpha / (2.0 * eps))
 
 
@@ -282,7 +316,7 @@ def train(ds, fold, cfg, log=None):
                     b.attach_noise(cfg.h, rng_noise, ws)
 
             # inner objective at the current tables
-            grads = zero_theta_grads(users, items)
+            grads = zero_theta_grads(users, items, kind)
             inner_total = 0.0
             joint = {}  # joint training: each adaptive net follows its inner gradient
             for rel, b in batches.items():
@@ -314,7 +348,7 @@ def train(ds, fold, cfg, log=None):
                     outer_batches = {rel: draw(rel, len(chunk)) for rel in active_rels}
                 else:
                     outer_batches = batches
-                v = zero_theta_grads(users, items)
+                v = zero_theta_grads(users, items, kind)
                 for rel, b in outer_batches.items():
                     ov = batch_outer(b, proxy_users, proxy_items, kind,
                                      m=1.0, grad_theta=True, out_grads=v, ws=ws)

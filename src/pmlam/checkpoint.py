@@ -132,27 +132,29 @@ def load_tables(path):
 def _read(path, names=None):
     """The checked header, the arrays in ``names`` (every one when None) and the :class:`Tables`.
 
-    Each of these raises ValueError naming the file: a header that is not
-    JSON, an entry that is missing or of the wrong JSON type (see
-    :data:`HEADER_SCHEMA`) or names an unknown dtype, an array directory that
-    needs more bytes than the file has or leaves trailing bytes, a config key
-    or value that :func:`~pmlam.config.make_config` rejects, and a table that
-    breaks :meth:`~pmlam.embeddings.GaussianEmbeddingTable.check`.
+    Each of these raises ValueError naming the file: a header length past
+    the end of the file, a header that is not JSON, an entry that is missing
+    or of the wrong JSON type (see :data:`HEADER_SCHEMA`) or names an
+    unknown dtype, an array directory that needs more bytes than the file
+    has or leaves trailing bytes, a config key or value that
+    :func:`~pmlam.config.make_config` rejects, and a table that breaks
+    :meth:`~pmlam.embeddings.GaussianEmbeddingTable.check`.
     """
     with open(path, "rb") as f:
         if f.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
             raise ValueError(f"{path}: not a {CKPT_MAGIC.decode().strip()} file")
         header_len = int.from_bytes(f.read(8), "little")
-        raw = f.read(header_len)
-        if len(raw) != header_len:
+        file_size = os.fstat(f.fileno()).st_size
+        if header_len > file_size - f.tell():  # checked before a read of that size
             raise ValueError(f"{path}: header needs {header_len} bytes, "
-                             f"file ends after {len(raw)}")
+                             f"file ends after {file_size - f.tell()}")
+        raw = f.read(header_len)
         try:
             header = json.loads(raw.decode())
         except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
             raise ValueError(f"{path}: header is not valid JSON: {e}") from None
         _check_header(path, header)
-        where = _locate(path, header["arrays"], f.tell(), os.fstat(f.fileno()).st_size)
+        where = _locate(path, header["arrays"], f.tell(), file_size)
         missing = [name for name in TABLE_ARRAYS if name not in where]
         if missing:
             raise ValueError(f"{path}: header has no {missing[0]!r} entry")

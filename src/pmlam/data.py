@@ -372,11 +372,15 @@ def write_index_rows(f, rows):
 
 
 def read_index_rows(f, path, first_line, n_rows, what):
-    """Read ``n_rows`` lines of integers as :class:`Rows`; cut files and extra lines fail."""
+    """Read ``n_rows`` lines of integers as :class:`Rows`; the file must end after them.
+
+    A cut file fails, and so does any character after the last row, a blank
+    line or a lone space included.
+    """
     rows = [_index_line(f.readline(), path, first_line, r, n_rows, what)
             for r in range(n_rows)]
-    if f.read().strip():
-        raise ValueError(f"{path}:{first_line + n_rows}: more lines than the "
+    if f.read(1):
+        raise ValueError(f"{path}:{first_line + n_rows}: text after the last of the "
                          f"{n_rows} {what}")
     return as_rows(rows)
 

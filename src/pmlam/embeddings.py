@@ -97,19 +97,33 @@ def sample(table, index, rng):
 _NORM_TRIGGER = 1.0 + 1e-10
 
 
-def project(table):
+def _shrink_long_rows(x):
+    """Divide each row of ``x`` whose norm passes _NORM_TRIGGER by that norm, in place.
+
+    Returns whether any row did. When none does, nothing is written: the
+    other rows would be divided by 1.0, which leaves them as they are.
+    """
+    norm = np.linalg.norm(x, axis=1, keepdims=True)
+    over = norm > _NORM_TRIGGER
+    if not over.any():
+        return False
+    np.divide(x, np.where(over, norm, 1.0), out=x)
+    return True
+
+
+def project(table, sigma=True):
     """Pull every row back inside the unit sphere, in place.
 
     mu rows are radially projected onto the unit ball; sigma rows are clamped
     to [SIGMA_MIN, SIGMA_MAX], renormalized, and re-floored so the elementwise
-    bounds stay exact. Idempotent.
+    bounds stay exact. When no row's norm passes the dead band, the division
+    is skipped, and the re-floor with it. ``sigma=False`` leaves the
+    variances alone, for a run whose distance does not read them.
+    Idempotent.
     """
-    mu_norm = np.linalg.norm(table.mu, axis=1, keepdims=True)
-    np.divide(table.mu, np.where(mu_norm > _NORM_TRIGGER, mu_norm, 1.0),
-              out=table.mu)
-
+    _shrink_long_rows(table.mu)
+    if not sigma:
+        return
     np.clip(table.sigma, SIGMA_MIN, SIGMA_MAX, out=table.sigma)
-    sig_norm = np.linalg.norm(table.sigma, axis=1, keepdims=True)
-    np.divide(table.sigma, np.where(sig_norm > _NORM_TRIGGER, sig_norm, 1.0),
-              out=table.sigma)
-    np.maximum(table.sigma, SIGMA_MIN, out=table.sigma)
+    if _shrink_long_rows(table.sigma):
+        np.maximum(table.sigma, SIGMA_MIN, out=table.sigma)

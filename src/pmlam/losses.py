@@ -8,8 +8,8 @@ and is evaluated at proxy parameters. Batch reduction is the mean.
 Each call of :func:`batch_inner` runs three stages:
 
 1. gather: the anchor rows and the stacked (positive, negative) rows of the
-   tables its distance reads, variances as floored square roots; a
-   Euclidean call reads no variances;
+   tables its distance reads; variances are floored and rooted once per
+   table and the roots gathered; a Euclidean call reads no variances;
 2. distance and hinge: :func:`distance.pair_rows` gives both squared
    distances and, when table gradients are wanted, their gradient rows from
    the same differences; margins come from the margin net or a constant;
@@ -25,17 +25,18 @@ hypergradient (:mod:`pmlam.bilevel`).
 Relations share one implementation: "ui" compares users against items,
 "uu" users against users, "ii" items against items.
 
-Buffers: a pass writes its row arrays (the gathered means and variance
-roots, the distance differences and gradient rows, the margin-net inputs,
-features and hidden layers) into a :class:`~pmlam.buffers.BufferPool` ``ws``
-that the caller owns and passes to every pass; with none, each call uses a
-fresh one. Those arrays are scratch: they are overwritten by the next pass on
-the same pool. Nothing a pass returns is a view of the pool: a
-:class:`BatchEval`'s margins, active mask and gradients, and the
-accumulators it adds into, stay valid after later passes.
-:meth:`TripletBatch.attach_noise` draws into the pool's ``noise.<relation>``
-buffer, so a batch's noise is valid until the next ``attach_noise`` for
-that relation on the same pool, which in training is the next step's.
+Buffers: a pass writes its arrays (the tables' variance roots, the gathered
+means and roots, the distance differences and gradient rows, the margin-net
+inputs, features and hidden layers) into a
+:class:`~pmlam.buffers.BufferPool` ``ws`` that the caller owns and passes to
+every pass; with none, each call uses a fresh one. Those arrays are scratch:
+they are overwritten by the next pass on the same pool. Nothing a pass
+returns is a view of the pool: a :class:`BatchEval`'s margins, active mask
+and gradients, and the accumulators it adds into, stay valid after later
+passes. :meth:`TripletBatch.attach_noise` draws into the pool's
+``noise.<relation>`` buffer, so a batch's noise is valid until the next
+``attach_noise`` for that relation on the same pool, which in training is
+the next step's.
 """
 
 from dataclasses import dataclass, field
@@ -124,13 +125,16 @@ class BatchEval:
     phi_grads: dict | None = None
 
 
-def zero_theta_grads(users, items):
-    return {
-        "user_mu": np.zeros_like(users.mu),
-        "user_sigma": np.zeros_like(users.sigma),
-        "item_mu": np.zeros_like(items.mu),
-        "item_sigma": np.zeros_like(items.sigma),
-    }
+def zero_theta_grads(users, items, kind=DistanceKind.W2_SQUARED):
+    """Zero gradient accumulators for the tables that ``kind``'s distance reads.
+
+    W2 reads all four tables; the Euclidean kernel reads the means only, so
+    a Euclidean accumulator has no variance entries and a step that follows
+    it leaves the variance tables alone.
+    """
+    params = ("mu", "sigma") if kind is DistanceKind.W2_SQUARED else ("mu",)
+    return {f"{key}_{param}": np.zeros_like(getattr(table, param))
+            for key, table in (("user", users), ("item", items)) for param in params}
 
 
 def _role_keys(relation):
@@ -157,28 +161,34 @@ def _gather(batch, users, items, kind, ws=None):
     Variances are read only for W2 (otherwise the three are None), floored
     at SIGMA_MIN and returned as their square roots: proxy and
     hypergradient probes evaluate at unprojected parameters where sigma may
-    drift below SIGMA_MIN or negative; the floor keeps sqrt defined.
-    ``live`` is None when nothing was floored, else the anchor and
-    other-role masks of unfloored entries: gradients w.r.t. floored
-    coordinates are zero through the clamp.
+    drift below SIGMA_MIN or negative; the floor keeps sqrt defined. The
+    floor and root are taken once over each table the relation reads, into
+    the pool's ``root.user`` or ``root.item`` buffer, and the roots are then
+    gathered; a table has fewer entries than the rows a batch reads of it.
+    ``live`` is None when no entry of those tables is floored, else the
+    anchor and other-role rows of their masks of unfloored entries:
+    gradients w.r.t. floored coordinates are zero through the clamp.
     """
     ws = ws or BufferPool()
     tables = {"user": users, "item": items}
-    anchor_t, other_t = (tables[key] for key in _role_keys(batch.relation))
-    B, h = len(batch), other_t.mu.shape[1]
-    mu_a = _take(anchor_t.mu, batch.anchors, ws.get("mu_a", (B, h)))
-    mu_o = _take(other_t.mu, batch.others, ws.get("mu_o", (2 * B, h))).reshape(2, B, h)
+    a_key, o_key = _role_keys(batch.relation)
+    B, h = len(batch), tables[o_key].mu.shape[1]
+    mu_a = _take(tables[a_key].mu, batch.anchors, ws.get("mu_a", (B, h)))
+    mu_o = _take(tables[o_key].mu, batch.others, ws.get("mu_o", (2 * B, h))).reshape(2, B, h)
     if kind is not DistanceKind.W2_SQUARED:
         return mu_a, mu_o, None, None, None
-    rt_a = _take(anchor_t.sigma, batch.anchors, ws.get("rt_a", (B, h)))
-    rt_o = _take(other_t.sigma, batch.others, ws.get("rt_o", (2 * B, h))).reshape(2, B, h)
+    sigmas = {key: tables[key].sigma for key in (a_key, o_key)}  # one entry for uu and ii
+    roots = {}
+    for key, sigma in sigmas.items():
+        roots[key] = np.maximum(sigma, SIGMA_MIN, out=ws.get(f"root.{key}", sigma.shape))
+        np.sqrt(roots[key], out=roots[key])
+    rt_a = _take(roots[a_key], batch.anchors, ws.get("rt_a", (B, h)))
+    rt_o = _take(roots[o_key], batch.others, ws.get("rt_o", (2 * B, h))).reshape(2, B, h)
     live = None
-    if min(rt_a.min(initial=np.inf), rt_o.min(initial=np.inf)) < SIGMA_MIN:
-        live = (rt_a >= SIGMA_MIN, rt_o >= SIGMA_MIN)
-        np.maximum(rt_a, SIGMA_MIN, out=rt_a)
-        np.maximum(rt_o, SIGMA_MIN, out=rt_o)
-    np.sqrt(rt_a, out=rt_a)
-    np.sqrt(rt_o, out=rt_o)
+    if min(sigma.min(initial=np.inf) for sigma in sigmas.values()) < SIGMA_MIN:
+        masks = {key: sigma >= SIGMA_MIN for key, sigma in sigmas.items()}
+        live = (np.take(masks[a_key], batch.anchors, axis=0),
+                np.take(masks[o_key], batch.others, axis=0).reshape(2, B, h))
     return mu_a, mu_o, rt_a, rt_o, live
 
 

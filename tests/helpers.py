@@ -266,6 +266,33 @@ class Sgd:
             params[name] -= self.alpha * g
 
 
+class ReferenceAdam:
+    """Adam written as its formula reads, a fresh array per operation.
+
+    The oracle of :class:`pmlam.bilevel.Adam`: moments come into being at a
+    parameter's first gradient, and every step updates every parameter
+    named in ``grads``.
+    """
+
+    def __init__(self, alpha, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.alpha, self.beta1, self.beta2, self.eps = alpha, beta1, beta2, eps
+        self.m, self.v, self.t = {}, {}, 0
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, g in grads.items():
+            m = self.m.setdefault(name, np.zeros_like(g))
+            v = self.v.setdefault(name, np.zeros_like(g))
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** self.t)
+            v_hat = v / (1 - b2 ** self.t)
+            params[name] -= self.alpha * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
 def assert_grad_close(analytic, numeric, rtol=1e-5, atol=1e-8):
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 

@@ -12,8 +12,8 @@ from pmlam.losses import TripletBatch, batch_inner, batch_outer
 from pmlam.margin_net import init_margin_net
 from pmlam.synth import planted_clusters
 
-from helpers import (Sgd, inner_theta_grads, random_table, reference_exclusions,
-                     reference_transpose_rows)
+from helpers import (ReferenceAdam, Sgd, inner_theta_grads, random_table,
+                     reference_exclusions, reference_transpose_rows)
 
 W2 = DistanceKind.W2_SQUARED
 
@@ -38,6 +38,28 @@ def test_adam_step_magnitude_with_steady_gradients():
         before = params["w"].copy()
         opt.step(params, {"w": np.array([3.0])})
         assert np.all(np.abs(params["w"] - before) <= 0.01 * (1 + 1e-8))
+
+
+def test_adam_matches_the_reference_formula_bit_for_bit():
+    rng = np.random.default_rng(5)
+    shapes = {"w": (7, 3), "b": (3,), "c": (1,), "frozen": (4, 2)}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    ref_params = {name: arr.copy() for name, arr in params.items()}
+    opt, ref = Adam(0.05), ReferenceAdam(0.05)
+    for t in range(8):
+        zero = t in (2, 5)  # whole steps of zero gradients, after moments have built up
+        grads = {name: np.zeros(shape) if zero else rng.normal(size=shape)
+                 for name, shape in shapes.items() if name != "frozen"}
+        opt.step(params, grads)
+        # the reference sees an explicit zero gradient where Adam sees none
+        ref.step(ref_params, {**grads, "frozen": np.zeros(shapes["frozen"])})
+        for name in shapes:
+            np.testing.assert_array_equal(params[name], ref_params[name])
+            np.testing.assert_array_equal(opt.m[name], ref.m[name])
+            np.testing.assert_array_equal(opt.v[name], ref.v[name])
+    assert opt.t == ref.t == 8
+    assert list(opt.m) == list(opt.v) == list(shapes)  # params' order, so one layout
+    assert not opt.m["frozen"].any() and not opt.v["frozen"].any()
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +214,22 @@ def test_zero_epochs_returns_initialization():
     exp_users = init_table(ds.n_users, cfg.h, np.random.SeedSequence([cfg.seed, 0]))
     np.testing.assert_array_equal(result.users.mu, exp_users.mu)
     assert result.trace == [] and result.evals == []
+
+
+def test_euclidean_training_leaves_the_variance_tables_as_initialised():
+    from pmlam.embeddings import init_table
+    ds, fold = planted_fold()
+    for outer_batch in ("same", "fresh"):
+        cfg = quick_config(distance_kind="euclidean", outer_batch=outer_batch)
+        result = train(ds, fold, cfg)
+        for key, table, n, stream in (("user", result.users, ds.n_users, 0),
+                                      ("item", result.items, ds.n_items, 1)):
+            start = init_table(n, cfg.h, np.random.SeedSequence([cfg.seed, stream]))
+            assert table.sigma.tobytes() == start.sigma.tobytes()
+            assert not np.array_equal(table.mu, start.mu)  # the means did train
+            opt = result.opt_theta
+            assert not opt.m[f"{key}_sigma"].any() and not opt.v[f"{key}_sigma"].any()
+        assert list(result.opt_theta.m) == ["user_mu", "user_sigma", "item_mu", "item_sigma"]
 
 
 def test_training_is_deterministic():

@@ -242,6 +242,20 @@ def test_train_on_damaged_folds_exits_2(tmp_path, capsys, damage):
     assert "folds.txt:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, first_after", [("dataset.txt", 25), ("folds.txt", 24)])
+@pytest.mark.parametrize("tail", ["\n", " ", "\n\n", "0\n"])
+def test_train_on_text_after_the_last_row_exits_2(tmp_path, capsys, name, first_after, tail):
+    d, ds = planted_dataset_dir(tmp_path)
+    assert ds.n_users == 20  # rows on lines 5-24 of dataset.txt, 4-23 of folds.txt
+    path = d / name
+    path.write_bytes(path.read_bytes() + tail.encode())
+    rc = main(["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet"] + FAST)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{path}:{first_after}: text after the last of the 20 " in err
+    assert not (tmp_path / "run").exists()
+
+
 def trained_checkpoint(tmp_path, **shape):
     ds, _, _ = planted_clusters(seed=0, **shape)
     d = tmp_path / "trained_on"
@@ -1059,6 +1073,25 @@ def test_a_header_entry_of_the_wrong_json_type_exits_2(criterion_9_run, tmp_path
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"{ck}: bad header entry {entry!r}: expected " in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("header_len", [2 ** 64 - 1, 2 ** 40])
+def test_a_header_length_past_the_file_end_exits_2(criterion_9_run, tmp_path, capsys,
+                                                   header_len):
+    d, ck = own_copy(tmp_path, criterion_9_run)
+    ds, _, _ = planted_clusters(seed=4)
+    write_item_labels(d, ds, np.arange(ds.n_items) % 2)
+    blob = ck.read_bytes()
+    head = len(checkpoint.CKPT_MAGIC)
+    ck.write_bytes(blob[:head] + header_len.to_bytes(8, "little") + blob[head + 8:])
+    after = len(blob) - head - 8
+    capsys.readouterr()
+    for argv in (["evaluate", str(d), str(ck)], ["recommend", str(d), str(ck), "u0"],
+                 ["case-study", str(d), str(ck)]):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert f"{ck}: header needs {header_len} bytes, file ends after {after}" in err
         assert "Traceback" not in err
 
 

@@ -6,7 +6,7 @@ from pmlam.bilevel import build_proxy
 from pmlam.buffers import BufferPool
 from pmlam.config import make_config
 from pmlam.data import split_five_fold
-from pmlam.distance import DistanceKind
+from pmlam.distance import SIGMA_MIN, DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
 from pmlam.losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
 from pmlam.margin_net import init_margin_net
@@ -172,6 +172,33 @@ def test_outer_theta_gradient_matches_fd():
             return direct_loss(b, uu, ii, W2, 1.0)
         num = numeric_grad(f, ref.copy(), step=1e-6)
         assert_grad_close(ev.theta_grads[key], num, rtol=1e-5, atol=1e-9)
+
+
+@pytest.mark.parametrize("relation", ["ui", "uu", "ii"])
+def test_w2_gather_floors_and_roots_like_a_per_row_reference(relation):
+    from pmlam.losses import _gather
+    users, items, rng = toy_setup(23, n_users=5, n_items=6, h=3)
+    users.sigma[1, 0] = -0.2  # proxy and probe tables hold such entries
+    users.sigma[3, 2] = 0.5 * SIGMA_MIN
+    items.sigma[2, 1] = -1e-12
+    items.sigma[4, 0] = SIGMA_MIN  # on the floor, so live
+    n_anchor, n_other = {"ui": (5, 6), "uu": (5, 5), "ii": (6, 6)}[relation]
+    b = make_batch(relation, rng, n_anchor, n_other, rows=40)
+    a_t, o_t = {"ui": (users, items), "uu": (users, users), "ii": (items, items)}[relation]
+    mu_a, mu_o, rt_a, rt_o, live = _gather(b, users, items, W2, BufferPool())
+    np.testing.assert_array_equal(mu_a, a_t.mu[b.anchors])
+    np.testing.assert_array_equal(mu_o, np.stack([o_t.mu[b.positives], o_t.mu[b.negatives]]))
+    np.testing.assert_array_equal(rt_a, np.sqrt(np.maximum(a_t.sigma[b.anchors], SIGMA_MIN)))
+    for rt, rows in ((rt_o[0], b.positives), (rt_o[1], b.negatives)):
+        np.testing.assert_array_equal(rt, np.sqrt(np.maximum(o_t.sigma[rows], SIGMA_MIN)))
+    assert live is not None
+    np.testing.assert_array_equal(live[0], a_t.sigma[b.anchors] >= SIGMA_MIN)
+    np.testing.assert_array_equal(
+        live[1], np.stack([o_t.sigma[b.positives], o_t.sigma[b.negatives]]) >= SIGMA_MIN)
+    assert not live[0].all() or not live[1].all()
+    # tables with no floored entry give no mask
+    clean_users, clean_items, _ = toy_setup(23, n_users=5, n_items=6, h=3)
+    assert _gather(b, clean_users, clean_items, W2)[4] is None
 
 
 def test_gradient_accumulates_into_supplied_buffers():
