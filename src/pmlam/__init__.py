@@ -6,13 +6,13 @@ small network trained by bilevel optimization, with extra user-user and
 item-item relation losses built from thresholded cosine neighborhoods.
 """
 
-from .bilevel import TrainResult, train
+from .bilevel import TrainState, train
 from .config import RunConfig, make_config
 from .data import (FoldSplit, InteractionDataset, filter_iterative, ingest,
                    split_five_fold)
 from .distance import DistanceKind, euclidean_squared, w2_squared
 from .embeddings import GaussianEmbeddingTable, init_table, project
-from .evaluator import EvalReport, evaluate, ndcg_at_k, rank, recall_at_k
+from .evaluator import EvalReport, evaluate, rank
 from .losses import TripletBatch
 from .margin_net import MarginNetParams, indicator
 from .simgraph import NeighborSets
@@ -23,8 +23,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DistanceKind", "EvalReport", "FoldSplit", "GaussianEmbeddingTable",
     "InteractionDataset", "MarginNetParams", "NeighborSets", "RunConfig",
-    "TrainResult", "TripletBatch", "euclidean_squared", "evaluate",
+    "TrainState", "TripletBatch", "euclidean_squared", "evaluate",
     "filter_iterative", "indicator", "ingest", "init_table", "make_config",
-    "ndcg_at_k", "planted_clusters", "project", "rank", "recall_at_k",
-    "split_five_fold", "train", "w2_squared",
+    "planted_clusters", "project", "rank", "split_five_fold", "train",
+    "w2_squared",
 ]

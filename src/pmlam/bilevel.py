@@ -16,9 +16,9 @@ where the probes still give 9.5e-3 on ``b2``. The +-eps probes push hinges
 across the kink, so ``eps_fd`` is a smoothing width. Training with the exact
 product left every margin at ln 2 and failed criteria 7 (twin) and 8.
 
-Candidate pools are rebuilt synchronously at the start of every
-``refresh_period``-th epoch from a stream seeded by (seed, epoch), so a
-run's pools depend only on its config.
+Candidate pools are derived state: epoch e's pools are drawn from a stream
+seeded by the seed and e's last refresh epoch, e - e % refresh_period, so a
+state copied without them rebuilds the same pools and runs on unchanged.
 """
 
 from dataclasses import dataclass, field
@@ -192,19 +192,6 @@ class TraceRow:
                 f"{self.uu!r},{self.ii!r},{self.mean_margin!r}")
 
 
-@dataclass
-class TrainResult:
-    users: GaussianEmbeddingTable
-    items: GaussianEmbeddingTable
-    phis: dict
-    cfg: object
-    trace: list = field(default_factory=list)
-    evals: list = field(default_factory=list)  # (epoch, EvalReport)
-    opt_theta: object = None
-    opt_phi: object = None
-    rng_states: dict = field(default_factory=dict)
-
-
 def write_trace(path, rows, header_lines=()):
     def body(f):
         for line in header_lines:
@@ -228,32 +215,61 @@ def _non_finite_dump(where, batches, epoch, it):
             f"batch heads (anchor/pos/neg): {heads}")
 
 
+@dataclass(frozen=True)
+class Setup:
+    """What a run reads and never changes; see :func:`set_up`."""
+
+    cfg: object
+    fold: object
+    modes: dict        # relation -> "adaptive" or ("fixed", m)
+    pairs: dict        # relation -> (anchors, ids) of its training pairs
+    exclusions: dict   # relation -> Rows: the ids each anchor's pool leaves out
+    universes: dict    # relation -> number of ids its pools draw from
+    active_rels: list  # the relations with training pairs, in config order
+    adaptive_rels: list
+
+
+@dataclass
+class TrainState:
+    """Everything a run changes; ``epoch`` is the next epoch to run."""
+
+    users: GaussianEmbeddingTable
+    items: GaussianEmbeddingTable
+    phis: dict         # relation -> MarginNetParams, for the adaptive relations
+    cfg: object
+    opt_theta: Adam
+    opt_phi: Adam
+    rng_sampler: np.random.Generator
+    rng_noise: np.random.Generator
+    epoch: int = 0
+    trace: list = field(default_factory=list)
+    evals: list = field(default_factory=list)  # (epoch, EvalReport)
+    pools: dict = None  # the last refresh's, or None: run_epoch rebuilds them
+
+    @property
+    def rng_states(self):
+        return {"sampler": self.rng_sampler.bit_generator.state,
+                "noise": self.rng_noise.bit_generator.state}
+
+
 def train(ds, fold, cfg, log=None):
-    """Run the alternating procedure on one fold; returns a TrainResult.
+    """Run the alternating procedure on one fold; returns the final :class:`TrainState`.
 
     ``ds`` supplies entity counts; ``fold`` the per-user train/test item
-    sets. Neighbor sets for the same-entity relations are built from the
-    training rows. Deterministic for a fixed config seed.
+    sets. Deterministic for a fixed config seed.
     """
-    cfg.validate()
-    kind = cfg.kind()
     say = log if log is not None else (lambda msg: None)
+    setup = set_up(ds, fold, cfg, say)
+    state = init_state(ds, setup)
+    for _ in range(state.epoch, cfg.epochs):
+        run_epoch(setup, state, say)
+    return state
 
-    users = init_table(ds.n_users, cfg.h, np.random.SeedSequence([cfg.seed, 0]))
-    items = init_table(ds.n_items, cfg.h, np.random.SeedSequence([cfg.seed, 1]))
 
+def set_up(ds, fold, cfg, say):
+    """The :class:`Setup` of a run; neighbor sets are built from the training rows."""
+    cfg.validate()
     modes = {rel: cfg.margin_mode_for(rel) for rel in cfg.relations}
-    phis = {}
-    for r_i, rel in enumerate(cfg.relations):
-        if modes[rel] == "adaptive":
-            phis[rel] = init_margin_net(cfg.h, cfg.hidden, _stream(cfg.seed, 2, r_i),
-                                        mode=cfg.indicator_mode)
-
-    opt_theta = Adam(cfg.alpha)
-    opt_phi = Adam(cfg.alpha)
-    rng_sampler = _stream(cfg.seed, 3)
-    rng_noise = _stream(cfg.seed, 4)
-
     # pair lists and pool exclusions per relation
     pairs = {"ui": fold.train_rows.pairs()}
     exclusions = {"ui": fold.train_rows}
@@ -277,141 +293,146 @@ def train(ds, fold, cfg, log=None):
     if "ui" not in active_rels:
         raise ValueError("no training pairs: every user has an empty training row")
     adaptive_rels = [rel for rel in active_rels if modes[rel] == "adaptive"]
+    return Setup(cfg, fold, modes, pairs, exclusions, universes, active_rels, adaptive_rels)
 
-    ui_anchors, ui_positives = pairs["ui"]
+
+def init_state(ds, setup):
+    """The state before epoch 0: seeded tables and margin nets, fresh optimizers."""
+    cfg = setup.cfg
+    phis = {rel: init_margin_net(cfg.h, cfg.hidden, _stream(cfg.seed, 2, r_i),
+                                 mode=cfg.indicator_mode)
+            for r_i, rel in enumerate(cfg.relations) if setup.modes[rel] == "adaptive"}
+    return TrainState(
+        users=init_table(ds.n_users, cfg.h, np.random.SeedSequence([cfg.seed, 0])),
+        items=init_table(ds.n_items, cfg.h, np.random.SeedSequence([cfg.seed, 1])),
+        phis=phis, cfg=cfg, opt_theta=Adam(cfg.alpha), opt_phi=Adam(cfg.alpha),
+        rng_sampler=_stream(cfg.seed, 3), rng_noise=_stream(cfg.seed, 4))
+
+
+def run_epoch(setup, state, say):
+    """Run epoch ``state.epoch``: the pool refresh when due, the steps, the evaluation when due."""
+    cfg, epoch = setup.cfg, state.epoch
+    if epoch % cfg.refresh_period == 0 or state.pools is None:
+        rng_pool = _stream(cfg.seed, 5, epoch - epoch % cfg.refresh_period)
+        state.pools = {rel: sampler.refresh_pool(setup.exclusions[rel], setup.universes[rel],
+                                                 cfg.pool_size, rng_pool)
+                       for rel in setup.active_rels}
+
+    order = state.rng_sampler.permutation(len(setup.pairs["ui"][0]))
+    state.trace.append(_run_steps(setup, state, order))
+    state.epoch += 1
+
+    if len(setup.fold.test_rows.indices) > 0 and (
+            (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1):
+        report = evaluator.evaluate(state.users, state.items, setup.fold, cfg.ks, cfg.kind())
+        state.evals.append((epoch, report))
+        k_watch = 10 if 10 in report.ks else report.ks[0]
+        say(f"epoch {epoch}: inner={state.trace[-1].inner:.4f} "
+            f"R@{k_watch}={report.recall[k_watch]:.4f}")
+
+
+def _draw(setup, state, rel, size):
+    """Triplets of ``size`` pairs of ``rel`` drawn uniformly with replacement."""
+    a, p = setup.pairs[rel]
+    pick = state.rng_sampler.integers(0, len(a), size=size)
+    return sampler.sample_triplets(rel, a[pick], p[pick], state.pools[rel],
+                                   setup.cfg.neg_samples, state.rng_sampler)
+
+
+def _run_steps(setup, state, order):
+    """Run the steps of epoch ``state.epoch`` over the ui pairs in ``order``; returns its TraceRow.
+
+    The steps share one :class:`BufferPool` ``ws`` for their row buffers
+    and noise. It goes with this frame, so no buffer outlives the steps
+    into the evaluation or the next candidate-pool refresh.
+    """
+    cfg, modes, adaptive_rels = setup.cfg, setup.modes, setup.adaptive_rels
+    users, items, phis, epoch = state.users, state.items, state.phis, state.epoch
+    kind = cfg.kind()
+    ui_anchors, ui_positives = setup.pairs["ui"]
     pairs_per_batch = max(1, cfg.batch_size // cfg.neg_samples)
-    need_noise = kind is DistanceKind.W2_SQUARED
+    ws = BufferPool()
+    sums = {"inner": 0.0, "outer": 0.0, "ui": 0.0, "uu": 0.0, "ii": 0.0}
+    margin_sum, margin_count, n_iter = 0.0, 0, 0
 
-    result = TrainResult(users=users, items=items, phis=phis, cfg=cfg,
-                         opt_theta=opt_theta, opt_phi=opt_phi)
-    has_test = len(fold.test_rows.indices) > 0
+    for start in range(0, len(order), pairs_per_batch):
+        chunk = order[start:start + pairs_per_batch]
+        batches = {"ui": sampler.sample_triplets(
+            "ui", ui_anchors[chunk], ui_positives[chunk], state.pools["ui"],
+            cfg.neg_samples, state.rng_sampler)}
+        batches.update((rel, _draw(setup, state, rel, len(chunk)))
+                       for rel in setup.active_rels if rel != "ui")
+        for rel, b in batches.items():
+            if modes[rel] == "adaptive" and kind is DistanceKind.W2_SQUARED:
+                b.attach_noise(cfg.h, state.rng_noise, ws)
 
-    def draw(rel, size):
-        """Triplets of ``size`` pairs of ``rel`` drawn uniformly with replacement."""
-        a, p = pairs[rel]
-        pick = rng_sampler.integers(0, len(a), size=size)
-        return sampler.sample_triplets(rel, a[pick], p[pick], pools[rel],
-                                       cfg.neg_samples, rng_sampler)
+        # inner objective at the current tables
+        grads = zero_theta_grads(users, items, kind)
+        inner_total = 0.0
+        joint = {}  # joint training: each adaptive net follows its inner gradient
+        for rel, b in batches.items():
+            ev = batch_inner(b, users, items, kind, modes[rel],
+                             phi=phis.get(rel), indicator_mode=cfg.indicator_mode,
+                             grad_theta=True, out_grads=grads,
+                             grad_phi=cfg.joint_margin_training and rel in phis, ws=ws)
+            if ev.phi_grads is not None:
+                joint[rel] = ev.phi_grads
+            inner_total += ev.loss
+            sums[rel] += ev.loss
+            if modes[rel] == "adaptive":
+                margin_sum += float(np.sum(ev.margins))
+                margin_count += len(ev.margins)
+            if not np.isfinite(ev.loss):
+                raise NumericFailure(_non_finite_dump("loss", batches, epoch, n_iter))
+        if any(not np.all(np.isfinite(g)) for g in grads.values()):
+            raise NumericFailure(_non_finite_dump("gradient", batches, epoch, n_iter))
+        sums["inner"] += inner_total
 
-    def run_steps(epoch, order):
-        """Run one epoch's steps; returns the trace sums, margin sum and count, and steps.
+        # margin-net update, computed from the pre-update tables
+        hyper = None
+        outer_total = 0.0
+        if adaptive_rels and cfg.joint_margin_training:
+            hyper = joint
+        elif adaptive_rels:
+            proxy_users, proxy_items = build_proxy(users, items, grads, cfg.alpha)
+            if cfg.outer_batch == "fresh":
+                outer_batches = {rel: _draw(setup, state, rel, len(chunk))
+                                 for rel in setup.active_rels}
+            else:
+                outer_batches = batches
+            v = zero_theta_grads(users, items, kind)
+            for rel, b in outer_batches.items():
+                ov = batch_outer(b, proxy_users, proxy_items, kind,
+                                 m=1.0, grad_theta=True, out_grads=v, ws=ws)
+                outer_total += ov.loss
+            sums["outer"] += outer_total
 
-        The steps share one :class:`BufferPool` ``ws`` for their row buffers
-        and noise. It goes with this frame, so no buffer outlives the steps
-        into the evaluation or the next candidate-pool refresh.
-        """
-        ws = BufferPool()
-        sums = {"inner": 0.0, "outer": 0.0, "ui": 0.0, "uu": 0.0, "ii": 0.0}
-        margin_sum, margin_count, n_iter = 0.0, 0, 0
+            def _grad_phi(theta_arrays):
+                t_users = GaussianEmbeddingTable(theta_arrays["user_mu"],
+                                                 theta_arrays["user_sigma"])
+                t_items = GaussianEmbeddingTable(theta_arrays["item_mu"],
+                                                 theta_arrays["item_sigma"])
+                out = {}
+                for rel in adaptive_rels:
+                    ev = batch_inner(batches[rel], t_users, t_items, kind,
+                                     "adaptive", phi=phis[rel],
+                                     indicator_mode=cfg.indicator_mode,
+                                     grad_phi=True, ws=ws)
+                    out[rel] = ev.phi_grads
+                return out
 
-        for start in range(0, len(order), pairs_per_batch):
-            chunk = order[start:start + pairs_per_batch]
-            batches = {"ui": sampler.sample_triplets(
-                "ui", ui_anchors[chunk], ui_positives[chunk], pools["ui"],
-                cfg.neg_samples, rng_sampler)}
-            batches.update((rel, draw(rel, len(chunk)))
-                           for rel in active_rels if rel != "ui")
-            for rel, b in batches.items():
-                if modes[rel] == "adaptive" and need_noise:
-                    b.attach_noise(cfg.h, rng_noise, ws)
+            hyper = darts_hypergradient(theta_dict(users, items), v,
+                                        cfg.alpha, cfg.eps_fd, _grad_phi)
 
-            # inner objective at the current tables
-            grads = zero_theta_grads(users, items, kind)
-            inner_total = 0.0
-            joint = {}  # joint training: each adaptive net follows its inner gradient
-            for rel, b in batches.items():
-                ev = batch_inner(b, users, items, kind, modes[rel],
-                                 phi=phis.get(rel), indicator_mode=cfg.indicator_mode,
-                                 grad_theta=True, out_grads=grads,
-                                 grad_phi=cfg.joint_margin_training and rel in phis, ws=ws)
-                if ev.phi_grads is not None:
-                    joint[rel] = ev.phi_grads
-                inner_total += ev.loss
-                sums[rel] += ev.loss
-                if modes[rel] == "adaptive":
-                    margin_sum += float(np.sum(ev.margins))
-                    margin_count += len(ev.margins)
-                if not np.isfinite(ev.loss):
-                    raise NumericFailure(_non_finite_dump("loss", batches, epoch, n_iter))
-            if any(not np.all(np.isfinite(g)) for g in grads.values()):
-                raise NumericFailure(_non_finite_dump("gradient", batches, epoch, n_iter))
-            sums["inner"] += inner_total
+        theta_step(users, items, grads, state.opt_theta)
+        if adaptive_rels:
+            lam = 0.0 if cfg.joint_margin_training else cfg.lam
+            phi_step(phis, hyper, lam, state.opt_phi)
+        n_iter += 1
 
-            # margin-net update, computed from the pre-update tables
-            hyper = None
-            outer_total = 0.0
-            if adaptive_rels and cfg.joint_margin_training:
-                hyper = joint
-            elif adaptive_rels:
-                proxy_users, proxy_items = build_proxy(users, items, grads, cfg.alpha)
-                if cfg.outer_batch == "fresh":
-                    outer_batches = {rel: draw(rel, len(chunk)) for rel in active_rels}
-                else:
-                    outer_batches = batches
-                v = zero_theta_grads(users, items, kind)
-                for rel, b in outer_batches.items():
-                    ov = batch_outer(b, proxy_users, proxy_items, kind,
-                                     m=1.0, grad_theta=True, out_grads=v, ws=ws)
-                    outer_total += ov.loss
-                sums["outer"] += outer_total
-
-                def _grad_phi(theta_arrays):
-                    t_users = GaussianEmbeddingTable(theta_arrays["user_mu"],
-                                                     theta_arrays["user_sigma"])
-                    t_items = GaussianEmbeddingTable(theta_arrays["item_mu"],
-                                                     theta_arrays["item_sigma"])
-                    out = {}
-                    for rel in adaptive_rels:
-                        ev = batch_inner(batches[rel], t_users, t_items, kind,
-                                         "adaptive", phi=phis[rel],
-                                         indicator_mode=cfg.indicator_mode,
-                                         grad_phi=True, ws=ws)
-                        out[rel] = ev.phi_grads
-                    return out
-
-                hyper = darts_hypergradient(theta_dict(users, items), v,
-                                            cfg.alpha, cfg.eps_fd, _grad_phi)
-
-            theta_step(users, items, grads, opt_theta)
-            if adaptive_rels:
-                lam = 0.0 if cfg.joint_margin_training else cfg.lam
-                phi_step(phis, hyper, lam, opt_phi)
-            n_iter += 1
-        return sums, margin_sum, margin_count, n_iter
-
-    for epoch in range(cfg.epochs):
-        if epoch % cfg.refresh_period == 0:
-            rng_pool = _stream(cfg.seed, 5, epoch)
-            pools = {rel: sampler.refresh_pool(exclusions[rel], universes[rel],
-                                               cfg.pool_size, rng_pool)
-                     for rel in active_rels}
-
-        order = rng_sampler.permutation(len(ui_anchors))
-        sums, margin_sum, margin_count, n_iter = run_steps(epoch, order)
-
-        result.trace.append(TraceRow(
-            epoch=epoch,
-            inner=sums["inner"] / n_iter,
-            outer=sums["outer"] / n_iter,
-            ui=sums["ui"] / n_iter,
-            uu=sums["uu"] / n_iter,
-            ii=sums["ii"] / n_iter,
-            mean_margin=(margin_sum / margin_count) if margin_count else
-                        _fixed_margin_mean(modes, active_rels),
-        ))
-
-        if has_test and ((epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1):
-            report = evaluator.evaluate(users, items, fold, cfg.ks, kind)
-            result.evals.append((epoch, report))
-            k_watch = 10 if 10 in report.ks else report.ks[0]
-            say(f"epoch {epoch}: inner={result.trace[-1].inner:.4f} "
-                f"R@{k_watch}={report.recall[k_watch]:.4f}")
-
-    result.rng_states = {
-        "sampler": rng_sampler.bit_generator.state,
-        "noise": rng_noise.bit_generator.state,
-    }
-    return result
+    mean_margin = (margin_sum / margin_count if margin_count
+                   else _fixed_margin_mean(modes, setup.active_rels))
+    return TraceRow(epoch, *(total / n_iter for total in sums.values()), mean_margin)
 
 
 def _fixed_margin_mean(modes, active_rels):

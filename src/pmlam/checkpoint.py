@@ -56,43 +56,41 @@ class Checkpoint(Tables):
     opt_phi: dict
 
 
-def _collect_arrays(result):
+def _collect_arrays(state):
     arrays = {
-        "user_mu": result.users.mu, "user_sigma": result.users.sigma,
-        "item_mu": result.items.mu, "item_sigma": result.items.sigma,
+        "user_mu": state.users.mu, "user_sigma": state.users.sigma,
+        "item_mu": state.items.mu, "item_sigma": state.items.sigma,
     }
-    for rel, net in result.phis.items():
+    for rel, net in state.phis.items():
         for name, arr in net.params().items():
             arrays[f"phi.{rel}.{name}"] = arr
     opt_meta = {}
-    for tag, opt in (("theta", result.opt_theta), ("phi", result.opt_phi)):
-        if opt is None:
-            continue
-        state = opt.state()
-        opt_meta[tag] = {"kind": state["kind"], "alpha": state["alpha"],
-                         "t": state["t"]}
-        for slot, buffers in state["slots"].items():
+    for tag, opt in (("theta", state.opt_theta), ("phi", state.opt_phi)):
+        opt_state = opt.state()
+        opt_meta[tag] = {"kind": opt_state["kind"], "alpha": opt_state["alpha"],
+                         "t": opt_state["t"]}
+        for slot, buffers in opt_state["slots"].items():
             for name, arr in buffers.items():
                 arrays[f"opt.{tag}.{slot}.{name}"] = arr
     return arrays, opt_meta
 
 
-def save(path, result, data_sha256, fold_index=0):
-    """Write a TrainResult (see bilevel.train) as a checkpoint file.
+def save(path, state, data_sha256, fold_index=0):
+    """Write a :class:`~pmlam.bilevel.TrainState` as a checkpoint file.
 
     ``data_sha256`` (:meth:`~pmlam.data.DataFiles.digests` of the files
     trained on, the bytes that were parsed) is recorded so that
     :func:`check_data` can pin the run to them.
     """
-    arrays, opt_meta = _collect_arrays(result)
+    arrays, opt_meta = _collect_arrays(state)
     directory = [{"name": k, "shape": list(v.shape), "dtype": str(v.dtype)}
                  for k, v in arrays.items()]
     header = {
-        "config": config_strings(result.cfg),
+        "config": config_strings(state.cfg),
         "fold_index": fold_index,
         "arrays": directory,
         "optimizers": opt_meta,
-        "rng_states": result.rng_states,
+        "rng_states": state.rng_states,
         "data_sha256": data_sha256,
     }
     header = json.dumps(header).encode()

@@ -110,13 +110,13 @@ def cmd_train(args):
     cfg = _config_from_args(args)
     digests, ds, fold = _read_split(args.dataset_dir, args.fold)
     os.makedirs(args.out_dir, exist_ok=True)
-    result = bilevel.train(ds, fold, cfg, log=print if not args.quiet else None)
-    checkpoint.save(os.path.join(args.out_dir, "checkpoint.bin"), result, digests,
+    state = bilevel.train(ds, fold, cfg, log=print if not args.quiet else None)
+    checkpoint.save(os.path.join(args.out_dir, "checkpoint.bin"), state, digests,
                     fold_index=args.fold)
     bilevel.write_trace(os.path.join(args.out_dir, "trace.csv"),
-                        result.trace, header_lines=echo_lines(cfg))
-    if result.evals:
-        print(evaluator.format_table(result.evals[-1][1], title="final evaluation"))
+                        state.trace, header_lines=echo_lines(cfg))
+    if state.evals:
+        print(evaluator.format_table(state.evals[-1][1], title="final evaluation"))
     return 0
 
 
@@ -189,8 +189,8 @@ def cmd_ablate(args):
         r10s, n10s = [], []
         for seed in seeds:
             cfg = _config_from_args(args, **ABLATION_VARIANTS[variant], seed=seed)
-            result = bilevel.train(ds, fold, cfg)
-            report = evaluator.evaluate(result.users, result.items, fold,
+            state = bilevel.train(ds, fold, cfg)
+            report = evaluator.evaluate(state.users, state.items, fold,
                                         (10,), cfg.kind())
             r10s.append(report.recall[10])
             n10s.append(report.ndcg[10])

@@ -107,11 +107,3 @@ def euclidean_squared(a, b):
     a, b = np.asarray(a, float), np.asarray(b, float)
     _check_same_shape(a, b, "a", "b")
     return pair_rows(a, b)[0]
-
-
-def euclidean_squared_grad(a, b):
-    """Gradients of :func:`euclidean_squared` w.r.t. ``a`` and ``b``."""
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    _check_same_shape(a, b, "a", "b")
-    g = pair_rows(a, b, grad=True)[1][0]
-    return g, -g

@@ -36,9 +36,6 @@ class GaussianEmbeddingTable:
     def h(self):
         return self.mu.shape[1]
 
-    def copy(self):
-        return GaussianEmbeddingTable(self.mu.copy(), self.sigma.copy())
-
     def check(self, norm_slack=1e-9):
         """Check the table invariants; raises ValueError naming the first one broken."""
         if self.mu.ndim != 2 or self.sigma.shape != self.mu.shape:

@@ -104,24 +104,6 @@ def _hit_metrics(hits, n_test, k):
     return hits.sum(axis=1) / n_test, (hits @ discount) / idcg
 
 
-def _score_list(topk, test_set, name):
-    test_set = np.asarray(test_set)
-    if len(test_set) == 0:
-        raise ValueError(f"{name} needs a nonempty test set")
-    hits = np.isin(topk, test_set)[None, :]
-    return _hit_metrics(hits, np.array([len(test_set)]), len(hits[0]))
-
-
-def recall_at_k(topk, test_set):
-    """|topk & T| / |T| for a nonempty test set."""
-    return float(_score_list(topk, test_set, "recall")[0][0])
-
-
-def ndcg_at_k(topk, test_set):
-    """Binary-gain NDCG of the top-K list against a nonempty test set."""
-    return float(_score_list(topk, test_set, "ndcg")[1][0])
-
-
 def _row_mask(rows, idx, n_cols):
     """Boolean (len(idx), n_cols) matrix, True at the columns listed in ``rows[idx]``."""
     lens = rows.lens()[idx]  # gather row idx[r] from rows.indptr[idx[r]] on

@@ -47,9 +47,6 @@ class MarginNetParams:
         """Name -> array view, for optimizers and serialization."""
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
-    def copy(self):
-        return MarginNetParams(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
-
 
 def indicator_dim(mode, h):
     """Input width of the margin net for a given feature mode."""

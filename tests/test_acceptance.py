@@ -6,6 +6,7 @@ disk and skips with instructions when it is absent; a self-contained twin of
 the same ordering checks runs on generated data either way.
 """
 
+import copy
 import os
 import time
 
@@ -20,8 +21,7 @@ from pmlam.bilevel import (build_proxy, darts_hypergradient, theta_dict,
 from pmlam.cli import ABLATION_VARIANTS
 from pmlam.config import make_config
 from pmlam.data import filter_iterative, ingest, split_five_fold
-from pmlam.distance import (DistanceKind, euclidean_squared_grad, w2_squared,
-                            w2_squared_grad)
+from pmlam.distance import DistanceKind, pair_rows, w2_squared, w2_squared_grad
 from pmlam.embeddings import GaussianEmbeddingTable
 from pmlam.evaluator import evaluate
 from pmlam.losses import TripletBatch, batch_inner, batch_outer
@@ -118,10 +118,11 @@ def test_criterion_2_gradient_suite():
             worst = max(worst, directional_rel_err(
                 dist_at, packed, np.concatenate(grads), rng))
 
-            ga, gb = euclidean_squared_grad(mu[0], mu[1])
+            # the Euclidean rows training runs; d_mu_b = -d_mu_a
+            _, (ga, _, _) = pair_rows(mu[0], mu[1], grad=True)
             worst = max(worst, directional_rel_err(
                 lambda x: float(np.sum((x[:h] - x[h:]) ** 2)),
-                np.concatenate([mu[0], mu[1]]), np.concatenate([ga, gb]), rng))
+                np.concatenate([mu[0], mu[1]]), np.concatenate([ga, -ga]), rng))
 
             # margin net: parameters and embedding inputs
             net = init_margin_net(h, h, rng)
@@ -135,7 +136,7 @@ def test_criterion_2_gradient_suite():
             sizes = np.cumsum([net.params()[n].size for n in names])[:-1]
 
             def net_at(x):
-                trial = net.copy()
+                trial = copy.deepcopy(net)
                 for n, part in zip(names, np.split(x, sizes)):
                     trial.params()[n][...] = part.reshape(trial.params()[n].shape)
                 mm, _ = forward(trial, s)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ import pmlam.bilevel as bilevel
 from pmlam.bilevel import (Adam, NumericFailure, build_proxy,
                            darts_hypergradient, phi_step, theta_dict,
                            theta_step, train)
+from pmlam.checkpoint import _collect_arrays
+from pmlam.cli import _config_from_args, build_parser
 from pmlam.config import make_config
 from pmlam.data import FoldSplit, filter_iterative, split_five_fold
 from pmlam.distance import DistanceKind
@@ -12,6 +16,7 @@ from pmlam.losses import TripletBatch, batch_inner, batch_outer
 from pmlam.margin_net import init_margin_net
 from pmlam.synth import planted_clusters
 
+import golden_runs
 from helpers import (ReferenceAdam, Sgd, inner_theta_grads, random_table,
                      reference_exclusions, reference_transpose_rows)
 
@@ -82,7 +87,7 @@ def test_proxy_matches_sgd_step_and_keeps_inputs_intact():
     rng = np.random.default_rng(1)
     users, items = random_table(3, 2, rng), random_table(4, 2, rng)
     grads = {k: rng.normal(size=v.shape) for k, v in theta_dict(users, items).items()}
-    snap_u, snap_i = users.copy(), items.copy()
+    snap_u, snap_i = copy.deepcopy(users), copy.deepcopy(items)
     pu, pi = build_proxy(users, items, grads, alpha=0.01)
     np.testing.assert_array_equal(users.mu, snap_u.mu)
     np.testing.assert_array_equal(items.sigma, snap_i.sigma)
@@ -180,7 +185,7 @@ def test_full_model_hypergradient_vs_fd_on_phi():
 def test_phi_step_decay_direction():
     rng = np.random.default_rng(2)
     phis = {"ui": init_margin_net(2, 3, rng)}
-    snap = phis["ui"].copy()
+    snap = copy.deepcopy(phis["ui"])
     phi_step(phis, None, lam=0.0, opt=Sgd(0.1))
     np.testing.assert_array_equal(phis["ui"].W1, snap.W1)
     phi_step(phis, None, lam=0.01, opt=Sgd(0.1))
@@ -370,6 +375,38 @@ def test_item_rows_and_pool_exclusions_match_references(monkeypatch, p_in, p_out
         for got, want in zip(got_rows, expect, strict=True):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+def saved_form(state):
+    """What a checkpoint of ``state`` holds, arrays as bytes, with its trace and evals."""
+    arrays, opt_meta = _collect_arrays(state)
+    return ([(name, arr.dtype.str, arr.shape, arr.tobytes()) for name, arr in arrays.items()],
+            opt_meta, state.rng_states, [row.csv() for row in state.trace], state.evals)
+
+
+@pytest.mark.parametrize("run", sorted(golden_runs.RUNS))
+def test_a_state_copied_without_pools_runs_on_as_the_whole_run(run):
+    # the golden run's config, on data whose pools are a draw from more
+    # candidates than a pool holds, so a pool rebuilt from the wrong stream shows
+    ds, fold = planted_fold(seed=4, n_users=40, n_items=60, n_clusters=4, p_in=0.7,
+                            p_out=0.05)
+    cfg = _config_from_args(build_parser().parse_args(["train", "-", *golden_runs.RUNS[run]]))
+    assert (cfg.epochs, cfg.refresh_period) == (6, 3)
+    setup = bilevel.set_up(ds, fold, cfg, say=print)
+    assert min(universe - setup.exclusions[rel].lens().max()
+               for rel, universe in setup.universes.items()) > cfg.pool_size
+    whole = bilevel.init_state(ds, setup)
+    copies = []
+    while whole.epoch < cfg.epochs:
+        if whole.epoch in (3, 4):  # a refresh epoch comes next, then one between refreshes
+            copies.append(copy.deepcopy(whole))
+            copies[-1].pools = None
+        bilevel.run_epoch(setup, whole, say=print)
+    assert saved_form(whole) == saved_form(train(ds, fold, cfg))
+    for state in copies:
+        for _ in range(state.epoch, cfg.epochs):
+            bilevel.run_epoch(setup, state, say=print)
+        assert saved_form(state) == saved_form(whole)
 
 
 def test_theta_step_projects():

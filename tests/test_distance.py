@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pmlam.distance import (SIGMA_MIN, euclidean_squared,
-                            euclidean_squared_grad, w2_squared,
+from pmlam.distance import (SIGMA_MIN, euclidean_squared, pair_rows, w2_squared,
                             w2_squared_grad)
 
 from helpers import assert_grad_close, numeric_grad
@@ -124,6 +123,9 @@ def test_contract_violations():
 def test_euclidean_cases():
     assert euclidean_squared([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert euclidean_squared([1.0, 2.0], [1.0, 0.0]) == 4.0
-    ga, gb = euclidean_squared_grad(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
-    np.testing.assert_array_equal(ga, [0.0, 4.0])
-    np.testing.assert_array_equal(gb, [0.0, -4.0])
+    d2, (d_mu_a, d_sigma_a, d_sigma_b) = pair_rows(np.array([[1.0, 2.0], [0.0, 0.0]]),
+                                                   np.array([[1.0, 0.0], [1.0, 1.0]]),
+                                                   grad=True)
+    np.testing.assert_array_equal(d2, [4.0, 2.0])
+    np.testing.assert_array_equal(d_mu_a, [[0.0, 4.0], [-2.0, -2.0]])
+    assert d_sigma_a is None and d_sigma_b is None

@@ -4,9 +4,8 @@ import pytest
 from pmlam.data import FoldSplit
 from pmlam.distance import DistanceKind, w2_squared
 from pmlam.embeddings import GaussianEmbeddingTable
-from pmlam.evaluator import (evaluate, format_table, ndcg_at_k,
-                             pairwise_distances, rank, recall_at_k, top_k,
-                             write_report_csv)
+from pmlam.evaluator import (_hit_metrics, evaluate, format_table,
+                             pairwise_distances, rank, top_k, write_report_csv)
 
 from helpers import random_table
 
@@ -84,18 +83,28 @@ def test_rank_ties_break_by_item_index():
     np.testing.assert_array_equal(order, [0, 1, 2])
 
 
+def scores(topk, test_set):
+    """Recall@K and NDCG@K of one ranked list, K its length, as ``evaluate`` scores it."""
+    hits = np.isin(topk, test_set)[None, :]
+    recall, ndcg = _hit_metrics(hits, np.array([len(test_set)]), len(topk))
+    return float(recall[0]), float(ndcg[0])
+
+
 def test_recall_cases():
-    assert recall_at_k(np.array([1, 2, 3]), np.array([1, 9])) == 0.5
-    assert recall_at_k(np.array([1, 9, 3]), np.array([1, 9])) == 1.0
-    assert recall_at_k(np.array([4, 5]), np.array([1, 9])) == 0.0
-    with pytest.raises(ValueError):
-        recall_at_k(np.array([1]), np.array([]))
+    assert scores(np.array([1, 2, 3]), np.array([1, 9]))[0] == 0.5
+    assert scores(np.array([1, 9, 3]), np.array([1, 9]))[0] == 1.0
+    assert scores(np.array([4, 5]), np.array([1, 9]))[0] == 0.0
+    rng = np.random.default_rng(3)  # evaluate scores no empty test set: it rejects the fold
+    users, items = random_table(2, 2, rng), random_table(3, 2, rng)
+    fold = fold_from([np.array([0])] * 2, [np.array([], dtype=np.int64)] * 2)
+    with pytest.raises(ValueError, match="no user has test interactions"):
+        evaluate(users, items, fold, (1,), W2)
 
 
 def test_ndcg_cases():
-    assert ndcg_at_k(np.array([7, 3]), np.array([7])) == 1.0
-    assert ndcg_at_k(np.array([3, 7]), np.array([7])) == pytest.approx(1 / np.log2(3))
-    assert ndcg_at_k(np.array([3, 4]), np.array([7])) == 0.0
+    assert scores(np.array([7, 3]), np.array([7]))[1] == 1.0
+    assert scores(np.array([3, 7]), np.array([7]))[1] == pytest.approx(1 / np.log2(3))
+    assert scores(np.array([3, 4]), np.array([7]))[1] == 0.0
 
 
 def test_evaluate_matches_brute_force_scorer():

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -147,7 +149,7 @@ def test_phi_gradient_matches_fd():
     ev = batch_inner(b, users, items, W2, "adaptive", phi=net, grad_phi=True)
     for name, arr in net.params().items():
         def f(x, name=name):
-            trial = net.copy()
+            trial = copy.deepcopy(net)
             trial.params()[name][...] = x
             return batch_inner(b, users, items, W2, "adaptive", phi=trial).loss
         num = numeric_grad(f, arr.copy(), step=1e-5)

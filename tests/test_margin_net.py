@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,7 @@ def test_param_gradients_match_finite_differences(h):
     grads = backward(net, cache, upstream)
     for name, arr in net.params().items():
         def f(x, name=name):
-            trial = net.copy()
+            trial = copy.deepcopy(net)
             trial.params()[name][...] = x
             return loss_at(trial)
         num = numeric_grad(f, arr.copy(), step=1e-5)
