@@ -207,12 +207,15 @@ def _stream(seed, *tags):
     return np.random.default_rng(np.random.SeedSequence([seed, *tags]))
 
 
-def _non_finite_dump(where, batches, epoch, it):
+def _check_finite(where, arrays, batches, epoch, it):
+    """Raise NumericFailure, with the heads of ``batches``, if an array is not all finite."""
+    if all(np.all(np.isfinite(a)) for a in arrays):
+        return
     heads = {rel: (b.anchors[:8].tolist(), b.positives[:8].tolist(),
                    b.negatives[:8].tolist())
              for rel, b in batches.items()}
-    return (f"non-finite {where} at epoch {epoch} iteration {it}; "
-            f"batch heads (anchor/pos/neg): {heads}")
+    raise NumericFailure(f"non-finite {where} at epoch {epoch} iteration {it}; "
+                         f"batch heads (anchor/pos/neg): {heads}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ class Setup:
 
     cfg: object
     fold: object
-    modes: dict        # relation -> "adaptive" or ("fixed", m)
+    fixed_margins: dict  # relation -> margin, for the configured fixed-margin relations
     pairs: dict        # relation -> (anchors, ids) of its training pairs
     exclusions: dict   # relation -> Rows: the ids each anchor's pool leaves out
     universes: dict    # relation -> number of ids its pools draw from
@@ -270,6 +273,7 @@ def set_up(ds, fold, cfg, say):
     """The :class:`Setup` of a run; neighbor sets are built from the training rows."""
     cfg.validate()
     modes = {rel: cfg.margin_mode_for(rel) for rel in cfg.relations}
+    fixed_margins = {rel: mode[1] for rel, mode in modes.items() if mode != "adaptive"}
     # pair lists and pool exclusions per relation
     pairs = {"ui": fold.train_rows.pairs()}
     exclusions = {"ui": fold.train_rows}
@@ -292,8 +296,9 @@ def set_up(ds, fold, cfg, say):
     active_rels = [rel for rel in cfg.relations if len(pairs[rel][0]) > 0]
     if "ui" not in active_rels:
         raise ValueError("no training pairs: every user has an empty training row")
-    adaptive_rels = [rel for rel in active_rels if modes[rel] == "adaptive"]
-    return Setup(cfg, fold, modes, pairs, exclusions, universes, active_rels, adaptive_rels)
+    adaptive_rels = [rel for rel in active_rels if rel not in fixed_margins]
+    return Setup(cfg, fold, fixed_margins, pairs, exclusions, universes, active_rels,
+                 adaptive_rels)
 
 
 def init_state(ds, setup):
@@ -301,7 +306,7 @@ def init_state(ds, setup):
     cfg = setup.cfg
     phis = {rel: init_margin_net(cfg.h, cfg.hidden, _stream(cfg.seed, 2, r_i),
                                  mode=cfg.indicator_mode)
-            for r_i, rel in enumerate(cfg.relations) if setup.modes[rel] == "adaptive"}
+            for r_i, rel in enumerate(cfg.relations) if rel not in setup.fixed_margins}
     return TrainState(
         users=init_table(ds.n_users, cfg.h, np.random.SeedSequence([cfg.seed, 0])),
         items=init_table(ds.n_items, cfg.h, np.random.SeedSequence([cfg.seed, 1])),
@@ -346,8 +351,9 @@ def _run_steps(setup, state, order):
     and noise. It goes with this frame, so no buffer outlives the steps
     into the evaluation or the next candidate-pool refresh.
     """
-    cfg, modes, adaptive_rels = setup.cfg, setup.modes, setup.adaptive_rels
+    cfg, adaptive_rels = setup.cfg, setup.adaptive_rels
     users, items, phis, epoch = state.users, state.items, state.phis, state.epoch
+    margins = {**setup.fixed_margins, **phis}  # relation -> net or number
     kind = cfg.kind()
     ui_anchors, ui_positives = setup.pairs["ui"]
     pairs_per_batch = max(1, cfg.batch_size // cfg.neg_samples)
@@ -363,7 +369,7 @@ def _run_steps(setup, state, order):
         batches.update((rel, _draw(setup, state, rel, len(chunk)))
                        for rel in setup.active_rels if rel != "ui")
         for rel, b in batches.items():
-            if modes[rel] == "adaptive" and kind is DistanceKind.W2_SQUARED:
+            if rel in phis and kind is DistanceKind.W2_SQUARED:
                 b.attach_noise(cfg.h, state.rng_noise, ws)
 
         # inner objective at the current tables
@@ -371,21 +377,17 @@ def _run_steps(setup, state, order):
         inner_total = 0.0
         joint = {}  # joint training: each adaptive net follows its inner gradient
         for rel, b in batches.items():
-            ev = batch_inner(b, users, items, kind, modes[rel],
-                             phi=phis.get(rel), indicator_mode=cfg.indicator_mode,
-                             grad_theta=True, out_grads=grads,
-                             grad_phi=cfg.joint_margin_training and rel in phis, ws=ws)
+            ev = batch_inner(b, users, items, kind, margins[rel], grads=grads,
+                             grad_phi=cfg.joint_margin_training, ws=ws)
             if ev.phi_grads is not None:
                 joint[rel] = ev.phi_grads
             inner_total += ev.loss
             sums[rel] += ev.loss
-            if modes[rel] == "adaptive":
+            if rel in phis:
                 margin_sum += float(np.sum(ev.margins))
                 margin_count += len(ev.margins)
-            if not np.isfinite(ev.loss):
-                raise NumericFailure(_non_finite_dump("loss", batches, epoch, n_iter))
-        if any(not np.all(np.isfinite(g)) for g in grads.values()):
-            raise NumericFailure(_non_finite_dump("gradient", batches, epoch, n_iter))
+            _check_finite("loss", [ev.loss], batches, epoch, n_iter)
+        _check_finite("gradient", grads.values(), batches, epoch, n_iter)
         sums["inner"] += inner_total
 
         # margin-net update, computed from the pre-update tables
@@ -402,27 +404,23 @@ def _run_steps(setup, state, order):
                 outer_batches = batches
             v = zero_theta_grads(users, items, kind)
             for rel, b in outer_batches.items():
-                ov = batch_outer(b, proxy_users, proxy_items, kind,
-                                 m=1.0, grad_theta=True, out_grads=v, ws=ws)
-                outer_total += ov.loss
+                outer_total += batch_outer(b, proxy_users, proxy_items, kind, grads=v, ws=ws).loss
             sums["outer"] += outer_total
 
             def _grad_phi(theta_arrays):
-                t_users = GaussianEmbeddingTable(theta_arrays["user_mu"],
-                                                 theta_arrays["user_sigma"])
-                t_items = GaussianEmbeddingTable(theta_arrays["item_mu"],
-                                                 theta_arrays["item_sigma"])
-                out = {}
-                for rel in adaptive_rels:
-                    ev = batch_inner(batches[rel], t_users, t_items, kind,
-                                     "adaptive", phi=phis[rel],
-                                     indicator_mode=cfg.indicator_mode,
-                                     grad_phi=True, ws=ws)
-                    out[rel] = ev.phi_grads
-                return out
+                t_users, t_items = (GaussianEmbeddingTable(theta_arrays[f"{key}_mu"],
+                                                           theta_arrays[f"{key}_sigma"])
+                                    for key in ("user", "item"))
+                return {rel: batch_inner(batches[rel], t_users, t_items, kind, phis[rel],
+                                         grad_phi=True, ws=ws).phi_grads
+                        for rel in adaptive_rels}
 
             hyper = darts_hypergradient(theta_dict(users, items), v,
                                         cfg.alpha, cfg.eps_fd, _grad_phi)
+
+        _check_finite("joint margin gradient" if cfg.joint_margin_training else "hypergradient",
+                      [g for hg in (hyper or {}).values() for g in hg.values()],
+                      batches, epoch, n_iter)
 
         theta_step(users, items, grads, state.opt_theta)
         if adaptive_rels:
@@ -431,10 +429,10 @@ def _run_steps(setup, state, order):
         n_iter += 1
 
     mean_margin = (margin_sum / margin_count if margin_count
-                   else _fixed_margin_mean(modes, setup.active_rels))
+                   else _fixed_margin_mean(setup.fixed_margins, setup.active_rels))
     return TraceRow(epoch, *(total / n_iter for total in sums.values()), mean_margin)
 
 
-def _fixed_margin_mean(modes, active_rels):
-    ms = [modes[rel][1] for rel in active_rels if modes[rel] != "adaptive"]
+def _fixed_margin_mean(fixed_margins, active_rels):
+    ms = [fixed_margins[rel] for rel in active_rels if rel in fixed_margins]
     return float(np.mean(ms)) if ms else 0.0

@@ -106,14 +106,23 @@ def save(path, state, data_sha256, fold_index=0):
 
 
 def load(path):
-    """Read a checkpoint, every array of it; see :func:`_read` for what is rejected."""
+    """Read a checkpoint, every array of it; the nets get the config's feature mode.
+
+    Beside what :func:`_read` rejects, a missing or non-finite net array is rejected.
+    """
     header, arrays, tables = _read(path)
     try:
         phis = {rel: MarginNetParams(**{name: arrays[f"phi.{rel}.{name}"]
-                                        for name in ("W1", "b1", "W2", "b2")})
+                                        for name in ("W1", "b1", "W2", "b2")},
+                                     mode=tables.cfg.indicator_mode)
                 for rel in tables.cfg.relations if f"phi.{rel}.W1" in arrays}
     except KeyError as e:
         raise ValueError(f"{path}: header has no {e.args[0]!r} entry") from None
+    for rel, net in phis.items():
+        bad = [name for name, arr in net.params().items() if not np.all(np.isfinite(arr))]
+        if bad:
+            raise ValueError(f"{path}: {rel} margin net: array {bad[0]!r} holds a "
+                             f"non-finite value")
     return Checkpoint(**vars(tables), phis=phis, rng_states=header["rng_states"],
                       opt_theta=header["optimizers"].get("theta", {}),
                       opt_phi=header["optimizers"].get("phi", {}))

@@ -246,9 +246,9 @@ def cmd_case_study(args):
 
 def _margin_of(ck, u, pos, neg):
     # deterministic margin inputs: the means, no sampling
-    s = margin_net.margin_input(ck.cfg.indicator_mode, ck.users.mu[u],
-                                ck.items.mu[pos], ck.items.mu[neg])
-    m, _ = margin_net.forward(ck.phis["ui"], s)
+    net = ck.phis["ui"]
+    s = margin_net.margin_input(net.mode, ck.users.mu[u], ck.items.mu[pos], ck.items.mu[neg])
+    m, _ = margin_net.forward(net, s)
     return float(m[0])
 
 

@@ -2,7 +2,8 @@
 
 Keys in files and CLI flags use the field names below (``-`` and ``_`` are
 interchangeable). ``margin_mode`` is ``adaptive`` or ``fixed:<m>``;
-``relations`` is a comma list out of ``ui,uu,ii`` and must contain ``ui``.
+``relations`` is a comma list out of ``ui,uu,ii``, each at most once, and
+must contain ``ui``.
 Every float setting must be finite.
 """
 
@@ -71,10 +72,12 @@ class RunConfig:
             raise ValueError("sim_threshold must lie in (0, 1]")
         if not self.ks or min(self.ks) < 1:
             raise ValueError(f"ks: expected cut-offs >= 1, got {self.ks!r}")
-        repeated = [k for k in self.ks if self.ks.count(k) > 1]
-        if repeated:
-            raise ValueError(f"ks: cut-off {repeated[0]} is given more than once "
-                             f"in {self.ks!r}")
+        for key, what in (("ks", "cut-off"), ("relations", "relation")):
+            values = getattr(self, key)
+            repeated = [v for v in values if values.count(v) > 1]
+            if repeated:
+                raise ValueError(f"{key}: {what} {repeated[0]!r} is given more than once "
+                                 f"in {values!r}")
         if self.seed < 0:
             raise ValueError(f"seed: expected an integer >= 0, got {self.seed}")
         if self.distance_kind not in [k.value for k in DistanceKind]:

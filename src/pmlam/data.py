@@ -125,10 +125,8 @@ class FoldSplit:
     """One train/test partition: test = fold k, train = the other folds."""
 
     fold_index: int
-    rng_seed: int
     train_rows: Rows    # per-user sorted items (S_i); a list of arrays is converted
     test_rows: Rows     # per-user sorted items (T_i)
-    fold_count: int = 5
 
     def __post_init__(self):
         self.train_rows, self.test_rows = as_rows(self.train_rows), as_rows(self.test_rows)
@@ -240,10 +238,9 @@ class Folds:
         k = range(self.count)[operator.index(k)]
         test = self.labels == k
         test_ptr = np.concatenate([[0], np.cumsum(test)])[self.ds.indptr]  # tests before
-        return FoldSplit(fold_index=k, rng_seed=self.seed,
+        return FoldSplit(fold_index=k,
                          train_rows=Rows(self.ds.indptr - test_ptr, self.ds.indices[~test]),
-                         test_rows=Rows(test_ptr, self.ds.indices[test]),
-                         fold_count=self.count)
+                         test_rows=Rows(test_ptr, self.ds.indices[test]))
 
 
 def split_five_fold(ds, seed, n_folds=5):

@@ -14,6 +14,8 @@ import numpy as np
 from .data import atomic_write
 from .distance import DistanceKind
 
+EVAL_CHUNK = 256  # users whose distance rows one evaluation step holds
+
 
 @dataclass
 class EvalReport:
@@ -113,8 +115,8 @@ def _row_mask(rows, idx, n_cols):
     return mask
 
 
-def evaluate(users, items, fold, ks, kind, chunk=256):
-    """Mean Recall@K / NDCG@K over users with a nonempty test set."""
+def evaluate(users, items, fold, ks, kind):
+    """Mean Recall@K / NDCG@K over users with a nonempty test set, :data:`EVAL_CHUNK` at a time."""
     ks = tuple(ks)
     recall_sums = {k: 0.0 for k in ks}
     ndcg_sums = {k: 0.0 for k in ks}
@@ -122,8 +124,8 @@ def evaluate(users, items, fold, ks, kind, chunk=256):
     evaluated = np.flatnonzero(n_test)
     if len(evaluated) == 0:
         raise ValueError("no user has test interactions")
-    for start in range(0, len(evaluated), chunk):
-        idx = evaluated[start:start + chunk]
+    for start in range(0, len(evaluated), EVAL_CHUNK):
+        idx = evaluated[start:start + EVAL_CHUNK]
         d2 = pairwise_distances(users, items, kind, user_idx=idx)
         d2[_row_mask(fold.train_rows, idx, items.n)] = np.inf
         test = _row_mask(fold.test_rows, idx, items.n)

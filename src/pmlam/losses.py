@@ -1,9 +1,11 @@
 """Margin ranking losses over triplet batches.
 
 The same hinge ``[d2_pos - d2_neg + margin]_+`` backs both phases of
-training: the inner objective uses per-triplet margins from the margin net
-(or a fixed value for ablations), the outer objective always uses margin 1
-and is evaluated at proxy parameters. Batch reduction is the mean.
+training. A pass takes one margin: a margin net
+(:class:`~pmlam.margin_net.MarginNetParams`, which carries its feature
+mode) for the inner objective's per-triplet margins, or a number, as in the
+fixed-margin ablations and the outer objective, which uses
+:data:`OUTER_MARGIN` at proxy parameters. Batch reduction is the mean.
 
 Each call of :func:`batch_inner` runs three stages:
 
@@ -11,12 +13,12 @@ Each call of :func:`batch_inner` runs three stages:
    tables its distance reads; variances are floored and rooted once per
    table and the roots gathered; a Euclidean call reads no variances;
 2. distance and hinge: :func:`distance.pair_rows` gives both squared
-   distances and, when table gradients are wanted, their gradient rows from
-   the same differences; margins come from the margin net or a constant;
-3. one scatter: the weighted gradient rows go into each table with one
-   sparse product per table role, through the anchor and (positive,
-   negative) selection matrices that the batch builds once and keeps, so
-   the outer pass over the same batch reuses them.
+   distances and, when ``grads`` is given, their gradient rows from the
+   same differences; margins come from the margin net or the number;
+3. one scatter into the accumulator ``grads`` (:func:`zero_theta_grads`),
+   when given: one sparse product per table role, through the anchor and
+   (positive, negative) selection matrices that the batch builds once and
+   keeps, so the outer pass over the same batch reuses them.
 
 Gradients w.r.t. the embedding tables follow the distance term only: the
 margins are constants there, and reach the tables only through the bilevel
@@ -32,8 +34,8 @@ inputs, features and hidden layers) into a
 every pass; with none, each call uses a fresh one. Those arrays are scratch:
 they are overwritten by the next pass on the same pool. Nothing a pass
 returns is a view of the pool: a :class:`BatchEval`'s margins, active mask
-and gradients, and the accumulators it adds into, stay valid after later
-passes. :meth:`TripletBatch.attach_noise` draws into the pool's
+and margin-net gradients, and the accumulators it adds into, stay valid
+after later passes. :meth:`TripletBatch.attach_noise` draws into the pool's
 ``noise.<relation>`` buffer, so a batch's noise is valid until the next
 ``attach_noise`` for that relation on the same pool, which in training is
 the next step's.
@@ -50,6 +52,7 @@ from .data import Rows
 from .distance import SIGMA_MIN, DistanceKind, pair_rows
 
 RELATIONS = ("ui", "uu", "ii")
+OUTER_MARGIN = 1.0  # the margin of every outer-objective triplet
 
 
 def selection_matrix(rows, n_rows):
@@ -116,16 +119,15 @@ class TripletBatch:
 
 @dataclass
 class BatchEval:
-    """Loss value plus whatever gradients were requested."""
+    """Loss value, the margins and active hinges, and the margin-net gradients if asked for."""
 
     loss: float
     margins: np.ndarray
     active: np.ndarray
-    theta_grads: dict | None = None
     phi_grads: dict | None = None
 
 
-def zero_theta_grads(users, items, kind=DistanceKind.W2_SQUARED):
+def zero_theta_grads(users, items, kind):
     """Zero gradient accumulators for the tables that ``kind``'s distance reads.
 
     W2 reads all four tables; the Euclidean kernel reads the means only, so
@@ -236,57 +238,40 @@ def _scatter(batch, rows, w, live, grads, ws):
         grads[f"{o_key}_{param}"] += sel_o @ rows_o.reshape(-1, rows_o.shape[2])
 
 
-def batch_inner(batch, users, items, kind, margin_mode, phi=None,
-                indicator_mode="squared-diff", grad_theta=False, grad_phi=False,
-                out_grads=None, ws=None):
+def batch_inner(batch, users, items, kind, margin, grads=None, grad_phi=False, ws=None):
     """Mean hinge loss of one batch plus requested gradients.
 
-    ``margin_mode`` is either ``("fixed", m)`` or ``"adaptive"`` (with ``phi``
-    supplied). Embedding-table gradients flow through the distance term; the
-    margins are constants w.r.t. the tables. ``out_grads`` may supply an
-    accumulator dict (see :func:`zero_theta_grads`) to add into. ``ws`` is
+    ``margin`` is a margin net, read with the features of its ``mode``, or
+    the number every triplet gets. The distance term's table gradients, the
+    margins held constant, are added into ``grads`` when it is given;
+    ``grad_phi`` asks for the net's gradients (a number has none). ``ws`` is
     the pool the pass's row arrays go into (see the module docstring).
     """
     ws = ws or BufferPool()
     B = len(batch)
     mu_a, mu_o, rt_a, rt_o, live = _gather(batch, users, items, kind, ws)
-    d2, rows = pair_rows(mu_a, mu_o, rt_a, rt_o, grad=grad_theta, ws=ws)
+    d2, rows = pair_rows(mu_a, mu_o, rt_a, rt_o, grad=grads is not None, ws=ws)
 
-    if margin_mode == "adaptive":
-        if phi is None:
-            raise ValueError("adaptive margins need margin-net parameters")
+    adaptive = isinstance(margin, margin_net.MarginNetParams)
+    if adaptive:
         s = margin_net.margin_input(
-            indicator_mode, *_margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o, ws), ws=ws)
-        margins, cache = margin_net.forward(phi, s, ws=ws)
+            margin.mode, *_margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o, ws), ws=ws)
+        margins, cache = margin_net.forward(margin, s, ws=ws)
     else:
-        tag, m = margin_mode
-        if tag != "fixed":
-            raise ValueError(f"unknown margin mode {margin_mode!r}")
-        margins = np.full(B, float(m))
+        margins = np.full(B, float(margin))
 
     arg = d2[0] - d2[1] + margins
     active = arg > 0.0  # boundary counts as inactive
     # an empty batch (every sampled anchor had an empty pool) adds nothing
     loss = float(np.sum(arg[active])) / B if B else 0.0
 
-    result = BatchEval(loss=loss, margins=margins, active=active)
     w = active.astype(float) / max(B, 1)  # per-row weight of the mean reduction
-    if grad_phi and margin_mode == "adaptive":
-        result.phi_grads = margin_net.backward(phi, cache, w, ws=ws)
-    if grad_theta:
-        grads = out_grads if out_grads is not None else zero_theta_grads(users, items)
+    phi_grads = margin_net.backward(margin, cache, w, ws=ws) if grad_phi and adaptive else None
+    if grads is not None:
         _scatter(batch, rows, w, live, grads, ws)
-        result.theta_grads = grads
-    return result
+    return BatchEval(loss, margins, active, phi_grads)
 
 
-def batch_outer(batch, users, items, kind, m=1.0, grad_theta=True, out_grads=None,
-                ws=None):
-    """Mean fixed-margin hinge at (typically proxy) parameters.
-
-    Same hinge core as :func:`batch_inner` with ``("fixed", m)`` margins;
-    kept as its own entry point because the outer phase never touches a
-    margin net.
-    """
-    return batch_inner(batch, users, items, kind, ("fixed", m),
-                       grad_theta=grad_theta, out_grads=out_grads, ws=ws)
+def batch_outer(batch, users, items, kind, grads=None, ws=None):
+    """:func:`batch_inner` with margin :data:`OUTER_MARGIN`, at (typically proxy) parameters."""
+    return batch_inner(batch, users, items, kind, OUTER_MARGIN, grads=grads, ws=ws)

@@ -9,7 +9,8 @@ margin:
 The default feature is built from elementwise squared differences between the
 anchor and each of the two candidates (plus their difference), which mimics a
 Euclidean distance computation without the final sum. ``concat`` and ``sum``
-feature modes are kept for ablations. Forward and backward passes are
+feature modes are kept for ablations; a net carries the one it was built for
+(``MarginNetParams.mode``). Forward and backward passes are
 hand-rolled and vectorized over the batch. The backward pass gives the
 parameter gradients only: training treats the margins as constants w.r.t.
 the embeddings, so nothing chains a gradient back into the features.
@@ -38,13 +39,14 @@ class MarginNetParams:
     b1: np.ndarray  # (hidden,)
     W2: np.ndarray  # (hidden,) row of the 1 x hidden output layer
     b2: np.ndarray  # (1,)
+    mode: str = "squared-diff"  # the feature mode the net reads (INDICATOR_MODES)
 
     @property
     def in_dim(self):
         return self.W1.shape[1]
 
     def params(self):
-        """Name -> array view, for optimizers and serialization."""
+        """Name -> array view of the four arrays, for optimizers and serialization."""
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
 
@@ -56,7 +58,7 @@ def indicator_dim(mode, h):
 
 
 def init_margin_net(h, hidden, rng, mode="squared-diff"):
-    """Scaled-uniform weight init (U[-1/sqrt(fan_in), 1/sqrt(fan_in)]), zero biases."""
+    """Scaled-uniform init (U[-1/sqrt(fan_in), 1/sqrt(fan_in)]), zero biases; keeps ``mode``."""
     in_dim = indicator_dim(mode, h)
     bound1 = 1.0 / np.sqrt(in_dim)
     bound2 = 1.0 / np.sqrt(hidden)
@@ -65,6 +67,7 @@ def init_margin_net(h, hidden, rng, mode="squared-diff"):
         b1=np.zeros(hidden),
         W2=rng.uniform(-bound2, bound2, size=hidden),
         b2=np.zeros(1),
+        mode=mode,
     )
 
 

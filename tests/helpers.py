@@ -8,7 +8,7 @@ from scipy.special import expit
 from pmlam.data import FOLDS_MAGIC, FoldSplit, InteractionDataset, Rows
 from pmlam.distance import SIGMA_MIN, DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
-from pmlam.losses import batch_inner
+from pmlam.losses import batch_inner, zero_theta_grads
 from pmlam.margin_net import forward, margin_input
 
 
@@ -74,15 +74,13 @@ def reference_split_five_fold(ds, seed, n_folds=5):
             mask = fold_of[u] == k
             test_rows.append(np.sort(perms[u][mask]))
             train_rows.append(np.sort(perms[u][~mask]))
-        splits.append(FoldSplit(fold_index=k, rng_seed=seed,
-                                train_rows=train_rows, test_rows=test_rows,
-                                fold_count=n_folds))
+        splits.append(FoldSplit(fold_index=k, train_rows=train_rows, test_rows=test_rows))
     return splits
 
 
-def reference_folds_text(splits):
-    """The ``folds.txt`` text of a list of splits, labels recovered user by user."""
-    lines = [FOLDS_MAGIC, f"seed {splits[0].rng_seed}", f"folds {splits[0].fold_count}"]
+def reference_folds_text(splits, seed):
+    """The ``folds.txt`` text of the splits drawn with ``seed``, labels recovered user by user."""
+    lines = [FOLDS_MAGIC, f"seed {seed}", f"folds {len(splits)}"]
     for u in range(len(splits[0].test_rows)):
         items = np.concatenate([s.test_rows[u] for s in splits])
         labels = np.concatenate([np.full(len(s.test_rows[u]), s.fold_index)
@@ -217,18 +215,19 @@ def reparam_backward(d_value, sigma, noise):
     return d_value, d_value * noise / (2.0 * np.sqrt(sigma))
 
 
-def inner_theta_grads(batch, users, items, kind, phi, indicator_mode="squared-diff"):
+def inner_theta_grads(batch, users, items, kind, phi):
     """Table gradient of a batch's adaptive-margin mean hinge, margin term included.
 
     ``batch_inner`` gives the distance term's gradient with the margins held
     constant; the margin net's gradient w.r.t. its embedding inputs (means,
     or for W2 the samples ``mu + sqrt(sigma) * noise`` at the batch's frozen
     noise) is added to it row by row with ``np.add.at``, under the same hinge
-    pattern. Variances below SIGMA_MIN are floored and pass no gradient.
+    pattern. The net's features are those of its ``mode``. Variances below
+    SIGMA_MIN are floored and pass no gradient. The accumulator holds the
+    tables ``kind``'s distance reads.
     """
-    ev = batch_inner(batch, users, items, kind, "adaptive", phi=phi,
-                     indicator_mode=indicator_mode, grad_theta=True)
-    grads = ev.theta_grads
+    grads = zero_theta_grads(users, items, kind)
+    ev = batch_inner(batch, users, items, kind, phi, grads=grads)
     tables = {"user": users, "item": items}
     a_key, o_key = {"ui": ("user", "item"), "uu": ("user", "user"),
                     "ii": ("item", "item")}[batch.relation]
@@ -244,9 +243,9 @@ def inner_theta_grads(batch, users, items, kind, phi, indicator_mode="squared-di
                   for mu, sig, (_, _, _, noise) in zip(mus, sigmas, roles)]
     else:
         inputs = mus
-    _, cache = forward(phi, margin_input(indicator_mode, *inputs))
+    _, cache = forward(phi, margin_input(phi.mode, *inputs))
     ds = margin_input_grad(phi, cache, ev.active / max(len(batch), 1))
-    d_inputs = margin_input_backward(indicator_mode, *inputs, ds)
+    d_inputs = margin_input_backward(phi.mode, *inputs, ds)
     for i, ((key, _, ids, noise), d_value) in enumerate(zip(roles, d_inputs)):
         if kind is DistanceKind.W2_SQUARED:
             d_value, d_sigma = reparam_backward(d_value, sigmas[i], noise)

@@ -24,7 +24,7 @@ from pmlam.data import filter_iterative, ingest, split_five_fold
 from pmlam.distance import DistanceKind, pair_rows, w2_squared, w2_squared_grad
 from pmlam.embeddings import GaussianEmbeddingTable
 from pmlam.evaluator import evaluate
-from pmlam.losses import TripletBatch, batch_inner, batch_outer
+from pmlam.losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
 from pmlam.margin_net import backward, forward, init_margin_net, margin_input
 from pmlam.synth import planted_clusters
 
@@ -170,8 +170,8 @@ def test_criterion_2_gradient_suite():
         b = TripletBatch("ui", trial_rng.integers(0, 3, 6),
                          trial_rng.integers(0, 4, 6), trial_rng.integers(0, 4, 6))
         b.attach_noise(2, trial_rng)
-        ev = batch_inner(b, users, items, W2, "adaptive", phi=net,
-                         grad_theta=True, grad_phi=True)
+        grads = zero_theta_grads(users, items, W2)
+        ev = batch_inner(b, users, items, W2, net, grads=grads, grad_phi=True)
         margins = ev.margins
         keys = ("user_mu", "user_sigma", "item_mu", "item_sigma")
         packed = np.concatenate([theta_dict(users, items)[k].ravel() for k in keys])
@@ -190,7 +190,7 @@ def test_criterion_2_gradient_suite():
             d2n = np.sum((mu_a - mu_n) ** 2, 1) + np.sum((ra - rn) ** 2, 1)
             return float(np.mean(np.maximum(d2p - d2n + margins, 0.0)))
 
-        analytic = np.concatenate([ev.theta_grads[k].ravel() for k in keys])
+        analytic = np.concatenate([grads[k].ravel() for k in keys])
         worst = max(worst, directional_rel_err(loss_at, packed, analytic,
                                                trial_rng))
     elapsed = time.time() - start
@@ -228,18 +228,18 @@ def test_criterion_3_hypergradient():
 
     def outer_of(net_now):
         pu, pi = build_proxy(users, items, inner_grads(net_now), alpha)
-        return batch_outer(b, pu, pi, W2, m=1.0, grad_theta=False).loss
+        return batch_outer(b, pu, pi, W2).loss
 
     pu, pi = build_proxy(users, items, inner_grads(net), alpha)
-    ov = batch_outer(b, pu, pi, W2, m=1.0, grad_theta=True)
+    v = zero_theta_grads(pu, pi, W2)
+    batch_outer(b, pu, pi, W2, grads=v)
 
     def grad_phi_fn(t):
         tu = GaussianEmbeddingTable(t["user_mu"], t["user_sigma"])
         ti = GaussianEmbeddingTable(t["item_mu"], t["item_sigma"])
-        return batch_inner(b, tu, ti, W2, "adaptive", phi=net,
-                           grad_phi=True).phi_grads
+        return batch_inner(b, tu, ti, W2, net, grad_phi=True).phi_grads
 
-    hyper = darts_hypergradient(theta_dict(users, items), ov.theta_grads,
+    hyper = darts_hypergradient(theta_dict(users, items), v,
                                 alpha, 1e-2, grad_phi_fn)
     worst_rel = 0.0
     for name, arr in net.params().items():
@@ -320,7 +320,7 @@ def test_criterion_5_metric_oracles():
         d = np.sort(rng.choice(30, size=10, replace=False))
         train_rows.append(d[:7])
         test_rows.append(d[7:])
-    fold = FoldSplit(0, 0, train_rows, test_rows)
+    fold = FoldSplit(0, train_rows, test_rows)
     worst = 0.0
     for k in (5, 10):
         rep = evaluate(users, items, fold, ks=(k,), kind=W2)
@@ -337,7 +337,7 @@ def test_criterion_5_metric_oracles():
         rows_test = [np.sort(srng.choice(n_items, 5, replace=False))
                      for _ in range(n_users)]
         rows_train = [np.array([], dtype=int)] * n_users
-        rep = evaluate(u_tab, i_tab, FoldSplit(0, 0, rows_train, rows_test),
+        rep = evaluate(u_tab, i_tab, FoldSplit(0, rows_train, rows_test),
                        ks=(k,), kind=W2)
         seed_means.append(rep.recall[k])
     grand = float(np.mean(seed_means))

@@ -12,7 +12,7 @@ from pmlam.cli import _config_from_args, build_parser
 from pmlam.config import make_config
 from pmlam.data import FoldSplit, filter_iterative, split_five_fold
 from pmlam.distance import DistanceKind
-from pmlam.losses import TripletBatch, batch_inner, batch_outer
+from pmlam.losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
 from pmlam.margin_net import init_margin_net
 from pmlam.synth import planted_clusters
 
@@ -148,24 +148,24 @@ def test_full_model_hypergradient_vs_fd_on_phi():
 
     def outer_of(net_now):
         pu, pi = build_proxy(users, items, inner_grads(net_now), alpha)
-        return batch_outer(b, pu, pi, W2, m=1.0, grad_theta=False).loss
+        return batch_outer(b, pu, pi, W2).loss
 
-    base = batch_inner(b, users, items, W2, "adaptive", phi=net)
+    base = batch_inner(b, users, items, W2, net)
     assert np.all(base.active), "test instance needs all hinges active"
 
     grads = inner_grads(net)
     pu, pi = build_proxy(users, items, grads, alpha)
-    ov = batch_outer(b, pu, pi, W2, m=1.0, grad_theta=True)
+    v = zero_theta_grads(pu, pi, W2)
+    ov = batch_outer(b, pu, pi, W2, grads=v)
     assert np.all(ov.active), "outer hinges must stay active too"
 
     def grad_phi_fn(theta_arrays):
         from pmlam.embeddings import GaussianEmbeddingTable
         tu = GaussianEmbeddingTable(theta_arrays["user_mu"], theta_arrays["user_sigma"])
         ti = GaussianEmbeddingTable(theta_arrays["item_mu"], theta_arrays["item_sigma"])
-        return batch_inner(b, tu, ti, W2, "adaptive", phi=net,
-                           grad_phi=True).phi_grads
+        return batch_inner(b, tu, ti, W2, net, grad_phi=True).phi_grads
 
-    hyper = darts_hypergradient(theta_dict(users, items), ov.theta_grads,
+    hyper = darts_hypergradient(theta_dict(users, items), v,
                                 alpha, eps_fd, grad_phi_fn)
     for name, arr in net.params().items():
         flat = arr.ravel()
@@ -255,7 +255,7 @@ def test_relation_with_only_empty_pools_adds_no_loss():
     # every uu pool is empty and every uu batch has no rows
     ds = filter_iterative([(f"u{u}", f"i{i}") for u in range(4) for i in range(6)],
                           min_user=1, min_item=1)
-    fold = FoldSplit(fold_index=0, rng_seed=0, train_rows=[np.arange(3)] * 4,
+    fold = FoldSplit(fold_index=0, train_rows=[np.arange(3)] * 4,
                      test_rows=[np.array([3])] * 4)
     result = train(ds, fold, quick_config(relations=("ui", "uu"), epochs=2))
     assert [row.uu for row in result.trace] == [0.0, 0.0]
@@ -313,6 +313,26 @@ def test_non_finite_losses_abort_with_diagnostic(monkeypatch):
     monkeypatch.setattr(bilevel, "batch_inner", poisoned)
     with pytest.raises(NumericFailure, match="batch heads"):
         train(ds, fold, cfg)
+
+
+def test_non_finite_joint_margin_gradient_aborts_before_the_step(monkeypatch):
+    ds, fold = planted_fold()
+    cfg = quick_config(relations=("ui", "uu", "ii"), joint_margin_training=True, epochs=1)
+    real = bilevel.batch_inner
+
+    def poisoned(batch, *args, **kw):
+        ev = real(batch, *args, **kw)
+        if batch.relation == "uu" and ev.phi_grads is not None:
+            ev.phi_grads["b1"][0] = np.inf
+        return ev
+
+    monkeypatch.setattr(bilevel, "batch_inner", poisoned)
+    stepped = []
+    monkeypatch.setattr(bilevel, "phi_step", lambda *args: stepped.append(args))
+    with pytest.raises(NumericFailure, match="non-finite joint margin gradient at epoch 0 "
+                                             "iteration 0; batch heads"):
+        train(ds, fold, cfg)
+    assert not stepped
 
 
 def test_joint_step_makes_one_inner_call_per_relation(monkeypatch):

@@ -14,6 +14,7 @@ from pmlam.cli import ABLATION_VARIANTS, build_parser, main
 from pmlam.config import RunConfig, make_config
 from pmlam.data import (DATA_FILES, DataFiles, load_dataset, load_folds, split_five_fold,
                         save_dataset, save_folds)
+from pmlam.margin_net import forward, margin_input
 from pmlam.synth import planted_clusters, write_item_labels
 
 VARIANT_KEYS = ("distance_kind", "margin_mode", "margin_mode_uu", "margin_mode_ii",
@@ -490,7 +491,10 @@ def test_case_study_on_damaged_item_labels_exits_2(tmp_path, capsys):
     ("epochs", "ten", "epochs: expected an integer, got 'ten'"),
     ("alpha", "fast", "alpha: expected a number, got 'fast'"),
     ("ks", "5,x", "ks: expected an integer, got 'x'"),
-    ("ks", "10,5,10", "ks: cut-off 10 is given more than once in (10, 5, 10)")])
+    ("ks", "10,5,10", "ks: cut-off 10 is given more than once in (10, 5, 10)"),
+    ("relations", "ui,ui", "relations: relation 'ui' is given more than once in ('ui', 'ui')"),
+    ("relations", "ui,ii,uu,ii",
+     "relations: relation 'ii' is given more than once in ('ui', 'ii', 'uu', 'ii')")])
 def test_bad_config_value_names_its_key(tmp_path, capsys, key, value, message):
     d, _ = planted_dataset_dir(tmp_path)
     cfg_file = tmp_path / "run.cfg"
@@ -1138,3 +1142,61 @@ def test_case_study_with_no_usable_user_says_why(criterion_9_run, tmp_path, caps
     assert out.split("\n")[1:] == [""]  # the header line alone
     assert err == (f"note: none of the {ds.n_users} sampled users has both a similar and "
                    f"a dissimilar unseen item, so the table is empty\n")
+
+
+def test_a_non_finite_hypergradient_exits_3(tmp_path, capsys):
+    # eps_fd / ||v|| overflows, so both probes and the hypergradient are NaN; NaN
+    # margins would switch every hinge off and the loss checks would pass
+    ds, _, _ = planted_clusters(seed=0)
+    d = tmp_path / "data"
+    save_dataset(d, ds)
+    save_folds(d, split_five_fold(ds, seed=0))
+    run = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        rc = main(["train", str(d), "--out-dir", str(run), "--quiet", "--epochs", "1",
+                   "--h", "4", "--hidden", "4", "--batch-size", "20", "--eps-fd", "1e308"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: non-finite hypergradient at epoch 0 iteration 0" in err
+    assert "batch heads" in err
+    assert not (run / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("rel, name", [("ui", "W1"), ("uu", "b2")])
+def test_checkpoint_with_a_non_finite_margin_net_exits_2(tmp_path, capsys, rel, name):
+    d, _ = planted_dataset_dir(tmp_path, labels=True)
+    run = tmp_path / "run"
+    assert main(["train", str(d), "--out-dir", str(run), "--quiet"] + FAST) == 0
+    ck = run / "checkpoint.bin"
+    start, _ = array_ranges(ck)[f"phi.{rel}.{name}"]
+    blob = bytearray(ck.read_bytes())
+    blob[start:start + 8] = np.float64(np.nan).tobytes()
+    ck.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["case-study", str(d), str(ck)]) == 2
+    assert capsys.readouterr().err == (f"error: {ck}: {rel} margin net: array {name!r} "
+                                       f"holds a non-finite value\n")
+
+
+def test_the_feature_mode_survives_a_checkpoint(tmp_path, capsys):
+    d, ds = planted_dataset_dir(tmp_path, labels=True, p_in=0.7, p_out=0.1)
+    run = tmp_path / "run"
+    assert main(["train", str(d), "--out-dir", str(run), "--quiet", "--relations", "ui",
+                 "--indicator-mode", "concat"] + FAST) == 0
+    ck = checkpoint.load(run / "checkpoint.bin")
+    assert [net.mode for net in ck.phis.values()] == ["concat"]
+    capsys.readouterr()
+    assert main(["case-study", str(d), str(run / "checkpoint.bin"), "--n-users", "20"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert rows
+    user_of = {user: u for u, user in enumerate(ds.user_ids)}
+    item_of = {item: i for i, item in enumerate(ds.item_ids)}
+
+    def margin(mode, user, pos, neg):
+        s = margin_input(mode, ck.users.mu[user_of[user]], ck.items.mu[item_of[pos]],
+                         ck.items.mu[item_of[neg]])
+        return f"{forward(ck.phis['ui'], s)[0][0]:.4f}"
+
+    assert [m for *_, m in rows] == [margin("concat", *row[:3]) for row in rows]
+    # both modes give the net 3h inputs, so a lost mode would not fail on its own
+    assert [m for *_, m in rows] != [margin("squared-diff", *row[:3]) for row in rows]

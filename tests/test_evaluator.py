@@ -39,8 +39,7 @@ def brute_force_metrics(users, items, fold, k, kind):
 
 
 def fold_from(train_rows, test_rows):
-    return FoldSplit(fold_index=0, rng_seed=0, train_rows=train_rows,
-                     test_rows=test_rows)
+    return FoldSplit(fold_index=0, train_rows=train_rows, test_rows=test_rows)
 
 
 def test_rank_identical_item_comes_first():

@@ -11,7 +11,7 @@ from pmlam.data import split_five_fold
 from pmlam.distance import SIGMA_MIN, DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
 from pmlam.losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
-from pmlam.margin_net import init_margin_net
+from pmlam.margin_net import INDICATOR_MODES, forward, init_margin_net, margin_input
 from pmlam.synth import planted_clusters
 
 from helpers import (add_at_theta_grads, assert_grad_close, inner_theta_grads,
@@ -57,6 +57,11 @@ def direct_loss(batch, users, items, kind, margins):
     return float(np.mean(np.maximum(args, 0.0)))
 
 
+def table_grad(grads, key, ref):
+    """``grads[key]``, or zeros shaped like ``ref`` for a table the accumulator leaves out."""
+    return grads[key] if key in grads else np.zeros_like(ref)
+
+
 def tables_with(users, items, key, arr):
     parts = {"user_mu": users.mu, "user_sigma": users.sigma,
              "item_mu": items.mu, "item_sigma": items.sigma}
@@ -68,7 +73,7 @@ def tables_with(users, items, key, arr):
 def test_singleton_batch_equals_scalar_hinge():
     users, items, _ = toy_setup()
     b = TripletBatch("ui", np.array([1]), np.array([2]), np.array([0]))
-    ev = batch_inner(b, users, items, W2, ("fixed", 1.0))
+    ev = batch_inner(b, users, items, W2, 1.0)
     assert ev.loss == pytest.approx(direct_loss(b, users, items, W2, 1.0), abs=1e-15)
 
 
@@ -77,8 +82,8 @@ def test_batch_mean_is_permutation_invariant():
     b = make_batch("ui", rng, 3, 4, rows=10)
     perm = rng.permutation(10)
     b2 = TripletBatch("ui", b.anchors[perm], b.positives[perm], b.negatives[perm])
-    e1 = batch_inner(b, users, items, W2, ("fixed", 0.7))
-    e2 = batch_inner(b2, users, items, W2, ("fixed", 0.7))
+    e1 = batch_inner(b, users, items, W2, 0.7)
+    e2 = batch_inner(b2, users, items, W2, 0.7)
     assert e1.loss == pytest.approx(e2.loss, abs=1e-15)
 
 
@@ -88,9 +93,10 @@ def test_inactive_hinges_give_zero_loss_and_gradient():
     items.sigma[0] = users.sigma[0]
     items.mu[3] = -users.mu[0]
     b = TripletBatch("ui", np.array([0, 0]), np.array([0, 0]), np.array([3, 3]))
-    ev = batch_inner(b, users, items, W2, ("fixed", 0.0), grad_theta=True)
+    grads = zero_theta_grads(users, items, W2)
+    ev = batch_inner(b, users, items, W2, 0.0, grads=grads)
     assert ev.loss == 0.0 and ev.active.sum() == 0
-    assert all(np.all(g == 0) for g in ev.theta_grads.values())
+    assert all(np.all(g == 0) for g in grads.values())
 
 
 def test_adaptive_needs_noise_for_gaussian_runs():
@@ -98,7 +104,18 @@ def test_adaptive_needs_noise_for_gaussian_runs():
     net = init_margin_net(2, 3, rng)
     b = make_batch("ui", rng, 3, 4)
     with pytest.raises(ValueError):
-        batch_inner(b, users, items, W2, "adaptive", phi=net)
+        batch_inner(b, users, items, W2, net)
+
+
+@pytest.mark.parametrize("mode", INDICATOR_MODES)
+def test_a_net_gets_the_features_of_its_own_mode(mode):
+    users, items, rng = toy_setup(7)
+    net = init_margin_net(2, 3, rng, mode=mode)
+    assert net.mode == mode and list(net.params()) == ["W1", "b1", "W2", "b2"]
+    b = make_batch("ui", rng, 3, 4)
+    ev = batch_inner(b, users, items, EUC, net)
+    s = margin_input(mode, users.mu[b.anchors], items.mu[b.positives], items.mu[b.negatives])
+    np.testing.assert_array_equal(ev.margins, forward(net, s)[0])
 
 
 @pytest.mark.parametrize("relation", ["ui", "uu", "ii"])
@@ -109,7 +126,8 @@ def test_theta_gradient_fd_margins_held_constant(relation, kind):
     net = init_margin_net(2, 3, rng)
     net.b2[0] = 0.4  # keep generated margins O(1) so most hinges engage
     b = make_batch(relation, rng, *shapes, h=2)
-    ev = batch_inner(b, users, items, kind, "adaptive", phi=net, grad_theta=True)
+    grads = zero_theta_grads(users, items, kind)
+    ev = batch_inner(b, users, items, kind, net, grads=grads)
     base_margins = ev.margins
     args = hinge_arguments(b, users, items, kind, base_margins)
     assert ev.active.sum() > 0, "degenerate instance: no active hinge"
@@ -121,7 +139,7 @@ def test_theta_gradient_fd_margins_held_constant(relation, kind):
             uu, ii = tables_with(users, items, key, x)
             return direct_loss(b, uu, ii, kind, base_margins)
         num = numeric_grad(f, ref.copy(), step=1e-6)
-        assert_grad_close(ev.theta_grads[key], num, rtol=1e-5, atol=1e-9)
+        assert_grad_close(table_grad(grads, key, ref), num, rtol=1e-5, atol=1e-9)
 
 
 @pytest.mark.parametrize("kind", [W2, EUC])
@@ -136,9 +154,9 @@ def test_theta_gradient_fd_with_margin_path_enabled(kind):
                      ("item_mu", items.mu), ("item_sigma", items.sigma)):
         def f(x, key=key):
             uu, ii = tables_with(users, items, key, x)
-            return batch_inner(b, uu, ii, kind, "adaptive", phi=net).loss
+            return batch_inner(b, uu, ii, kind, net).loss
         num = numeric_grad(f, ref.copy(), step=1e-6)
-        assert_grad_close(theta_grads[key], num, rtol=1e-5, atol=1e-8)
+        assert_grad_close(table_grad(theta_grads, key, ref), num, rtol=1e-5, atol=1e-8)
 
 
 def test_phi_gradient_matches_fd():
@@ -146,12 +164,12 @@ def test_phi_gradient_matches_fd():
     net = init_margin_net(2, 4, rng)
     net.b2[0] = 0.4
     b = make_batch("ui", rng, 3, 4, h=2)
-    ev = batch_inner(b, users, items, W2, "adaptive", phi=net, grad_phi=True)
+    ev = batch_inner(b, users, items, W2, net, grad_phi=True)
     for name, arr in net.params().items():
         def f(x, name=name):
             trial = copy.deepcopy(net)
             trial.params()[name][...] = x
-            return batch_inner(b, users, items, W2, "adaptive", phi=trial).loss
+            return batch_inner(b, users, items, W2, trial).loss
         num = numeric_grad(f, arr.copy(), step=1e-5)
         assert_grad_close(ev.phi_grads[name], num, rtol=1e-5, atol=1e-9)
 
@@ -159,21 +177,22 @@ def test_phi_gradient_matches_fd():
 def test_outer_at_zero_step_proxy_equals_inner_fixed():
     users, items, rng = toy_setup(17)
     b = make_batch("ui", rng, 3, 4)
-    outer = batch_outer(b, users, items, W2, m=1.0, grad_theta=False)
-    inner = batch_inner(b, users, items, W2, ("fixed", 1.0))
+    outer = batch_outer(b, users, items, W2)
+    inner = batch_inner(b, users, items, W2, 1.0)
     assert outer.loss == inner.loss
 
 
 def test_outer_theta_gradient_matches_fd():
     users, items, rng = toy_setup(19)
     b = make_batch("ui", rng, 3, 4)
-    ev = batch_outer(b, users, items, W2, m=1.0, grad_theta=True)
+    grads = zero_theta_grads(users, items, W2)
+    batch_outer(b, users, items, W2, grads=grads)
     for key, ref in (("user_mu", users.mu), ("item_sigma", items.sigma)):
         def f(x, key=key):
             uu, ii = tables_with(users, items, key, x)
             return direct_loss(b, uu, ii, W2, 1.0)
         num = numeric_grad(f, ref.copy(), step=1e-6)
-        assert_grad_close(ev.theta_grads[key], num, rtol=1e-5, atol=1e-9)
+        assert_grad_close(grads[key], num, rtol=1e-5, atol=1e-9)
 
 
 @pytest.mark.parametrize("relation", ["ui", "uu", "ii"])
@@ -207,12 +226,12 @@ def test_gradient_accumulates_into_supplied_buffers():
     users, items, rng = toy_setup(29)
     b1 = make_batch("ui", rng, 3, 4)
     b2 = make_batch("uu", rng, 3, 3)
-    acc = zero_theta_grads(users, items)
-    batch_inner(b1, users, items, W2, ("fixed", 1.0), grad_theta=True, out_grads=acc)
+    acc = zero_theta_grads(users, items, W2)
+    batch_inner(b1, users, items, W2, 1.0, grads=acc)
     snapshot = {k: v.copy() for k, v in acc.items()}
-    batch_inner(b2, users, items, W2, ("fixed", 1.0), grad_theta=True, out_grads=acc)
-    solo = zero_theta_grads(users, items)
-    batch_inner(b2, users, items, W2, ("fixed", 1.0), grad_theta=True, out_grads=solo)
+    batch_inner(b2, users, items, W2, 1.0, grads=acc)
+    solo = zero_theta_grads(users, items, W2)
+    batch_inner(b2, users, items, W2, 1.0, grads=solo)
     for k in acc:
         np.testing.assert_allclose(acc[k], snapshot[k] + solo[k], atol=1e-15)
 
@@ -227,32 +246,34 @@ def test_sparse_scatter_matches_add_at_reference(relation, kind):
     b = make_batch(relation, rng, n_anchor, n_other, rows=64)
     for ids in (b.anchors, b.positives, b.negatives):
         assert len(np.unique(ids)) < len(ids)  # every role repeats indices
-    acc = {k: rng.normal(size=v.shape) for k, v in zero_theta_grads(users, items).items()}
+    acc = {k: rng.normal(size=v.shape) for k, v in zero_theta_grads(users, items, W2).items()}
     ref = {k: v.copy() for k, v in acc.items()}
-    ev = batch_inner(b, users, items, kind, ("fixed", 0.5), grad_theta=True, out_grads=acc)
+    ev = batch_inner(b, users, items, kind, 0.5, grads=acc)
     assert 0 < ev.active.sum() < len(b)
     add_at_theta_grads(b, users, items, kind, ev.active, ref)
     for key in acc:
         np.testing.assert_allclose(acc[key], ref[key], rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("margin_mode", [("fixed", 0.5), "adaptive"])
-def test_euclidean_call_ignores_sigma(margin_mode):
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_euclidean_call_ignores_sigma(adaptive):
     users, items, rng = toy_setup(37)
     net = init_margin_net(2, 3, rng)
     net.b2[0] = 0.4
+    margin = net if adaptive else 0.5
     b = make_batch("ui", rng, 3, 4, rows=16)
     nan_users = GaussianEmbeddingTable(users.mu, np.full_like(users.sigma, np.nan))
     nan_items = GaussianEmbeddingTable(items.mu, np.full_like(items.sigma, np.nan))
-    kwargs = dict(phi=net, grad_theta=True, grad_phi=True)
-    ev = batch_inner(b, users, items, EUC, margin_mode, **kwargs)
-    ev_nan = batch_inner(b, nan_users, nan_items, EUC, margin_mode, **kwargs)
+    grads, grads_nan = (zero_theta_grads(users, items, W2) for _ in range(2))
+    ev = batch_inner(b, users, items, EUC, margin, grads=grads, grad_phi=True)
+    ev_nan = batch_inner(b, nan_users, nan_items, EUC, margin, grads=grads_nan, grad_phi=True)
     assert ev.active.sum() > 0
     assert ev_nan.loss == ev.loss
+    assert (ev.phi_grads is not None) == adaptive  # a fixed margin has no net gradient
     for key in ("user_mu", "item_mu"):
-        np.testing.assert_array_equal(ev_nan.theta_grads[key], ev.theta_grads[key])
-    for key in ("user_sigma", "item_sigma"):
-        assert np.all(ev_nan.theta_grads[key] == 0.0)
+        np.testing.assert_array_equal(grads_nan[key], grads[key])
+    for key in ("user_sigma", "item_sigma"):  # a W2-shaped accumulator's are left alone
+        assert np.all(grads_nan[key] == 0.0)
 
 
 def counting_selection(monkeypatch):
@@ -273,13 +294,13 @@ def test_selection_built_once_and_reused_by_outer_pass(monkeypatch):
     users, items, rng = toy_setup(41)
     net = init_margin_net(2, 3, rng)
     b = make_batch("ui", rng, 3, 4, rows=8, h=2)
-    grads = zero_theta_grads(users, items)
-    batch_inner(b, users, items, W2, "adaptive", phi=net, grad_theta=True, out_grads=grads)
+    grads = zero_theta_grads(users, items, W2)
+    batch_inner(b, users, items, W2, net, grads=grads)
     assert built == [(8, 3), (16, 4)]  # anchors into users, (pos, neg) into items
     selection = b.selection(3, 4)
     proxy_users, proxy_items = build_proxy(users, items, grads, 0.1)
-    batch_outer(b, proxy_users, proxy_items, W2, m=1.0, grad_theta=True)
-    batch_inner(b, proxy_users, proxy_items, W2, "adaptive", phi=net, grad_phi=True)
+    batch_outer(b, proxy_users, proxy_items, W2, grads=zero_theta_grads(users, items, W2))
+    batch_inner(b, proxy_users, proxy_items, W2, net, grad_phi=True)
     assert built == [(8, 3), (16, 4)]
     assert all(a is c for a, c in zip(b.selection(3, 4), selection))
 
@@ -309,32 +330,34 @@ def test_phi_grads_do_not_depend_on_theta_grads(kind):
     net = init_margin_net(2, 3, rng)
     net.b2[0] = 0.4
     b = make_batch("ui", rng, 3, 4, rows=16, h=2)
-    alone = batch_inner(b, users, items, kind, "adaptive", phi=net, grad_phi=True)
-    both = batch_inner(b, users, items, kind, "adaptive", phi=net, grad_phi=True,
-                       grad_theta=True)
+    alone = batch_inner(b, users, items, kind, net, grad_phi=True)
+    both = batch_inner(b, users, items, kind, net, grads=zero_theta_grads(users, items, kind),
+                       grad_phi=True)
     assert alone.phi_grads.keys() == both.phi_grads.keys()
     for name, g in alone.phi_grads.items():
         np.testing.assert_array_equal(both.phi_grads[name], g)
 
 
-POOL_PASSES = {  # batch_inner keywords of each kind of pass a training step makes
-    "inner": dict(grad_theta=True, grad_phi=True),
-    "outer": dict(grad_theta=True),
-    "probe": dict(grad_phi=True),
+POOL_PASSES = {  # (table gradients, net gradients) of each kind of pass a training step makes
+    "inner": (True, True),
+    "outer": (True, False),
+    "probe": (False, True),
 }
 
 
 def pool_pass(name, b, users, items, kind, net, ws):
-    kwargs = dict(POOL_PASSES[name], ws=ws)
+    """The pass ``name``'s BatchEval and the accumulator it added into, or None."""
+    theta, phi = POOL_PASSES[name]
+    grads = zero_theta_grads(users, items, kind) if theta else None
     if name == "outer":
-        return batch_outer(b, users, items, kind, **kwargs)
-    return batch_inner(b, users, items, kind, "adaptive", phi=net, **kwargs)
+        return batch_outer(b, users, items, kind, grads=grads, ws=ws), grads
+    return batch_inner(b, users, items, kind, net, grads=grads, grad_phi=phi, ws=ws), grads
 
 
-def eval_arrays(ev):
-    """Every array a BatchEval holds, by name, copied."""
+def eval_arrays(ev, theta_grads):
+    """Every array a BatchEval and its pass's accumulator hold, by name, copied."""
     out = {"loss": np.array(ev.loss), "margins": ev.margins.copy(), "active": ev.active.copy()}
-    for prefix, grads in (("theta", ev.theta_grads), ("phi", ev.phi_grads)):
+    for prefix, grads in (("theta", theta_grads), ("phi", ev.phi_grads)):
         out.update((f"{prefix}.{k}", g.copy()) for k, g in (grads or {}).items())
     return out
 
@@ -357,9 +380,9 @@ def test_a_reused_pool_gives_the_results_of_fresh_calls(name, kind):
         batch_rng = np.random.default_rng(rows)
         b = make_batch("ui", batch_rng, 5, 7, rows=rows)
         b.attach_noise(3, np.random.default_rng([rows, 1]), ws)
-        pooled = eval_arrays(pool_pass(name, b, users, items, kind, net, ws))
+        pooled = eval_arrays(*pool_pass(name, b, users, items, kind, net, ws))
         b.attach_noise(3, np.random.default_rng([rows, 1]))
-        fresh = eval_arrays(pool_pass(name, b, users, items, kind, net, None))
+        fresh = eval_arrays(*pool_pass(name, b, users, items, kind, net, None))
         assert_same_arrays(pooled, fresh)
 
 
@@ -371,15 +394,15 @@ def test_a_returned_batch_eval_is_unchanged_by_later_calls_on_its_pool():
     b.attach_noise(3, rng, ws)
     kept = []
     for name in sorted(POOL_PASSES):
-        ev = pool_pass(name, b, users, items, W2, net, ws)
-        kept.append((ev, eval_arrays(ev)))
+        passed = pool_pass(name, b, users, items, W2, net, ws)
+        kept.append((passed, eval_arrays(*passed)))
     for rows in (12, 24, 48):  # smaller and equal batches write over the same buffers
         other = make_batch("uu", rng, 5, 5, rows=rows)
         other.attach_noise(3, rng, ws)
         for name in sorted(POOL_PASSES):
             pool_pass(name, other, users, items, W2, net, ws)
-    for ev, snapshot in kept:
-        assert_same_arrays(eval_arrays(ev), snapshot)
+    for passed, snapshot in kept:
+        assert_same_arrays(eval_arrays(*passed), snapshot)
 
 
 def test_attach_noise_into_a_pool_draws_the_numbers_of_three_draws():
