@@ -19,8 +19,26 @@ product left every margin at ln 2 and failed criteria 7 (twin) and 8.
 Candidate pools are derived state: epoch e's pools are drawn from a stream
 seeded by the seed and e's last refresh epoch, e - e % refresh_period, so a
 state copied without them rebuilds the same pools and runs on unchanged.
+
+The steps of an epoch may use one worker thread, beside the calling one. At
+the start of a step it draws each adaptive relation's noise, in relation
+order, and the calling thread waits for a relation's noise just before that
+relation's inner pass. In the hypergradient it runs the + probe, in a buffer
+pool of its own, while the calling thread runs the - probe. numpy's sampler,
+its ufuncs and BLAS release the interpreter lock, so the two overlap. The
+bits cannot move: each pass computes what it computes on one thread, from
+inputs no other thread writes while it runs; the one worker runs its queue
+in order, so the noise generator gives its numbers in the serial order; and
+the step waits for both before anything reads them. The worker runs only
+where it was measured to pay (:func:`_worker_pays`): large enough batches,
+and a core that BLAS leaves free.
 """
 
+import contextvars
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +52,13 @@ from .losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
 from .margin_net import init_margin_net
 
 OUTER_BATCHES = ("same", "fresh")  # the outer pass reuses the inner batch or draws its own
+# Row-array size, batch rows x h, from which the steps use the worker thread. A
+# hand-off costs about 0.2 ms, and below a few thousand elements numpy holds the
+# GIL through most of a pass, so smaller steps run faster on one thread.
+WORKER_MIN_ELEMENTS = 1 << 13
+# Thread-count getters of OpenBLAS builds: numpy's wheels, and plain 64- and 32-bit ints.
+OPENBLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                           "openblas_get_num_threads")
 
 
 class NumericFailure(RuntimeError):
@@ -134,13 +159,18 @@ def build_proxy(users, items, grads, alpha):
     return stepped(users, "user"), stepped(items, "item")
 
 
+def _submit(worker, fn, *args, **kwargs):
+    """``worker.submit(fn, ...)`` run in a copy of this thread's context (numpy's errstate)."""
+    return worker.submit(contextvars.copy_context().run, fn, *args, **kwargs)
+
+
 def _tree_scale_diff(plus, minus, scale):
     if isinstance(plus, dict):
         return {k: _tree_scale_diff(plus[k], minus[k], scale) for k in plus}
     return scale * (plus - minus)
 
 
-def darts_hypergradient(theta, v, alpha, eps_fd, grad_phi_fn):
+def darts_hypergradient(theta, v, alpha, eps_fd, grad_phi_fn, worker=None):
     """Approximate d(outer)/d(phi) through one inner gradient step.
 
     ``theta`` and ``v`` are dicts of arrays (v = outer gradient at the
@@ -150,13 +180,26 @@ def darts_hypergradient(theta, v, alpha, eps_fd, grad_phi_fn):
     step eps_fd / ||v||. An array of ``theta`` that ``v`` does not name has
     a zero direction and goes into both probes as it is. Returns None when
     v is zero.
+
+    With ``worker``, an executor, the + probe runs there as
+    ``grad_phi_fn(theta_plus, plus=True)`` while this thread runs the - probe;
+    ``grad_phi_fn`` must then give the + probe buffers of its own. Each probe
+    computes what it computes without the worker, so the result is the same.
+    The + probe runs in a copy of the caller's context, so numpy's
+    ``errstate`` there holds for both probes.
     """
     v_norm = np.sqrt(sum(float(np.sum(a * a)) for a in v.values()))
     if v_norm == 0.0:
         return None
     eps = eps_fd / v_norm
-    plus = grad_phi_fn({**theta, **{k: theta[k] + eps * v[k] for k in v}})
+    theta_plus = {**theta, **{k: theta[k] + eps * v[k] for k in v}}
+    if worker is None:
+        plus = grad_phi_fn(theta_plus)
+    else:
+        pending = _submit(worker, grad_phi_fn, theta_plus, plus=True)
     minus = grad_phi_fn({**theta, **{k: theta[k] - eps * v[k] for k in v}})
+    if worker is not None:
+        plus = pending.result()
     return _tree_scale_diff(plus, minus, -alpha / (2.0 * eps))
 
 
@@ -344,89 +387,151 @@ def _draw(setup, state, rel, size):
                                    setup.cfg.neg_samples, state.rng_sampler)
 
 
+def _blas_threads():
+    """Threads the loaded OpenBLAS runs a call on, or None where it cannot be asked.
+
+    The library is found by name among this process's mappings, so this is
+    None off Linux and with another BLAS.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        for name in OPENBLAS_THREAD_GETTERS:
+            getter = getattr(ctypes.CDLL(lib), name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
+def _worker_pays(batch_rows, h):
+    """Whether the steps use a worker thread.
+
+    Only for (B, h) row arrays of :data:`WORKER_MIN_ELEMENTS` or more, and
+    only when BLAS leaves a core free: beside BLAS threads on every core, the
+    worker slowed every step measured on two cores. The choice moves no bit.
+    """
+    if batch_rows * h < WORKER_MIN_ELEMENTS:
+        return False
+    blas_threads = _blas_threads()
+    return blas_threads is not None and blas_threads < len(os.sched_getaffinity(0))
+
+
+def _draw_noise(worker, batches, rels, h, rng, ws):
+    """Draw the noise of ``rels``' batches in batch order, on ``worker`` or, without one, here.
+
+    Returns relation -> future of each draw queued on the worker. The noise
+    buffers are taken from ``ws`` here, on the pool's own thread; the worker
+    only fills them. One worker runs its queue in order, so ``rng`` gives
+    each relation the numbers a serial draw would.
+    """
+    queued = {}
+    for rel, b in batches.items():
+        if rel in rels:
+            out = b.noise_buffer(ws, h)
+            if worker is None:
+                b.attach_noise(h, rng, out=out)
+            else:
+                queued[rel] = _submit(worker, b.attach_noise, h, rng, out=out)
+    return queued
+
+
 def _run_steps(setup, state, order):
     """Run the steps of epoch ``state.epoch`` over the ui pairs in ``order``; returns its TraceRow.
 
     The steps share one :class:`BufferPool` ``ws`` for their row buffers
-    and noise. It goes with this frame, so no buffer outlives the steps
-    into the evaluation or the next candidate-pool refresh.
+    and noise, and a second, ``probe_ws``, for the hypergradient's + probe.
+    Both go with this frame, so no buffer outlives the steps into the
+    evaluation or the next candidate-pool refresh. So does the one worker
+    thread, which is joined when the steps end or raise; it is started only
+    where it pays (:func:`_worker_pays`).
     """
     cfg, adaptive_rels = setup.cfg, setup.adaptive_rels
     users, items, phis, epoch = state.users, state.items, state.phis, state.epoch
     margins = {**setup.fixed_margins, **phis}  # relation -> net or number
     kind = cfg.kind()
+    noisy_rels = phis if kind is DistanceKind.W2_SQUARED else ()
     ui_anchors, ui_positives = setup.pairs["ui"]
     pairs_per_batch = max(1, cfg.batch_size // cfg.neg_samples)
-    ws = BufferPool()
+    threaded = bool(adaptive_rels) and _worker_pays(
+        min(pairs_per_batch, len(order)) * cfg.neg_samples, cfg.h)
+    ws, probe_ws = BufferPool(), BufferPool()
     sums = {"inner": 0.0, "outer": 0.0, "ui": 0.0, "uu": 0.0, "ii": 0.0}
     margin_sum, margin_count, n_iter = 0.0, 0, 0
 
-    for start in range(0, len(order), pairs_per_batch):
-        chunk = order[start:start + pairs_per_batch]
-        batches = {"ui": sampler.sample_triplets(
-            "ui", ui_anchors[chunk], ui_positives[chunk], state.pools["ui"],
-            cfg.neg_samples, state.rng_sampler)}
-        batches.update((rel, _draw(setup, state, rel, len(chunk)))
-                       for rel in setup.active_rels if rel != "ui")
-        for rel, b in batches.items():
-            if rel in phis and kind is DistanceKind.W2_SQUARED:
-                b.attach_noise(cfg.h, state.rng_noise, ws)
+    with (ThreadPoolExecutor(max_workers=1) if threaded else nullcontext()) as worker:
+        for start in range(0, len(order), pairs_per_batch):
+            chunk = order[start:start + pairs_per_batch]
+            batches = {"ui": sampler.sample_triplets(
+                "ui", ui_anchors[chunk], ui_positives[chunk], state.pools["ui"],
+                cfg.neg_samples, state.rng_sampler)}
+            batches.update((rel, _draw(setup, state, rel, len(chunk)))
+                           for rel in setup.active_rels if rel != "ui")
+            noise = _draw_noise(worker, batches, noisy_rels, cfg.h, state.rng_noise, ws)
 
-        # inner objective at the current tables
-        grads = zero_theta_grads(users, items, kind)
-        inner_total = 0.0
-        joint = {}  # joint training: each adaptive net follows its inner gradient
-        for rel, b in batches.items():
-            ev = batch_inner(b, users, items, kind, margins[rel], grads=grads,
-                             grad_phi=cfg.joint_margin_training, ws=ws)
-            if ev.phi_grads is not None:
-                joint[rel] = ev.phi_grads
-            inner_total += ev.loss
-            sums[rel] += ev.loss
-            if rel in phis:
-                margin_sum += float(np.sum(ev.margins))
-                margin_count += len(ev.margins)
-            _check_finite("loss", [ev.loss], batches, epoch, n_iter)
-        _check_finite("gradient", grads.values(), batches, epoch, n_iter)
-        sums["inner"] += inner_total
+            # inner objective at the current tables
+            grads = zero_theta_grads(users, items, kind)
+            inner_total = 0.0
+            joint = {}  # joint training: each adaptive net follows its inner gradient
+            for rel, b in batches.items():
+                if rel in noise:
+                    noise.pop(rel).result()
+                ev = batch_inner(b, users, items, kind, margins[rel], grads=grads,
+                                 grad_phi=cfg.joint_margin_training, ws=ws)
+                if ev.phi_grads is not None:
+                    joint[rel] = ev.phi_grads
+                inner_total += ev.loss
+                sums[rel] += ev.loss
+                if rel in phis:
+                    margin_sum += float(np.sum(ev.margins))
+                    margin_count += len(ev.margins)
+                _check_finite("loss", [ev.loss], batches, epoch, n_iter)
+            _check_finite("gradient", grads.values(), batches, epoch, n_iter)
+            sums["inner"] += inner_total
 
-        # margin-net update, computed from the pre-update tables
-        hyper = None
-        outer_total = 0.0
-        if adaptive_rels and cfg.joint_margin_training:
-            hyper = joint
-        elif adaptive_rels:
-            proxy_users, proxy_items = build_proxy(users, items, grads, cfg.alpha)
-            if cfg.outer_batch == "fresh":
-                outer_batches = {rel: _draw(setup, state, rel, len(chunk))
-                                 for rel in setup.active_rels}
-            else:
-                outer_batches = batches
-            v = zero_theta_grads(users, items, kind)
-            for rel, b in outer_batches.items():
-                outer_total += batch_outer(b, proxy_users, proxy_items, kind, grads=v, ws=ws).loss
-            sums["outer"] += outer_total
+            # margin-net update, computed from the pre-update tables
+            hyper = None
+            outer_total = 0.0
+            if adaptive_rels and cfg.joint_margin_training:
+                hyper = joint
+            elif adaptive_rels:
+                proxy_users, proxy_items = build_proxy(users, items, grads, cfg.alpha)
+                if cfg.outer_batch == "fresh":
+                    outer_batches = {rel: _draw(setup, state, rel, len(chunk))
+                                     for rel in setup.active_rels}
+                else:
+                    outer_batches = batches
+                v = zero_theta_grads(users, items, kind)
+                for rel, b in outer_batches.items():
+                    outer_total += batch_outer(b, proxy_users, proxy_items, kind, grads=v,
+                                               ws=ws).loss
+                sums["outer"] += outer_total
 
-            def _grad_phi(theta_arrays):
-                t_users, t_items = (GaussianEmbeddingTable(theta_arrays[f"{key}_mu"],
-                                                           theta_arrays[f"{key}_sigma"])
-                                    for key in ("user", "item"))
-                return {rel: batch_inner(batches[rel], t_users, t_items, kind, phis[rel],
-                                         grad_phi=True, ws=ws).phi_grads
-                        for rel in adaptive_rels}
+                def _grad_phi(theta_arrays, plus=False):
+                    t_users, t_items = (GaussianEmbeddingTable(theta_arrays[f"{key}_mu"],
+                                                               theta_arrays[f"{key}_sigma"])
+                                        for key in ("user", "item"))
+                    pool = probe_ws if plus else ws
+                    return {rel: batch_inner(batches[rel], t_users, t_items, kind, phis[rel],
+                                             grad_phi=True, ws=pool).phi_grads
+                            for rel in adaptive_rels}
 
-            hyper = darts_hypergradient(theta_dict(users, items), v,
-                                        cfg.alpha, cfg.eps_fd, _grad_phi)
+                hyper = darts_hypergradient(theta_dict(users, items), v,
+                                            cfg.alpha, cfg.eps_fd, _grad_phi, worker)
 
-        _check_finite("joint margin gradient" if cfg.joint_margin_training else "hypergradient",
-                      [g for hg in (hyper or {}).values() for g in hg.values()],
-                      batches, epoch, n_iter)
+            _check_finite(
+                "joint margin gradient" if cfg.joint_margin_training else "hypergradient",
+                [g for hg in (hyper or {}).values() for g in hg.values()],
+                batches, epoch, n_iter)
 
-        theta_step(users, items, grads, state.opt_theta)
-        if adaptive_rels:
-            lam = 0.0 if cfg.joint_margin_training else cfg.lam
-            phi_step(phis, hyper, lam, state.opt_phi)
-        n_iter += 1
+            theta_step(users, items, grads, state.opt_theta)
+            if adaptive_rels:
+                lam = 0.0 if cfg.joint_margin_training else cfg.lam
+                phi_step(phis, hyper, lam, state.opt_phi)
+            n_iter += 1
 
     mean_margin = (margin_sum / margin_count if margin_count
                    else _fixed_margin_mean(setup.fixed_margins, setup.active_rels))

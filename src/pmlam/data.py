@@ -52,7 +52,7 @@ class Rows:
     """
 
     indptr: np.ndarray    # (n_rows + 1,), starts at 0
-    indices: np.ndarray   # int64, row-major
+    indices: np.ndarray   # row-major; int64, but a candidate pool's are unsigned
 
     @classmethod
     def from_pairs(cls, rows, cols, n_rows):

@@ -47,7 +47,8 @@ def pair_rows(mu_a, mu_b, root_a=None, root_b=None, grad=False, ws=None):
     shape of the differences; ``d_mu_b = -d_mu_a``, and the sigma entries are
     None for the Euclidean kernel. The gradient rows are views of the pool
     ``ws`` (its ``dmu``, ``drt`` and ``d_sigma_a`` buffers); ``d2`` is a new
-    array. No input is modified.
+    array. Without ``grad`` the root differences go into ``dmu``'s buffer,
+    whose differences are dead once summed. No input is modified.
     """
     ws = ws or BufferPool()
     shape = np.broadcast_shapes(np.shape(mu_a), np.shape(mu_b))
@@ -55,7 +56,7 @@ def pair_rows(mu_a, mu_b, root_a=None, root_b=None, grad=False, ws=None):
     d2 = np.vecdot(dmu, dmu)
     drt = None
     if root_a is not None:
-        drt = np.subtract(root_a, root_b, out=ws.get("drt", shape))
+        drt = np.subtract(root_a, root_b, out=ws.get("drt", shape) if grad else dmu)
         d2 += np.vecdot(drt, drt)
     if not grad:
         return d2, None

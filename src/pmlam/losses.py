@@ -29,16 +29,17 @@ Relations share one implementation: "ui" compares users against items,
 
 Buffers: a pass writes its arrays (the tables' variance roots, the gathered
 means and roots, the distance differences and gradient rows, the margin-net
-inputs, features and hidden layers) into a
-:class:`~pmlam.buffers.BufferPool` ``ws`` that the caller owns and passes to
-every pass; with none, each call uses a fresh one. Those arrays are scratch:
+features and hidden layers) into a :class:`~pmlam.buffers.BufferPool`
+``ws`` that the caller owns and passes to every pass; with none, each call
+uses a fresh one. Once dead, an array's buffer takes a later one: the
+sampled margin-net inputs go over the gathered roots. Those arrays are scratch:
 they are overwritten by the next pass on the same pool. Nothing a pass
 returns is a view of the pool: a :class:`BatchEval`'s margins, active mask
 and margin-net gradients, and the accumulators it adds into, stay valid
-after later passes. :meth:`TripletBatch.attach_noise` draws into the pool's
-``noise.<relation>`` buffer, so a batch's noise is valid until the next
-``attach_noise`` for that relation on the same pool, which in training is
-the next step's.
+after later passes. Training draws a batch's noise
+(:meth:`TripletBatch.attach_noise`) into the pool's ``noise.<relation>``
+buffer (:meth:`TripletBatch.noise_buffer`), so it is valid until the next
+draw for that relation into the same pool, the next step's.
 """
 
 from dataclasses import dataclass, field
@@ -71,9 +72,9 @@ class TripletBatch:
     Noise arrays are (B, h) standard-normal draws used for the margin net's
     reparameterized inputs; they are attached once per batch so that repeated
     evaluations (proxy, hypergradient probes) see identical samples. They are
-    views of the pool passed to :meth:`attach_noise` and live as long as the
-    module docstring says. The scatter's selection matrices are kept on the
-    batch, which owns them.
+    views of the array :meth:`attach_noise` drew into; in training that is a
+    pool buffer, which lives as long as the module docstring says. The
+    scatter's selection matrices are kept on the batch, which owns them.
     """
 
     relation: str
@@ -107,14 +108,21 @@ class TripletBatch:
                                selection_matrix(self.others, n_other_rows))
         return self._selection
 
-    def attach_noise(self, h, rng, ws=None):
+    def noise_buffer(self, ws, h):
+        """The pool's (3, B, h) ``noise.<relation>`` buffer, for :meth:`attach_noise`."""
+        return ws.get(f"noise.{self.relation}", (3, len(self), h))
+
+    def attach_noise(self, h, rng, out=None):
         """Draw anchor, positive and negative noise, in that order, with one call.
 
-        One (3, B, h) draw into the pool's ``noise.<relation>`` buffer takes
-        the same numbers from ``rng`` as three (B, h) draws.
+        One (3, B, h) draw takes the same numbers from ``rng`` as three (B, h)
+        draws. It goes into ``out`` when given (training passes
+        :meth:`noise_buffer`), else into a new array. The call gets nothing
+        from a pool, so it can run on a thread other than the pool's owner.
         """
-        buf = (ws or BufferPool()).get(f"noise.{self.relation}", (3, len(self), h))
-        self.noise_anchor, self.noise_pos, self.noise_neg = rng.standard_normal(out=buf)
+        if out is None:
+            out = np.empty((3, len(self), h))
+        self.noise_anchor, self.noise_pos, self.noise_neg = rng.standard_normal(out=out)
 
 
 @dataclass
@@ -194,15 +202,18 @@ def _gather(batch, users, items, kind, ws=None):
     return mu_a, mu_o, rt_a, rt_o, live
 
 
-def _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o, ws):
-    """Embedding inputs of the margin net: sampled for Gaussian runs, means otherwise."""
+def _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o):
+    """Embedding inputs of the margin net: sampled for Gaussian runs, means otherwise.
+
+    The samples ``mu + rt * noise`` are written over the variance roots
+    ``rt_a`` and ``rt_o``, which are dead once :func:`distance.pair_rows`
+    has returned.
+    """
     if kind is DistanceKind.W2_SQUARED:
         if batch.noise_anchor is None:
             raise ValueError("adaptive margins with Gaussian embeddings need attached noise")
-        u, vp, vn = (np.multiply(rt, noise, out=ws.get(name, rt.shape))
-                     for name, rt, noise in (
-                         ("u", rt_a, batch.noise_anchor), ("vp", rt_o[0], batch.noise_pos),
-                         ("vn", rt_o[1], batch.noise_neg)))
+        u, vp, vn = (np.multiply(rt, noise, out=rt) for rt, noise in (
+            (rt_a, batch.noise_anchor), (rt_o[0], batch.noise_pos), (rt_o[1], batch.noise_neg)))
         u += mu_a
         vp += mu_o[0]
         vn += mu_o[1]
@@ -216,9 +227,10 @@ def _scatter(batch, rows, w, live, grads, ws):
 
     ``rows`` are :func:`distance.pair_rows`'s (2, B, h) gradients, positive
     pair first, and are overwritten; ``d2_pos`` enters the hinge with weight
-    ``+w`` and ``d2_neg`` with ``-w``. The anchor rows of each parameter go
-    into the pool's ``g_mu_a`` or ``g_sigma_a`` buffer. Each table role gets
-    one sparse product per parameter. Floored variances pass no gradient.
+    ``+w`` and ``d2_neg`` with ``-w``. The anchor rows of the mean part and
+    then of the variance part go into the pool's one ``g_a`` buffer. Each
+    table role gets one sparse product per parameter. Floored variances pass
+    no gradient.
     """
     a_key, o_key = _role_keys(batch.relation)
     sel_a, sel_o = batch.selection(len(grads[a_key + "_mu"]), len(grads[o_key + "_mu"]))
@@ -228,7 +240,7 @@ def _scatter(batch, rows, w, live, grads, ws):
     if d_sig_a is not None:
         parts.append(("sigma", d_sig_a, d_sig_o, coef))
     for param, d_a, rows_o, c in parts:
-        rows_a = np.subtract(d_a[0], d_a[1], out=ws.get(f"g_{param}_a", d_a.shape[1:]))
+        rows_a = np.subtract(d_a[0], d_a[1], out=ws.get("g_a", d_a.shape[1:]))
         rows_a *= w[:, None]
         rows_o *= c
         if param == "sigma" and live is not None:
@@ -255,7 +267,7 @@ def batch_inner(batch, users, items, kind, margin, grads=None, grad_phi=False, w
     adaptive = isinstance(margin, margin_net.MarginNetParams)
     if adaptive:
         s = margin_net.margin_input(
-            margin.mode, *_margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o, ws), ws=ws)
+            margin.mode, *_margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o), ws=ws)
         margins, cache = margin_net.forward(margin, s, ws=ws)
     else:
         margins = np.full(B, float(margin))

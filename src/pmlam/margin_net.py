@@ -18,9 +18,10 @@ the embeddings, so nothing chains a gradient back into the features.
 Every function that builds a row array takes an optional
 :class:`~pmlam.buffers.BufferPool` ``ws`` and writes the array into it: the
 features into ``features`` (``margin_input``), the hidden activations into
-``z`` (``forward``) and the hidden-layer gradients into ``da1`` and
-``dtanh`` (``backward``). Those views stay valid until the pool's next use
-of the name. Margins and parameter gradients are new arrays.
+``z`` (``forward``) and the hidden-layer gradient into ``da1``
+(``backward``, which also writes over ``z``). Those views stay valid until
+the pool's next use of the name. Margins and parameter gradients are new
+arrays.
 """
 
 from dataclasses import dataclass
@@ -108,7 +109,9 @@ def forward(params, s, ws=None):
     """Margins for a batch of feature rows ``s`` with shape (B, in_dim).
 
     Returns ``(m, cache)`` where ``m`` is (B,) and strictly positive; the
-    cache is consumed by :func:`backward` and holds the pool's ``z`` view.
+    cache holds the pool's ``z`` view and is consumed by :func:`backward`,
+    which writes over ``z``: read the cache before the backward pass, never
+    after it.
     """
     s = np.atleast_2d(np.asarray(s, float))
     if s.shape[1] != params.in_dim:
@@ -126,7 +129,9 @@ def backward(params, cache, upstream, ws=None):
     """Reverse pass of :func:`forward`: the parameter gradients.
 
     ``upstream`` is dL/dm per row, shape (B,). Returns a dict matching
-    :meth:`MarginNetParams.params`.
+    :meth:`MarginNetParams.params`. Consumes ``cache``: once the ``W2``
+    gradient has read the hidden activations ``z``, ``1 - z**2`` is written
+    over them.
     """
     s, z, a2 = cache
     ws = ws or BufferPool()
@@ -137,7 +142,7 @@ def backward(params, cache, upstream, ws=None):
         "b2": np.array([np.sum(da2)]),
     }
     da1 = np.multiply(da2[:, None], params.W2, out=ws.get("da1", z.shape))  # np.outer
-    dtanh = np.multiply(z, z, out=ws.get("dtanh", z.shape))
+    dtanh = np.multiply(z, z, out=z)  # z is dead once the W2 gradient has read it
     np.subtract(1.0, dtanh, out=dtanh)
     da1 *= dtanh
     grads["W1"] = da1.T @ s

@@ -17,7 +17,10 @@ KEY_BLOCK = 1 << 18  # random keys held at once during a refresh (2 MB)
 
 
 class CandidatePool(Rows):
-    """Per-anchor negative candidates: ``pool[a]`` is anchor ``a``'s pool, ascending."""
+    """Per-anchor negative candidates: ``pool[a]`` is anchor ``a``'s pool, ascending.
+
+    The ids have the unsigned type :func:`refresh_pool` picks.
+    """
 
     @property
     def n_anchors(self):
@@ -37,12 +40,17 @@ def refresh_pool(exclusions, n_universe, pool_size, rng):
     and the pool is the ids of the ``pool_size`` smallest keys. Keys are drawn
     in row blocks of at most ``KEY_BLOCK`` entries; the generator fills them
     in row-major order, so the block size does not change the pools.
+
+    The ids are stored in the smallest unsigned type that holds
+    ``n_universe`` (uint16 up to 65,535 ids), a quarter of int64's bytes on
+    a catalogue that size.
     """
     k = min(pool_size, n_universe)
     rows_per_block = max(1, KEY_BLOCK // n_universe)
     anchor_of, excluded = exclusions.pairs()
+    id_type = np.min_scalar_type(n_universe)
     counts = np.zeros(len(exclusions), dtype=np.int64)
-    chunks = [np.empty(0, dtype=np.int64)]
+    chunks = [np.empty(0, dtype=id_type)]
     for start in range(0, len(exclusions), rows_per_block):
         stop = min(start + rows_per_block, len(exclusions))
         lo, hi = exclusions.indptr[start], exclusions.indptr[stop]
@@ -52,7 +60,7 @@ def refresh_pool(exclusions, n_universe, pool_size, rng):
         live = np.isfinite(np.take_along_axis(keys, picked, axis=1))
         picked = np.sort(np.where(live, picked, n_universe), axis=1)
         counts[start:stop] = live.sum(axis=1)
-        chunks.append(picked[picked < n_universe])
+        chunks.append(picked[picked < n_universe].astype(id_type))
     return CandidatePool(np.concatenate([[0], np.cumsum(counts)]), np.concatenate(chunks))
 
 
@@ -61,7 +69,8 @@ def sample_triplets(relation, anchors, positives, pool, neg_samples, rng):
 
     Each pair contributes ``neg_samples`` rows, negatives drawn uniformly
     from the anchor's pool (with replacement at the batch level). Pairs whose
-    anchor has an empty pool are dropped.
+    anchor has an empty pool are dropped. Negatives keep the pool's id type;
+    :attr:`TripletBatch.others` stacks them with the positives as int64.
     """
     anchors = np.asarray(anchors, dtype=np.int64)
     positives = np.asarray(positives, dtype=np.int64)

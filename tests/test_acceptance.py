@@ -130,6 +130,7 @@ def test_criterion_2_gradient_suite():
             upstream = rng.normal(size=1)
             s = margin_input("squared-diff", u, vp, vn)
             m, cache = forward(net, s)
+            ds = margin_input_grad(net, cache, upstream)  # backward consumes the cache
             phi_grads = backward(net, cache, upstream)
             names = list(net.params())
             packed_phi = np.concatenate([net.params()[n].ravel() for n in names])
@@ -147,7 +148,6 @@ def test_criterion_2_gradient_suite():
                 np.concatenate([phi_grads[n].ravel() for n in names]), rng,
                 step=1e-5))
 
-            ds = margin_input_grad(net, cache, upstream)
             du, dvp, dvn = margin_input_backward("squared-diff", u[None], vp[None],
                                                  vn[None], ds)
 

@@ -1,4 +1,9 @@
 import copy
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,11 +12,13 @@ import pmlam.bilevel as bilevel
 from pmlam.bilevel import (Adam, NumericFailure, build_proxy,
                            darts_hypergradient, phi_step, theta_dict,
                            theta_step, train)
+from pmlam.buffers import BufferPool
 from pmlam.checkpoint import _collect_arrays
 from pmlam.cli import _config_from_args, build_parser
 from pmlam.config import make_config
 from pmlam.data import FoldSplit, filter_iterative, split_five_fold
 from pmlam.distance import DistanceKind
+from pmlam.embeddings import GaussianEmbeddingTable
 from pmlam.losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
 from pmlam.margin_net import init_margin_net
 from pmlam.synth import planted_clusters
@@ -194,6 +201,76 @@ def test_phi_step_decay_direction():
     assert np.all(np.abs(phis["ui"].W1[moved]) < np.abs(snap.W1[moved]))
 
 
+def three_relation_step(seed=61, h=3):
+    """Tables, noisy W2 batches of ui, uu and ii, their margin nets, and the outer gradient."""
+    rng = np.random.default_rng(seed)
+    users, items = random_table(5, h, rng), random_table(7, h, rng)
+    users.sigma[2, 1] = -0.1  # floored in the gather, as at a probe's tables
+    batches = {}
+    for rel, (n_a, n_o), rows in (("ui", (5, 7), 12), ("uu", (5, 5), 8), ("ii", (7, 7), 10)):
+        b = TripletBatch(rel, rng.integers(0, n_a, rows), rng.integers(0, n_o, rows),
+                         rng.integers(0, n_o, rows))
+        b.attach_noise(h, rng)
+        batches[rel] = b
+    nets = {rel: init_margin_net(h, 4, rng) for rel in batches}
+    grads = zero_theta_grads(users, items, W2)
+    for rel, b in batches.items():
+        batch_inner(b, users, items, W2, nets[rel], grads=grads)
+    pu, pi = build_proxy(users, items, grads, 0.1)
+    v = zero_theta_grads(users, items, W2)
+    for b in batches.values():
+        batch_outer(b, pu, pi, W2, grads=v)
+    return users, items, batches, nets, v
+
+
+def test_hypergradient_with_a_worker_equals_the_serial_call():
+    users, items, batches, nets, v = three_relation_step()
+    ws, probe_ws = BufferPool(), BufferPool()
+    calls = []
+
+    def grad_phi_fn(t, plus=False):
+        calls.append((plus, threading.current_thread() is threading.main_thread()))
+        tu = GaussianEmbeddingTable(t["user_mu"], t["user_sigma"])
+        ti = GaussianEmbeddingTable(t["item_mu"], t["item_sigma"])
+        return {rel: batch_inner(b, tu, ti, W2, nets[rel], grad_phi=True,
+                                 ws=probe_ws if plus else ws).phi_grads
+                for rel, b in batches.items()}
+
+    theta = theta_dict(users, items)
+    serial = darts_hypergradient(theta, v, 0.1, 1e-2, grad_phi_fn)
+    assert calls == [(False, True), (False, True)]
+    calls.clear()
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        threaded = darts_hypergradient(theta, v, 0.1, 1e-2, grad_phi_fn, worker)
+    assert sorted(calls) == [(False, True), (True, False)]  # the + probe ran on the worker
+    assert list(threaded) == ["ui", "uu", "ii"]
+    for rel, grads in serial.items():
+        assert list(threaded[rel]) == list(grads)
+        for name, g in grads.items():
+            assert np.array_equal(threaded[rel][name], g), (rel, name)
+
+
+def test_noise_drawn_on_the_worker_equals_serial_draws_in_relation_order():
+    h, rng = 3, np.random.default_rng(71)
+    batches = {rel: TripletBatch(rel, *(rng.integers(0, 5, rows) for _ in range(3)))
+               for rel, rows in (("ui", 9), ("uu", 4), ("ii", 6))}
+    drawn, serial = np.random.default_rng(5), np.random.default_rng(5)
+    ws = BufferPool()
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for on in (worker, worker, None):  # later steps draw over the first one's buffers
+            pending = bilevel._draw_noise(on, batches, ("ii", "ui"), h, drawn, ws)
+            assert list(pending) == (["ui", "ii"] if on else [])
+            for rel in ("ui", "ii"):
+                if on:
+                    pending[rel].result(timeout=60)
+                b = batches[rel]
+                got = np.stack([b.noise_anchor, b.noise_pos, b.noise_neg])
+                np.testing.assert_array_equal(got, serial.standard_normal((3, len(b), h)))
+                assert np.shares_memory(b.noise_anchor, b.noise_buffer(ws, h))
+    assert batches["uu"].noise_anchor is None
+    assert drawn.bit_generator.state == serial.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -248,6 +325,72 @@ def test_training_is_deterministic():
     e1 = [(e, rep.recall, rep.ndcg) for e, rep in r1.evals]
     e2 = [(e, rep.recall, rep.ndcg) for e, rep in r2.evals]
     assert e1 == e2
+
+
+def test_no_thread_outlives_train_and_the_noise_is_drawn_on_the_worker(monkeypatch):
+    ds, fold = planted_fold()
+    drawn_on = []
+    real_attach = TripletBatch.attach_noise
+
+    def recording_attach(self, *args, **kwargs):
+        drawn_on.append(threading.current_thread())
+        return real_attach(self, *args, **kwargs)
+
+    monkeypatch.setattr(TripletBatch, "attach_noise", recording_attach)
+    cfg = quick_config(relations=("ui", "uu", "ii"), epochs=2)
+    before = threading.enumerate()
+    train(ds, fold, cfg)  # a batch of 64 x 4 rows runs on one thread
+    assert drawn_on and set(drawn_on) == {threading.main_thread()}
+    assert threading.enumerate() == before
+    drawn_on.clear()
+    monkeypatch.setattr(bilevel, "_worker_pays", lambda batch_rows, h: True)
+    train(ds, fold, cfg)
+    assert drawn_on and threading.main_thread() not in drawn_on
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("run", sorted(golden_runs.RUNS))
+def test_training_with_the_worker_equals_training_without(run, monkeypatch):
+    ds, fold = planted_fold(seed=4, n_users=40, n_items=60, n_clusters=4, p_in=0.7,
+                            p_out=0.05)
+    cfg = _config_from_args(build_parser().parse_args(["train", "-", *golden_runs.RUNS[run]]))
+    monkeypatch.setattr(bilevel, "_worker_pays", lambda batch_rows, h: False)
+    serial = saved_form(train(ds, fold, cfg))
+    monkeypatch.setattr(bilevel, "_worker_pays", lambda batch_rows, h: True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter between the threads far more often
+    try:
+        threaded = saved_form(train(ds, fold, cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+@pytest.mark.parametrize("blas_threads, cores, batch_rows, h, pays", [
+    (1, 2, 4096, 2, True),  # 2^13 elements and a core BLAS leaves free
+    (1, 2, 4095, 2, False),
+    (2, 2, 5000, 50, False),  # BLAS runs a thread on every core
+    (2, 4, 5000, 50, True),
+    (1, 1, 5000, 50, False),
+    (None, 2, 5000, 50, False),  # a BLAS that cannot be asked
+])
+def test_the_worker_runs_only_on_big_steps_with_a_core_blas_leaves(monkeypatch, blas_threads,
+                                                                    cores, batch_rows, h, pays):
+    monkeypatch.setattr(bilevel, "_blas_threads", lambda: blas_threads)
+    monkeypatch.setattr(bilevel.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    assert bilevel._worker_pays(batch_rows, h) is pays
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blas_threads_reads_the_count_openblas_runs(threads):
+    code = "from pmlam import bilevel; print(bilevel._blas_threads())"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    if out == ["None"]:
+        pytest.skip("numpy's BLAS is not an OpenBLAS this process can ask")
+    assert out == [str(threads)]
 
 
 def test_relation_with_only_empty_pools_adds_no_loss():

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -1160,6 +1161,33 @@ def test_a_non_finite_hypergradient_exits_3(tmp_path, capsys):
     assert "numeric failure: non-finite hypergradient at epoch 0 iteration 0" in err
     assert "batch heads" in err
     assert not (run / "checkpoint.bin").exists()
+
+
+def test_no_thread_outlives_a_train_that_ends_or_exits_3(tmp_path, capsys, monkeypatch):
+    ds, _, _ = planted_clusters(seed=0)
+    d = tmp_path / "data"
+    save_dataset(d, ds)
+    save_folds(d, split_five_fold(ds, seed=0))
+    counts = []  # live threads at each finite check, while the steps run
+    real_check = bilevel._check_finite
+
+    def counting_check(*args):
+        counts.append(threading.active_count())
+        return real_check(*args)
+
+    monkeypatch.setattr(bilevel, "_check_finite", counting_check)
+    monkeypatch.setattr(bilevel, "_worker_pays", lambda batch_rows, h: True)
+    before = threading.enumerate()
+    for extra, code in (([], 0), (["--eps-fd", "1e308"], 3)):
+        counts.clear()
+        with np.errstate(all="ignore"):
+            rc = main(["train", str(d), "--out-dir", str(tmp_path / f"run{code}"), "--quiet",
+                       "--epochs", "1", "--h", "4", "--hidden", "4", "--batch-size", "20",
+                       *extra])
+        assert rc == code
+        assert max(counts) == len(before) + 1  # the worker, joined by the end
+        assert threading.enumerate() == before
+    assert "non-finite hypergradient" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rel, name", [("ui", "W1"), ("uu", "b2")])

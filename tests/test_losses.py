@@ -379,7 +379,7 @@ def test_a_reused_pool_gives_the_results_of_fresh_calls(name, kind):
     for rows in (8, 40, 16, 3, 0, 40):  # grow, shrink, empty, regrow
         batch_rng = np.random.default_rng(rows)
         b = make_batch("ui", batch_rng, 5, 7, rows=rows)
-        b.attach_noise(3, np.random.default_rng([rows, 1]), ws)
+        b.attach_noise(3, np.random.default_rng([rows, 1]), b.noise_buffer(ws, 3))
         pooled = eval_arrays(*pool_pass(name, b, users, items, kind, net, ws))
         b.attach_noise(3, np.random.default_rng([rows, 1]))
         fresh = eval_arrays(*pool_pass(name, b, users, items, kind, net, None))
@@ -391,14 +391,14 @@ def test_a_returned_batch_eval_is_unchanged_by_later_calls_on_its_pool():
     net = init_margin_net(3, 4, rng)
     ws = BufferPool()
     b = make_batch("ui", rng, 5, 7, rows=24)
-    b.attach_noise(3, rng, ws)
+    b.attach_noise(3, rng, b.noise_buffer(ws, 3))
     kept = []
     for name in sorted(POOL_PASSES):
         passed = pool_pass(name, b, users, items, W2, net, ws)
         kept.append((passed, eval_arrays(*passed)))
     for rows in (12, 24, 48):  # smaller and equal batches write over the same buffers
         other = make_batch("uu", rng, 5, 5, rows=rows)
-        other.attach_noise(3, rng, ws)
+        other.attach_noise(3, rng, other.noise_buffer(ws, 3))
         for name in sorted(POOL_PASSES):
             pool_pass(name, other, users, items, W2, net, ws)
     for passed, snapshot in kept:
@@ -410,7 +410,7 @@ def test_attach_noise_into_a_pool_draws_the_numbers_of_three_draws():
     for rows in (30, 10):  # the second draw reuses the first one's buffer
         b = make_batch("ii", np.random.default_rng(rows), 6, 6, rows=rows)
         pooled_rng, fresh_rng, rng = (np.random.default_rng(rows) for _ in range(3))
-        b.attach_noise(4, pooled_rng, ws)
+        b.attach_noise(4, pooled_rng, b.noise_buffer(ws, 4))
         pooled = (b.noise_anchor, b.noise_pos, b.noise_neg)
         b.attach_noise(4, fresh_rng)
         fresh = (b.noise_anchor, b.noise_pos, b.noise_neg)

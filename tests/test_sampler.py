@@ -20,6 +20,18 @@ def test_pool_excludes_positives():
         assert len(np.unique(cands)) == len(cands)  # without replacement
 
 
+@pytest.mark.parametrize("n_universe, id_type", [(10, np.uint8), (300, np.uint16),
+                                                  (70_000, np.uint32)])
+def test_pool_ids_take_the_smallest_unsigned_type(n_universe, id_type):
+    exclusions = as_rows([np.array([0, n_universe - 1]), np.arange(n_universe - 3)])
+    pool = refresh_pool(exclusions, n_universe, 4, np.random.default_rng(3))
+    assert pool.indices.dtype == id_type
+    assert pool[1].tolist() == list(range(n_universe - 3, n_universe))
+    b = sample_triplets("ii", [0, 1], [2, 0], pool, 3, np.random.default_rng(4))
+    assert b.negatives.dtype == id_type and b.others.dtype == np.int64
+    np.testing.assert_array_equal(b.others[len(b):], b.negatives)
+
+
 def test_pool_small_complement_takes_everything():
     rng = np.random.default_rng(1)
     pool = refresh_pool(as_rows([np.arange(9)]), n_universe=10, pool_size=500, rng=rng)
