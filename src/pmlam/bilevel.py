@@ -116,10 +116,6 @@ class Adam:
             step /= root
             params[name] -= step
 
-    def state(self):
-        return {"kind": self.kind, "alpha": self.alpha, "t": self.t,
-                "slots": {"m": self.m, "v": self.v}}
-
 
 # ---------------------------------------------------------------------------
 # theta updates, proxy, hypergradient
@@ -267,12 +263,11 @@ class Setup:
 
     cfg: object
     fold: object
-    fixed_margins: dict  # relation -> margin, for the configured fixed-margin relations
+    margins: dict      # relation -> fixed margin, or None when adaptive, for each
+                       # relation with training pairs, in config order
     pairs: dict        # relation -> (anchors, ids) of its training pairs
     exclusions: dict   # relation -> Rows: the ids each anchor's pool leaves out
     universes: dict    # relation -> number of ids its pools draw from
-    active_rels: list  # the relations with training pairs, in config order
-    adaptive_rels: list
 
 
 @dataclass
@@ -281,7 +276,7 @@ class TrainState:
 
     users: GaussianEmbeddingTable
     items: GaussianEmbeddingTable
-    phis: dict         # relation -> MarginNetParams, for the adaptive relations
+    phis: dict         # relation -> MarginNetParams, for the adaptive relations that train
     cfg: object
     opt_theta: Adam
     opt_phi: Adam
@@ -315,8 +310,6 @@ def train(ds, fold, cfg, log=None):
 def set_up(ds, fold, cfg, say):
     """The :class:`Setup` of a run; neighbor sets are built from the training rows."""
     cfg.validate()
-    modes = {rel: cfg.margin_mode_for(rel) for rel in cfg.relations}
-    fixed_margins = {rel: mode[1] for rel, mode in modes.items() if mode != "adaptive"}
     # pair lists and pool exclusions per relation
     pairs = {"ui": fold.train_rows.pairs()}
     exclusions = {"ui": fold.train_rows}
@@ -336,20 +329,23 @@ def set_up(ds, fold, cfg, say):
         universes[rel] = len(rows)
         say(f"{rel}: {len(anchors)} pairs, median degree {int(np.median(nbr.lens()))}")
 
-    active_rels = [rel for rel in cfg.relations if len(pairs[rel][0]) > 0]
-    if "ui" not in active_rels:
+    if len(pairs["ui"][0]) == 0:
         raise ValueError("no training pairs: every user has an empty training row")
-    adaptive_rels = [rel for rel in active_rels if rel not in fixed_margins]
-    return Setup(cfg, fold, fixed_margins, pairs, exclusions, universes, active_rels,
-                 adaptive_rels)
+    margins = {rel: cfg.margin_mode_for(rel) for rel in cfg.relations if len(pairs[rel][0])}
+    return Setup(cfg, fold, margins, pairs, exclusions, universes)
 
 
 def init_state(ds, setup):
-    """The state before epoch 0: seeded tables and margin nets, fresh optimizers."""
+    """The state before epoch 0: seeded tables and margin nets, fresh optimizers.
+
+    A net is built for each adaptive relation that trains, seeded from the
+    relation's place in ``cfg.relations``.
+    """
     cfg = setup.cfg
-    phis = {rel: init_margin_net(cfg.h, cfg.hidden, _stream(cfg.seed, 2, r_i),
+    phis = {rel: init_margin_net(cfg.h, cfg.hidden,
+                                 _stream(cfg.seed, 2, cfg.relations.index(rel)),
                                  mode=cfg.indicator_mode)
-            for r_i, rel in enumerate(cfg.relations) if rel not in setup.fixed_margins}
+            for rel, margin in setup.margins.items() if margin is None}
     return TrainState(
         users=init_table(ds.n_users, cfg.h, np.random.SeedSequence([cfg.seed, 0])),
         items=init_table(ds.n_items, cfg.h, np.random.SeedSequence([cfg.seed, 1])),
@@ -364,7 +360,7 @@ def run_epoch(setup, state, say):
         rng_pool = _stream(cfg.seed, 5, epoch - epoch % cfg.refresh_period)
         state.pools = {rel: sampler.refresh_pool(setup.exclusions[rel], setup.universes[rel],
                                                  cfg.pool_size, rng_pool)
-                       for rel in setup.active_rels}
+                       for rel in setup.margins}
 
     order = state.rng_sampler.permutation(len(setup.pairs["ui"][0]))
     state.trace.append(_run_steps(setup, state, order))
@@ -449,14 +445,14 @@ def _run_steps(setup, state, order):
     thread, which is joined when the steps end or raise; it is started only
     where it pays (:func:`_worker_pays`).
     """
-    cfg, adaptive_rels = setup.cfg, setup.adaptive_rels
+    cfg = setup.cfg
     users, items, phis, epoch = state.users, state.items, state.phis, state.epoch
-    margins = {**setup.fixed_margins, **phis}  # relation -> net or number
+    margins = {**setup.margins, **phis}  # relation -> net or number
     kind = cfg.kind()
     noisy_rels = phis if kind is DistanceKind.W2_SQUARED else ()
     ui_anchors, ui_positives = setup.pairs["ui"]
     pairs_per_batch = max(1, cfg.batch_size // cfg.neg_samples)
-    threaded = bool(adaptive_rels) and _worker_pays(
+    threaded = bool(phis) and _worker_pays(
         min(pairs_per_batch, len(order)) * cfg.neg_samples, cfg.h)
     ws, probe_ws = BufferPool(), BufferPool()
     sums = {"inner": 0.0, "outer": 0.0, "ui": 0.0, "uu": 0.0, "ii": 0.0}
@@ -469,7 +465,7 @@ def _run_steps(setup, state, order):
                 "ui", ui_anchors[chunk], ui_positives[chunk], state.pools["ui"],
                 cfg.neg_samples, state.rng_sampler)}
             batches.update((rel, _draw(setup, state, rel, len(chunk)))
-                           for rel in setup.active_rels if rel != "ui")
+                           for rel in setup.margins if rel != "ui")
             noise = _draw_noise(worker, batches, noisy_rels, cfg.h, state.rng_noise, ws)
 
             # inner objective at the current tables
@@ -495,13 +491,13 @@ def _run_steps(setup, state, order):
             # margin-net update, computed from the pre-update tables
             hyper = None
             outer_total = 0.0
-            if adaptive_rels and cfg.joint_margin_training:
+            if phis and cfg.joint_margin_training:
                 hyper = joint
-            elif adaptive_rels:
+            elif phis:
                 proxy_users, proxy_items = build_proxy(users, items, grads, cfg.alpha)
                 if cfg.outer_batch == "fresh":
                     outer_batches = {rel: _draw(setup, state, rel, len(chunk))
-                                     for rel in setup.active_rels}
+                                     for rel in setup.margins}
                 else:
                     outer_batches = batches
                 v = zero_theta_grads(users, items, kind)
@@ -517,7 +513,7 @@ def _run_steps(setup, state, order):
                     pool = probe_ws if plus else ws
                     return {rel: batch_inner(batches[rel], t_users, t_items, kind, phis[rel],
                                              grad_phi=True, ws=pool).phi_grads
-                            for rel in adaptive_rels}
+                            for rel in phis}
 
                 hyper = darts_hypergradient(theta_dict(users, items), v,
                                             cfg.alpha, cfg.eps_fd, _grad_phi, worker)
@@ -528,16 +524,12 @@ def _run_steps(setup, state, order):
                 batches, epoch, n_iter)
 
             theta_step(users, items, grads, state.opt_theta)
-            if adaptive_rels:
+            if phis:
                 lam = 0.0 if cfg.joint_margin_training else cfg.lam
                 phi_step(phis, hyper, lam, state.opt_phi)
             n_iter += 1
 
+    # with no net that trains, every margin is a number
     mean_margin = (margin_sum / margin_count if margin_count
-                   else _fixed_margin_mean(setup.fixed_margins, setup.active_rels))
+                   else float(np.mean(list(setup.margins.values()))))
     return TraceRow(epoch, *(total / n_iter for total in sums.values()), mean_margin)
-
-
-def _fixed_margin_mean(fixed_margins, active_rels):
-    ms = [fixed_margins[rel] for rel in active_rels if rel in fixed_margins]
-    return float(np.mean(ms)) if ms else 0.0

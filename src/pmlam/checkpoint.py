@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bilevel import theta_dict
 from .config import RunConfig, config_strings, make_config
 from .data import DATA_FILES, atomic_write
 from .embeddings import GaussianEmbeddingTable
@@ -57,19 +58,14 @@ class Checkpoint(Tables):
 
 
 def _collect_arrays(state):
-    arrays = {
-        "user_mu": state.users.mu, "user_sigma": state.users.sigma,
-        "item_mu": state.items.mu, "item_sigma": state.items.sigma,
-    }
+    arrays = theta_dict(state.users, state.items)
     for rel, net in state.phis.items():
         for name, arr in net.params().items():
             arrays[f"phi.{rel}.{name}"] = arr
     opt_meta = {}
     for tag, opt in (("theta", state.opt_theta), ("phi", state.opt_phi)):
-        opt_state = opt.state()
-        opt_meta[tag] = {"kind": opt_state["kind"], "alpha": opt_state["alpha"],
-                         "t": opt_state["t"]}
-        for slot, buffers in opt_state["slots"].items():
+        opt_meta[tag] = {"kind": opt.kind, "alpha": opt.alpha, "t": opt.t}
+        for slot, buffers in (("m", opt.m), ("v", opt.v)):
             for name, arr in buffers.items():
                 arrays[f"opt.{tag}.{slot}.{name}"] = arr
     return arrays, opt_meta

@@ -131,7 +131,7 @@ def _check_run(args, read):
     files = data.DataFiles(args.dataset_dir)
     checkpoint.check_fits(ck, files.n_users, files.n_items, args.checkpoint)
     checkpoint.check_data(ck, files.digests(), args.dataset_dir, args.checkpoint)
-    data.check_fold_index(files.path("folds.txt"), ck.fold_index, files.fold_count())
+    data.check_fold_index(files.path("folds.txt"), ck.fold_index, files.n_folds)
     return ck, files
 
 

@@ -2,8 +2,9 @@
 
 Keys in files and CLI flags use the field names below (``-`` and ``_`` are
 interchangeable). ``margin_mode`` is ``adaptive`` or ``fixed:<m>``;
-``relations`` is a comma list out of ``ui,uu,ii``, each at most once, and
-must contain ``ui``.
+``relations`` is a comma list out of ``ui,uu,ii``, each at most once and in
+that order, and must contain ``ui``. Each margin net is seeded from its
+relation's place in the list, so a second order would train another model.
 Every float setting must be finite.
 """
 
@@ -45,7 +46,7 @@ class RunConfig:
         return DistanceKind(self.distance_kind)
 
     def margin_mode_for(self, relation):
-        """Parsed margin mode of one relation: "adaptive" or ("fixed", m)."""
+        """Margin of one relation: the fixed margin, or None when it is adaptive."""
         key = "margin_mode"
         if relation == "uu" and self.margin_mode_uu is not None:
             key = "margin_mode_uu"
@@ -92,18 +93,22 @@ class RunConfig:
             if rel not in RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
             self.margin_mode_for(rel)
+        in_order = tuple(rel for rel in RELATIONS if rel in self.relations)
+        if tuple(self.relations) != in_order:
+            raise ValueError(f"relations: expected the order {','.join(in_order)}, got "
+                             f"{','.join(self.relations)}")
         if self.eps_fd <= 0:
             raise ValueError("eps_fd must be > 0")
         return self
 
 
 def parse_margin_mode(raw, key="margin_mode"):
-    """``"adaptive"``, or ``("fixed", m)`` for ``fixed:<m>`` with a finite m >= 0.
+    """None for ``adaptive``, or m for ``fixed:<m>`` with a finite m >= 0.
 
     ``key`` names the setting in the error.
     """
     if raw == "adaptive":
-        return "adaptive"
+        return None
     if not raw.startswith("fixed:"):
         raise ValueError(f"{key}: unknown margin mode {raw!r}; expected 'adaptive' "
                          f"or 'fixed:<m>'")
@@ -113,7 +118,7 @@ def parse_margin_mode(raw, key="margin_mode"):
         m = math.nan
     if not (math.isfinite(m) and m >= 0):
         raise ValueError(f"{key}: fixed margin must be a finite number >= 0, got {raw!r}")
-    return ("fixed", m)
+    return m
 
 
 _BOOL_WORDS = {"true": True, "on": True, "yes": True, "1": True,

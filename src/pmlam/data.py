@@ -501,14 +501,15 @@ def load_folds(files, ds):
 class DataFiles:
     """A prepared dataset's :data:`DATA_FILES`, each read once; the only reader of them.
 
-    Construction reads the four files and the counts in the header of
-    ``dataset.txt``. :meth:`digests` hashes the bytes read, and every parse
-    (:func:`load_dataset`, :func:`load_folds` and the methods below) reads
-    those same bytes through :meth:`open`, so what a command checks against a
-    checkpoint is what it parses. Once the digests match those recorded when
-    a checkpoint was trained, ``train`` has parsed and checked these bytes in
-    full, so the methods below parse only the lines they need, with the full
-    readers' per-line checks and ``file:line`` messages.
+    Construction reads the four files, the counts in the header of
+    ``dataset.txt`` and the fold count in that of ``folds.txt``. :meth:`digests`
+    hashes the bytes read, and every parse (:func:`load_dataset`,
+    :func:`load_folds` and the methods below) reads those same bytes through
+    :meth:`open`, so what a command checks against a checkpoint is what it
+    parses. Once the digests match those recorded when a checkpoint was
+    trained, ``train`` has parsed and checked these bytes in full, so the
+    methods below parse only the lines they need, with the full readers'
+    per-line checks and ``file:line`` messages.
     """
 
     def __init__(self, dir_path):
@@ -519,6 +520,8 @@ class DataFiles:
                 self.blobs[name] = f.read()
         with self.open("dataset.txt") as f:
             self.n_users, self.n_items, _ = _dataset_header(f, self.path("dataset.txt"))
+        with self.open("folds.txt") as f:
+            self.n_folds = _folds_header(f, self.path("folds.txt"))[1]
 
     def path(self, name):
         return os.path.join(self.dir, name)
@@ -535,11 +538,6 @@ class DataFiles:
     def digests(self):
         """SHA-256 hex digest of the bytes read, file name -> digest."""
         return {name: hashlib.sha256(blob).hexdigest() for name, blob in self.blobs.items()}
-
-    def fold_count(self):
-        """The fold count in the header of ``folds.txt``."""
-        with self.open("folds.txt") as f:
-            return _folds_header(f, self.path("folds.txt"))[1]
 
     def user_index(self, user_id):
         """The internal index of external user ``user_id``, or None if no line holds it."""
@@ -566,7 +564,7 @@ class DataFiles:
         _check_item_rows(as_rows([items]), rows_path, u + 5, self.n_items)
         labels = _index_line(self._line("folds.txt", u + 4), folds_path, 4, u,
                              self.n_users, "user lines")
-        _check_label_rows(as_rows([labels]), [len(items)], folds_path, u, self.fold_count())
+        _check_label_rows(as_rows([labels]), [len(items)], folds_path, u, self.n_folds)
         return items[labels != fold_index]
 
     def item_ids(self, items):

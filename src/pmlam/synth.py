@@ -52,14 +52,6 @@ def planted_clusters(n_users=20, n_items=20, n_clusters=2, seed=0,
     return ds, user_labels, item_labels
 
 
-def write_item_labels(dir_path, ds, item_labels):
-    """Two-column label sidecar consumed by the margin case study."""
-    os.makedirs(dir_path, exist_ok=True)
-    with open(os.path.join(dir_path, "item_labels.txt"), "w") as f:
-        for i, ext in enumerate(ds.item_ids):
-            f.write(f"{ext}\t{item_labels[i]}\n")
-
-
 def load_item_labels(dir_path, ds):
     path = os.path.join(dir_path, "item_labels.txt")
     by_ext, line_of = {}, {}

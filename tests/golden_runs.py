@@ -32,7 +32,9 @@ import numpy as np
 
 from pmlam.cli import main
 from pmlam.data import save_dataset, save_folds, split_five_fold
-from pmlam.synth import planted_clusters, write_item_labels
+from pmlam.synth import planted_clusters
+
+from helpers import write_item_labels
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 FILES = ("trace.csv", "report.csv", "recommend.txt", "case-study.txt", "checkpoint.sha256")

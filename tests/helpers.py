@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference and set oracles, small builders."""
 
 import hashlib
+import os
 
 import numpy as np
 from scipy.special import expit
@@ -43,6 +44,14 @@ def cosine_binary(row_a, row_b):
         raise ValueError("cosine similarity of an empty interaction row")
     inter = len(np.intersect1d(row_a, row_b, assume_unique=True))
     return inter / np.sqrt(len(row_a) * len(row_b))
+
+
+def write_item_labels(dir_path, ds, item_labels):
+    """The two-column ``item_labels.txt`` the margin case study reads, in ``dir_path``."""
+    os.makedirs(dir_path, exist_ok=True)
+    with open(os.path.join(dir_path, "item_labels.txt"), "w") as f:
+        for i, ext in enumerate(ds.item_ids):
+            f.write(f"{ext}\t{item_labels[i]}\n")
 
 
 def dataset_digest(ds):

@@ -13,6 +13,7 @@ from pmlam.bilevel import (Adam, NumericFailure, build_proxy,
                            darts_hypergradient, phi_step, theta_dict,
                            theta_step, train)
 from pmlam.buffers import BufferPool
+from pmlam import checkpoint
 from pmlam.checkpoint import _collect_arrays
 from pmlam.cli import _config_from_args, build_parser
 from pmlam.config import make_config
@@ -441,6 +442,33 @@ def test_margin_modes_per_relation():
                        epochs=2)
     result = train(ds, fold, cfg)
     assert set(result.phis) == {"ui"}
+
+
+def test_set_up_gives_each_training_relation_its_margin_in_config_order():
+    ds, fold = planted_fold(seed=4)
+    cfg = quick_config(relations=("ui", "uu", "ii"), margin_mode_uu="fixed:1.0")
+    setup = bilevel.set_up(ds, fold, cfg, say=print)
+    assert setup.margins == {"ui": None, "uu": 1.0, "ii": None}
+    assert list(setup.margins) == ["ui", "uu", "ii"]
+
+
+def test_a_relation_without_pairs_gets_no_net(tmp_path):
+    ds, fold = planted_fold(n_users=60, n_items=40, n_clusters=2, p_in=0.4, p_out=0.03)
+    cfg = quick_config(relations=("ui", "uu"), sim_threshold=1.0, epochs=1)
+    said = []
+    setup = bilevel.set_up(ds, fold, cfg, say=said.append)
+    assert said[0].startswith("uu: 0 pairs")
+    assert setup.margins == {"ui": None}
+    state = bilevel.init_state(ds, setup)
+    bilevel.run_epoch(setup, state, say=said.append)
+    assert list(state.phis) == ["ui"]
+    assert {name.split(".")[0] for name in state.opt_phi.m} == {"ui"}
+    path = tmp_path / "checkpoint.bin"
+    checkpoint.save(path, state, {})
+    names = list(checkpoint._read(path)[1])
+    assert any(name.startswith("phi.ui.") for name in names)
+    assert any(name.startswith("opt.phi.m.ui.") for name in names)
+    assert not [name for name in names if ".uu." in name]
 
 
 def test_non_finite_losses_abort_with_diagnostic(monkeypatch):

@@ -16,7 +16,9 @@ from pmlam.config import RunConfig, make_config
 from pmlam.data import (DATA_FILES, DataFiles, load_dataset, load_folds, split_five_fold,
                         save_dataset, save_folds)
 from pmlam.margin_net import forward, margin_input
-from pmlam.synth import planted_clusters, write_item_labels
+from pmlam.synth import planted_clusters
+
+from helpers import write_item_labels
 
 VARIANT_KEYS = ("distance_kind", "margin_mode", "margin_mode_uu", "margin_mode_ii",
                 "relations", "indicator_mode")
@@ -446,6 +448,19 @@ def test_fold_past_the_fold_count_exits_2(tmp_path, capsys):
     assert "folds.txt: fold 9 outside the file's 5 folds" in capsys.readouterr().err
 
 
+def test_bad_fold_count_exits_2_before_the_digest_check(tmp_path, capsys):
+    d, ck = trained_checkpoint(tmp_path)
+    path = d / "folds.txt"
+    lines = path.read_text().split("\n")
+    assert lines[2] == "folds 5"
+    lines[2] = "folds x"
+    path.write_text("\n".join(lines))
+    capsys.readouterr()
+    for argv in (["evaluate", str(d), str(ck)], ["recommend", str(d), str(ck), "u0"]):
+        assert main(argv) == 2
+        assert "folds.txt:3: expected 'folds <count>'" in capsys.readouterr().err
+
+
 def test_train_with_damaged_id_sidecar_exits_2(tmp_path, capsys):
     d, _ = planted_dataset_dir(tmp_path)
     path = d / "user_ids.txt"
@@ -495,7 +510,9 @@ def test_case_study_on_damaged_item_labels_exits_2(tmp_path, capsys):
     ("ks", "10,5,10", "ks: cut-off 10 is given more than once in (10, 5, 10)"),
     ("relations", "ui,ui", "relations: relation 'ui' is given more than once in ('ui', 'ui')"),
     ("relations", "ui,ii,uu,ii",
-     "relations: relation 'ii' is given more than once in ('ui', 'ii', 'uu', 'ii')")])
+     "relations: relation 'ii' is given more than once in ('ui', 'ii', 'uu', 'ii')"),
+    ("relations", "uu,ui", "relations: expected the order ui,uu, got uu,ui"),
+    ("relations", "ui,ii,uu", "relations: expected the order ui,uu,ii, got ui,ii,uu")])
 def test_bad_config_value_names_its_key(tmp_path, capsys, key, value, message):
     d, _ = planted_dataset_dir(tmp_path)
     cfg_file = tmp_path / "run.cfg"

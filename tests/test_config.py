@@ -20,8 +20,8 @@ def test_defaults_follow_reported_settings():
 
 
 def test_margin_mode_parsing():
-    assert parse_margin_mode("adaptive") == "adaptive"
-    assert parse_margin_mode("fixed:0.5") == ("fixed", 0.5)
+    assert parse_margin_mode("adaptive") is None
+    assert parse_margin_mode("fixed:0.5") == 0.5
     with pytest.raises(ValueError):
         parse_margin_mode("fixed:-1")
     with pytest.raises(ValueError):
@@ -32,9 +32,9 @@ def test_margin_mode_parsing():
 
 def test_per_relation_margin_overrides():
     cfg = make_config(margin_mode="adaptive", margin_mode_uu="fixed:1.0")
-    assert cfg.margin_mode_for("ui") == "adaptive"
-    assert cfg.margin_mode_for("uu") == ("fixed", 1.0)
-    assert cfg.margin_mode_for("ii") == "adaptive"
+    assert cfg.margin_mode_for("ui") is None
+    assert cfg.margin_mode_for("uu") == 1.0
+    assert cfg.margin_mode_for("ii") is None
 
 
 def test_config_file_parsing(tmp_path):

@@ -16,7 +16,9 @@ import pytest
 
 from pmlam.cli import main
 from pmlam.data import DATA_FILES, save_dataset, save_folds, split_five_fold
-from pmlam.synth import planted_clusters, write_item_labels
+from pmlam.synth import planted_clusters
+
+from helpers import write_item_labels
 
 SEED = 17
 TRIALS = 50
