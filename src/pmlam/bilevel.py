@@ -20,25 +20,36 @@ Candidate pools are derived state: epoch e's pools are drawn from a stream
 seeded by the seed and e's last refresh epoch, e - e % refresh_period, so a
 state copied without them rebuilds the same pools and runs on unchanged.
 
-The steps of an epoch may use one worker thread, beside the calling one. At
-the start of a step it draws each adaptive relation's noise, in relation
-order, and the calling thread waits for a relation's noise just before that
-relation's inner pass. In the hypergradient it runs the + probe, in a buffer
-pool of its own, while the calling thread runs the - probe. numpy's sampler,
-its ufuncs and BLAS release the interpreter lock, so the two overlap. The
-bits cannot move: each pass computes what it computes on one thread, from
-inputs no other thread writes while it runs; the one worker runs its queue
-in order, so the noise generator gives its numbers in the serial order; and
-the step waits for both before anything reads them. The worker runs only
-where it was measured to pay (:func:`_worker_pays`): large enough batches,
-and a core that BLAS leaves free.
+Each step draws one step ahead. Once it has drawn its own triplets (the uu
+and ii batches, then the outer batches under ``outer_batch=fresh``) it draws
+the next step's ui triplets; then it queues the noise of its uu and ii
+batches and then of the next step's ui batch. So the ui noise a step reads
+was drawn during the step before, into the one of two pool buffers that is
+that step's by parity. Both generators give their numbers in the order of a
+step that draws all it reads at its start, and the last step of an epoch
+draws nothing for a step after it, so every state an epoch leaves, the
+generators' included, is that order's.
+
+The steps of an epoch may use one worker thread, beside the calling one. It
+runs the noise queue, and the calling thread waits for a relation's noise
+just before that relation's inner pass. In the hypergradient it runs the +
+probe, in a buffer pool of its own, while the calling thread runs the -
+probe. numpy's sampler, its ufuncs and BLAS release the interpreter lock, so
+the two overlap. Without the worker the queue runs inline, on the same path.
+The bits cannot move: each pass computes what it computes on one thread,
+from inputs no other thread writes while it runs; the one worker runs its
+queue in order, so the noise generator gives its numbers in the serial
+order; and the step waits for both before anything reads them. The worker
+runs only where it was measured to pay (:func:`_worker_pays`): large enough
+batches, two cores or more, and an OpenBLAS whose thread count the steps can
+lower to leave the worker a core (:func:`_step_worker`).
 """
 
 import contextvars
 import ctypes
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,9 +67,12 @@ OUTER_BATCHES = ("same", "fresh")  # the outer pass reuses the inner batch or dr
 # hand-off costs about 0.2 ms, and below a few thousand elements numpy holds the
 # GIL through most of a pass, so smaller steps run faster on one thread.
 WORKER_MIN_ELEMENTS = 1 << 13
-# Thread-count getters of OpenBLAS builds: numpy's wheels, and plain 64- and 32-bit ints.
-OPENBLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                           "openblas_get_num_threads")
+# Thread-count (getter, setter) pairs of OpenBLAS builds: numpy's wheels, and plain
+# 64- and 32-bit ints.
+OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"))
 
 
 class NumericFailure(RuntimeError):
@@ -155,9 +169,16 @@ def build_proxy(users, items, grads, alpha):
     return stepped(users, "user"), stepped(items, "item")
 
 
-def _submit(worker, fn, *args, **kwargs):
-    """``worker.submit(fn, ...)`` run in a copy of this thread's context (numpy's errstate)."""
-    return worker.submit(contextvars.copy_context().run, fn, *args, **kwargs)
+def _queue(worker, fn, *args, **kwargs):
+    """The future of ``fn(*args, **kwargs)``, queued on ``worker`` or, without one, run here.
+
+    A queued call runs in a copy of this thread's context (numpy's errstate).
+    """
+    if worker is not None:
+        return worker.submit(contextvars.copy_context().run, fn, *args, **kwargs)
+    done = Future()
+    done.set_result(fn(*args, **kwargs))
+    return done
 
 
 def _tree_scale_diff(plus, minus, scale):
@@ -192,7 +213,7 @@ def darts_hypergradient(theta, v, alpha, eps_fd, grad_phi_fn, worker=None):
     if worker is None:
         plus = grad_phi_fn(theta_plus)
     else:
-        pending = _submit(worker, grad_phi_fn, theta_plus, plus=True)
+        pending = _queue(worker, grad_phi_fn, theta_plus, plus=True)
     minus = grad_phi_fn({**theta, **{k: theta[k] - eps * v[k] for k in v}})
     if worker is not None:
         plus = pending.result()
@@ -383,8 +404,8 @@ def _draw(setup, state, rel, size):
                                    setup.cfg.neg_samples, state.rng_sampler)
 
 
-def _blas_threads():
-    """Threads the loaded OpenBLAS runs a call on, or None where it cannot be asked.
+def _openblas_thread_calls():
+    """The loaded OpenBLAS's thread-count (getter, setter), or None where it cannot be asked.
 
     The library is found by name among this process's mappings, so this is
     None off Linux and with another BLAS.
@@ -395,44 +416,60 @@ def _blas_threads():
     except OSError:
         return None
     for lib in libs:
-        for name in OPENBLAS_THREAD_GETTERS:
-            getter = getattr(ctypes.CDLL(lib), name, None)
-            if getter is not None:
+        dll = ctypes.CDLL(lib)
+        for get_name, set_name in OPENBLAS_THREAD_CALLS:
+            getter, setter = getattr(dll, get_name, None), getattr(dll, set_name, None)
+            if getter is not None and setter is not None:
                 getter.argtypes, getter.restype = [], ctypes.c_int
-                return getter()
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
     return None
+
+
+def _blas_threads():
+    """Threads the loaded OpenBLAS runs a call on, or None where the count cannot be read and set."""
+    calls = _openblas_thread_calls()
+    return None if calls is None else calls[0]()
 
 
 def _worker_pays(batch_rows, h):
     """Whether the steps use a worker thread.
 
-    Only for (B, h) row arrays of :data:`WORKER_MIN_ELEMENTS` or more, and
-    only when BLAS leaves a core free: beside BLAS threads on every core, the
-    worker slowed every step measured on two cores. The choice moves no bit.
+    Only for (B, h) row arrays of :data:`WORKER_MIN_ELEMENTS` or more, on
+    two cores or more, and with an OpenBLAS whose thread count can be read
+    and set: beside BLAS threads on every core, the worker slowed every step
+    measured on two cores, so :func:`_step_worker` has BLAS leave it a core.
+    The choice moves no bit.
     """
     if batch_rows * h < WORKER_MIN_ELEMENTS:
         return False
-    blas_threads = _blas_threads()
-    return blas_threads is not None and blas_threads < len(os.sched_getaffinity(0))
+    return len(os.sched_getaffinity(0)) >= 2 and _blas_threads() is not None
 
 
-def _draw_noise(worker, batches, rels, h, rng, ws):
-    """Draw the noise of ``rels``' batches in batch order, on ``worker`` or, without one, here.
+@contextmanager
+def _step_worker(threaded):
+    """The steps' worker thread, or None when not ``threaded``.
 
-    Returns relation -> future of each draw queued on the worker. The noise
-    buffers are taken from ``ws`` here, on the pool's own thread; the worker
-    only fills them. One worker runs its queue in order, so ``rng`` gives
-    each relation the numbers a serial draw would.
+    While it lives, OpenBLAS runs at most one thread fewer than the process
+    has cores; a lower count, such as one set by ``OPENBLAS_NUM_THREADS``,
+    is kept. The old count comes back after the worker is joined, whether
+    the steps end or raise, so the evaluation and the other commands run on
+    the library's count.
     """
-    queued = {}
-    for rel, b in batches.items():
-        if rel in rels:
-            out = b.noise_buffer(ws, h)
-            if worker is None:
-                b.attach_noise(h, rng, out=out)
-            else:
-                queued[rel] = _submit(worker, b.attach_noise, h, rng, out=out)
-    return queued
+    if not threaded:
+        yield None
+        return
+    calls = _openblas_thread_calls()
+    if calls is not None:
+        get, set_threads = calls
+        before = get()
+        set_threads(max(1, min(before, len(os.sched_getaffinity(0)) - 1)))
+    try:
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            yield worker
+    finally:
+        if calls is not None:
+            set_threads(before)
 
 
 def _run_steps(setup, state, order):
@@ -443,13 +480,15 @@ def _run_steps(setup, state, order):
     Both go with this frame, so no buffer outlives the steps into the
     evaluation or the next candidate-pool refresh. So does the one worker
     thread, which is joined when the steps end or raise; it is started only
-    where it pays (:func:`_worker_pays`).
+    where it pays (:func:`_worker_pays`). Each step draws the next step's ui
+    triplets and queues their noise (see the module docstring).
     """
     cfg = setup.cfg
     users, items, phis, epoch = state.users, state.items, state.phis, state.epoch
     margins = {**setup.margins, **phis}  # relation -> net or number
     kind = cfg.kind()
     noisy_rels = phis if kind is DistanceKind.W2_SQUARED else ()
+    fresh_outer = bool(phis) and not cfg.joint_margin_training and cfg.outer_batch == "fresh"
     ui_anchors, ui_positives = setup.pairs["ui"]
     pairs_per_batch = max(1, cfg.batch_size // cfg.neg_samples)
     threaded = bool(phis) and _worker_pays(
@@ -458,15 +497,32 @@ def _run_steps(setup, state, order):
     sums = {"inner": 0.0, "outer": 0.0, "ui": 0.0, "uu": 0.0, "ii": 0.0}
     margin_sum, margin_count, n_iter = 0.0, 0, 0
 
-    with (ThreadPoolExecutor(max_workers=1) if threaded else nullcontext()) as worker:
+    def ui_batch(start):
+        chunk = order[start:start + pairs_per_batch]
+        return sampler.sample_triplets("ui", ui_anchors[chunk], ui_positives[chunk],
+                                       state.pools["ui"], cfg.neg_samples, state.rng_sampler)
+
+    with _step_worker(threaded) as worker:
+        def queue_noise(noise, batch, turn=0):
+            """Queue ``batch``'s noise into its ``turn`` buffer, its future into ``noise``."""
+            if batch.relation in noisy_rels:
+                noise[batch.relation] = _queue(worker, batch.attach_noise, cfg.h, state.rng_noise,
+                                               out=batch.noise_buffer(ws, cfg.h, turn))
+
+        next_ui, next_noise = ui_batch(0), {}
+        queue_noise(next_noise, next_ui)
         for start in range(0, len(order), pairs_per_batch):
-            chunk = order[start:start + pairs_per_batch]
-            batches = {"ui": sampler.sample_triplets(
-                "ui", ui_anchors[chunk], ui_positives[chunk], state.pools["ui"],
-                cfg.neg_samples, state.rng_sampler)}
-            batches.update((rel, _draw(setup, state, rel, len(chunk)))
-                           for rel in setup.margins if rel != "ui")
-            noise = _draw_noise(worker, batches, noisy_rels, cfg.h, state.rng_noise, ws)
+            n_pairs = min(pairs_per_batch, len(order) - start)
+            batches, noise = {"ui": next_ui}, next_noise
+            for rel in setup.margins:
+                if rel != "ui":
+                    batches[rel] = _draw(setup, state, rel, n_pairs)
+                    queue_noise(noise, batches[rel])
+            outer_batches = ({rel: _draw(setup, state, rel, n_pairs) for rel in setup.margins}
+                             if fresh_outer else batches)
+            if start + pairs_per_batch < len(order):  # the last step draws nothing ahead
+                next_ui, next_noise = ui_batch(start + pairs_per_batch), {}
+                queue_noise(next_noise, next_ui, turn=(n_iter + 1) % 2)
 
             # inner objective at the current tables
             grads = zero_theta_grads(users, items, kind)
@@ -495,11 +551,6 @@ def _run_steps(setup, state, order):
                 hyper = joint
             elif phis:
                 proxy_users, proxy_items = build_proxy(users, items, grads, cfg.alpha)
-                if cfg.outer_batch == "fresh":
-                    outer_batches = {rel: _draw(setup, state, rel, len(chunk))
-                                     for rel in setup.margins}
-                else:
-                    outer_batches = batches
                 v = zero_theta_grads(users, items, kind)
                 for rel, b in outer_batches.items():
                     outer_total += batch_outer(b, proxy_users, proxy_items, kind, grads=v,

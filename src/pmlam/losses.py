@@ -27,19 +27,29 @@ hypergradient (:mod:`pmlam.bilevel`).
 Relations share one implementation: "ui" compares users against items,
 "uu" users against users, "ii" items against items.
 
-Buffers: a pass writes its arrays (the tables' variance roots, the gathered
-means and roots, the distance differences and gradient rows, the margin-net
-features and hidden layers) into a :class:`~pmlam.buffers.BufferPool`
+Buffers: a pass writes its arrays into a :class:`~pmlam.buffers.BufferPool`
 ``ws`` that the caller owns and passes to every pass; with none, each call
-uses a fresh one. Once dead, an array's buffer takes a later one: the
-sampled margin-net inputs go over the gathered roots. Those arrays are scratch:
-they are overwritten by the next pass on the same pool. Nothing a pass
-returns is a view of the pool: a :class:`BatchEval`'s margins, active mask
-and margin-net gradients, and the accumulators it adds into, stay valid
-after later passes. Training draws a batch's noise
-(:meth:`TripletBatch.attach_noise`) into the pool's ``noise.<relation>``
+uses a fresh one. A pool name is one lifetime, and each array that is born
+after another has died goes over it:
+
+- ``mu``: the gathered mean rows, (3, B, h), anchors first. In a W2 pass
+  with a margin net the features (B, 3h at most) go over them once the
+  sampled inputs exist. In a Euclidean pass the net's inputs *are* the
+  mean rows, so its features go into ``features``;
+- ``rt``: the gathered variance roots, (3, B, h); then the sampled inputs
+  ``mu + rt * noise``; then, once the features exist, the net's hidden
+  layer ``z``; then the scatter's anchor rows;
+- ``root.user`` and ``root.item``: the tables' floored variance roots;
+- ``dmu``, ``drt`` and ``d_sigma_a``: the distance differences and gradient
+  rows (:func:`distance.pair_rows`); ``da1``: the net's hidden gradient.
+
+Those arrays are scratch: the next pass on the same pool writes over them.
+Nothing a pass returns is a view of the pool: a :class:`BatchEval`'s
+margins, active mask and margin-net gradients, and the accumulators it adds
+into, stay valid after later passes. Training draws a batch's noise
+(:meth:`TripletBatch.attach_noise`) into the pool's ``noise.<relation>.<turn>``
 buffer (:meth:`TripletBatch.noise_buffer`), so it is valid until the next
-draw for that relation into the same pool, the next step's.
+draw into the same buffer.
 """
 
 from dataclasses import dataclass, field
@@ -108,9 +118,13 @@ class TripletBatch:
                                selection_matrix(self.others, n_other_rows))
         return self._selection
 
-    def noise_buffer(self, ws, h):
-        """The pool's (3, B, h) ``noise.<relation>`` buffer, for :meth:`attach_noise`."""
-        return ws.get(f"noise.{self.relation}", (3, len(self), h))
+    def noise_buffer(self, ws, h, turn=0):
+        """The pool's (3, B, h) ``noise.<relation>.<turn>`` buffer, for :meth:`attach_noise`.
+
+        A relation whose next batch's noise is drawn while its current one
+        is read takes two turns.
+        """
+        return ws.get(f"noise.{self.relation}.{turn}", (3, len(self), h))
 
     def attach_noise(self, h, rng, out=None):
         """Draw anchor, positive and negative noise, in that order, with one call.
@@ -164,10 +178,19 @@ def _take(table, rows, out):
     return np.take(table, rows, axis=0, out=out, mode="clip")
 
 
+def _take_rows(anchor_table, other_table, batch, out):
+    """The batch's anchor rows into ``out[0]`` and its other-role rows into ``out[1:]``."""
+    _take(anchor_table, batch.anchors, out[0])
+    _take(other_table, batch.others, out[1:].reshape(-1, out.shape[2]))
+    return out
+
+
 def _gather(batch, users, items, kind, ws=None):
     """Rows one pass reads: ``(mu_a, mu_o, rt_a, rt_o, live)``.
 
     Anchor rows are (B, h); other-role rows are (2, B, h), positives first.
+    The means are views of the pool's (3, B, h) ``mu`` block and the roots
+    of its ``rt`` block.
     Variances are read only for W2 (otherwise the three are None), floored
     at SIGMA_MIN and returned as their square roots: proxy and
     hypergradient probes evaluate at unprojected parameters where sigma may
@@ -183,23 +206,21 @@ def _gather(batch, users, items, kind, ws=None):
     tables = {"user": users, "item": items}
     a_key, o_key = _role_keys(batch.relation)
     B, h = len(batch), tables[o_key].mu.shape[1]
-    mu_a = _take(tables[a_key].mu, batch.anchors, ws.get("mu_a", (B, h)))
-    mu_o = _take(tables[o_key].mu, batch.others, ws.get("mu_o", (2 * B, h))).reshape(2, B, h)
+    mu = _take_rows(tables[a_key].mu, tables[o_key].mu, batch, ws.get("mu", (3, B, h)))
     if kind is not DistanceKind.W2_SQUARED:
-        return mu_a, mu_o, None, None, None
+        return mu[0], mu[1:], None, None, None
     sigmas = {key: tables[key].sigma for key in (a_key, o_key)}  # one entry for uu and ii
     roots = {}
     for key, sigma in sigmas.items():
         roots[key] = np.maximum(sigma, SIGMA_MIN, out=ws.get(f"root.{key}", sigma.shape))
         np.sqrt(roots[key], out=roots[key])
-    rt_a = _take(roots[a_key], batch.anchors, ws.get("rt_a", (B, h)))
-    rt_o = _take(roots[o_key], batch.others, ws.get("rt_o", (2 * B, h))).reshape(2, B, h)
+    rt = _take_rows(roots[a_key], roots[o_key], batch, ws.get("rt", (3, B, h)))
     live = None
     if min(sigma.min(initial=np.inf) for sigma in sigmas.values()) < SIGMA_MIN:
         masks = {key: sigma >= SIGMA_MIN for key, sigma in sigmas.items()}
         live = (np.take(masks[a_key], batch.anchors, axis=0),
                 np.take(masks[o_key], batch.others, axis=0).reshape(2, B, h))
-    return mu_a, mu_o, rt_a, rt_o, live
+    return mu[0], mu[1:], rt[0], rt[1:], live
 
 
 def _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o):
@@ -228,9 +249,17 @@ def _scatter(batch, rows, w, live, grads, ws):
     ``rows`` are :func:`distance.pair_rows`'s (2, B, h) gradients, positive
     pair first, and are overwritten; ``d2_pos`` enters the hinge with weight
     ``+w`` and ``d2_neg`` with ``-w``. The anchor rows of the mean part and
-    then of the variance part go into the pool's one ``g_a`` buffer. Each
-    table role gets one sparse product per parameter. Floored variances pass
-    no gradient.
+    then of the variance part go over the pool's ``rt`` block, which is dead
+    by then. Each table role gets one sparse product per parameter. Floored
+    variances pass no gradient.
+
+    The adds into ``grads`` must keep their order, or the bits move. For
+    ``uu`` and ``ii`` the anchor role and the other role both add a term
+    into the *same* table, anchor first, so a relation's pass run into a
+    zero accumulator of its own and added afterwards rounds
+    ``g + (a + o)`` where training rounds ``(g + a) + o``. Every table
+    takes its terms in relation order, and within a relation the anchor
+    role's before the other role's.
     """
     a_key, o_key = _role_keys(batch.relation)
     sel_a, sel_o = batch.selection(len(grads[a_key + "_mu"]), len(grads[o_key + "_mu"]))
@@ -240,7 +269,7 @@ def _scatter(batch, rows, w, live, grads, ws):
     if d_sig_a is not None:
         parts.append(("sigma", d_sig_a, d_sig_o, coef))
     for param, d_a, rows_o, c in parts:
-        rows_a = np.subtract(d_a[0], d_a[1], out=ws.get("g_a", d_a.shape[1:]))
+        rows_a = np.subtract(d_a[0], d_a[1], out=ws.get("rt", d_a.shape[1:]))
         rows_a *= w[:, None]
         rows_o *= c
         if param == "sigma" and live is not None:
@@ -266,9 +295,14 @@ def batch_inner(batch, users, items, kind, margin, grads=None, grad_phi=False, w
 
     adaptive = isinstance(margin, margin_net.MarginNetParams)
     if adaptive:
+        hidden = len(margin.b1)
+        inputs = _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o)
+        # W2 inputs are samples in ``rt``, so the means are dead; Euclidean inputs are the means
+        features = "mu" if kind is DistanceKind.W2_SQUARED else "features"
         s = margin_net.margin_input(
-            margin.mode, *_margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o), ws=ws)
-        margins, cache = margin_net.forward(margin, s, ws=ws)
+            margin.mode, *inputs,
+            out=ws.get(features, (B, margin_net.indicator_dim(margin.mode, mu_a.shape[1]))))
+        margins, cache = margin_net.forward(margin, s, out=ws.get("rt", (B, hidden)))
     else:
         margins = np.full(B, float(margin))
 
@@ -278,7 +312,8 @@ def batch_inner(batch, users, items, kind, margin, grads=None, grad_phi=False, w
     loss = float(np.sum(arg[active])) / B if B else 0.0
 
     w = active.astype(float) / max(B, 1)  # per-row weight of the mean reduction
-    phi_grads = margin_net.backward(margin, cache, w, ws=ws) if grad_phi and adaptive else None
+    phi_grads = (margin_net.backward(margin, cache, w, out=ws.get("da1", (B, hidden)))
+                 if grad_phi and adaptive else None)
     if grads is not None:
         _scatter(batch, rows, w, live, grads, ws)
     return BatchEval(loss, margins, active, phi_grads)

@@ -15,21 +15,18 @@ hand-rolled and vectorized over the batch. The backward pass gives the
 parameter gradients only: training treats the margins as constants w.r.t.
 the embeddings, so nothing chains a gradient back into the features.
 
-Every function that builds a row array takes an optional
-:class:`~pmlam.buffers.BufferPool` ``ws`` and writes the array into it: the
-features into ``features`` (``margin_input``), the hidden activations into
-``z`` (``forward``) and the hidden-layer gradient into ``da1``
-(``backward``, which also writes over ``z``). Those views stay valid until
-the pool's next use of the name. Margins and parameter gradients are new
-arrays.
+Every function that builds a row array takes an optional ``out`` and
+writes the array into it: the features (``margin_input``), the hidden
+activations ``z`` (``forward``) and the hidden-layer gradient ``da1``
+(``backward``, which also writes over ``z``). Without one the array is new.
+The caller picks the memory, so it decides which dead array each goes over
+(see :mod:`pmlam.losses`). Margins and parameter gradients are new arrays.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
-
-from .buffers import BufferPool
 
 INDICATOR_MODES = ("squared-diff", "concat", "sum")
 
@@ -72,17 +69,18 @@ def init_margin_net(h, hidden, rng, mode="squared-diff"):
     )
 
 
-def indicator(u, v_pos, v_neg, ws=None):
+def indicator(u, v_pos, v_neg, out=None):
     """Squared-difference features [chi(u,v_pos); chi(u,v_neg); chi_neg - chi_pos].
 
     chi(u, v)_d = (u_d - v_d)^2. Works on (h,) vectors or (B, h) batches.
-    Each block is written straight into its slice of the ``features`` buffer.
+    Each block is written straight into its slice of ``out``, or of a new
+    array.
     """
     u, v_pos, v_neg = np.asarray(u, float), np.asarray(v_pos, float), np.asarray(v_neg, float)
     if u.shape != v_pos.shape or u.shape != v_neg.shape:
         raise ValueError("indicator inputs must share a shape")
     h = u.shape[-1]
-    s = (ws or BufferPool()).get("features", u.shape[:-1] + (3 * h,))
+    s = np.empty(u.shape[:-1] + (3 * h,)) if out is None else out
     chi_pos, chi_neg = s[..., :h], s[..., h:2 * h]
     np.square(np.subtract(u, v_pos, out=chi_pos), out=chi_pos)
     np.square(np.subtract(u, v_neg, out=chi_neg), out=chi_neg)
@@ -90,34 +88,35 @@ def indicator(u, v_pos, v_neg, ws=None):
     return s
 
 
-def margin_input(mode, u, v_pos, v_neg, ws=None):
-    """Margin-net input under the given feature mode, in the pool's ``features`` buffer."""
+def margin_input(mode, u, v_pos, v_neg, out=None):
+    """Margin-net input under the given feature mode, written into ``out`` when given.
+
+    ``out`` must not overlap the inputs.
+    """
     if mode == "squared-diff":
-        return indicator(u, v_pos, v_neg, ws)
-    ws = ws or BufferPool()
+        return indicator(u, v_pos, v_neg, out)
     if mode == "concat":
-        shape = np.shape(u)[:-1] + (3 * np.shape(u)[-1],)
-        return np.concatenate([u, v_pos, v_neg], axis=-1, out=ws.get("features", shape))
+        return np.concatenate([u, v_pos, v_neg], axis=-1, out=out)
     if mode == "sum":
-        s = np.add(u, v_pos, out=ws.get("features", np.shape(u)))
+        s = np.add(u, v_pos, out=out)
         s += v_neg
         return s
     raise ValueError(f"unknown indicator mode {mode!r}")
 
 
-def forward(params, s, ws=None):
+def forward(params, s, out=None):
     """Margins for a batch of feature rows ``s`` with shape (B, in_dim).
 
-    Returns ``(m, cache)`` where ``m`` is (B,) and strictly positive; the
-    cache holds the pool's ``z`` view and is consumed by :func:`backward`,
-    which writes over ``z``: read the cache before the backward pass, never
-    after it.
+    Returns ``(m, cache)`` where ``m`` is (B,) and strictly positive. The
+    hidden activations ``z``, (B, hidden), go into ``out`` when given, which
+    must not overlap ``s``. The cache holds ``z`` and is consumed by
+    :func:`backward`, which writes over ``z``: read the cache before the
+    backward pass, never after it.
     """
     s = np.atleast_2d(np.asarray(s, float))
     if s.shape[1] != params.in_dim:
         raise ValueError(f"feature width {s.shape[1]} != net input width {params.in_dim}")
-    ws = ws or BufferPool()
-    z = np.matmul(s, params.W1.T, out=ws.get("z", (len(s), len(params.b1))))
+    z = np.matmul(s, params.W1.T, out=out)
     z += params.b1
     np.tanh(z, out=z)
     a2 = z @ params.W2 + params.b2[0]
@@ -125,23 +124,23 @@ def forward(params, s, ws=None):
     return m, (s, z, a2)
 
 
-def backward(params, cache, upstream, ws=None):
+def backward(params, cache, upstream, out=None):
     """Reverse pass of :func:`forward`: the parameter gradients.
 
     ``upstream`` is dL/dm per row, shape (B,). Returns a dict matching
-    :meth:`MarginNetParams.params`. Consumes ``cache``: once the ``W2``
+    :meth:`MarginNetParams.params`. The hidden-layer gradient, shaped like
+    ``z``, goes into ``out`` when given. Consumes ``cache``: once the ``W2``
     gradient has read the hidden activations ``z``, ``1 - z**2`` is written
     over them.
     """
     s, z, a2 = cache
-    ws = ws or BufferPool()
     upstream = np.asarray(upstream, float)
     da2 = upstream * expit(a2)
     grads = {
         "W2": da2 @ z,
         "b2": np.array([np.sum(da2)]),
     }
-    da1 = np.multiply(da2[:, None], params.W2, out=ws.get("da1", z.shape))  # np.outer
+    da1 = np.multiply(da2[:, None], params.W2, out=out)  # np.outer
     dtanh = np.multiply(z, z, out=z)  # z is dead once the W2 gradient has read it
     np.subtract(1.0, dtanh, out=dtanh)
     da1 *= dtanh

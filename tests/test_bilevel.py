@@ -1,9 +1,12 @@
 import copy
+import json
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -258,16 +261,21 @@ def test_noise_drawn_on_the_worker_equals_serial_draws_in_relation_order():
     drawn, serial = np.random.default_rng(5), np.random.default_rng(5)
     ws = BufferPool()
     with ThreadPoolExecutor(max_workers=1) as worker:
-        for on in (worker, worker, None):  # later steps draw over the first one's buffers
-            pending = bilevel._draw_noise(on, batches, ("ii", "ui"), h, drawn, ws)
-            assert list(pending) == (["ui", "ii"] if on else [])
-            for rel in ("ui", "ii"):
-                if on:
-                    pending[rel].result(timeout=60)
+        # as a step queues them: its own ii noise, then the next step's ui noise
+        # into that step's turn; later steps draw over the first ones' buffers
+        for step, on in enumerate((worker, worker, None)):
+            queue = [("ii", 0), ("ui", (step + 1) % 2)]
+            pending = [bilevel._queue(on, batches[rel].attach_noise, h, drawn,
+                                      out=batches[rel].noise_buffer(ws, h, turn))
+                       for rel, turn in queue]
+            assert on is not None or all(future.done() for future in pending)
+            for future, (rel, turn) in zip(pending, queue):
+                assert future.result(timeout=60) is None
                 b = batches[rel]
                 got = np.stack([b.noise_anchor, b.noise_pos, b.noise_neg])
                 np.testing.assert_array_equal(got, serial.standard_normal((3, len(b), h)))
-                assert np.shares_memory(b.noise_anchor, b.noise_buffer(ws, h))
+                assert np.shares_memory(b.noise_anchor, b.noise_buffer(ws, h, turn))
+                assert not np.shares_memory(b.noise_anchor, b.noise_buffer(ws, h, 1 - turn))
     assert batches["uu"].noise_anchor is None
     assert drawn.bit_generator.state == serial.bit_generator.state
 
@@ -367,10 +375,111 @@ def test_training_with_the_worker_equals_training_without(run, monkeypatch):
     assert threaded == serial
 
 
+def big_step_run(**kw):
+    """Data and a config whose steps' (B, h) row arrays hold 2^13 elements.
+
+    At that size numpy lets go of the interpreter lock, so the worker and the
+    calling thread overlap. Each epoch ends in a short batch.
+    """
+    ds, fold = planted_fold(seed=4, n_users=120, n_items=160, n_clusters=4, p_in=0.5,
+                            p_out=0.05)
+    cfg = quick_config(**{**dict(h=8, hidden=8, batch_size=1024, pool_size=32,
+                                 relations=("ui", "uu", "ii"), sim_threshold=0.3), **kw})
+    per_batch = cfg.batch_size // cfg.neg_samples
+    assert per_batch * cfg.neg_samples * cfg.h >= bilevel.WORKER_MIN_ELEMENTS
+    assert len(fold.train_rows.indices) % per_batch > 0
+    return ds, fold, cfg
+
+
+@pytest.mark.parametrize("outer_batch", bilevel.OUTER_BATCHES)
+def test_a_threaded_train_of_big_steps_equals_the_serial_one(outer_batch, monkeypatch):
+    ds, fold, cfg = big_step_run(epochs=2, refresh_period=1, eval_every=1,
+                                 outer_batch=outer_batch)
+    monkeypatch.setattr(bilevel, "_worker_pays", lambda batch_rows, h: False)
+    serial = saved_form(train(ds, fold, cfg))
+    monkeypatch.setattr(bilevel, "_worker_pays", lambda batch_rows, h: True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = saved_form(train(ds, fold, cfg))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_the_steps_give_back_the_blas_thread_count_they_lowered(monkeypatch):
+    calls, cores = bilevel._openblas_thread_calls(), len(os.sched_getaffinity(0))
+    if calls is None or cores < 2:
+        pytest.skip("needs two cores and an OpenBLAS whose thread count can be set")
+    get, set_threads = calls
+    seen = []  # BLAS threads while the steps run
+    real_check, real_inner = bilevel._check_finite, bilevel.batch_inner
+
+    def recording_check(*args):
+        seen.append(get())
+        return real_check(*args)
+
+    def failing_inner(*args, **kwargs):
+        seen.append(get())
+        raise RuntimeError("a pass failed")
+
+    monkeypatch.setattr(bilevel, "_check_finite", recording_check)
+    monkeypatch.setattr(bilevel, "_worker_pays", lambda batch_rows, h: True)
+    ds, fold = planted_fold()
+    old = get()
+    set_threads(cores)  # the library's default where no variable sets it
+    try:
+        for eps_fd, inner, error in ((1e-2, real_inner, None),  # ends
+                                     (1e308, real_inner, NumericFailure),  # exit 3
+                                     (1e-2, failing_inner, RuntimeError)):
+            seen.clear()
+            monkeypatch.setattr(bilevel, "batch_inner", inner)
+            cfg = quick_config(relations=("ui", "uu", "ii"), epochs=1, eps_fd=eps_fd)
+            with np.errstate(all="ignore"), (pytest.raises(error) if error else nullcontext()):
+                train(ds, fold, cfg)
+            assert seen and set(seen) == {cores - 1}, error
+            assert get() == cores, error
+    finally:
+        set_threads(old)
+
+
+def test_the_worker_starts_under_the_library_default_thread_count():
+    cores = len(os.sched_getaffinity(0))
+    if cores < 2:
+        pytest.skip("one core: the steps run serially")
+    code = textwrap.dedent("""
+        import json, threading
+        from pmlam import bilevel
+        import test_bilevel
+
+        default = bilevel._blas_threads()
+        seen = set()  # (live threads, BLAS threads) while the steps run
+        real_check = bilevel._check_finite
+
+        def recording_check(*args):
+            seen.add((threading.active_count(), bilevel._blas_threads()))
+            return real_check(*args)
+
+        bilevel._check_finite = recording_check
+        bilevel.train(*test_bilevel.big_step_run(epochs=1))
+        print(json.dumps([default, sorted(seen), bilevel._blas_threads()]))
+    """)
+    env = {var: value for var, value in os.environ.items()
+           if var not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    default, seen, after = json.loads(out.splitlines()[-1])
+    if default is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS this process can ask")
+    assert seen == [[2, min(default, cores - 1)]]  # the worker, beside BLAS leaving a core
+    assert after == default
+
+
 @pytest.mark.parametrize("blas_threads, cores, batch_rows, h, pays", [
     (1, 2, 4096, 2, True),  # 2^13 elements and a core BLAS leaves free
     (1, 2, 4095, 2, False),
-    (2, 2, 5000, 50, False),  # BLAS runs a thread on every core
+    (2, 2, 5000, 50, True),  # BLAS on every core: the steps have it leave one
     (2, 4, 5000, 50, True),
     (1, 1, 5000, 50, False),
     (None, 2, 5000, 50, False),  # a BLAS that cannot be asked

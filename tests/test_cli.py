@@ -6,6 +6,7 @@ import io
 import json
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pmlam.cli import ABLATION_VARIANTS, build_parser, main
 from pmlam.config import RunConfig, make_config
 from pmlam.data import (DATA_FILES, DataFiles, load_dataset, load_folds, split_five_fold,
                         save_dataset, save_folds)
+from pmlam.losses import TripletBatch
 from pmlam.margin_net import forward, margin_input
 from pmlam.synth import planted_clusters
 
@@ -1186,25 +1188,55 @@ def test_no_thread_outlives_a_train_that_ends_or_exits_3(tmp_path, capsys, monke
     save_dataset(d, ds)
     save_folds(d, split_five_fold(ds, seed=0))
     counts = []  # live threads at each finite check, while the steps run
-    real_check = bilevel._check_finite
+    failed_at = []  # when a finite check raised
+    ui_draws = []  # (start, end) of each ui noise draw
+    real_check, real_attach, real_inner = (bilevel._check_finite, TripletBatch.attach_noise,
+                                           bilevel.batch_inner)
 
     def counting_check(*args):
         counts.append(threading.active_count())
-        return real_check(*args)
+        try:
+            return real_check(*args)
+        except bilevel.NumericFailure:
+            failed_at.append(time.perf_counter())
+            raise
+
+    def slow_next_ui_attach(self, *args, **kwargs):
+        start = time.perf_counter()
+        if self.relation == "ui" and len(ui_draws) == 1:
+            time.sleep(0.3)  # step 1's draw, queued during step 0, ends well after it
+        real_attach(self, *args, **kwargs)
+        if self.relation == "ui":
+            ui_draws.append((start, time.perf_counter()))
+
+    def nan_loss_inner(*args, **kwargs):
+        ev = real_inner(*args, **kwargs)
+        ev.loss = float("nan")
+        return ev
 
     monkeypatch.setattr(bilevel, "_check_finite", counting_check)
     monkeypatch.setattr(bilevel, "_worker_pays", lambda batch_rows, h: True)
+    monkeypatch.setattr(TripletBatch, "attach_noise", slow_next_ui_attach)
     before = threading.enumerate()
-    for extra, code in (([], 0), (["--eps-fd", "1e308"], 3)):
+    for run, (extra, inner, code) in enumerate((([], real_inner, 0),
+                                                (["--eps-fd", "1e308"], real_inner, 3),
+                                                ([], nan_loss_inner, 3))):
         counts.clear()
+        failed_at.clear()
+        ui_draws.clear()
+        monkeypatch.setattr(bilevel, "batch_inner", inner)
         with np.errstate(all="ignore"):
-            rc = main(["train", str(d), "--out-dir", str(tmp_path / f"run{code}"), "--quiet",
-                       "--epochs", "1", "--h", "4", "--hidden", "4", "--batch-size", "20",
-                       *extra])
+            rc = main(["train", str(d), "--out-dir", str(tmp_path / f"run{run}"),
+                       "--quiet", "--epochs", "1", "--h", "4", "--hidden", "4",
+                       "--batch-size", "20", *extra])
         assert rc == code
         assert max(counts) == len(before) + 1  # the worker, joined by the end
         assert threading.enumerate() == before
-    assert "non-finite hypergradient" in capsys.readouterr().err
+    # the non-finite loss of step 0 raised while step 1's ui draw was queued or running
+    assert len(ui_draws) == 2 and len(failed_at) == 1
+    assert failed_at[0] < ui_draws[1][1]
+    err = capsys.readouterr().err
+    assert "non-finite hypergradient" in err and "non-finite loss" in err
 
 
 @pytest.mark.parametrize("rel, name", [("ui", "W1"), ("uu", "b2")])

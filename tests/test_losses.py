@@ -386,6 +386,60 @@ def test_a_reused_pool_gives_the_results_of_fresh_calls(name, kind):
         assert_same_arrays(pooled, fresh)
 
 
+def unpooled_margins(b, users, items, kind, net):
+    """The margins of a pass over ``b``, from the tables and noise, with no pool."""
+    a_table, o_table = {"ui": (users, items), "uu": (users, users), "ii": (items, items)}[b.relation]
+    rows = ((a_table, b.anchors, b.noise_anchor), (o_table, b.positives, b.noise_pos),
+            (o_table, b.negatives, b.noise_neg))
+    if kind is W2:
+        inputs = [t.mu[r] + np.sqrt(np.maximum(t.sigma[r], SIGMA_MIN)) * noise
+                  for t, r, noise in rows]
+    else:
+        inputs = [t.mu[r] for t, r, _ in rows]
+    return forward(net, margin_input(net.mode, *inputs))[0]
+
+
+@pytest.mark.parametrize("kind", [W2, EUC])
+@pytest.mark.parametrize("mode", INDICATOR_MODES)
+def test_a_reused_pool_gives_the_results_of_fresh_calls_in_every_feature_mode(mode, kind):
+    # a W2 pass writes its features over the mean rows, a Euclidean one must not:
+    # there the net's inputs are the mean rows; hidden 12 > 3h makes z outgrow ``rt``
+    users, items, rng = toy_setup(53, n_users=5, n_items=7, h=3)
+    users.sigma[2, 1] = -0.1
+    for hidden in (4, 12):
+        net = init_margin_net(3, hidden, rng, mode=mode)
+        net.b2[0] = 0.6
+        ws = BufferPool()
+        for rows in (8, 40, 16, 0, 40):
+            b = make_batch("uu" if rows == 16 else "ui", np.random.default_rng(rows), 5, 5,
+                           rows=rows)
+            for name in sorted(POOL_PASSES):
+                b.attach_noise(3, np.random.default_rng([rows, 1]), b.noise_buffer(ws, 3))
+                pooled = eval_arrays(*pool_pass(name, b, users, items, kind, net, ws))
+                b.attach_noise(3, np.random.default_rng([rows, 1]))
+                fresh = eval_arrays(*pool_pass(name, b, users, items, kind, net, None))
+                assert_same_arrays(pooled, fresh)
+                if name != "outer":
+                    np.testing.assert_array_equal(
+                        pooled["margins"], unpooled_margins(b, users, items, kind, net))
+
+
+def test_a_pool_name_gives_every_shape_that_fits_the_same_memory():
+    ws = BufferPool()
+    block = ws.get("rt", (3, 4, 5))
+    start = block.__array_interface__["data"][0]
+    for shape in ((4, 15), (3, 4, 5), (4, 5), (2, 2, 5), (0, 5)):
+        view = ws.get("rt", shape)
+        assert view.shape == shape and view.flags.c_contiguous
+        if view.size:
+            assert view.__array_interface__["data"][0] == start
+            view[...] = np.arange(view.size).reshape(shape)
+            np.testing.assert_array_equal(block.reshape(-1)[:view.size], np.arange(view.size))
+    grown = ws.get("rt", (4, 16))  # larger than the block: new memory, then kept
+    assert not np.shares_memory(grown, block)
+    assert np.shares_memory(ws.get("rt", (3, 4, 5)), grown)
+
+
 def test_a_returned_batch_eval_is_unchanged_by_later_calls_on_its_pool():
     users, items, rng = toy_setup(47, n_users=5, n_items=7, h=3)
     net = init_margin_net(3, 4, rng)
