@@ -161,20 +161,66 @@ def parse_line(line, line_no):
 def ingest(path, rating_threshold=4.0):
     """Read a ratings file and keep (user, item) pairs rated >= threshold.
 
-    Duplicate pairs collapse to one. Raises ParseError on malformed lines and
-    ValueError when no positive survives.
+    Duplicate pairs collapse to one. A leading UTF-8 byte-order mark is
+    ignored. Raises ParseError, naming the file and line, on malformed lines
+    and ValueError on text that is not UTF-8 or when no positive survives.
     """
     pairs = {}  # (user, item) -> None, in first-appearance order
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            r = parse_line(line, line_no)
-            if r.rating >= rating_threshold:
-                pairs[r.user_ext_id, r.item_ext_id] = None
+    isfinite = math.isfinite
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            for line_no, line in enumerate(f, start=1):
+                # A line of 3 or 4 fields, split as parse_line splits it, that
+                # passes parse_line's checks is read here, with no call or
+                # record per line.
+                raw = line.rstrip("\n")
+                parts = raw.split("\t")
+                if len(parts) < 3:
+                    parts = raw.split(",")
+                n = len(parts)
+                if n == 3 or n == 4:
+                    user, item = parts[0].strip(), parts[1].strip()
+                    try:
+                        rating = float(parts[2])
+                        if n == 4:
+                            int(float(parts[3]))  # a blank timestamp fails too
+                    except (ValueError, OverflowError):
+                        rating = math.nan
+                    if user and item and isfinite(rating):
+                        if rating >= rating_threshold:
+                            pairs[user, item] = None
+                        continue
+                # Every other line is blank, has a blank timestamp (which
+                # parse_line accepts), or is one parse_line rejects with its
+                # message.
+                if not line.strip():
+                    continue
+                try:
+                    r = parse_line(line, line_no)
+                except ParseError as e:
+                    raise ParseError(f"{path}: {e}") from None
+                if r.rating >= rating_threshold:
+                    pairs[r.user_ext_id, r.item_ext_id] = None
+    except UnicodeDecodeError:
+        raise ValueError(_utf8_error(path)) from None
     if not pairs:
         raise ValueError(f"{path}: no positives at rating threshold {rating_threshold}")
     return list(pairs)
+
+
+def _utf8_error(path):
+    """The message for a file that is not UTF-8, with the offset of its first bad byte.
+
+    The offset comes from the file's bytes: a text-mode read decodes in
+    chunks, so its error's position is within a chunk.
+    """
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return f"{path}: invalid UTF-8 at byte {e.start} ({e.reason})"
+    return f"{path}: invalid UTF-8"
 
 
 def filter_iterative(pairs, min_user=10, min_item=5):
@@ -365,7 +411,7 @@ def header_value(f, path, line_no, name):
 def write_index_rows(f, rows):
     """One line of space-separated integers per row: what :func:`read_index_rows` reads."""
     for row in rows:
-        f.write(" ".join(map(str, row)) + "\n")
+        f.write(" ".join(map(str, row.tolist())) + "\n")
 
 
 def read_index_rows(f, path, first_line, n_rows, what):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 from scipy.special import expit
 
-from pmlam.data import FOLDS_MAGIC, FoldSplit, InteractionDataset, Rows
+from pmlam.data import FOLDS_MAGIC, FoldSplit, InteractionDataset, Rows, parse_line
 from pmlam.distance import SIGMA_MIN, DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
 from pmlam.losses import batch_inner, zero_theta_grads
@@ -85,6 +85,49 @@ def reference_split_five_fold(ds, seed, n_folds=5):
             train_rows.append(np.sort(perms[u][~mask]))
         splits.append(FoldSplit(fold_index=k, train_rows=train_rows, test_rows=test_rows))
     return splits
+
+
+def reference_ingest(path, rating_threshold=4.0):
+    """``data.ingest`` as one ``parse_line`` call and record per line: its oracle.
+
+    It reads plain UTF-8, so a byte-order mark stays in the first id, and its
+    ParseError names the line but not the file.
+    """
+    pairs = {}
+    with open(path, encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            r = parse_line(line, line_no)
+            if r.rating >= rating_threshold:
+                pairs[r.user_ext_id, r.item_ext_id] = None
+    if not pairs:
+        raise ValueError(f"{path}: no positives at rating threshold {rating_threshold}")
+    return list(pairs)
+
+
+DAMAGES = ("bit flip", "set byte", "cut", "duplicated line", "deleted line")
+
+
+def damage(blob, how, rng):
+    """``blob`` damaged ``how``, with the place (and byte) drawn from ``rng``.
+
+    ``how`` is one of ``DAMAGES``.
+    """
+    out = bytearray(blob)
+    at = int(rng.integers(len(blob)))
+    if how == "bit flip":
+        out[at] ^= 1 << int(rng.integers(8))
+    elif how == "set byte":
+        out[at] = int(rng.integers(256))
+    elif how == "cut":
+        del out[at:]
+    else:
+        lines = blob.splitlines(keepends=True)
+        i = int(rng.integers(len(lines)))
+        lines[i:i + 1] = [lines[i]] * (2 if how == "duplicated line" else 0)
+        out = b"".join(lines)
+    return bytes(out)
 
 
 def reference_folds_text(splits, seed):

@@ -5,7 +5,8 @@ it, damages one file by a bit flip, a set byte, a cut, or a duplicated or
 deleted line, and runs the command that reads that file in-process: ``train``
 for a data file, ``case-study`` for ``item_labels.txt``, and ``evaluate``,
 ``recommend`` or ``case-study`` for ``checkpoint.bin``. Exit 0 is allowed:
-some damage leaves a file that still parses.
+some damage leaves a file that still parses. A second sweep, with its own
+seed, damages a ratings file the same ways and runs ``prepare`` on it.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from pmlam.cli import main
 from pmlam.data import DATA_FILES, save_dataset, save_folds, split_five_fold
 from pmlam.synth import planted_clusters
 
-from helpers import write_item_labels
+from helpers import DAMAGES, damage, write_item_labels
 
 SEED = 17
 TRIALS = 50
@@ -26,7 +27,10 @@ TRIALS = 50
 TRAIN = ["--quiet", "--seed", "7", "--h", "8", "--hidden", "8", "--epochs", "1",
          "--batch-size", "64", "--pool-size", "16", "--refresh-period", "3"]
 TARGETS = (*DATA_FILES, "item_labels.txt", "checkpoint.bin")
-DAMAGES = ("bit flip", "set byte", "cut", "duplicated line", "deleted line")
+PREPARE_SEED = 19
+PREPARE_TRIALS = 25
+# low enough that the undamaged ratings file survives filtering
+PREPARE = ["--min-user", "2", "--min-item", "2"]
 
 
 @pytest.fixture(scope="module")
@@ -41,24 +45,6 @@ def intact(tmp_path_factory):
     blobs = {name: (tmp / name).read_bytes() for name in TARGETS if name != "checkpoint.bin"}
     blobs["checkpoint.bin"] = (tmp / "run" / "checkpoint.bin").read_bytes()
     return blobs, ds.user_ids[0]
-
-
-def damage(blob, how, rng):
-    """``blob`` damaged ``how``, with the place (and byte) drawn from ``rng``."""
-    out = bytearray(blob)
-    at = int(rng.integers(len(blob)))
-    if how == "bit flip":
-        out[at] ^= 1 << int(rng.integers(8))
-    elif how == "set byte":
-        out[at] = int(rng.integers(256))
-    elif how == "cut":
-        del out[at:]
-    else:
-        lines = blob.splitlines(keepends=True)
-        i = int(rng.integers(len(lines)))
-        lines[i:i + 1] = [lines[i]] * (2 if how == "duplicated line" else 0)
-        out = b"".join(lines)
-    return bytes(out)
 
 
 @pytest.mark.parametrize("trial", range(TRIALS))
@@ -83,3 +69,25 @@ def test_damaged_input_exits_0_or_2(intact, tmp_path, trial):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
     assert code in (0, 2), f"{how} of {target}, {argv[0]} exited {code}: {err.getvalue()}"
+
+
+@pytest.fixture(scope="module")
+def ratings():
+    """A timestamped ratings file of criterion 9's data, a share of it rated below 4."""
+    ds, _, _ = planted_clusters(seed=4)
+    rng = np.random.default_rng(PREPARE_SEED)
+    pairs = [(ds.user_ids[u], ds.item_ids[i]) for u in range(ds.n_users) for i in ds.row(u)]
+    return "".join(f"{u}\t{i}\t{rng.choice([2, 4, 5])}\t{881250949 + k}\n"
+                   for k, (u, i) in enumerate(pairs)).encode()
+
+
+@pytest.mark.parametrize("trial", range(PREPARE_TRIALS))
+def test_damaged_ratings_file_exits_0_or_2(ratings, tmp_path, trial):
+    rng = np.random.default_rng([PREPARE_SEED, trial])
+    how = DAMAGES[rng.integers(len(DAMAGES))]
+    path = tmp_path / "ratings.tsv"
+    path.write_bytes(damage(ratings, how, rng))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["prepare", str(path), str(tmp_path / "data"), *PREPARE])
+    assert code in (0, 2), f"{how} of the ratings file, prepare exited {code}: {err.getvalue()}"

@@ -1,17 +1,22 @@
+import contextlib
+import io
 import os
+import re
 import stat
 
 import numpy as np
 import pytest
 
+from pmlam.cli import main
 from pmlam.data import (DataFiles, InteractionDataset, ParseError, Rows, as_rows,
                         atomic_write, filter_iterative, first_row_not_increasing, ingest,
                         load_dataset, load_folds, parse_line, save_dataset, save_folds,
                         split_five_fold)
 from pmlam.synth import planted_clusters
 
-from helpers import (dataset_digest, reference_filter_iterative, reference_folds_text,
-                     reference_split_five_fold, reference_transpose_rows)
+from helpers import (DAMAGES, damage, dataset_digest, reference_filter_iterative,
+                     reference_folds_text, reference_ingest, reference_split_five_fold,
+                     reference_transpose_rows)
 
 
 def write_ratings(path, rows, sep="\t"):
@@ -87,6 +92,92 @@ def test_parse_line_rejects_empty_ids_and_bad_values():
 def test_parse_line_rejects_an_infinite_timestamp():
     with pytest.raises(ParseError, match="line 3: bad timestamp 'inf'"):
         parse_line("a\tx\t4\tinf", 3)
+
+
+def test_ingest_ignores_a_leading_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    text = b"u0\ti1\t5\nu0\ti2\t5\n\xef\xbb\xbfu0\ti3\t5\n"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    # only the leading mark goes: one later in the file stays in its id
+    assert ingest(marked) == ingest(plain) == [("u0", "i1"), ("u0", "i2"), ("\ufeffu0", "i3")]
+
+
+def test_ingest_parse_error_names_the_file(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("a\tx\t4\nnot-enough-fields\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: expected 3 or 4"):
+        ingest(path)
+
+
+def test_prepare_names_the_file_and_first_bad_byte_of_invalid_utf8(tmp_path):
+    path = tmp_path / "ratings.tsv"
+    good = b"u0\ti1\t5\n" * 5000  # past the first chunk a text-mode read decodes
+    path.write_bytes(good + b"u0\t\xffi\t5\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["prepare", str(path), str(tmp_path / "data")])
+    assert code == 2
+    assert err.getvalue() == (f"error: {path}: invalid UTF-8 at byte {len(good) + 3} "
+                              "(invalid start byte)\n")
+
+
+# Field values for the differential sweep: each list's first entries are good.
+SWEEP_IDS = ("u1", "u2", "i7", "x", " u1 ", "", " ", "\t")
+SWEEP_RATINGS = ("5", "4", "4.0", " 4 ", "1_0", "3", "2.5", "nan", "inf", "-inf", "four", "")
+SWEEP_STAMPS = ("881250949", " 12 ", "1e3", "", " ", "inf", "nan", "later")
+SWEEP_SEED = 23
+SWEEP_TRIALS = 60
+
+
+def sweep_line(rng, bad):
+    """One ratings line; a field is drawn from the whole of its list with chance ``bad``."""
+    def pick(values, good):
+        return values[rng.integers(len(values) if rng.random() < bad else good)]
+    form = rng.integers(8)  # 2-4 are tab lines, 5-7 comma lines; 3, 4 and 6 have a timestamp
+    if form == 0:
+        return ""
+    if form == 1:
+        return ("  ", " \t ", "\t\t")[rng.integers(3)]
+    fields = [pick(SWEEP_IDS, 4), pick(SWEEP_IDS, 4), pick(SWEEP_RATINGS, 7)]
+    if form in (3, 4, 6):
+        fields.append(pick(SWEEP_STAMPS, 3))
+    if rng.random() < bad:
+        fields = fields[:rng.integers(len(fields))] if rng.random() < 0.5 else fields + ["9"]
+    return ("," if form >= 5 else "\t").join(fields)
+
+
+def sweep_file(rng):
+    """The bytes of a ratings file of mixed line forms, endings and damage."""
+    bad = (0.0, 0.02, 0.1, 0.4)[rng.integers(4)]
+    end = (b"\n", b"\r\n")[rng.integers(2)]
+    blob = b"".join(sweep_line(rng, bad).encode() + end for _ in range(rng.integers(1, 30)))
+    return blob[:-len(end)] if rng.random() < 0.3 else blob
+
+
+def ingest_outcome(read, path):
+    """``read(path)``'s pairs, or the type and message of the ValueError it raised."""
+    try:
+        return read(path)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("trial", range(SWEEP_TRIALS))
+def test_ingest_matches_the_per_line_reference(tmp_path, trial):
+    """``ingest`` gives the per-line reference's pairs, or its error with the file named."""
+    rng = np.random.default_rng([SWEEP_SEED, trial])
+    blob = sweep_file(rng)
+    for how in ("none", *DAMAGES):
+        path = tmp_path / f"{how}.tsv"
+        path.write_bytes(blob if how == "none" else damage(blob or b"\n", how, rng))
+        got, want = ingest_outcome(ingest, path), ingest_outcome(reference_ingest, path)
+        if want[0] is ParseError:
+            want = ParseError, f"{path}: {want[1]}"
+        elif want[0] is UnicodeDecodeError:
+            assert got[0] is ValueError and got[1].startswith(f"{path}: invalid UTF-8 at byte")
+            continue
+        assert got == want, f"{how}: {path.read_bytes()!r}"
 
 
 def test_filter_keeps_qualifying_users():
