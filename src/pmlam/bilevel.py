@@ -105,13 +105,17 @@ class Adam:
         self.t = 0
         self._scratch = BufferPool()
 
-    def step(self, params, grads):
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
+    def allocate(self, params):
+        """Give each array of ``params`` that has none zero moments, in ``params``' order."""
         for name, p in params.items():
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        self.allocate(params)
         for name, g in grads.items():
             m, v = self.m[name], self.v[name]
             step = self._scratch.get("step", g.shape)
@@ -220,17 +224,21 @@ def darts_hypergradient(theta, v, alpha, eps_fd, grad_phi_fn, worker=None):
     return _tree_scale_diff(plus, minus, -alpha / (2.0 * eps))
 
 
+def phi_params(by_relation):
+    """Relation -> {name: array} as one dict keyed ``<relation>.<name>``, the phi optimizer's keys."""
+    return {f"{rel}.{name}": arr for rel, arrays in by_relation.items()
+            for name, arr in arrays.items()}
+
+
 def phi_step(phis, hypergrads, lam, opt):
     """Add the 2*lam*phi decay term and take one optimizer step on all nets."""
-    flat_params, flat_grads = {}, {}
-    for rel, net in phis.items():
-        hg = hypergrads.get(rel) if hypergrads else None
-        for name, arr in net.params().items():
-            g = hg[name].copy() if hg is not None else np.zeros_like(arr)
-            g += 2.0 * lam * arr
-            flat_params[f"{rel}.{name}"] = arr
-            flat_grads[f"{rel}.{name}"] = g
-    opt.step(flat_params, flat_grads)
+    params = phi_params({rel: net.params() for rel, net in phis.items()})
+    hyper = phi_params(hypergrads or {})
+    grads = {}
+    for key, arr in params.items():
+        grads[key] = hyper[key].copy() if key in hyper else np.zeros_like(arr)
+        grads[key] += 2.0 * lam * arr
+    opt.step(params, grads)
 
 
 # ---------------------------------------------------------------------------

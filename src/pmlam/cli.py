@@ -120,30 +120,31 @@ def cmd_train(args):
     return 0
 
 
-def _check_run(args, read):
-    """The checkpoint ``read`` gives and the :class:`~pmlam.data.DataFiles` it was trained on.
+def _check_run(args, ck):
+    """The :class:`~pmlam.data.DataFiles` a checkpoint was trained on.
 
-    Its tables must fit the header counts of ``dataset.txt``, the files must
-    be the bytes it was trained on, and its fold must be one of the file's.
+    ``ck`` is the checkpoint's :class:`~pmlam.checkpoint.Tables`. Its tables
+    must fit the header counts of ``dataset.txt``, the files must be the
+    bytes it was trained on, and its fold must be one of the file's.
     Once these hold, ``train`` has parsed and checked these bytes in full.
     """
-    ck = read(args.checkpoint)
     files = data.DataFiles(args.dataset_dir)
     checkpoint.check_fits(ck, files.n_users, files.n_items, args.checkpoint)
     checkpoint.check_data(ck, files.digests(), args.dataset_dir, args.checkpoint)
     data.check_fold_index(files.path("folds.txt"), ck.fold_index, files.n_folds)
-    return ck, files
+    return files
 
 
-def _load_run(args, read=checkpoint.load):
-    """The checkpoint ``read`` gives, the dataset it was trained on, and its fold."""
-    ck, files = _check_run(args, read)
+def _load_run(args, ck):
+    """The dataset and fold of a checkpoint's :class:`~pmlam.checkpoint.Tables` ``ck``."""
+    files = _check_run(args, ck)
     ds = data.load_dataset(files)
-    return ck, ds, data.load_folds(files, ds)[ck.fold_index]
+    return ds, data.load_folds(files, ds)[ck.fold_index]
 
 
 def cmd_evaluate(args):
-    ck, _, fold = _load_run(args, checkpoint.load_tables)
+    ck = checkpoint.load_tables(args.checkpoint)
+    _, fold = _load_run(args, ck)
     ks = ck.cfg.ks if args.ks is None else make_config(file_values={"ks": args.ks}).ks
     report = evaluator.evaluate(ck.users, ck.items, fold, ks, ck.cfg.kind())
     print(evaluator.format_table(report, title=f"fold {ck.fold_index}"))
@@ -156,7 +157,8 @@ def cmd_evaluate(args):
 def cmd_recommend(args):
     """One user's top-K, from the checkpoint's tables and that user's lines of the data."""
     _at_least("-k", args.k, 1)
-    ck, files = _check_run(args, checkpoint.load_tables)
+    ck = checkpoint.load_tables(args.checkpoint)
+    files = _check_run(args, ck)
     u = files.user_index(args.user)
     if u is None:
         raise ValueError(f"unknown user id {args.user!r}")
@@ -213,8 +215,9 @@ def cmd_ablate(args):
 def cmd_case_study(args):
     _at_least("--n-users", args.n_users, 1)
     _at_least("--seed", args.seed, 0)
-    ck, ds, fold = _load_run(args)
-    if "ui" not in ck.phis:
+    ck, state = checkpoint.load(args.checkpoint)
+    ds, fold = _load_run(args, ck)
+    if "ui" not in state.phis:
         raise ValueError("checkpoint has no user-item margin net (fixed-margin run?)")
     labels = np.array(synth.load_item_labels(args.dataset_dir, ds))
     rng = np.random.default_rng(args.seed)
@@ -233,7 +236,7 @@ def cmd_case_study(args):
             continue
         for tag, neg in (("similar", int(rng.choice(unseen[same]))),
                          ("dissimilar", int(rng.choice(unseen[~same])))):
-            m = _margin_of(ck, u, pos, neg)
+            m = _margin_of(state, u, pos, neg)
             rows.append((ds.user_ids[u], ds.item_ids[pos], ds.item_ids[neg], tag, m))
     rows.sort(key=lambda r: (r[0], r[1], r[3]))
     for user, pos, neg, tag, m in rows:
@@ -244,10 +247,11 @@ def cmd_case_study(args):
     return 0
 
 
-def _margin_of(ck, u, pos, neg):
+def _margin_of(state, u, pos, neg):
     # deterministic margin inputs: the means, no sampling
-    net = ck.phis["ui"]
-    s = margin_net.margin_input(net.mode, ck.users.mu[u], ck.items.mu[pos], ck.items.mu[neg])
+    net = state.phis["ui"]
+    s = margin_net.margin_input(net.mode, state.users.mu[u], state.items.mu[pos],
+                                state.items.mu[neg])
     m, _ = margin_net.forward(net, s)
     return float(m[0])
 

@@ -136,8 +136,8 @@ def parse_line(line, line_no):
     """One data line -> RawRating; the delimiter is whichever of tab/comma splits it."""
     raw = line.rstrip("\n")
     parts = raw.split("\t")
-    if len(parts) < 3:
-        parts = raw.split(",")
+    if len(parts) < 3:  # the split with more fields, so an error counts the fields seen
+        parts = max(parts, raw.split(","), key=len)
     if not 3 <= len(parts) <= 4:
         raise ParseError(f"line {line_no}: expected 3 or 4 fields, got {len(parts)}: {raw!r}")
     user, item = parts[0].strip(), parts[1].strip()

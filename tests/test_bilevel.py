@@ -574,7 +574,9 @@ def test_a_relation_without_pairs_gets_no_net(tmp_path):
     assert {name.split(".")[0] for name in state.opt_phi.m} == {"ui"}
     path = tmp_path / "checkpoint.bin"
     checkpoint.save(path, state, {})
-    names = list(checkpoint._read(path)[1])
+    _, loaded = checkpoint.load(path)
+    assert list(loaded.phis) == ["ui"]
+    names = list(_collect_arrays(loaded)[0])  # the file's directory, as load checks
     assert any(name.startswith("phi.ui.") for name in names)
     assert any(name.startswith("opt.phi.m.ui.") for name in names)
     assert not [name for name in names if ".uu." in name]
@@ -685,7 +687,7 @@ def saved_form(state):
 
 
 @pytest.mark.parametrize("run", sorted(golden_runs.RUNS))
-def test_a_state_copied_without_pools_runs_on_as_the_whole_run(run):
+def test_a_state_copied_without_pools_runs_on_as_the_whole_run(run, tmp_path):
     # the golden run's config, on data whose pools are a draw from more
     # candidates than a pool holds, so a pool rebuilt from the wrong stream shows
     ds, fold = planted_fold(seed=4, n_users=40, n_items=60, n_clusters=4, p_in=0.7,
@@ -703,10 +705,22 @@ def test_a_state_copied_without_pools_runs_on_as_the_whole_run(run):
             copies[-1].pools = None
         bilevel.run_epoch(setup, whole, say=print)
     assert saved_form(whole) == saved_form(train(ds, fold, cfg))
+    checkpoint.save(tmp_path / "whole.bin", whole, {})
     for state in copies:
-        for _ in range(state.epoch, cfg.epochs):
-            bilevel.run_epoch(setup, state, say=print)
+        # and through the file: a state saved after epoch k, loaded, given epoch k
+        k = state.epoch
+        checkpoint.save(tmp_path / f"after-{k}.bin", state, {})
+        _, loaded = checkpoint.load(tmp_path / f"after-{k}.bin")
+        assert (loaded.epoch, loaded.pools) == (cfg.epochs, None)
+        loaded.epoch = k
+        for resumed in (state, loaded):
+            for _ in range(resumed.epoch, cfg.epochs):
+                bilevel.run_epoch(setup, resumed, say=print)
         assert saved_form(state) == saved_form(whole)
+        assert [row.csv() for row in loaded.trace] == [row.csv() for row in whole.trace[k:]]
+        assert loaded.evals == [(epoch, report) for epoch, report in whole.evals if epoch >= k]
+        checkpoint.save(tmp_path / f"resumed-{k}.bin", loaded, {})
+        assert (tmp_path / f"resumed-{k}.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
 
 
 def test_theta_step_projects():

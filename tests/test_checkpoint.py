@@ -28,20 +28,30 @@ def test_roundtrip(tmp_path):
     with open(path, "rb") as f:
         assert f.readline() == b"PMLAM-CKPT v1\n"
 
-    ck = load(path)
+    ck, state = load(path)
+    assert state.users is ck.users and state.items is ck.items
     np.testing.assert_array_equal(ck.users.mu, result.users.mu)
     np.testing.assert_array_equal(ck.users.sigma, result.users.sigma)
     np.testing.assert_array_equal(ck.items.mu, result.items.mu)
     np.testing.assert_array_equal(ck.items.sigma, result.items.sigma)
-    assert set(ck.phis) == set(result.phis)
+    assert set(state.phis) == set(result.phis)
     for rel in result.phis:
+        assert state.phis[rel].mode == result.phis[rel].mode
         for name, arr in result.phis[rel].params().items():
-            np.testing.assert_array_equal(ck.phis[rel].params()[name], arr)
-    assert ck.cfg == cfg
+            np.testing.assert_array_equal(state.phis[rel].params()[name], arr)
+    assert ck.cfg == cfg and state.cfg == cfg
     assert ck.fold_index == 0
-    assert ck.rng_states["sampler"] == result.rng_states["sampler"]
-    assert ck.opt_theta["kind"] == "adam"
-    assert ck.opt_theta["t"] == result.opt_theta.t
+    assert state.rng_sampler.bit_generator.state == result.rng_sampler.bit_generator.state
+    assert state.rng_noise.bit_generator.state == result.rng_noise.bit_generator.state
+    for got, want in ((state.opt_theta, result.opt_theta), (state.opt_phi, result.opt_phi)):
+        assert got.kind == "adam"
+        assert (got.alpha, got.t) == (want.alpha, want.t)
+        for slot in ("m", "v"):
+            moments, expect = getattr(got, slot), getattr(want, slot)
+            assert list(moments) == list(expect)
+            for name, arr in expect.items():
+                np.testing.assert_array_equal(moments[name], arr)
+    assert (state.epoch, state.trace, state.evals, state.pools) == (cfg.epochs, [], [], None)
     assert ck.data_sha256 == DIGESTS
 
 

@@ -117,7 +117,7 @@ def test_train_evaluate_recommend_roundtrip(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 5
     # the printed list must match the ranking oracle on the stored tables
-    ck = checkpoint.load(str(run / "checkpoint.bin"))
+    ck, _ = checkpoint.load(str(run / "checkpoint.bin"))
     fold = load_folds(DataFiles(d), ds)[0]
     expect = evaluator.rank(3, ck.users, ck.items, fold.train_rows[3],
                             ck.cfg.kind(), k=5)
@@ -813,19 +813,25 @@ def criterion_9_run(tmp_path_factory):
     return tmp / "data", tmp / "run" / "checkpoint.bin"
 
 
-def own_copy(tmp_path, run):
-    """A copy of ``run``'s dataset directory and checkpoint that a test may damage."""
+def own_copy(tmp_path, run, labels=False):
+    """A copy of ``run``'s dataset directory and checkpoint that a test may damage.
+
+    With ``labels``, the directory also gets the item labels ``case-study`` reads.
+    """
     d, ck = tmp_path / "data", tmp_path / "checkpoint.bin"
     d.mkdir()
     for name in DATA_FILES:
         (d / name).write_bytes((run[0] / name).read_bytes())
     ck.write_bytes(run[1].read_bytes())
+    if labels:
+        ds, _, _ = planted_clusters(seed=4)
+        write_item_labels(d, ds, np.arange(ds.n_items) % 2)
     return d, ck
 
 
 def full_parse_recommend(d, ck, u, k):
     """The lines ``recommend`` prints for user ``u``, from the full readers."""
-    ck = checkpoint.load(str(ck))
+    ck, _ = checkpoint.load(str(ck))
     files = DataFiles(d)
     ds = load_dataset(files)
     fold = load_folds(files, ds)[ck.fold_index]
@@ -1089,23 +1095,91 @@ def header_edits():
                          ids=[case_id for _, case_id, _ in header_edits()])
 def test_a_header_entry_of_the_wrong_json_type_exits_2(criterion_9_run, tmp_path, capsys,
                                                        case, entry, edit):
-    d, ck = own_copy(tmp_path, criterion_9_run)
+    d, ck = own_copy(tmp_path, criterion_9_run, labels=True)
     rng = np.random.default_rng([11, case])
     rewrite_header(ck, lambda header: edit(header, rng))
     capsys.readouterr()
-    for argv in (["evaluate", str(d), str(ck)], ["recommend", str(d), str(ck), "u0"]):
+    for argv in (["evaluate", str(d), str(ck)], ["recommend", str(d), str(ck), "u0"],
+                 ["case-study", str(d), str(ck)]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"{ck}: bad header entry {entry!r}: expected " in err
         assert "Traceback" not in err
 
 
+def _array_entry(array, **values):
+    """A header edit that updates the directory entry of ``array`` with ``values``."""
+    def edit(header):
+        [entry] = [entry for entry in header["arrays"] if entry["name"] == array]
+        entry.update(values)
+    return edit
+
+
+def _set_path(*keys, value):
+    """A header edit that sets ``header[keys[0]][keys[1]]...`` to ``value``."""
+    def edit(header):
+        for key in keys[:-1]:
+            header = header[key]
+        header[keys[-1]] = value
+    return edit
+
+
+def test_an_array_listed_twice_exits_2(criterion_9_run, tmp_path, capsys):
+    # the second entry would give evaluate and recommend the Adam moments as the table
+    d, ck = own_copy(tmp_path, criterion_9_run, labels=True)
+    rewrite_header(ck, _array_entry("opt.theta.m.user_mu", name="user_mu"))
+    capsys.readouterr()
+    for argv in (["evaluate", str(d), str(ck)], ["recommend", str(d), str(ck), "u0"],
+                 ["case-study", str(d), str(ck)]):
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr().err == f"error: {ck}: array 'user_mu' is listed twice\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_path("rng_states", value={"sampler": 5}), "bad header entry 'rng_states': 'sampler': "),
+    (_set_path("rng_states", "noise", "bit_generator", value="MT19937"),
+     "bad header entry 'rng_states': 'noise': state must be for a PCG64 RNG"),
+    (_set_path("rng_states", "sampler", "state", "state", value=2 ** 200),
+     "bad header entry 'rng_states': 'sampler': "),
+    (_set_path("rng_states", "sampler", "state", "state", value=1.5),
+     "bad header entry 'rng_states': 'sampler' is {"),
+    (_set_path("rng_states", "extra", value={}), "bad header entry 'rng_states': 'extra': "),
+    (_set_path("optimizers", "theta", "kind", value="sgd"),
+     "bad header entry 'optimizers': 'theta' is {'kind': 'sgd', "),
+    (_set_path("optimizers", "phi", "t", value="x"),
+     "bad header entry 'optimizers': 'phi' needs a 't' that is an integer >= 0"),
+    (_set_path("optimizers", "theta", "t", value=True),
+     "bad header entry 'optimizers': 'theta' needs a 't' that is an integer >= 0"),
+    (_set_path("optimizers", "phi", "alpha", value=0.5),
+     "bad header entry 'optimizers': 'phi' is {'kind': 'adam', 'alpha': 0.5, "),
+    (_set_path("optimizers", "sgd", value={}), "bad header entry 'optimizers': unknown key 'sgd'"),
+    (_array_entry("opt.phi.v.ui.b2", name="opt.phi.v.ui.b3"), "unknown array 'opt.phi.v.ui.b3'"),
+    (_array_entry("opt.phi.m.ui.W1", shape=[8 * 24]),
+     "array 'opt.phi.m.ui.W1' has shape (192,) and dtype float64, expected (8, 24) and float64"),
+    (_array_entry("opt.phi.v.ui.W1", dtype=">f8"),  # as many bytes, so only the dtype differs
+     "array 'opt.phi.v.ui.W1' has shape (8, 24) and dtype >f8, expected (8, 24) and float64"),
+    (lambda header: header["arrays"].insert(4, header["arrays"].pop(5)),
+     "array 'phi.ui.b1' is listed where 'phi.ui.W1' belongs")],
+    ids=["rng_states-not-a-state", "rng-mt19937", "rng-state-past-128-bits",
+         "rng-state-a-float", "rng-unknown-stream", "optimizer-kind", "optimizer-t-string",
+         "optimizer-t-bool", "optimizer-alpha", "optimizer-unknown", "unknown-array",
+         "moment-shape", "moment-dtype", "array-order"])
+def test_a_checkpoint_that_save_would_not_write_exits_2_at_case_study(
+        criterion_9_run, tmp_path, capsys, edit, message):
+    # evaluate and recommend read only the tables, so these reach case-study alone
+    d, ck = own_copy(tmp_path, criterion_9_run, labels=True)
+    rewrite_header(ck, edit)
+    capsys.readouterr()
+    assert main(["case-study", str(d), str(ck)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ck}: {message}"), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("header_len", [2 ** 64 - 1, 2 ** 40])
 def test_a_header_length_past_the_file_end_exits_2(criterion_9_run, tmp_path, capsys,
                                                    header_len):
-    d, ck = own_copy(tmp_path, criterion_9_run)
-    ds, _, _ = planted_clusters(seed=4)
-    write_item_labels(d, ds, np.arange(ds.n_items) % 2)
+    d, ck = own_copy(tmp_path, criterion_9_run, labels=True)
     blob = ck.read_bytes()
     head = len(checkpoint.CKPT_MAGIC)
     ck.write_bytes(blob[:head] + header_len.to_bytes(8, "little") + blob[head + 8:])
@@ -1260,7 +1334,7 @@ def test_the_feature_mode_survives_a_checkpoint(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["train", str(d), "--out-dir", str(run), "--quiet", "--relations", "ui",
                  "--indicator-mode", "concat"] + FAST) == 0
-    ck = checkpoint.load(run / "checkpoint.bin")
+    _, ck = checkpoint.load(run / "checkpoint.bin")
     assert [net.mode for net in ck.phis.values()] == ["concat"]
     capsys.readouterr()
     assert main(["case-study", str(d), str(run / "checkpoint.bin"), "--n-users", "20"]) == 0

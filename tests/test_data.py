@@ -89,6 +89,14 @@ def test_parse_line_rejects_empty_ids_and_bad_values():
     assert r.timestamp == 123
 
 
+@pytest.mark.parametrize("line, fields", [("u10\ti1", 2), ("a,b", 2), ("a", 1),
+                                          ("a\tb,c,d,e,f", 5), ("a\tb\tc\td\te", 5)])
+def test_parse_line_counts_the_fields_of_the_split_that_gives_more(line, fields):
+    message = f"line 4: expected 3 or 4 fields, got {fields}: {line!r}"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_line(line + "\n", 4)
+
+
 def test_parse_line_rejects_an_infinite_timestamp():
     with pytest.raises(ParseError, match="line 3: bad timestamp 'inf'"):
         parse_line("a\tx\t4\tinf", 3)

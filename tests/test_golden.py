@@ -4,14 +4,22 @@ import os
 
 import pytest
 
+from pmlam import checkpoint
+
 from golden_runs import FILES, GOLDEN_DIR, RUNS, produce
 
 
 @pytest.fixture(scope="module")
-def produced(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden")
-    produce(str(out), str(tmp_path_factory.mktemp("work")))
-    return out
+def runs(tmp_path_factory):
+    """The directory of the produced files, and the one of the runs' own files."""
+    out, work = tmp_path_factory.mktemp("golden"), tmp_path_factory.mktemp("work")
+    produce(str(out), str(work))
+    return out, work
+
+
+@pytest.fixture(scope="module")
+def produced(runs):
+    return runs[0]
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -23,3 +31,11 @@ def test_pinned_run_output_is_byte_equal(produced, name, file):
         got = f.read()
     assert got == expect, (f"{name}/{file} differs from the pinned file; if the change "
                            f"is meant, rerun tests/golden_runs.py and report the values")
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_a_loaded_checkpoint_saves_as_the_same_bytes(runs, tmp_path, name):
+    ckpt = runs[1] / name / "checkpoint.bin"
+    tables, state = checkpoint.load(ckpt)
+    checkpoint.save(tmp_path / "again.bin", state, tables.data_sha256, tables.fold_index)
+    assert (tmp_path / "again.bin").read_bytes() == ckpt.read_bytes()
