@@ -19,7 +19,6 @@ import itertools
 import math
 import operator
 import os
-import re
 import stat
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -418,14 +417,51 @@ def read_index_rows(f, path, first_line, n_rows, what):
     """Read ``n_rows`` lines of integers as :class:`Rows`; the file must end after them.
 
     A cut file fails, and so does any character after the last row, a blank
-    line or a lone space included.
+    line or a lone space included. The form :func:`write_index_rows` writes
+    is read in one pass over the text; any other text is read line by line,
+    with the same result for every text both accept.
     """
-    rows = [_index_line(f.readline(), path, first_line, r, n_rows, what)
+    text = f.read()
+    rows = _canonical_rows(text, n_rows)
+    if rows is not None:
+        return rows
+    lines = io.StringIO(text)  # f has translated every line end to "\n" already
+    rows = [_index_line(lines.readline(), path, first_line, r, n_rows, what)
             for r in range(n_rows)]
-    if f.read(1):
+    if lines.read(1):
         raise ValueError(f"{path}:{first_line + n_rows}: text after the last of the "
                          f"{n_rows} {what}")
     return as_rows(rows)
+
+
+# Byte classes of the canonical row text, a ``bytes.translate`` table: a
+# digit, a space, the newline that ends a row, and anything else.
+_DIGIT, _SPACE, _NEWLINE, _OTHER = range(4)
+_BYTE_CLASS = bytes(_DIGIT if 48 <= b <= 57 else _SPACE if b == 32 else
+                    _NEWLINE if b == 10 else _OTHER for b in range(256))
+_MAX_DIGITS = 18  # every number of 18 digits fits in an int64
+
+
+def _canonical_rows(text, n_rows):
+    """``text`` as :class:`Rows` if it is exactly ``n_rows`` canonical lines, else None.
+
+    A canonical line is ASCII digits and spaces ending in a newline, with no
+    number longer than :data:`_MAX_DIGITS` digits. Spaces anywhere in a line
+    split it as ``str.split`` does.
+    """
+    if not text.isascii() or text.count("\n") != n_rows or text[-1:] not in ("\n", ""):
+        return None
+    cls = np.frombuffer(text.encode("ascii").translate(_BYTE_CLASS), dtype=np.uint8)
+    breaks = np.flatnonzero(cls != _DIGIT)  # a newline is last, so each number ends at one
+    kind = cls[breaks]
+    gap = np.diff(breaks, prepend=-1)  # one more than the digits before each break
+    if (kind == _OTHER).any() or gap.max(initial=0) > _MAX_DIGITS + 1:
+        return None
+    numbers = np.cumsum(gap > 1)  # the numbers that end at or before each break
+    indptr = np.concatenate([[0], numbers[kind == _NEWLINE]])
+    values = (np.fromstring(text, dtype=np.int64, sep=" ") if indptr[-1]
+              else np.empty(0, dtype=np.int64))  # a text without digits reads as [0]
+    return Rows(indptr, values)
 
 
 def _index_line(line, path, first_line, r, n_rows, what):
@@ -586,18 +622,26 @@ class DataFiles:
         return {name: hashlib.sha256(blob).hexdigest() for name, blob in self.blobs.items()}
 
     def user_index(self, user_id):
-        """The internal index of external user ``user_id``, or None if no line holds it."""
+        """The internal index of external user ``user_id``, or None if no line holds it.
+
+        The line is the first whose first tab is followed by ``user_id`` and
+        then the line's end.
+        """
         if "\n" in user_id:  # no id holds one, and the search below would span lines
             return None
         path = self.path("user_ids.txt")
         with self.open("user_ids.txt") as f:
             text = f.read()
-        found = re.search(rf"^[^\t\n]*\t{re.escape(user_id)}(?:\n|\Z)", text, re.MULTILINE)
-        if found is None:
+        needle = f"\t{user_id}\n"
+        lines = text if text.endswith("\n") else text + "\n"  # a last line ends there too
+        at = lines.find(needle)
+        while at >= 0 and lines.find("\t", lines.rfind("\n", 0, at) + 1, at) >= 0:
+            at = lines.find(needle, at + 1)  # that tab is not its line's first
+        if at < 0:
             return None
-        start = found.start()
+        start = text.rfind("\n", 0, at) + 1
         u = text.count("\n", 0, start)
-        _id_line(text[start:text.find("\n", start) + 1 or len(text)], path, u)
+        _id_line(text[start:at + len(needle)], path, u)
         if u >= self.n_users:
             raise ValueError(f"{path}:{u + 1}: id past the dataset's {self.n_users} users")
         return u

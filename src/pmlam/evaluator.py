@@ -8,6 +8,7 @@ that ranking. Recall uses |T_i| as the denominator; NDCG uses binary gains
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,23 +32,47 @@ class EvalReport:
                 for k in self.ks]
 
 
-def pairwise_distances(users, items, kind, user_idx=None):
-    """Distance matrix between (a subset of) users and all items."""
-    mu_u = users.mu if user_idx is None else users.mu[user_idx]
-    d2 = (
-        np.sum(mu_u ** 2, axis=1)[:, None]
-        + np.sum(items.mu ** 2, axis=1)[None, :]
-        - 2.0 * mu_u @ items.mu.T
-    )
+class ItemSide(NamedTuple):
+    """The item terms of :func:`pairwise_distances`, the same for every chunk of users."""
+
+    mu_sq: np.ndarray            # sum(mu ** 2) of each item
+    root: np.ndarray | None      # sqrt(sigma), for W2 only
+    root_sq: np.ndarray | None   # sum(root ** 2) of each item
+
+
+def item_side(items, kind):
+    """:class:`ItemSide` of the table ``items`` under distance ``kind``."""
+    root = root_sq = None
     if kind is DistanceKind.W2_SQUARED:
-        ru = np.sqrt(users.sigma if user_idx is None else users.sigma[user_idx])
-        ri = np.sqrt(items.sigma)
-        d2 += (
-            np.sum(ru ** 2, axis=1)[:, None]
-            + np.sum(ri ** 2, axis=1)[None, :]
-            - 2.0 * ru @ ri.T
-        )
-    return np.maximum(d2, 0.0)  # clip the tiny negatives of the expanded form
+        root = np.sqrt(items.sigma)
+        root_sq = np.sum(root ** 2, axis=1)
+    return ItemSide(np.sum(items.mu ** 2, axis=1), root, root_sq)
+
+
+def pairwise_distances(users, items, kind, user_idx=None, side=None, work=None):
+    """Distance matrix between (a subset of) users and all items.
+
+    Each term is ``(|a|^2 + |b|^2) - (2a) @ b``, rounded in that order; W2 adds
+    the term of the roots of the variances to that of the means. A caller that
+    ranks many chunks of users passes ``side``, :func:`item_side` of ``items``,
+    and ``work``, a float64 array of shape (3, at least the rows, items) that
+    the matrix and its temporaries are built in; the matrix is then a view of
+    ``work[0]``.
+    """
+    side = item_side(items, kind) if side is None else side
+    rows = slice(None) if user_idx is None else user_idx
+    mu_u = users.mu[rows]
+    if work is None:
+        work = np.empty((3, len(mu_u), items.n))
+    d2, product, term = work[:, :len(mu_u)]
+    np.add.outer(np.sum(mu_u ** 2, axis=1), side.mu_sq, out=d2)
+    d2 -= np.matmul(2.0 * mu_u, items.mu.T, out=product)
+    if kind is DistanceKind.W2_SQUARED:
+        ru = np.sqrt(users.sigma[rows])
+        np.add.outer(np.sum(ru ** 2, axis=1), side.root_sq, out=term)
+        term -= np.matmul(2.0 * ru, side.root.T, out=product)
+        d2 += term
+    return np.maximum(d2, 0.0, out=d2)  # clip the tiny negatives of the expanded form
 
 
 def rank(user, users, items, train_set, kind, k=None):
@@ -76,17 +101,22 @@ def top_k(d2, k):
 
     Equals ``np.argsort(d2, axis=1, kind="stable")[:, :k]`` without sorting
     whole rows: every entry below the k-th smallest value is taken, and ties
-    at that value go to the lowest indices.
+    at that value go to the lowest indices. Only rows with more than ``k``
+    entries at or below that value pay for the tie count.
     """
     k = min(k, d2.shape[1])
     if k == 0:
         return np.empty((len(d2), 0), dtype=np.int64)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    below = d2 < kth
-    tie = d2 == kth
-    need = k - below.sum(axis=1, keepdims=True)
-    cols = np.nonzero(below | (tie & (np.cumsum(tie, axis=1) <= need)))[1]
-    cols = cols.reshape(len(d2), k)
+    taken = d2 <= kth  # k in each row, and more where entries tie the k-th value
+    if np.count_nonzero(taken) > taken.shape[0] * k:
+        tied = np.flatnonzero(np.count_nonzero(taken, axis=1) > k)
+        rows, at = d2[tied], kth[tied]
+        below, tie = rows < at, rows == at
+        need = k - below.sum(axis=1, keepdims=True)
+        taken[tied] = below | (tie & (np.cumsum(tie, axis=1) <= need))
+    flat = np.flatnonzero(taken).reshape(len(d2), k)  # a 1-d search is the fast one
+    cols = flat - d2.shape[1] * np.arange(len(d2))[:, None]
     order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1)
 
@@ -106,13 +136,11 @@ def _hit_metrics(hits, n_test, k):
     return hits.sum(axis=1) / n_test, (hits @ discount) / idcg
 
 
-def _row_mask(rows, idx, n_cols):
-    """Boolean (len(idx), n_cols) matrix, True at the columns listed in ``rows[idx]``."""
+def _row_pairs(rows, idx):
+    """(r, c) index arrays of the entries of ``rows[idx[r]]``, for every r."""
     lens = rows.lens()[idx]  # gather row idx[r] from rows.indptr[idx[r]] on
     at = np.arange(lens.sum()) + np.repeat(rows.indptr[idx] - np.cumsum(lens) + lens, lens)
-    mask = np.zeros((len(idx), n_cols), dtype=bool)
-    mask[np.repeat(np.arange(len(idx)), lens), rows.indices[at]] = True
-    return mask
+    return np.repeat(np.arange(len(idx)), lens), rows.indices[at]
 
 
 def evaluate(users, items, fold, ks, kind):
@@ -124,11 +152,14 @@ def evaluate(users, items, fold, ks, kind):
     evaluated = np.flatnonzero(n_test)
     if len(evaluated) == 0:
         raise ValueError("no user has test interactions")
+    side = item_side(items, kind)
+    work = np.empty((3, min(EVAL_CHUNK, len(evaluated)), items.n))
     for start in range(0, len(evaluated), EVAL_CHUNK):
         idx = evaluated[start:start + EVAL_CHUNK]
-        d2 = pairwise_distances(users, items, kind, user_idx=idx)
-        d2[_row_mask(fold.train_rows, idx, items.n)] = np.inf
-        test = _row_mask(fold.test_rows, idx, items.n)
+        d2 = pairwise_distances(users, items, kind, user_idx=idx, side=side, work=work)
+        d2[_row_pairs(fold.train_rows, idx)] = np.inf
+        test = np.zeros(d2.shape, dtype=bool)
+        test[_row_pairs(fold.test_rows, idx)] = True
         hits = np.take_along_axis(test, top_k(d2, max(ks)), axis=1)
         for k in ks:
             recall, ndcg = _hit_metrics(hits, n_test[idx], k)

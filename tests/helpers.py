@@ -6,7 +6,8 @@ import os
 import numpy as np
 from scipy.special import expit
 
-from pmlam.data import FOLDS_MAGIC, FoldSplit, InteractionDataset, Rows, parse_line
+from pmlam.data import (FOLDS_MAGIC, FoldSplit, InteractionDataset, Rows, _index_line, as_rows,
+                        parse_line)
 from pmlam.distance import SIGMA_MIN, DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
 from pmlam.losses import batch_inner, zero_theta_grads
@@ -139,6 +140,50 @@ def reference_folds_text(splits, seed):
                                  for s in splits])
         lines.append(" ".join(map(str, labels[np.argsort(items)])))
     return "\n".join(lines) + "\n"
+
+
+def reference_read_index_rows(f, path, first_line, n_rows, what):
+    """``data.read_index_rows`` as one ``_index_line`` call per line: its oracle."""
+    rows = [_index_line(f.readline(), path, first_line, r, n_rows, what)
+            for r in range(n_rows)]
+    if f.read(1):
+        raise ValueError(f"{path}:{first_line + n_rows}: text after the last of the "
+                         f"{n_rows} {what}")
+    return as_rows(rows)
+
+
+def reference_pairwise_distances(users, items, kind, user_idx=None):
+    """``evaluator.pairwise_distances`` as one expression per term: its bit-for-bit oracle."""
+    mu_u = users.mu if user_idx is None else users.mu[user_idx]
+    d2 = (
+        np.sum(mu_u ** 2, axis=1)[:, None]
+        + np.sum(items.mu ** 2, axis=1)[None, :]
+        - 2.0 * mu_u @ items.mu.T
+    )
+    if kind is DistanceKind.W2_SQUARED:
+        ru = np.sqrt(users.sigma if user_idx is None else users.sigma[user_idx])
+        ri = np.sqrt(items.sigma)
+        d2 += (
+            np.sum(ru ** 2, axis=1)[:, None]
+            + np.sum(ri ** 2, axis=1)[None, :]
+            - 2.0 * ru @ ri.T
+        )
+    return np.maximum(d2, 0.0)
+
+
+def reference_top_k(d2, k):
+    """``evaluator.top_k`` with its tie handling run on every row: its oracle."""
+    k = min(k, d2.shape[1])
+    if k == 0:
+        return np.empty((len(d2), 0), dtype=np.int64)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    below = d2 < kth
+    tie = d2 == kth
+    need = k - below.sum(axis=1, keepdims=True)
+    cols = np.nonzero(below | (tie & (np.cumsum(tie, axis=1) <= need)))[1]
+    cols = cols.reshape(len(d2), k)
+    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def reference_transpose_rows(rows, n_cols):

@@ -490,8 +490,7 @@ def test_criterion_9_determinism(tmp_path):
         assert main(args + ["--out-dir", str(out)]) == 0
         assert main(["evaluate", str(d), str(out / "checkpoint.bin"),
                      "--out", str(out / "report.csv")]) == 0
-        outs.append((open(out / "trace.csv", "rb").read(),
-                     open(out / "report.csv", "rb").read()))
+        outs.append(((out / "trace.csv").read_bytes(), (out / "report.csv").read_bytes()))
     ok = outs[0] == outs[1]
     report(9, ok, f"trace {len(outs[0][0])} bytes and report "
                   f"{len(outs[0][1])} bytes identical across reruns")

@@ -49,7 +49,7 @@ def planted_dataset_dir(tmp_path, seed=0, labels=False, p_in=1.0, p_out=0.0):
 
 
 def file_digest(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_prepare_writes_cache_and_stats(tmp_path, capsys):

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from pmlam.cli import main
-from pmlam.data import (DataFiles, InteractionDataset, ParseError, Rows, as_rows,
-                        atomic_write, filter_iterative, first_row_not_increasing, ingest,
-                        load_dataset, load_folds, parse_line, save_dataset, save_folds,
-                        split_five_fold)
+from pmlam.data import (DataFiles, InteractionDataset, ParseError, Rows, _canonical_rows,
+                        as_rows, atomic_write, filter_iterative, first_row_not_increasing,
+                        ingest, load_dataset, load_folds, parse_line, read_index_rows,
+                        save_dataset, save_folds, split_five_fold, write_index_rows)
 from pmlam.synth import planted_clusters
 
 from helpers import (DAMAGES, damage, dataset_digest, reference_filter_iterative,
-                     reference_folds_text, reference_ingest, reference_split_five_fold,
-                     reference_transpose_rows)
+                     reference_folds_text, reference_ingest, reference_read_index_rows,
+                     reference_split_five_fold, reference_transpose_rows)
 
 
 def write_ratings(path, rows, sep="\t"):
@@ -540,3 +540,146 @@ def test_rows_index_like_a_list():
     np.testing.assert_array_equal(anchors, [0, 0, 2])
     np.testing.assert_array_equal(ids, [3, 5, 1])
     assert len(Rows.from_pairs(np.empty(0, int), np.empty(0, int), 0)) == 0
+
+
+READ_SEED = 29
+READ_TRIALS = 80
+# The parts of a row line, each list's canonical values first: a leading
+# space, the tokens (then leading zeros, signs, 18- and 19-digit numbers, the
+# last past int64, non-ASCII digits and non-integers), the space between two
+# tokens, a trailing space and the line end.
+ROW_LEADS = ("", " ")
+ROW_TOKENS = ("0", "7", "42", "1679", "007", "+3", "-4", "-0", "999999999999999999",
+              "000000000000000001", "1000000000000000000", "0000000000000000007",
+              "9223372036854775807", "9223372036854775808", "٣", "３", "1_0", "x",
+              "1.5")
+ROW_SEPS = (" ", "  ", "\t", " \t")
+ROW_TRAILS = ("", " ", "\t")
+ROW_ENDS = ("\n", "\r\n", "\r")
+ROW_PARTS = ((ROW_LEADS, 1), (ROW_TOKENS, 4), (ROW_SEPS, 1), (ROW_TRAILS, 1), (ROW_ENDS, 1))
+ROW_TAILS = (" ", "\n", "x", "\r\n", "\t")
+
+
+def sweep_rows_text(rng, odd, depart=False):
+    """(text, n_rows) of index rows; each part is drawn from the whole of its list with chance ``odd``.
+
+    With ``depart``, one part of one line, or the shape of the whole, then
+    leaves the canonical form.
+    """
+    def pick(values, canonical):
+        return values[rng.integers(len(values) if rng.random() < odd else canonical)]
+    n_rows = int(rng.integers(0, 7))
+    lines = [[pick(ROW_LEADS, 1), [pick(ROW_TOKENS, 4) for _ in range(rng.integers(0, 6))],
+              pick(ROW_SEPS, 1), pick(ROW_TRAILS, 1), pick(ROW_ENDS, 1)] for _ in range(n_rows)]
+    shape = rng.integers(5) if depart else rng.integers(4) if rng.random() < odd else 4
+    if depart and shape == 4 and lines:
+        line = lines[rng.integers(len(lines))]
+        part = int(rng.integers(5))
+        values, canonical = ROW_PARTS[part]
+        odd_value = values[rng.integers(canonical, len(values))]
+        if part != 1:
+            line[part] = odd_value
+        elif line[1]:
+            line[1][rng.integers(len(line[1]))] = odd_value
+        else:
+            line[1] = [odd_value]
+    text = "".join(lead + sep.join(tokens) + trail + end
+                   for lead, tokens, sep, trail, end in lines)
+    if shape == 0 and text:  # a cut last line
+        text = text[:rng.integers(len(text))]
+    elif shape == 1:  # a missing line
+        n_rows += 1
+    elif shape == 2 and n_rows:  # an extra line
+        n_rows -= 1
+    elif shape == 3:  # text after the last row
+        text += rng.choice(ROW_TAILS)
+    return text, n_rows
+
+
+def read_rows_outcome(read, text, n_rows):
+    """``read``'s Rows of ``text`` as lists with their dtypes, or its ValueError's text."""
+    f = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")  # as DataFiles.open
+    try:
+        rows = read(f, "rows.txt", 5, n_rows, "user rows")
+    except ValueError as e:
+        return str(e)
+    return rows.indptr.dtype, rows.indptr.tolist(), rows.indices.dtype, rows.indices.tolist()
+
+
+@pytest.mark.parametrize("trial", range(READ_TRIALS))
+def test_read_index_rows_matches_the_per_line_reference(trial):
+    """The same Rows as the per-line reader, or the same error, canonical text or not."""
+    rng = np.random.default_rng([READ_SEED, trial])
+    for odd, depart in ((0.0, False), (0.0, True), (0.0, True), (0.2, False), (0.6, False)):
+        text, n_rows = sweep_rows_text(rng, odd, depart)
+        assert (read_rows_outcome(read_index_rows, text, n_rows)
+                == read_rows_outcome(reference_read_index_rows, text, n_rows)), repr(text)
+
+
+# One departure from the canonical form each, as (text, n_rows).
+ROW_DEPARTURES = (
+    ("1  2\n", 1), (" 1\n", 1), ("1 \n", 1), (" \n", 1), ("1\t2\n", 1), ("+1\n", 1),
+    ("-1\n", 1), ("007\n", 1), ("999999999999999999\n", 1), ("1000000000000000000\n", 1),
+    ("9223372036854775808\n", 1), ("0000000000000000007\n", 1), ("٣\n", 1), ("1_0\n", 1),
+    ("1\r\n2\n", 2), ("1\r2\n", 2), ("1\n2", 2), ("1\n", 2), ("1\n2\n", 1), ("1\n\n", 1),
+    ("1\n ", 1), ("", 0), (" ", 0), ("\n", 0), ("\n\n", 2), ("\n \n", 2),
+)
+
+
+@pytest.mark.parametrize("text, n_rows", ROW_DEPARTURES)
+def test_read_index_rows_matches_the_per_line_reference_on_each_departure(text, n_rows):
+    assert (read_rows_outcome(read_index_rows, text, n_rows)
+            == read_rows_outcome(reference_read_index_rows, text, n_rows))
+
+
+def test_the_written_form_is_read_in_one_pass():
+    """What ``write_index_rows`` writes takes the one-pass path and reads back as written."""
+    rng = np.random.default_rng(30)
+    lists = [rng.integers(0, 10 ** 18, size=rng.integers(0, 5)) for _ in range(40)]
+    lists += [np.array([], int), np.array([10 ** 18 - 1, 0])]
+    for rows in (as_rows(lists), as_rows([]), as_rows([np.array([], int)] * 3)):
+        f = io.StringIO()
+        write_index_rows(f, rows)
+        back = _canonical_rows(f.getvalue(), len(rows))
+        assert back is not None
+        assert back.indptr.dtype == back.indices.dtype == np.int64
+        np.testing.assert_array_equal(back.indptr, rows.indptr)
+        np.testing.assert_array_equal(back.indices, rows.indices)
+
+
+def regex_user_index(text, user_id):
+    """The line of the first line whose first tab is followed by exactly ``user_id``: an oracle."""
+    if "\n" in user_id:
+        return None
+    found = re.search(rf"^[^\t\n]*\t{re.escape(user_id)}(?:\n|\Z)", text, re.MULTILINE)
+    return None if found is None else text.count("\n", 0, found.start())
+
+
+# Regex metacharacters, ids holding a tab, and ids that end other ids ("id"
+# ends "x\tid" on the line before it, "d" ends "id").
+INDEXED_USER_IDS = ("a.b", "a*b", "(x)", "[0-9]+", "a\\b", "^u$", "x\tid", "id", "d", "u|v",
+                    "ü")
+UNKNOWN_USER_IDS = ("", "a", "b", ".", "x", "tab", "i", "[0-9]", "u", "v", "\t", "id\n", "x\t")
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_user_index_finds_the_line_whose_first_tab_precedes_the_id(tmp_path, cut):
+    ds = filter_iterative([(u, f"i{i}") for u in INDEXED_USER_IDS for i in range(2)],
+                          min_user=1, min_item=1)
+    save_dataset(tmp_path, ds)
+    save_folds(tmp_path, split_five_fold(ds, seed=0))
+    path = tmp_path / "user_ids.txt"
+    if cut:  # the last line without its newline
+        path.write_text(path.read_text()[:-1])
+    text = path.read_text()
+    files = DataFiles(tmp_path)
+    for u, user_id in enumerate(ds.user_ids):
+        assert regex_user_index(text, user_id) == u
+        if cut and u == ds.n_users - 1:
+            with pytest.raises(ValueError, match=f"user_ids.txt:{u + 1}: expected"):
+                files.user_index(user_id)
+        else:
+            assert files.user_index(user_id) == u
+    for user_id in UNKNOWN_USER_IDS:
+        assert regex_user_index(text, user_id) is None
+        assert files.user_index(user_id) is None

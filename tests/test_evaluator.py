@@ -4,10 +4,10 @@ import pytest
 from pmlam.data import FoldSplit
 from pmlam.distance import DistanceKind, w2_squared
 from pmlam.embeddings import GaussianEmbeddingTable
-from pmlam.evaluator import (_hit_metrics, evaluate, format_table,
+from pmlam.evaluator import (_hit_metrics, evaluate, format_table, item_side,
                              pairwise_distances, rank, top_k, write_report_csv)
 
-from helpers import random_table
+from helpers import random_table, reference_pairwise_distances, reference_top_k
 
 W2 = DistanceKind.W2_SQUARED
 
@@ -224,3 +224,35 @@ def test_report_csv_and_table(tmp_path):
         [float(cell) for cell in line.split(",")]  # plain numbers, no reprs
     table = format_table(r, title="check")
     assert "Recall@K" in table and "check" in table
+
+
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_pairwise_distances_equal_the_reference_expression_bit_for_bit(kind):
+    rng = np.random.default_rng(16)
+    users, items = random_table(300, 7, rng), random_table(90, 7, rng)
+    side = item_side(items, kind)
+    for user_idx in (None, np.sort(rng.choice(300, 40, replace=False)), np.array([17])):
+        want = reference_pairwise_distances(users, items, kind, user_idx).tobytes()
+        assert pairwise_distances(users, items, kind, user_idx=user_idx).tobytes() == want
+        if user_idx is not None:  # as evaluate calls it: shared item terms, room to spare
+            work = np.full((3, 50, items.n), np.nan)
+            got = pairwise_distances(users, items, kind, user_idx=user_idx, side=side,
+                                     work=work)
+            assert got.tobytes() == want
+
+
+def test_top_k_equals_the_reference_with_ties_at_the_kth_value():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        width = int(rng.integers(1, 40))
+        d2 = rng.random((int(rng.integers(1, 30)), width))
+        for k in (1, int(rng.integers(1, width + 1)), width, width + 3):
+            kth = np.sort(d2, axis=1)[:, min(k, width) - 1]
+            planted = d2.copy()
+            for r in np.flatnonzero(rng.random(len(d2)) < 0.5):  # ties at the k-th value
+                planted[r, rng.choice(width, int(rng.integers(1, width + 1)))] = kth[r]
+            planted[rng.random(len(d2)) < 0.2] = np.inf  # users who have seen every item
+            want = reference_top_k(planted, k)
+            np.testing.assert_array_equal(want, np.argsort(planted, axis=1, kind="stable")[:, :k])
+            got = top_k(planted, k)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
