@@ -185,18 +185,13 @@ def _queue(worker, fn, *args, **kwargs):
     return done
 
 
-def _tree_scale_diff(plus, minus, scale):
-    if isinstance(plus, dict):
-        return {k: _tree_scale_diff(plus[k], minus[k], scale) for k in plus}
-    return scale * (plus - minus)
-
-
 def darts_hypergradient(theta, v, alpha, eps_fd, grad_phi_fn, worker=None):
     """Approximate d(outer)/d(phi) through one inner gradient step.
 
     ``theta`` and ``v`` are dicts of arrays (v = outer gradient at the
     proxy); ``grad_phi_fn(theta_like)`` must return the margin-net gradient
-    of the inner objective, as a possibly nested dict. Estimates
+    of the inner objective, as a flat dict of arrays (training passes
+    :func:`phi_params`' ``<relation>.<name>`` map). Estimates
     -alpha * (d^2 inner / d phi d theta) @ v by central differences with
     step eps_fd / ||v||. An array of ``theta`` that ``v`` does not name has
     a zero direction and goes into both probes as it is. Returns None when
@@ -221,7 +216,8 @@ def darts_hypergradient(theta, v, alpha, eps_fd, grad_phi_fn, worker=None):
     minus = grad_phi_fn({**theta, **{k: theta[k] - eps * v[k] for k in v}})
     if worker is not None:
         plus = pending.result()
-    return _tree_scale_diff(plus, minus, -alpha / (2.0 * eps))
+    scale = -alpha / (2.0 * eps)
+    return {k: scale * (plus[k] - minus[k]) for k in plus}
 
 
 def phi_params(by_relation):
@@ -231,9 +227,12 @@ def phi_params(by_relation):
 
 
 def phi_step(phis, hypergrads, lam, opt):
-    """Add the 2*lam*phi decay term and take one optimizer step on all nets."""
+    """Add the 2*lam*phi decay term and take one optimizer step on all nets.
+
+    ``hypergrads`` is keyed as :func:`phi_params` keys it, or None when there is none.
+    """
     params = phi_params({rel: net.params() for rel, net in phis.items()})
-    hyper = phi_params(hypergrads or {})
+    hyper = hypergrads or {}
     grads = {}
     for key, arr in params.items():
         grads[key] = hyper[key].copy() if key in hyper else np.zeros_like(arr)
@@ -556,7 +555,7 @@ def _run_steps(setup, state, order):
             hyper = None
             outer_total = 0.0
             if phis and cfg.joint_margin_training:
-                hyper = joint
+                hyper = phi_params(joint)
             elif phis:
                 proxy_users, proxy_items = build_proxy(users, items, grads, cfg.alpha)
                 v = zero_theta_grads(users, items, kind)
@@ -570,16 +569,16 @@ def _run_steps(setup, state, order):
                                                                theta_arrays[f"{key}_sigma"])
                                         for key in ("user", "item"))
                     pool = probe_ws if plus else ws
-                    return {rel: batch_inner(batches[rel], t_users, t_items, kind, phis[rel],
-                                             grad_phi=True, ws=pool).phi_grads
-                            for rel in phis}
+                    return phi_params({rel: batch_inner(batches[rel], t_users, t_items, kind,
+                                                        phis[rel], grad_phi=True, ws=pool).phi_grads
+                                       for rel in phis})
 
                 hyper = darts_hypergradient(theta_dict(users, items), v,
                                             cfg.alpha, cfg.eps_fd, _grad_phi, worker)
 
             _check_finite(
                 "joint margin gradient" if cfg.joint_margin_training else "hypergradient",
-                [g for hg in (hyper or {}).values() for g in hg.values()],
+                (hyper or {}).values(),
                 batches, epoch, n_iter)
 
             theta_step(users, items, grads, state.opt_theta)

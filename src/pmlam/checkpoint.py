@@ -61,11 +61,12 @@ def _optimizers(state):
 def _collect_arrays(state):
     """A checkpoint of ``state``: its arrays, name -> array in file order, and optimizer data."""
     arrays = theta_dict(state.users, state.items)
-    for rel, net in state.phis.items():
-        for name, arr in net.params().items():
-            arrays[f"phi.{rel}.{name}"] = arr
+    optimizers = _optimizers(state)
+    _, phi_arrays = optimizers["phi"]
+    for key, arr in phi_arrays.items():
+        arrays[f"phi.{key}"] = arr
     opt_meta = {}
-    for tag, (opt, _) in _optimizers(state).items():
+    for tag, (opt, _) in optimizers.items():
         opt_meta[tag] = {"kind": opt.kind, "alpha": opt.alpha, "t": opt.t}
         for slot, buffers in (("m", opt.m), ("v", opt.v)):
             for name, arr in buffers.items():
@@ -237,7 +238,8 @@ def _read(path, f):
     :data:`HEADER_SCHEMA`) or names an unknown dtype, an array listed twice,
     an array directory that needs more bytes than the file has or leaves
     trailing bytes, a config key or value that
-    :func:`~pmlam.config.make_config` rejects, and a table that breaks
+    :func:`~pmlam.config.make_config` rejects, a table entry that is not
+    float64 or not the config's ``h`` columns wide, and a table that breaks
     :meth:`~pmlam.embeddings.GaussianEmbeddingTable.check`.
     """
     if f.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
@@ -254,18 +256,21 @@ def _read(path, f):
         raise ValueError(f"{path}: header is not valid JSON: {e}") from None
     _check_header(path, header)
     where = _locate(path, header["arrays"], f.tell(), file_size)
-    missing = [name for name in TABLE_ARRAYS if name not in where]
-    if missing:
-        raise ValueError(f"{path}: header has no {missing[0]!r} entry")
-    arrays = {}
-    for name in TABLE_ARRAYS:
-        offset, shape, dtype = where[name]
-        arrays[name] = np.empty(shape, dtype)
-        _read_into(path, f, offset, name, arrays[name])
     try:
         cfg = make_config(file_values=header["config"])
     except ValueError as e:
         raise ValueError(f"{path}: bad header entry 'config': {e}") from None
+    arrays = {}
+    for name in TABLE_ARRAYS:
+        if name not in where:
+            raise ValueError(f"{path}: header has no {name!r} entry")
+        offset, shape, dtype = where[name]
+        expected = (*shape[:1], cfg.h)  # save writes float64 (n, h) tables
+        if (shape, dtype) != (expected, np.float64):
+            raise ValueError(f"{path}: array {name!r} has shape {shape} and dtype {dtype}, "
+                             f"expected {expected} and float64")
+        arrays[name] = np.empty(shape, dtype)
+        _read_into(path, f, offset, name, arrays[name])
     users = GaussianEmbeddingTable(arrays["user_mu"], arrays["user_sigma"])
     items = GaussianEmbeddingTable(arrays["item_mu"], arrays["item_sigma"])
     for what, table in (("user", users), ("item", items)):
@@ -273,8 +278,6 @@ def _read(path, f):
             table.check()
         except ValueError as e:
             raise ValueError(f"{path}: {what} table: {e}") from None
-    if users.h != items.h:
-        raise ValueError(f"{path}: user rows have {users.h} dimensions, item rows {items.h}")
     return header, where, Tables(users=users, items=items, cfg=cfg,
                                  fold_index=header["fold_index"],
                                  data_sha256=header["data_sha256"])

@@ -21,7 +21,6 @@ import operator
 import os
 import stat
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -34,13 +33,6 @@ DATA_FILES = ("dataset.txt", "folds.txt", "user_ids.txt", "item_ids.txt")
 
 class ParseError(ValueError):
     """A malformed line in a ratings file, carrying its 1-based line number."""
-
-
-class RawRating(NamedTuple):
-    user_ext_id: str
-    item_ext_id: str
-    rating: float
-    timestamp: int | None = None
 
 
 @dataclass
@@ -131,75 +123,53 @@ class FoldSplit:
         self.train_rows, self.test_rows = as_rows(self.train_rows), as_rows(self.test_rows)
 
 
-def parse_line(line, line_no):
-    """One data line -> RawRating; the delimiter is whichever of tab/comma splits it."""
-    raw = line.rstrip("\n")
-    parts = raw.split("\t")
-    if len(parts) < 3:  # the split with more fields, so an error counts the fields seen
-        parts = max(parts, raw.split(","), key=len)
-    if not 3 <= len(parts) <= 4:
-        raise ParseError(f"line {line_no}: expected 3 or 4 fields, got {len(parts)}: {raw!r}")
-    user, item = parts[0].strip(), parts[1].strip()
-    if not user or not item:
-        raise ParseError(f"line {line_no}: empty user or item id")
-    try:
-        rating = float(parts[2])
-    except ValueError:
-        raise ParseError(f"line {line_no}: bad rating {parts[2]!r}") from None
-    if not math.isfinite(rating):
-        raise ParseError(f"line {line_no}: non-finite rating")
-    ts = None
-    if len(parts) == 4 and parts[3].strip():
-        try:
-            ts = int(float(parts[3]))
-        except (ValueError, OverflowError):  # int(inf) overflows
-            raise ParseError(f"line {line_no}: bad timestamp {parts[3]!r}") from None
-    return RawRating(user, item, rating, ts)
-
-
 def ingest(path, rating_threshold=4.0):
     """Read a ratings file and keep (user, item) pairs rated >= threshold.
 
-    Duplicate pairs collapse to one. A leading UTF-8 byte-order mark is
-    ignored. Raises ParseError, naming the file and line, on malformed lines
-    and ValueError on text that is not UTF-8 or when no positive survives.
+    A line holds 3 or 4 fields: user and item ids, which are stripped and
+    must be non-empty, a finite rating, and an optional timestamp, which may
+    be blank. It is split on tabs or, when that gives fewer than three
+    fields, on whichever of tabs and commas gives more. Blank lines are
+    skipped. Duplicate pairs collapse to one. A leading UTF-8 byte-order
+    mark is ignored. Raises ParseError, naming the file and line, on
+    malformed lines and ValueError on text that is not UTF-8 or when no
+    positive survives.
     """
     pairs = {}  # (user, item) -> None, in first-appearance order
     isfinite = math.isfinite
+
+    def bad(what):
+        return ParseError(f"{path}: line {line_no}: {what}")
+
     try:
         with open(path, encoding="utf-8-sig") as f:
             for line_no, line in enumerate(f, start=1):
-                # A line of 3 or 4 fields, split as parse_line splits it, that
-                # passes parse_line's checks is read here, with no call or
-                # record per line.
                 raw = line.rstrip("\n")
-                parts = raw.split("\t")
-                if len(parts) < 3:
-                    parts = raw.split(",")
-                n = len(parts)
-                if n == 3 or n == 4:
-                    user, item = parts[0].strip(), parts[1].strip()
-                    try:
-                        rating = float(parts[2])
-                        if n == 4:
-                            int(float(parts[3]))  # a blank timestamp fails too
-                    except (ValueError, OverflowError):
-                        rating = math.nan
-                    if user and item and isfinite(rating):
-                        if rating >= rating_threshold:
-                            pairs[user, item] = None
-                        continue
-                # Every other line is blank, has a blank timestamp (which
-                # parse_line accepts), or is one parse_line rejects with its
-                # message.
-                if not line.strip():
+                if not raw.strip():
                     continue
+                parts = raw.split("\t")
+                if len(parts) < 3:  # the split with more fields: an error counts those
+                    parts = max(parts, raw.split(","), key=len)
+                n = len(parts)
+                if not 3 <= n <= 4:
+                    raise bad(f"expected 3 or 4 fields, got {n}: {raw!r}")
+                user, item = parts[0].strip(), parts[1].strip()
+                if not user or not item:
+                    raise bad("empty user or item id")
                 try:
-                    r = parse_line(line, line_no)
-                except ParseError as e:
-                    raise ParseError(f"{path}: {e}") from None
-                if r.rating >= rating_threshold:
-                    pairs[r.user_ext_id, r.item_ext_id] = None
+                    rating = float(parts[2])
+                except ValueError:
+                    raise bad(f"bad rating {parts[2]!r}") from None
+                if not isfinite(rating):
+                    raise bad("non-finite rating")
+                if n == 4:
+                    try:
+                        int(float(parts[3]))
+                    except (ValueError, OverflowError):  # int(inf) overflows
+                        if parts[3].strip():  # a blank timestamp is allowed
+                            raise bad(f"bad timestamp {parts[3]!r}") from None
+                if rating >= rating_threshold:
+                    pairs[user, item] = None
     except UnicodeDecodeError:
         raise ValueError(_utf8_error(path)) from None
     if not pairs:

@@ -14,6 +14,9 @@ import numpy as np
 from .distance import SIGMA_MIN
 
 SIGMA_MAX = 1.0
+# How far past 1 a checked table's row norms may lie: flooring sigma after
+# renormalization can exceed the norm bound by O(h * SIGMA_MIN^2).
+NORM_SLACK = 1e-9
 
 # initial scales of init_table
 MU_STD = 0.01
@@ -36,7 +39,7 @@ class GaussianEmbeddingTable:
     def h(self):
         return self.mu.shape[1]
 
-    def check(self, norm_slack=1e-9):
+    def check(self):
         """Check the table invariants; raises ValueError naming the first one broken."""
         if self.mu.ndim != 2 or self.sigma.shape != self.mu.shape:
             raise ValueError(f"mu {self.mu.shape} and sigma {self.sigma.shape} are not "
@@ -44,12 +47,11 @@ class GaussianEmbeddingTable:
         if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.sigma))):
             raise ValueError("a value is not finite")
         with np.errstate(over="ignore"):  # a square that overflows is inf, and fails
-            if not np.all(np.linalg.norm(self.mu, axis=1) <= 1.0 + norm_slack):
+            if not np.all(np.linalg.norm(self.mu, axis=1) <= 1.0 + NORM_SLACK):
                 raise ValueError("a mu row lies outside the unit ball")
         if not (np.all(self.sigma >= SIGMA_MIN) and np.all(self.sigma <= SIGMA_MAX)):
             raise ValueError(f"a sigma value lies outside [{SIGMA_MIN}, {SIGMA_MAX}]")
-        # flooring after renormalization can exceed the norm bound by O(h * SIGMA_MIN^2)
-        if not np.all(np.linalg.norm(self.sigma, axis=1) <= 1.0 + norm_slack):
+        if not np.all(np.linalg.norm(self.sigma, axis=1) <= 1.0 + NORM_SLACK):
             raise ValueError("a sigma row lies outside the unit ball")
 
 

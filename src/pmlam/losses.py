@@ -46,10 +46,11 @@ after another has died goes over it:
 Those arrays are scratch: the next pass on the same pool writes over them.
 Nothing a pass returns is a view of the pool: a :class:`BatchEval`'s
 margins, active mask and margin-net gradients, and the accumulators it adds
-into, stay valid after later passes. Training draws a batch's noise
-(:meth:`TripletBatch.attach_noise`) into the pool's ``noise.<relation>.<turn>``
-buffer (:meth:`TripletBatch.noise_buffer`), so it is valid until the next
-draw into the same buffer.
+into, stay valid after later passes. A batch's noise,
+:attr:`TripletBatch.noise`, is one (3, B, h) block laid out as ``mu`` and
+``rt`` are. Training draws it (:meth:`TripletBatch.attach_noise`) into the
+pool's ``noise.<relation>.<turn>`` buffer (:meth:`TripletBatch.noise_buffer`),
+so it is valid until the next draw into the same buffer.
 """
 
 from dataclasses import dataclass, field
@@ -79,21 +80,20 @@ def selection_matrix(rows, n_rows):
 class TripletBatch:
     """Index triples for one relation, plus optional frozen sampling noise.
 
-    Noise arrays are (B, h) standard-normal draws used for the margin net's
-    reparameterized inputs; they are attached once per batch so that repeated
-    evaluations (proxy, hypergradient probes) see identical samples. They are
-    views of the array :meth:`attach_noise` drew into; in training that is a
-    pool buffer, which lives as long as the module docstring says. The
-    scatter's selection matrices are kept on the batch, which owns them.
+    ``noise`` is the (3, B, h) standard-normal block, anchor, positive and
+    negative rows in that order, for the margin net's reparameterized
+    inputs; it is attached once per batch so that repeated evaluations
+    (proxy, hypergradient probes) see identical samples. It is the array
+    :meth:`attach_noise` drew into; in training that is a pool buffer, which
+    lives as long as the module docstring says. The scatter's selection
+    matrices are kept on the batch, which owns them.
     """
 
     relation: str
     anchors: np.ndarray
     positives: np.ndarray
     negatives: np.ndarray
-    noise_anchor: np.ndarray | None = None
-    noise_pos: np.ndarray | None = None
-    noise_neg: np.ndarray | None = None
+    noise: np.ndarray | None = None
     _selection: tuple | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
@@ -136,7 +136,7 @@ class TripletBatch:
         """
         if out is None:
             out = np.empty((3, len(self), h))
-        self.noise_anchor, self.noise_pos, self.noise_neg = rng.standard_normal(out=out)
+        self.noise = rng.standard_normal(out=out)
 
 
 @dataclass
@@ -186,21 +186,21 @@ def _take_rows(anchor_table, other_table, batch, out):
 
 
 def _gather(batch, users, items, kind, ws=None):
-    """Rows one pass reads: ``(mu_a, mu_o, rt_a, rt_o, live)``.
+    """Rows one pass reads: the (3, B, h) blocks ``(mu, rt, live)``.
 
-    Anchor rows are (B, h); other-role rows are (2, B, h), positives first.
-    The means are views of the pool's (3, B, h) ``mu`` block and the roots
-    of its ``rt`` block.
-    Variances are read only for W2 (otherwise the three are None), floored
-    at SIGMA_MIN and returned as their square roots: proxy and
+    Each block holds the anchor rows, then the positive rows, then the
+    negative rows. ``mu`` is the pool's ``mu`` buffer and ``rt`` its ``rt``
+    buffer.
+    Variances are read only for W2 (otherwise ``rt`` and ``live`` are None),
+    floored at SIGMA_MIN and returned as their square roots: proxy and
     hypergradient probes evaluate at unprojected parameters where sigma may
     drift below SIGMA_MIN or negative; the floor keeps sqrt defined. The
     floor and root are taken once over each table the relation reads, into
     the pool's ``root.user`` or ``root.item`` buffer, and the roots are then
     gathered; a table has fewer entries than the rows a batch reads of it.
-    ``live`` is None when no entry of those tables is floored, else the
-    anchor and other-role rows of their masks of unfloored entries:
-    gradients w.r.t. floored coordinates are zero through the clamp.
+    ``live`` is None when no entry of those tables is floored, else the rows
+    of their masks of unfloored entries: gradients w.r.t. floored
+    coordinates are zero through the clamp.
     """
     ws = ws or BufferPool()
     tables = {"user": users, "item": items}
@@ -208,7 +208,7 @@ def _gather(batch, users, items, kind, ws=None):
     B, h = len(batch), tables[o_key].mu.shape[1]
     mu = _take_rows(tables[a_key].mu, tables[o_key].mu, batch, ws.get("mu", (3, B, h)))
     if kind is not DistanceKind.W2_SQUARED:
-        return mu[0], mu[1:], None, None, None
+        return mu, None, None
     sigmas = {key: tables[key].sigma for key in (a_key, o_key)}  # one entry for uu and ii
     roots = {}
     for key, sigma in sigmas.items():
@@ -218,29 +218,23 @@ def _gather(batch, users, items, kind, ws=None):
     live = None
     if min(sigma.min(initial=np.inf) for sigma in sigmas.values()) < SIGMA_MIN:
         masks = {key: sigma >= SIGMA_MIN for key, sigma in sigmas.items()}
-        live = (np.take(masks[a_key], batch.anchors, axis=0),
-                np.take(masks[o_key], batch.others, axis=0).reshape(2, B, h))
-    return mu[0], mu[1:], rt[0], rt[1:], live
+        live = _take_rows(masks[a_key], masks[o_key], batch, np.empty((3, B, h), bool))
+    return mu, rt, live
 
 
-def _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o):
+def _margin_inputs(batch, kind, mu, rt):
     """Embedding inputs of the margin net: sampled for Gaussian runs, means otherwise.
 
     The samples ``mu + rt * noise`` are written over the variance roots
-    ``rt_a`` and ``rt_o``, which are dead once :func:`distance.pair_rows`
-    has returned.
+    ``rt``, which are dead once :func:`distance.pair_rows` has returned.
     """
-    if kind is DistanceKind.W2_SQUARED:
-        if batch.noise_anchor is None:
-            raise ValueError("adaptive margins with Gaussian embeddings need attached noise")
-        u, vp, vn = (np.multiply(rt, noise, out=rt) for rt, noise in (
-            (rt_a, batch.noise_anchor), (rt_o[0], batch.noise_pos), (rt_o[1], batch.noise_neg)))
-        u += mu_a
-        vp += mu_o[0]
-        vn += mu_o[1]
-    else:
-        u, vp, vn = mu_a, mu_o[0], mu_o[1]
-    return u, vp, vn
+    if kind is not DistanceKind.W2_SQUARED:
+        return mu
+    if batch.noise is None:
+        raise ValueError("adaptive margins with Gaussian embeddings need attached noise")
+    np.multiply(rt, batch.noise, out=rt)
+    rt += mu
+    return rt
 
 
 def _scatter(batch, rows, w, live, grads, ws):
@@ -274,7 +268,7 @@ def _scatter(batch, rows, w, live, grads, ws):
         rows_o *= c
         if param == "sigma" and live is not None:
             rows_a *= live[0]
-            rows_o *= live[1]
+            rows_o *= live[1:]
         grads[f"{a_key}_{param}"] += sel_a @ rows_a
         grads[f"{o_key}_{param}"] += sel_o @ rows_o.reshape(-1, rows_o.shape[2])
 
@@ -290,18 +284,19 @@ def batch_inner(batch, users, items, kind, margin, grads=None, grad_phi=False, w
     """
     ws = ws or BufferPool()
     B = len(batch)
-    mu_a, mu_o, rt_a, rt_o, live = _gather(batch, users, items, kind, ws)
-    d2, rows = pair_rows(mu_a, mu_o, rt_a, rt_o, grad=grads is not None, ws=ws)
+    mu, rt, live = _gather(batch, users, items, kind, ws)
+    roots = (None, None) if rt is None else (rt[0], rt[1:])
+    d2, rows = pair_rows(mu[0], mu[1:], *roots, grad=grads is not None, ws=ws)
 
     adaptive = isinstance(margin, margin_net.MarginNetParams)
     if adaptive:
         hidden = len(margin.b1)
-        inputs = _margin_inputs(batch, kind, mu_a, rt_a, mu_o, rt_o)
+        inputs = _margin_inputs(batch, kind, mu, rt)
         # W2 inputs are samples in ``rt``, so the means are dead; Euclidean inputs are the means
         features = "mu" if kind is DistanceKind.W2_SQUARED else "features"
         s = margin_net.margin_input(
             margin.mode, *inputs,
-            out=ws.get(features, (B, margin_net.indicator_dim(margin.mode, mu_a.shape[1]))))
+            out=ws.get(features, (B, margin_net.indicator_dim(margin.mode, mu.shape[2]))))
         margins, cache = margin_net.forward(margin, s, out=ws.get("rt", (B, hidden)))
     else:
         margins = np.full(B, float(margin))

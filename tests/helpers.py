@@ -1,13 +1,15 @@
 """Shared test utilities: finite-difference and set oracles, small builders."""
 
 import hashlib
+import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
 
-from pmlam.data import (FOLDS_MAGIC, FoldSplit, InteractionDataset, Rows, _index_line, as_rows,
-                        parse_line)
+from pmlam.data import (FOLDS_MAGIC, FoldSplit, InteractionDataset, ParseError, Rows,
+                        _index_line, as_rows)
 from pmlam.distance import SIGMA_MIN, DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
 from pmlam.losses import batch_inner, zero_theta_grads
@@ -88,8 +90,41 @@ def reference_split_five_fold(ds, seed, n_folds=5):
     return splits
 
 
+class RawRating(NamedTuple):
+    user_ext_id: str
+    item_ext_id: str
+    rating: float
+    timestamp: int | None = None
+
+
+def parse_line(line, line_no):
+    """One data line -> RawRating; the delimiter is whichever of tab/comma splits it."""
+    raw = line.rstrip("\n")
+    parts = raw.split("\t")
+    if len(parts) < 3:  # the split with more fields, so an error counts the fields seen
+        parts = max(parts, raw.split(","), key=len)
+    if not 3 <= len(parts) <= 4:
+        raise ParseError(f"line {line_no}: expected 3 or 4 fields, got {len(parts)}: {raw!r}")
+    user, item = parts[0].strip(), parts[1].strip()
+    if not user or not item:
+        raise ParseError(f"line {line_no}: empty user or item id")
+    try:
+        rating = float(parts[2])
+    except ValueError:
+        raise ParseError(f"line {line_no}: bad rating {parts[2]!r}") from None
+    if not math.isfinite(rating):
+        raise ParseError(f"line {line_no}: non-finite rating")
+    ts = None
+    if len(parts) == 4 and parts[3].strip():
+        try:
+            ts = int(float(parts[3]))
+        except (ValueError, OverflowError):  # int(inf) overflows
+            raise ParseError(f"line {line_no}: bad timestamp {parts[3]!r}") from None
+    return RawRating(user, item, rating, ts)
+
+
 def reference_ingest(path, rating_threshold=4.0):
-    """``data.ingest`` as one ``parse_line`` call and record per line: its oracle.
+    """``data.ingest`` as one :func:`parse_line` call and record per line: its oracle.
 
     It reads plain UTF-8, so a byte-order mark stays in the first id, and its
     ParseError names the line but not the file.
@@ -329,9 +364,10 @@ def inner_theta_grads(batch, users, items, kind, phi):
     a_key, o_key = {"ui": ("user", "item"), "uu": ("user", "user"),
                     "ii": ("item", "item")}[batch.relation]
     a_t, o_t = tables[a_key], tables[o_key]
-    roles = ((a_key, a_t, batch.anchors, batch.noise_anchor),
-             (o_key, o_t, batch.positives, batch.noise_pos),
-             (o_key, o_t, batch.negatives, batch.noise_neg))
+    noise = (None,) * 3 if batch.noise is None else batch.noise
+    roles = ((a_key, a_t, batch.anchors, noise[0]),
+             (o_key, o_t, batch.positives, noise[1]),
+             (o_key, o_t, batch.negatives, noise[2]))
     mus = [t.mu[ids] for _, t, ids, _ in roles]
     if kind is DistanceKind.W2_SQUARED:
         raw = [t.sigma[ids] for _, t, ids, _ in roles]

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -330,6 +332,15 @@ def test_non_finite_setting_exits_2_before_training(tmp_path, capsys, flag, valu
     assert rc == 2
     assert f"error: {flag[2:].replace('-', '_')}: " in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_importing_the_package_loads_no_submodule():
+    # a command imports the submodules it runs, so the package root pulls in none
+    code = "import sys, pmlam; print(sorted(m for m in sys.modules if m.startswith('pmlam.')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def rewrite_header(ck, edit):
@@ -1174,6 +1185,42 @@ def test_a_checkpoint_that_save_would_not_write_exits_2_at_case_study(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {ck}: {message}"), err
     assert "Traceback" not in err
+
+
+def tables_as(dtype):
+    """An edit of a checkpoint file: its four tables rewritten as ``dtype``, values kept."""
+    def edit(ck):
+        blob, ranges = ck.read_bytes(), array_ranges(ck)
+        payload = [np.frombuffer(blob[a:b]).astype(dtype).tobytes()
+                   if name in checkpoint.TABLE_ARRAYS else blob[a:b]
+                   for name, (a, b) in ranges.items()]
+        ck.write_bytes(blob[:min(ranges.values())[0]] + b"".join(payload))
+
+        def retype(header):
+            for entry in header["arrays"]:
+                if entry["name"] in checkpoint.TABLE_ARRAYS:
+                    entry["dtype"] = str(np.dtype(dtype))
+
+        rewrite_header(ck, retype)
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (tables_as("float32"),
+     "array 'user_mu' has shape (20, 8) and dtype float32, expected (20, 8) and float64"),
+    (tables_as(">f8"),
+     "array 'user_mu' has shape (20, 8) and dtype >f8, expected (20, 8) and float64"),
+    (lambda ck: rewrite_header(ck, lambda header: header["config"].update(h="4")),
+     "array 'user_mu' has shape (20, 8) and dtype float64, expected (20, 4) and float64")],
+    ids=["float32-tables", "big-endian-tables", "config-h"])
+def test_tables_that_save_would_not_write_exit_2_at_evaluate_and_recommend(
+        criterion_9_run, tmp_path, capsys, edit, message):
+    d, ck = own_copy(tmp_path, criterion_9_run)
+    edit(ck)
+    capsys.readouterr()
+    for argv in (["evaluate", str(d), str(ck)], ["recommend", str(d), str(ck), "u0"]):
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr().err == f"error: {ck}: {message}\n"
 
 
 @pytest.mark.parametrize("header_len", [2 ** 64 - 1, 2 ** 40])

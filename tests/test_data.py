@@ -10,7 +10,7 @@ import pytest
 from pmlam.cli import main
 from pmlam.data import (DataFiles, InteractionDataset, ParseError, Rows, _canonical_rows,
                         as_rows, atomic_write, filter_iterative, first_row_not_increasing,
-                        ingest, load_dataset, load_folds, parse_line, read_index_rows,
+                        ingest, load_dataset, load_folds, read_index_rows,
                         save_dataset, save_folds, split_five_fold, write_index_rows)
 from pmlam.synth import planted_clusters
 
@@ -78,28 +78,35 @@ def test_ingest_no_positives(tmp_path):
         ingest(path)
 
 
-def test_parse_line_rejects_empty_ids_and_bad_values():
-    with pytest.raises(ParseError):
-        parse_line("\tx\t4", 1)
-    with pytest.raises(ParseError):
-        parse_line("a\tx\tnan", 1)
-    with pytest.raises(ParseError):
-        parse_line("a\tx\t4\tlater", 1)
-    r = parse_line("a\tx\t4\t123", 7)
-    assert r.timestamp == 123
+def one_line_file(tmp_path, line):
+    """A ratings file in ``tmp_path`` that holds ``line`` alone."""
+    path = tmp_path / "one.tsv"
+    path.write_text(line)
+    return path
+
+
+def test_parse_line_rejects_empty_ids_and_bad_values(tmp_path):
+    for line, what in (("\tx\t4", "empty user or item id"), ("a\tx\tnan", "non-finite rating"),
+                       ("a\tx\t4\tlater", "bad timestamp 'later'")):
+        path = one_line_file(tmp_path, line)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: line 1: {what}')}$"):
+            ingest(path)
+    assert ingest(one_line_file(tmp_path, "a\tx\t4\t123")) == [("a", "x")]
 
 
 @pytest.mark.parametrize("line, fields", [("u10\ti1", 2), ("a,b", 2), ("a", 1),
                                           ("a\tb,c,d,e,f", 5), ("a\tb\tc\td\te", 5)])
-def test_parse_line_counts_the_fields_of_the_split_that_gives_more(line, fields):
-    message = f"line 4: expected 3 or 4 fields, got {fields}: {line!r}"
+def test_parse_line_counts_the_fields_of_the_split_that_gives_more(tmp_path, line, fields):
+    path = one_line_file(tmp_path, line + "\n")
+    message = f"{path}: line 1: expected 3 or 4 fields, got {fields}: {line!r}"
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
-        parse_line(line + "\n", 4)
+        ingest(path)
 
 
-def test_parse_line_rejects_an_infinite_timestamp():
-    with pytest.raises(ParseError, match="line 3: bad timestamp 'inf'"):
-        parse_line("a\tx\t4\tinf", 3)
+def test_parse_line_rejects_an_infinite_timestamp(tmp_path):
+    path = one_line_file(tmp_path, "a\tx\t4\tinf")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 1: bad timestamp 'inf'"):
+        ingest(path)
 
 
 def test_ingest_ignores_a_leading_byte_order_mark(tmp_path):

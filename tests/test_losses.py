@@ -40,9 +40,9 @@ def make_batch(relation, rng, n_anchor, n_other, rows=8, h=None):
 
 def hinge_arguments(batch, users, items, kind, margins):
     from pmlam.losses import _gather
-    mu_a, (mu_p, mu_n), rt_a, rt_o, _ = _gather(batch, users, items, kind)
+    (mu_a, mu_p, mu_n), rt, _ = _gather(batch, users, items, kind)
     if kind is W2:
-        rt_p, rt_n = rt_o
+        rt_a, rt_p, rt_n = rt
         d2p = np.sum((mu_a - mu_p) ** 2, 1) + np.sum((rt_a - rt_p) ** 2, 1)
         d2n = np.sum((mu_a - mu_n) ** 2, 1) + np.sum((rt_a - rt_n) ** 2, 1)
     else:
@@ -206,7 +206,8 @@ def test_w2_gather_floors_and_roots_like_a_per_row_reference(relation):
     n_anchor, n_other = {"ui": (5, 6), "uu": (5, 5), "ii": (6, 6)}[relation]
     b = make_batch(relation, rng, n_anchor, n_other, rows=40)
     a_t, o_t = {"ui": (users, items), "uu": (users, users), "ii": (items, items)}[relation]
-    mu_a, mu_o, rt_a, rt_o, live = _gather(b, users, items, W2, BufferPool())
+    mu, rt, live = _gather(b, users, items, W2, BufferPool())
+    mu_a, mu_o, rt_a, rt_o = mu[0], mu[1:], rt[0], rt[1:]
     np.testing.assert_array_equal(mu_a, a_t.mu[b.anchors])
     np.testing.assert_array_equal(mu_o, np.stack([o_t.mu[b.positives], o_t.mu[b.negatives]]))
     np.testing.assert_array_equal(rt_a, np.sqrt(np.maximum(a_t.sigma[b.anchors], SIGMA_MIN)))
@@ -215,11 +216,11 @@ def test_w2_gather_floors_and_roots_like_a_per_row_reference(relation):
     assert live is not None
     np.testing.assert_array_equal(live[0], a_t.sigma[b.anchors] >= SIGMA_MIN)
     np.testing.assert_array_equal(
-        live[1], np.stack([o_t.sigma[b.positives], o_t.sigma[b.negatives]]) >= SIGMA_MIN)
-    assert not live[0].all() or not live[1].all()
+        live[1:], np.stack([o_t.sigma[b.positives], o_t.sigma[b.negatives]]) >= SIGMA_MIN)
+    assert not live[0].all() or not live[1:].all()
     # tables with no floored entry give no mask
     clean_users, clean_items, _ = toy_setup(23, n_users=5, n_items=6, h=3)
-    assert _gather(b, clean_users, clean_items, W2)[4] is None
+    assert _gather(b, clean_users, clean_items, W2)[2] is None
 
 
 def test_gradient_accumulates_into_supplied_buffers():
@@ -389,8 +390,8 @@ def test_a_reused_pool_gives_the_results_of_fresh_calls(name, kind):
 def unpooled_margins(b, users, items, kind, net):
     """The margins of a pass over ``b``, from the tables and noise, with no pool."""
     a_table, o_table = {"ui": (users, items), "uu": (users, users), "ii": (items, items)}[b.relation]
-    rows = ((a_table, b.anchors, b.noise_anchor), (o_table, b.positives, b.noise_pos),
-            (o_table, b.negatives, b.noise_neg))
+    rows = ((a_table, b.anchors, b.noise[0]), (o_table, b.positives, b.noise[1]),
+            (o_table, b.negatives, b.noise[2]))
     if kind is W2:
         inputs = [t.mu[r] + np.sqrt(np.maximum(t.sigma[r], SIGMA_MIN)) * noise
                   for t, r, noise in rows]
@@ -465,9 +466,9 @@ def test_attach_noise_into_a_pool_draws_the_numbers_of_three_draws():
         b = make_batch("ii", np.random.default_rng(rows), 6, 6, rows=rows)
         pooled_rng, fresh_rng, rng = (np.random.default_rng(rows) for _ in range(3))
         b.attach_noise(4, pooled_rng, b.noise_buffer(ws, 4))
-        pooled = (b.noise_anchor, b.noise_pos, b.noise_neg)
+        pooled = b.noise
         b.attach_noise(4, fresh_rng)
-        fresh = (b.noise_anchor, b.noise_pos, b.noise_neg)
+        fresh = b.noise
         for got, unpooled in zip(pooled, fresh):
             want = rng.standard_normal((rows, 4))
             np.testing.assert_array_equal(got, want)
