@@ -6,7 +6,7 @@ import pytest
 
 from pmlam import checkpoint
 
-from golden_runs import FILES, GOLDEN_DIR, RUNS, produce
+from golden_runs import FILES, GOLDEN_DIR, PREPARE_PIN, RUNS, produce, produce_prepare
 
 
 @pytest.fixture(scope="module")
@@ -39,3 +39,11 @@ def test_a_loaded_checkpoint_saves_as_the_same_bytes(runs, tmp_path, name):
     tables, state = checkpoint.load(ckpt)
     checkpoint.save(tmp_path / "again.bin", state, tables.data_sha256, tables.fold_index)
     assert (tmp_path / "again.bin").read_bytes() == ckpt.read_bytes()
+
+
+def test_prepare_output_is_pinned(tmp_path):
+    with open(PREPARE_PIN) as f:
+        expect = f.read()
+    assert produce_prepare(str(tmp_path)) == expect, (
+        "prepare's files differ from tests/golden/prepare.sha256; if the change is "
+        "meant, rerun tests/golden_runs.py and report the values")
