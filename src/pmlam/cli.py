@@ -80,8 +80,8 @@ def _at_least(flag, value, low):
 
 def cmd_prepare(args):
     _at_least("--seed", args.seed, 0)
-    pairs = data.ingest(args.ratings, rating_threshold=args.rating_threshold)
-    ds = data.filter_iterative(pairs, min_user=args.min_user, min_item=args.min_item)
+    users, items = data.ingest(args.ratings, rating_threshold=args.rating_threshold)
+    ds = data.filter_iterative(users, items, min_user=args.min_user, min_item=args.min_item)
     ds.check()
     folds = data.split_five_fold(ds, args.seed)
     data.save_dataset(args.out_dir, ds)

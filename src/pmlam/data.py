@@ -4,6 +4,11 @@ Raw rating files (tab- or comma-separated ``user, item, rating[, timestamp]``)
 are converted to binary positives by thresholding the rating, filtered
 iteratively until every user and item clears its minimum interaction count,
 reindexed densely, and split per user into five folds for cross-validation.
+Each step works on whole columns: :func:`ingest` checks the file a block of
+lines at a time and returns the id columns of its positive lines, repeats
+kept; :func:`filter_iterative` takes those columns and counts a repeated pair
+once; :func:`write_index_rows` lays out the row text of ``dataset.txt`` and
+``folds.txt`` in one byte buffer.
 Folds are one label per interaction in the dataset's row order, as in
 ``folds.txt``; :class:`Folds` builds only the :class:`FoldSplit` asked for.
 Every per-entity index list (a user's items, an entity's neighbors, an
@@ -123,58 +128,167 @@ class FoldSplit:
         self.train_rows, self.test_rows = as_rows(self.train_rows), as_rows(self.test_rows)
 
 
+# Characters ``ingest`` reads at a time; each block is finished to a line end.
+INGEST_BLOCK = 1 << 20
+
+# The message of each of ``ingest``'s checks, by number; a line's check is the
+# first it fails, in this order, and 0 if it passes them all.
+_CHECK_MESSAGES = (None, "expected 3 or 4 fields, got {n}: {raw!r}",
+                   "empty user or item id", "bad rating {rating!r}", "non-finite rating",
+                   "bad timestamp {stamp!r}")
+
+
 def ingest(path, rating_threshold=4.0):
-    """Read a ratings file and keep (user, item) pairs rated >= threshold.
+    """The ``(users, items)`` id columns of the lines rated >= threshold, in file order.
 
     A line holds 3 or 4 fields: user and item ids, which are stripped and
     must be non-empty, a finite rating, and an optional timestamp, which may
     be blank. It is split on tabs or, when that gives fewer than three
     fields, on whichever of tabs and commas gives more. Blank lines are
-    skipped. Duplicate pairs collapse to one. A leading UTF-8 byte-order
-    mark is ignored. Raises ParseError, naming the file and line, on
-    malformed lines and ValueError on text that is not UTF-8 or when no
-    positive survives.
+    skipped. A repeated pair is kept as often as its lines are; filtering
+    counts it once. A leading UTF-8 byte-order mark is ignored. Raises
+    ParseError, naming the file and line, on malformed lines and ValueError
+    on text that is not UTF-8 or when no positive survives.
+
+    The file is read in blocks of :data:`INGEST_BLOCK` characters, each
+    finished to a line end, and each block is checked as columns. Text that
+    is not UTF-8 anywhere in a block is reported before a malformed line in
+    it.
     """
-    pairs = {}  # (user, item) -> None, in first-appearance order
-    isfinite = math.isfinite
-
-    def bad(what):
-        return ParseError(f"{path}: line {line_no}: {what}")
-
+    users, items = [], []
+    line_no = 0  # the lines of the blocks before this one
     try:
         with open(path, encoding="utf-8-sig") as f:
-            for line_no, line in enumerate(f, start=1):
-                raw = line.rstrip("\n")
-                if not raw.strip():
-                    continue
-                parts = raw.split("\t")
-                if len(parts) < 3:  # the split with more fields: an error counts those
-                    parts = max(parts, raw.split(","), key=len)
-                n = len(parts)
-                if not 3 <= n <= 4:
-                    raise bad(f"expected 3 or 4 fields, got {n}: {raw!r}")
-                user, item = parts[0].strip(), parts[1].strip()
-                if not user or not item:
-                    raise bad("empty user or item id")
-                try:
-                    rating = float(parts[2])
-                except ValueError:
-                    raise bad(f"bad rating {parts[2]!r}") from None
-                if not isfinite(rating):
-                    raise bad("non-finite rating")
-                if n == 4:
-                    try:
-                        int(float(parts[3]))
-                    except (ValueError, OverflowError):  # int(inf) overflows
-                        if parts[3].strip():  # a blank timestamp is allowed
-                            raise bad(f"bad timestamp {parts[3]!r}") from None
-                if rating >= rating_threshold:
-                    pairs[user, item] = None
+            while block := f.read(INGEST_BLOCK):
+                block += f.readline()
+                lines = block.split("\n")  # not splitlines: a line may hold "\x85"
+                if block.endswith("\n"):
+                    lines.pop()
+                check, by_tab, user, item, rating = _check_lines(block, lines)
+                bad = np.flatnonzero(check)
+                held = _not_blank(lines, bad)  # a blank line is skipped
+                if held.any():
+                    k = bad[held.argmax()]
+                    raise _parse_error(path, line_no + k + 1, lines[k], check[k], by_tab[k])
+                positive = (rating >= rating_threshold).tolist()  # NaN, as fails get, is not
+                users += itertools.compress(user, positive)
+                items += itertools.compress(item, positive)
+                line_no += len(lines)
     except UnicodeDecodeError:
         raise ValueError(_utf8_error(path)) from None
-    if not pairs:
+    if not users:
         raise ValueError(f"{path}: no positives at rating threshold {rating_threshold}")
-    return list(pairs)
+    return users, items
+
+
+def _check_lines(block, lines):
+    """``ingest``'s checks on the ``lines`` of ``block``, as columns, one entry per line.
+
+    Returns each line's check number, whether it splits on tabs, its stripped
+    user and item ids (lists), and its rating (NaN where it fails a check).
+    """
+    n_tab, n_comma = _separator_counts(block, len(lines))
+    by_tab = (n_tab >= 2) | (n_tab >= n_comma)  # tabs give 3 fields, or win a tie
+    n_fields = np.where(by_tab, n_tab, n_comma) + 1
+    split = (n_fields >= 3) & (n_fields <= 4)
+    check = np.where(split, 0, 1).astype(np.int8)
+    user, item, ratings, stamps = _field_columns(lines, by_tab, n_fields, split)
+    user, item = list(map(str.strip, user)), list(map(str.strip, item))
+    if "" in user or "" in item:  # as they are on a line that is not split
+        check[split & ~np.fromiter(map(all, zip(user, item)), bool, len(lines))] = 2
+    rating, rejected = _floats(ratings, check == 0)
+    check[rejected] = 3
+    check[(check == 0) & ~np.isfinite(rating)] = 4
+    timed = (check == 0) & (n_fields == 4)
+    if timed.any():
+        given = timed & np.fromiter(map(bool, stamps), bool, len(lines))
+        stamp, rejected = _floats(stamps, given)
+        bad = given & ~np.isfinite(stamp)
+        rejected = np.flatnonzero(rejected)
+        bad[rejected] = _not_blank(stamps, rejected)  # a blank timestamp is allowed
+        check[bad] = 5
+    rating[check != 0] = np.nan
+    return check, by_tab, user, item, rating
+
+
+def _field_columns(lines, by_tab, n_fields, split):
+    """The user, item, rating and timestamp fields of each line, as four lists.
+
+    A line that is not ``split`` gets "" for each, and a line of three fields
+    gets "" for its timestamp. The fields of each separator's lines come from
+    one split of those lines joined by it.
+    """
+    groups = []
+    for sep, group in (("\t", by_tab), (",", ~by_tab)):
+        rows = np.flatnonzero(group & split)
+        if not rows.size:
+            continue
+        n = n_fields[rows]
+        joined = lines if rows.size == len(lines) else map(lines.__getitem__, rows.tolist())
+        pieces = sep.join(joined).split(sep)
+        if (n == n[0]).all():  # each line's fields in turn: every n-th piece
+            cols = [pieces[j::n[0]] for j in range(n[0])]
+            cols += [[""] * rows.size] * (4 - n[0])
+        else:
+            pieces = np.array(pieces + [""], object)  # the last: the field a line lacks
+            first = np.cumsum(n) - n
+            cols = [pieces[np.where(n > j, first + j, -1)].tolist() for j in range(4)]
+        groups.append((rows, cols))
+    if len(groups) == 1 and len(groups[0][0]) == len(lines):
+        return groups[0][1]
+    out = np.full((4, len(lines)), "", object)
+    for rows, cols in groups:
+        out[:, rows] = cols
+    return out.tolist()
+
+
+def _separator_counts(block, n_lines):
+    """The tabs and the commas on each of the ``n_lines`` lines of ``block``.
+
+    They are counted in its UTF-8 bytes, where a tab or comma byte is never
+    part of a longer character.
+    """
+    text = np.frombuffer(block.encode(), np.uint8)
+    ends = np.append(np.flatnonzero(text == ord("\n")), len(text))[:n_lines]
+    return tuple(np.diff(np.searchsorted(np.flatnonzero(text == ord(sep)), ends), prepend=0)
+                 for sep in "\t,")
+
+
+def _not_blank(strings, at):
+    """Whether each of the ``strings`` at the indices ``at`` holds more than white space."""
+    texts = map(strings.__getitem__, at.tolist())
+    return np.fromiter(map(bool, map(str.strip, texts)), bool, len(at))
+
+
+def _floats(values, take):
+    """``float`` of each of ``values`` in mask ``take``, NaN elsewhere, and the mask it rejects.
+
+    The values are converted in ``map`` runs, one more after each rejected one.
+    """
+    rows = np.flatnonzero(take)
+    taken = iter(values if rows.size == len(values)
+                 else map(values.__getitem__, rows.tolist()))
+    out, rejected = [], []
+    while True:
+        try:  # extend keeps what it appended before the raise
+            out.extend(map(float, taken))
+            break
+        except ValueError:
+            rejected.append(len(out))
+            out.append(math.nan)
+    value = np.full(len(values), np.nan)
+    value[rows] = out
+    mask = np.zeros(len(values), bool)
+    mask[rows[rejected]] = True
+    return value, mask
+
+
+def _parse_error(path, line_no, raw, check, by_tab):
+    """The ParseError of line ``line_no``, text ``raw``, that fails check ``check``."""
+    parts = raw.split("\t" if by_tab else ",")
+    what = _CHECK_MESSAGES[check].format(n=len(parts), raw=raw,
+                                         **dict(zip(("user", "item", "rating", "stamp"), parts)))
+    return ParseError(f"{path}: line {line_no}: {what}")
 
 
 def _utf8_error(path):
@@ -192,18 +306,19 @@ def _utf8_error(path):
     return f"{path}: invalid UTF-8"
 
 
-def filter_iterative(pairs, min_user=10, min_item=5):
+def filter_iterative(users, items, min_user=10, min_item=5):
     """Drop light users/items to a fixed point, then reindex densely.
 
-    Removing an item can push a user below the threshold and vice versa, so
-    the two filters are interleaved until nothing changes. Duplicate pairs
-    count once. External ids keep their first-appearance order in the
-    surviving pair list.
+    ``users`` and ``items`` are the id columns of the pairs, as
+    :func:`ingest` returns them. Removing an item can push a user below the
+    threshold and vice versa, so the two filters are interleaved until
+    nothing changes. A repeated pair counts once. External ids keep their
+    first-appearance order in the surviving pairs.
     """
     if min_user < 1 or min_item < 1:
         raise ValueError("minimum interaction counts must be >= 1")
-    u, user_ids = _first_appearance_index([p[0] for p in pairs])
-    i, item_ids = _first_appearance_index([p[1] for p in pairs])
+    u, user_ids = _first_appearance_index(users)
+    i, item_ids = _first_appearance_index(items)
     first = np.sort(np.unique(u * len(item_ids) + i, return_index=True)[1])
     u, i = u[first], i[first]  # one pair per (user, item), in first-appearance order
     while True:
@@ -378,9 +493,29 @@ def header_value(f, path, line_no, name):
 
 
 def write_index_rows(f, rows):
-    """One line of space-separated integers per row: what :func:`read_index_rows` reads."""
-    for row in rows:
-        f.write(" ".join(map(str, row.tolist())) + "\n")
+    """One line of space-separated integers per row: what :func:`read_index_rows` reads.
+
+    The values must not be negative. The text is laid out in one byte buffer,
+    the inverse of :func:`_canonical_rows`: each number's digits, then a
+    space, or the newline that ends its row; an empty row is a newline alone.
+    """
+    values = rows.indices
+    if values.size and values.min() < 0:
+        raise ValueError(f"cannot write the negative index {values.min()}")
+    digits = 1 + np.searchsorted(_POWERS_OF_10, values, side="right")
+    taken = np.concatenate([[0], np.cumsum(digits + 1)])  # bytes of the numbers before
+    empty = rows.lens() == 0
+    before = np.cumsum(empty) - empty  # the empty rows before each row, a byte each
+    start = taken[:-1] + np.repeat(before, rows.lens())
+    buf = np.full(taken[-1] + np.count_nonzero(empty), ord(" "), np.uint8)
+    buf[(taken[rows.indptr[:-1]] + before)[empty]] = ord("\n")
+    buf[(start + digits)[rows.indptr[1:][~empty] - 1]] = ord("\n")  # after a row's last
+    at = start + digits - 1  # each number's last digit, then the one before it
+    while values.size:
+        buf[at] = ord("0") + values % 10
+        more = values >= 10
+        values, at = values[more] // 10, at[more] - 1
+    f.write(buf.tobytes().decode("ascii"))
 
 
 def read_index_rows(f, path, first_line, n_rows, what):
@@ -410,6 +545,7 @@ _DIGIT, _SPACE, _NEWLINE, _OTHER = range(4)
 _BYTE_CLASS = bytes(_DIGIT if 48 <= b <= 57 else _SPACE if b == 32 else
                     _NEWLINE if b == 10 else _OTHER for b in range(256))
 _MAX_DIGITS = 18  # every number of 18 digits fits in an int64
+_POWERS_OF_10 = 10 ** np.arange(1, 19, dtype=np.int64)  # a number >= 10**k has > k digits
 
 
 def _canonical_rows(text, n_rows):
@@ -488,20 +624,41 @@ def first_row_not_increasing(rows):
 
 
 def _load_ids(files, name, expected):
-    """Read id sidecar ``name``: line ``i + 1`` is ``i<TAB><id>``, ids non-empty and unique."""
+    """Read id sidecar ``name``: line ``i + 1`` is ``i<TAB><id>``, ids non-empty and unique.
+
+    Every line is checked at once; only when a check fails is the first line
+    at fault looked for, to name it.
+    """
     path = files.path(name)
-    line_of = {}  # id -> its line number, in file order
     with files.open(name) as f:
-        for pos, line in enumerate(f):
-            ext = _id_line(line, path, pos)
-            if ext in line_of:
-                raise ValueError(f"{path}:{pos + 1}: id {ext!r} repeats line "
-                                 f"{line_of[ext]}")
-            line_of[ext] = pos + 1
-    ids = list(line_of)
+        lines = f.read().split("\n")
+    cut = lines.pop()  # the text after the last newline: a line cut short, or nothing
+    prefixes = list(map("{}\t".format, range(len(lines))))
+    ids = list(map(str.removeprefix, lines, prefixes))
+    if (cut or not all(map(str.startswith, lines, prefixes)) or not all(ids)
+            or len(set(ids)) < len(ids)):
+        raise ValueError(_id_lines_error(path, lines, prefixes, ids))
     if len(ids) != expected:
         raise ValueError(f"{path}: expected {expected} ids, found {len(ids)}")
     return ids
+
+
+def _id_lines_error(path, lines, prefixes, ids):
+    """The message for the first sidecar line that breaks its form or repeats an id.
+
+    With no such line among the complete ``lines``, the fault is the cut line
+    after them.
+    """
+    n = len(lines)
+    held = (np.fromiter(map(str.startswith, lines, prefixes), bool, n)
+            & np.fromiter(map(bool, ids), bool, n))
+    line_of = dict(zip(reversed(ids), range(n, 0, -1)))  # id -> the first line holding it
+    seen = np.fromiter(map(line_of.__getitem__, ids), np.int64, n) <= np.arange(n)
+    bad = np.flatnonzero(~held | seen)
+    pos = bad[0] if bad.size else n
+    if pos < n and held[pos]:
+        return f"{path}:{pos + 1}: id {ids[pos]!r} repeats line {line_of[ids[pos]]}"
+    return f"{path}:{pos + 1}: expected '{pos}<TAB><id>'"
 
 
 def _id_line(line, path, pos):

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import expit
 
 from pmlam.data import (FOLDS_MAGIC, FoldSplit, InteractionDataset, ParseError, Rows,
-                        _index_line, as_rows)
+                        _id_line, _index_line, as_rows, filter_iterative)
 from pmlam.distance import SIGMA_MIN, DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
 from pmlam.losses import batch_inner, zero_theta_grads
@@ -142,6 +142,23 @@ def reference_ingest(path, rating_threshold=4.0):
     return list(pairs)
 
 
+def reference_load_ids(files, name, expected):
+    """``data._load_ids`` as one ``_id_line`` call and dict insert per line: its oracle."""
+    path = files.path(name)
+    line_of = {}  # id -> its line number, in file order
+    with files.open(name) as f:
+        for pos, line in enumerate(f):
+            ext = _id_line(line, path, pos)
+            if ext in line_of:
+                raise ValueError(f"{path}:{pos + 1}: id {ext!r} repeats line "
+                                 f"{line_of[ext]}")
+            line_of[ext] = pos + 1
+    ids = list(line_of)
+    if len(ids) != expected:
+        raise ValueError(f"{path}: expected {expected} ids, found {len(ids)}")
+    return ids
+
+
 DAMAGES = ("bit flip", "set byte", "cut", "duplicated line", "deleted line")
 
 
@@ -228,6 +245,11 @@ def reference_transpose_rows(rows, n_cols):
         for c in row:
             cols[c].append(r_idx)
     return [np.array(sorted(c), dtype=np.int64) for c in cols]
+
+
+def filter_pairs(pairs, min_user=10, min_item=5):
+    """``data.filter_iterative`` of a list of ``(user, item)`` pairs, given as its two columns."""
+    return filter_iterative([u for u, _ in pairs], [i for _, i in pairs], min_user, min_item)
 
 
 def reference_filter_iterative(pairs, min_user=10, min_item=5):

@@ -414,8 +414,7 @@ def test_criterion_7_movielens_ablation():
     if not os.path.exists(path):
         pytest.skip(f"MovieLens-100K ratings not found; place u.data at "
                     f"{ML100K_DEFAULT} or set ${ML100K_ENV}")
-    pairs = ingest(path, rating_threshold=4.0)
-    ds = filter_iterative(pairs, min_user=10, min_item=5)
+    ds = filter_iterative(*ingest(path, rating_threshold=4.0), min_user=10, min_item=5)
     fold = split_five_fold(ds, seed=0)[0]
     means = run_ablation(ds, fold, (1, 2, 3, 6, 8), (0, 1, 2),
                          epochs=60, sim_threshold=0.4)

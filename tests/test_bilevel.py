@@ -20,7 +20,7 @@ from pmlam import checkpoint
 from pmlam.checkpoint import _collect_arrays
 from pmlam.cli import _config_from_args, build_parser
 from pmlam.config import make_config
-from pmlam.data import FoldSplit, filter_iterative, split_five_fold
+from pmlam.data import FoldSplit, split_five_fold
 from pmlam.distance import DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
 from pmlam.losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
@@ -28,7 +28,7 @@ from pmlam.margin_net import init_margin_net
 from pmlam.synth import planted_clusters
 
 import golden_runs
-from helpers import (ReferenceAdam, Sgd, inner_theta_grads, random_table,
+from helpers import (ReferenceAdam, Sgd, filter_pairs, inner_theta_grads, random_table,
                      reference_exclusions, reference_transpose_rows)
 
 W2 = DistanceKind.W2_SQUARED
@@ -505,8 +505,8 @@ def test_blas_threads_reads_the_count_openblas_runs(threads):
 def test_relation_with_only_empty_pools_adds_no_loss():
     # identical training rows make every user a neighbor of every other, so
     # every uu pool is empty and every uu batch has no rows
-    ds = filter_iterative([(f"u{u}", f"i{i}") for u in range(4) for i in range(6)],
-                          min_user=1, min_item=1)
+    ds = filter_pairs([(f"u{u}", f"i{i}") for u in range(4) for i in range(6)],
+                      min_user=1, min_item=1)
     fold = FoldSplit(fold_index=0, train_rows=[np.arange(3)] * 4,
                      test_rows=[np.array([3])] * 4)
     result = train(ds, fold, quick_config(relations=("ui", "uu"), epochs=2))

@@ -7,15 +7,18 @@ import stat
 import numpy as np
 import pytest
 
+from pmlam import data
 from pmlam.cli import main
 from pmlam.data import (DataFiles, InteractionDataset, ParseError, Rows, _canonical_rows,
-                        as_rows, atomic_write, filter_iterative, first_row_not_increasing,
+                        _load_ids,
+                        as_rows, atomic_write, first_row_not_increasing,
                         ingest, load_dataset, load_folds, read_index_rows,
                         save_dataset, save_folds, split_five_fold, write_index_rows)
 from pmlam.synth import planted_clusters
 
-from helpers import (DAMAGES, damage, dataset_digest, reference_filter_iterative,
-                     reference_folds_text, reference_ingest, reference_read_index_rows,
+from helpers import (DAMAGES, damage, dataset_digest, filter_pairs, reference_filter_iterative,
+                     reference_folds_text, reference_ingest, reference_load_ids,
+                     reference_read_index_rows,
                      reference_split_five_fold, reference_transpose_rows)
 
 
@@ -44,6 +47,12 @@ def brute_force_filter(pairs, min_user, min_item):
             pairs = {(u, i) for u, i in pairs if i != bad_item}
 
 
+def ingest_pairs(path, rating_threshold=4.0):
+    """``ingest``'s id columns read as their distinct pairs, in first-appearance order."""
+    users, items = ingest(path, rating_threshold=rating_threshold)
+    return list(dict.fromkeys(zip(users, items)))
+
+
 def test_ingest_threshold_and_dedup(tmp_path):
     path = tmp_path / "ratings.tsv"
     write_ratings(path, [
@@ -51,14 +60,20 @@ def test_ingest_threshold_and_dedup(tmp_path):
         ("a", "x", 4.5, 103),  # duplicate pair, still one positive
         ("c", "z", 2, 104),
     ])
-    pairs = ingest(path, rating_threshold=4.0)
+    pairs = ingest_pairs(path, rating_threshold=4.0)
     assert pairs == [("a", "x"), ("b", "x")]
+
+
+def test_ingest_returns_the_id_columns_of_positive_lines_with_repeats_kept(tmp_path):
+    path = tmp_path / "ratings.tsv"
+    path.write_text("a\tx\t5\n b \t y \t4\nc\tz\t1\n\na\tx\t4.5\n")
+    assert ingest(path) == (["a", "b", "a"], ["x", "y", "x"])
 
 
 def test_ingest_comma_separated_without_timestamp(tmp_path):
     path = tmp_path / "ratings.csv"
     write_ratings(path, [("u1", "i1", 4), ("u2", "i2", 4)], sep=",")
-    assert ingest(path) == [("u1", "i1"), ("u2", "i2")]
+    assert ingest_pairs(path) == [("u1", "i1"), ("u2", "i2")]
 
 
 def test_ingest_parse_error_carries_line_number(tmp_path):
@@ -91,7 +106,7 @@ def test_parse_line_rejects_empty_ids_and_bad_values(tmp_path):
         path = one_line_file(tmp_path, line)
         with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: line 1: {what}')}$"):
             ingest(path)
-    assert ingest(one_line_file(tmp_path, "a\tx\t4\t123")) == [("a", "x")]
+    assert ingest_pairs(one_line_file(tmp_path, "a\tx\t4\t123")) == [("a", "x")]
 
 
 @pytest.mark.parametrize("line, fields", [("u10\ti1", 2), ("a,b", 2), ("a", 1),
@@ -115,7 +130,8 @@ def test_ingest_ignores_a_leading_byte_order_mark(tmp_path):
     plain.write_bytes(text)
     marked.write_bytes(b"\xef\xbb\xbf" + text)
     # only the leading mark goes: one later in the file stays in its id
-    assert ingest(marked) == ingest(plain) == [("u0", "i1"), ("u0", "i2"), ("\ufeffu0", "i3")]
+    assert ingest_pairs(marked) == ingest_pairs(plain) == [
+        ("u0", "i1"), ("u0", "i2"), ("\ufeffu0", "i3")]
 
 
 def test_ingest_parse_error_names_the_file(tmp_path):
@@ -138,7 +154,11 @@ def test_prepare_names_the_file_and_first_bad_byte_of_invalid_utf8(tmp_path):
 
 
 # Field values for the differential sweep: each list's first entries are good.
-SWEEP_IDS = ("u1", "u2", "i7", "x", " u1 ", "", " ", "\t")
+# Ids past ASCII, ids padded with Unicode spaces and ids holding characters
+# that str.splitlines breaks at but a file's lines do not.
+SWEEP_IDS = ("u1", "u2", "i7", "x", "é", "用户", "u\x851", "i\u20282",
+             " u1 ", "\xa0u1\u3000", "i,7", "", " ", "\t")
+SWEEP_BLANKS = ("  ", " \t ", "\t\t", "\x85", "\u3000 ")
 SWEEP_RATINGS = ("5", "4", "4.0", " 4 ", "1_0", "3", "2.5", "nan", "inf", "-inf", "four", "")
 SWEEP_STAMPS = ("881250949", " 12 ", "1e3", "", " ", "inf", "nan", "later")
 SWEEP_SEED = 23
@@ -153,8 +173,8 @@ def sweep_line(rng, bad):
     if form == 0:
         return ""
     if form == 1:
-        return ("  ", " \t ", "\t\t")[rng.integers(3)]
-    fields = [pick(SWEEP_IDS, 4), pick(SWEEP_IDS, 4), pick(SWEEP_RATINGS, 7)]
+        return SWEEP_BLANKS[rng.integers(len(SWEEP_BLANKS))]
+    fields = [pick(SWEEP_IDS, 8), pick(SWEEP_IDS, 8), pick(SWEEP_RATINGS, 7)]
     if form in (3, 4, 6):
         fields.append(pick(SWEEP_STAMPS, 3))
     if rng.random() < bad:
@@ -165,13 +185,13 @@ def sweep_line(rng, bad):
 def sweep_file(rng):
     """The bytes of a ratings file of mixed line forms, endings and damage."""
     bad = (0.0, 0.02, 0.1, 0.4)[rng.integers(4)]
-    end = (b"\n", b"\r\n")[rng.integers(2)]
+    end = (b"\n", b"\r\n", b"\r")[rng.integers(3)]
     blob = b"".join(sweep_line(rng, bad).encode() + end for _ in range(rng.integers(1, 30)))
     return blob[:-len(end)] if rng.random() < 0.3 else blob
 
 
 def ingest_outcome(read, path):
-    """``read(path)``'s pairs, or the type and message of the ValueError it raised."""
+    """``read(path)``'s result, or the type and message of the ValueError it raised."""
     try:
         return read(path)
     except ValueError as e:
@@ -179,25 +199,56 @@ def ingest_outcome(read, path):
 
 
 @pytest.mark.parametrize("trial", range(SWEEP_TRIALS))
-def test_ingest_matches_the_per_line_reference(tmp_path, trial):
-    """``ingest`` gives the per-line reference's pairs, or its error with the file named."""
+def test_ingest_matches_the_per_line_reference(tmp_path, monkeypatch, trial):
+    """``ingest`` gives the per-line reference's pairs, or its error with the file named.
+
+    Each file is read again in blocks of 1 and of 7 characters, so that lines
+    straddle the blocks' ends. Text that is not UTF-8 is reported before a
+    malformed line of the same block, so a file that has both gives the
+    UTF-8 error when it is one block, and either error in small blocks.
+    """
     rng = np.random.default_rng([SWEEP_SEED, trial])
     blob = sweep_file(rng)
+    whole = data.INGEST_BLOCK
+    assert len(blob) < whole
     for how in ("none", *DAMAGES):
         path = tmp_path / f"{how}.tsv"
         path.write_bytes(blob if how == "none" else damage(blob or b"\n", how, rng))
-        got, want = ingest_outcome(ingest, path), ingest_outcome(reference_ingest, path)
+        text = path.read_bytes()
+        want = ingest_outcome(reference_ingest, path)
         if want[0] is ParseError:
             want = ParseError, f"{path}: {want[1]}"
-        elif want[0] is UnicodeDecodeError:
-            assert got[0] is ValueError and got[1].startswith(f"{path}: invalid UTF-8 at byte")
-            continue
-        assert got == want, f"{how}: {path.read_bytes()!r}"
+        for block in (whole, 1, 7):
+            monkeypatch.setattr(data, "INGEST_BLOCK", block)
+            got = ingest_outcome(ingest_pairs, path)
+            if not utf8(text) and (got != want or block == whole):
+                assert got[0] is ValueError, f"{how}, blocks of {block}: {text!r}"
+                assert got[1].startswith(f"{path}: invalid UTF-8 at byte")
+            else:
+                assert got == want, f"{how}, blocks of {block}: {text!r}"
+        monkeypatch.undo()
+
+
+def utf8(blob):
+    try:
+        blob.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def test_invalid_utf8_is_reported_before_a_malformed_line_of_its_block(tmp_path):
+    path = tmp_path / "ratings.tsv"
+    head = b"u0\ti1\t5\nnot-enough-fields\n" + b"u0\ti1\t5\n" * 5000  # past 8 kB
+    path.write_bytes(head + b"u0\t\xffi\t5\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid UTF-8 at byte "
+                                         f"{len(head) + 3} "):
+        ingest(path)
 
 
 def test_filter_keeps_qualifying_users():
     pairs = [(f"u{u}", f"i{i}") for u in range(5) for i in range(10)]
-    ds = filter_iterative(pairs, min_user=10, min_item=5)
+    ds = filter_pairs(pairs, min_user=10, min_item=5)
     assert ds.n_users == 5 and ds.n_items == 10
     assert ds.n_interactions == 50
 
@@ -208,7 +259,7 @@ def test_filter_cascade_matches_brute_force():
     for u in range(5):
         for i in range(u, u + 2 + u % 3):
             pairs.append((f"u{u}", f"i{i}"))
-    got = filter_iterative(pairs, min_user=2, min_item=2)
+    got = filter_pairs(pairs, min_user=2, min_item=2)
     expect = brute_force_filter(pairs, 2, 2)
     got_pairs = {(got.user_ids[u], got.item_ids[i])
                  for u in range(got.n_users) for i in got.row(u)}
@@ -217,20 +268,20 @@ def test_filter_cascade_matches_brute_force():
 
 def test_filter_identity_thresholds():
     pairs = [("a", "x"), ("a", "x"), ("b", "y")]
-    ds = filter_iterative(pairs, min_user=1, min_item=1)
+    ds = filter_pairs(pairs, min_user=1, min_item=1)
     assert ds.n_interactions == 2  # duplicates collapse
 
 
 def test_filter_everything_removed():
     with pytest.raises(ValueError, match="eliminated"):
-        filter_iterative([("a", "x")], min_user=2, min_item=2)
+        filter_pairs([("a", "x")], min_user=2, min_item=2)
 
 
 def test_filter_fixed_point_is_idempotent():
     rng = np.random.default_rng(0)
     pairs = [(f"u{rng.integers(12)}", f"i{rng.integers(15)}") for _ in range(150)]
-    ds = filter_iterative(pairs, min_user=4, min_item=3)
-    again = filter_iterative(
+    ds = filter_pairs(pairs, min_user=4, min_item=3)
+    again = filter_pairs(
         [(ds.user_ids[u], ds.item_ids[i]) for u in range(ds.n_users)
          for i in ds.row(u)], min_user=4, min_item=3)
     assert again.n_users == ds.n_users
@@ -252,7 +303,7 @@ FILTER_CASES = {
 @pytest.mark.parametrize("case", sorted(FILTER_CASES))
 def test_filter_matches_reference_loop(case):
     pairs, min_user, min_item = FILTER_CASES[case]
-    got = filter_iterative(pairs, min_user=min_user, min_item=min_item)
+    got = filter_pairs(pairs, min_user=min_user, min_item=min_item)
     expect = reference_filter_iterative(pairs, min_user=min_user, min_item=min_item)
     np.testing.assert_array_equal(got.indptr, expect.indptr)
     np.testing.assert_array_equal(got.indices, expect.indices)
@@ -262,21 +313,21 @@ def test_filter_matches_reference_loop(case):
 
 def test_filter_cascading_to_nothing_matches_reference_loop():
     pairs = [(f"u{u}", f"i{i}") for u in range(6) for i in (u, u + 1)]
-    for filt in (filter_iterative, reference_filter_iterative):
+    for filt in (filter_pairs, reference_filter_iterative):
         with pytest.raises(ValueError, match="eliminated"):
             filt(pairs, min_user=2, min_item=2)
 
 
 def test_reindexing_is_dense():
     pairs = [(f"u{u}", f"i{i}") for u in range(4) for i in range(6)]
-    ds = filter_iterative(pairs, min_user=2, min_item=2)
+    ds = filter_pairs(pairs, min_user=2, min_item=2)
     ds.check()
     assert set(ds.indices) == set(range(ds.n_items))
 
 
 def test_split_partitions_each_user():
     pairs = [(f"u{u}", f"i{i}") for u in range(6) for i in range(10)]
-    ds = filter_iterative(pairs, min_user=10, min_item=5)
+    ds = filter_pairs(pairs, min_user=10, min_item=5)
     splits = split_five_fold(ds, seed=42)
     assert len(splits) == 5
     for u in range(ds.n_users):
@@ -292,7 +343,7 @@ def test_split_partitions_each_user():
 
 def test_split_deterministic():
     pairs = [(f"u{u}", f"i{(u + k) % 12}") for u in range(8) for k in range(7)]
-    ds = filter_iterative(pairs, min_user=1, min_item=1)
+    ds = filter_pairs(pairs, min_user=1, min_item=1)
     a = split_five_fold(ds, seed=9)
     b = split_five_fold(ds, seed=9)
     for sa, sb in zip(a, b):
@@ -305,7 +356,7 @@ def test_split_deterministic():
 
 def test_dataset_cache_roundtrip(tmp_path):
     pairs = [(f"user-{u}", f"item:{i}") for u in range(4) for i in range(5)]
-    ds = filter_iterative(pairs, min_user=1, min_item=1)
+    ds = filter_pairs(pairs, min_user=1, min_item=1)
     save_dataset(tmp_path, ds)
     save_folds(tmp_path, split_five_fold(ds, seed=0))
     assert (tmp_path / "dataset.txt").read_text().startswith("PMLAM-DS v1\n")
@@ -318,7 +369,7 @@ def test_dataset_cache_roundtrip(tmp_path):
 
 def test_folds_roundtrip(tmp_path):
     pairs = [(f"u{u}", f"i{i}") for u in range(5) for i in range(10)]
-    ds = filter_iterative(pairs, min_user=1, min_item=1)
+    ds = filter_pairs(pairs, min_user=1, min_item=1)
     splits = split_five_fold(ds, seed=3)
     save_dataset(tmp_path, ds)
     save_folds(tmp_path, splits)
@@ -340,9 +391,9 @@ def dataset_from_rows(rows, n_items):
 
 
 FOLD_DATASETS = {
-    "five_by_ten": lambda: filter_iterative(
+    "five_by_ten": lambda: filter_pairs(
         [(f"u{u}", f"i{i}") for u in range(5) for i in range(10)], 1, 1),
-    "cyclic": lambda: filter_iterative(
+    "cyclic": lambda: filter_pairs(
         [(f"u{u}", f"i{(u + k) % 12}") for u in range(8) for k in range(7)], 1, 1),
     "planted": lambda: planted_clusters(seed=4, p_in=0.7, p_out=0.1)[0],
     # users 1 to 4 hold fewer items than there are folds
@@ -380,7 +431,7 @@ def test_folds_match_nested_loop_reference(tmp_path, name, seed):
 
 
 def test_load_rejects_wrong_magic(tmp_path):
-    ds = filter_iterative([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)], 1, 1)
+    ds = filter_pairs([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)], 1, 1)
     save_dataset(tmp_path, ds)
     save_folds(tmp_path, split_five_fold(ds, seed=0))
     (tmp_path / "dataset.txt").write_text("NOT-A-CACHE\n")
@@ -457,8 +508,8 @@ def test_a_symlink_at_the_path_is_replaced_not_written_through(tmp_path, new):
 
 
 def test_load_rejects_item_index_outside_catalog(tmp_path):
-    ds = filter_iterative([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)],
-                          min_user=1, min_item=1)
+    ds = filter_pairs([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)],
+                      min_user=1, min_item=1)
     save_dataset(tmp_path, ds)
     save_folds(tmp_path, split_five_fold(ds, seed=0))
     path = tmp_path / "dataset.txt"
@@ -477,8 +528,8 @@ def test_load_rejects_item_index_outside_catalog(tmp_path):
     ("cut", "user_ids.txt:3: expected '2<TAB><id>'"),
 ])
 def test_load_rejects_damaged_id_sidecar(tmp_path, damage, message):
-    ds = filter_iterative([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)],
-                          min_user=1, min_item=1)
+    ds = filter_pairs([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)],
+                      min_user=1, min_item=1)
     save_dataset(tmp_path, ds)
     save_folds(tmp_path, split_five_fold(ds, seed=0))
     path = tmp_path / "user_ids.txt"
@@ -490,6 +541,39 @@ def test_load_rejects_damaged_id_sidecar(tmp_path, damage, message):
     path.write_text(text[:-1] if damage == "cut" else text)
     with pytest.raises(ValueError, match=message):
         load_dataset(DataFiles(tmp_path))
+
+
+def repeat_an_id(blob, rng):
+    """Sidecar ``blob`` with one line's id copied onto a later line, if it has two."""
+    lines = blob.split(b"\n")
+    if len(lines) > 2:
+        a, b = sorted(rng.choice(len(lines) - 1, size=2, replace=False))
+        lines[b] = lines[b].partition(b"\t")[0] + b"\t" + lines[a].partition(b"\t")[2]
+    return b"\n".join(lines)
+
+
+SIDECAR_SEED = 37
+SIDECAR_TRIALS = 40
+
+
+@pytest.mark.parametrize("trial", range(SIDECAR_TRIALS))
+def test_load_ids_matches_the_per_line_reference(tmp_path, trial):
+    """A damaged sidecar gives the per-line reference's ids, or its error message."""
+    rng = np.random.default_rng([SIDECAR_SEED, trial])
+    ids = [f"u{k}" for k in rng.permutation(rng.integers(1, 40))]
+    ds = filter_pairs([(u, f"i{k}") for u in ids for k in range(2)], min_user=1, min_item=1)
+    save_dataset(tmp_path, ds)
+    save_folds(tmp_path, split_five_fold(ds, seed=0))
+    name = ("user_ids.txt", "item_ids.txt")[rng.integers(2)]
+    blob = (tmp_path / name).read_bytes()
+    for how in (*DAMAGES, "repeated id"):
+        (tmp_path / name).write_bytes(damage(blob, how, rng) if how in DAMAGES
+                                      else repeat_an_id(blob, rng))
+        files = DataFiles(tmp_path)
+        expected = (ds.n_users, ds.n_items)[name == "item_ids.txt"]
+        got, want = (ingest_outcome(lambda f: read(f, name, expected), files)
+                     for read in (_load_ids, reference_load_ids))
+        assert got == want, f"{how}: {(tmp_path / name).read_bytes()!r}"
 
 
 def test_first_row_not_increasing_matches_a_row_loop():
@@ -654,6 +738,22 @@ def test_the_written_form_is_read_in_one_pass():
         np.testing.assert_array_equal(back.indices, rows.indices)
 
 
+def test_row_text_matches_a_join_per_row():
+    rng = np.random.default_rng(31)
+    for _ in range(300):  # every digit count, zeros, powers of ten and empty rows
+        lists = [(rng.random(k) * 10.0 ** rng.integers(0, 19, size=k)).astype(np.int64)
+                 for k in rng.integers(0, 5, size=rng.integers(0, 7))]
+        lists.append(np.array([0, 9, 10, 99, 100, 10 ** 18, np.iinfo(np.int64).max]))
+        f = io.StringIO()
+        write_index_rows(f, as_rows(lists))
+        assert f.getvalue() == "".join(" ".join(map(str, r.tolist())) + "\n" for r in lists)
+
+
+def test_row_text_rejects_a_negative_value():
+    with pytest.raises(ValueError, match="negative index -3"):
+        write_index_rows(io.StringIO(), as_rows([np.array([1, 2]), np.array([-3])]))
+
+
 def regex_user_index(text, user_id):
     """The line of the first line whose first tab is followed by exactly ``user_id``: an oracle."""
     if "\n" in user_id:
@@ -671,8 +771,8 @@ UNKNOWN_USER_IDS = ("", "a", "b", ".", "x", "tab", "i", "[0-9]", "u", "v", "\t",
 
 @pytest.mark.parametrize("cut", [False, True])
 def test_user_index_finds_the_line_whose_first_tab_precedes_the_id(tmp_path, cut):
-    ds = filter_iterative([(u, f"i{i}") for u in INDEXED_USER_IDS for i in range(2)],
-                          min_user=1, min_item=1)
+    ds = filter_pairs([(u, f"i{i}") for u in INDEXED_USER_IDS for i in range(2)],
+                      min_user=1, min_item=1)
     save_dataset(tmp_path, ds)
     save_folds(tmp_path, split_five_fold(ds, seed=0))
     path = tmp_path / "user_ids.txt"
