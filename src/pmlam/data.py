@@ -216,7 +216,9 @@ def _field_columns(lines, by_tab, n_fields, split):
 
     A line that is not ``split`` gets "" for each, and a line of three fields
     gets "" for its timestamp. The fields of each separator's lines come from
-    one split of those lines joined by it.
+    one split of those lines joined by it, each line then giving as many
+    fields as the widest: a line of three fields among lines of four is given
+    a blank timestamp first.
     """
     groups = []
     for sep, group in (("\t", by_tab), (",", ~by_tab)):
@@ -224,16 +226,13 @@ def _field_columns(lines, by_tab, n_fields, split):
         if not rows.size:
             continue
         n = n_fields[rows]
-        joined = lines if rows.size == len(lines) else map(lines.__getitem__, rows.tolist())
-        pieces = sep.join(joined).split(sep)
-        if (n == n[0]).all():  # each line's fields in turn: every n-th piece
-            cols = [pieces[j::n[0]] for j in range(n[0])]
-            cols += [[""] * rows.size] * (4 - n[0])
-        else:
-            pieces = np.array(pieces + [""], object)  # the last: the field a line lacks
-            first = np.cumsum(n) - n
-            cols = [pieces[np.where(n > j, first + j, -1)].tolist() for j in range(4)]
-        groups.append((rows, cols))
+        width = n.max()
+        texts = lines if rows.size == len(lines) else map(lines.__getitem__, rows.tolist())
+        if n.min() < width:
+            texts = map(str.__add__, texts, map(("", sep).__getitem__, (n < width).tolist()))
+        pieces = sep.join(texts).split(sep)
+        groups.append((rows, [pieces[j::width] for j in range(width)]
+                        + [[""] * rows.size] * (4 - width)))
     if len(groups) == 1 and len(groups[0][0]) == len(lines):
         return groups[0][1]
     out = np.full((4, len(lines)), "", object)
