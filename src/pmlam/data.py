@@ -146,7 +146,8 @@ def ingest(path, rating_threshold=4.0):
     be blank. It is split on tabs or, when that gives fewer than three
     fields, on whichever of tabs and commas gives more. Blank lines are
     skipped. A repeated pair is kept as often as its lines are; filtering
-    counts it once. A leading UTF-8 byte-order mark is ignored. Raises
+    counts it once. The lines that hold one id share one string object for
+    it. A leading UTF-8 byte-order mark is ignored. Raises
     ParseError, naming the file and line, on malformed lines and ValueError
     on text that is not UTF-8 or when no positive survives.
 
@@ -157,6 +158,7 @@ def ingest(path, rating_threshold=4.0):
     """
     users, items = [], []
     line_no = 0  # the lines of the blocks before this one
+    shared = {}  # id -> the one string object every line holding it keeps
     try:
         with open(path, encoding="utf-8-sig") as f:
             while block := f.read(INGEST_BLOCK):
@@ -171,8 +173,9 @@ def ingest(path, rating_threshold=4.0):
                     k = bad[held.argmax()]
                     raise _parse_error(path, line_no + k + 1, lines[k], check[k], by_tab[k])
                 positive = (rating >= rating_threshold).tolist()  # NaN, as fails get, is not
-                users += itertools.compress(user, positive)
-                items += itertools.compress(item, positive)
+                for kept, ids in ((users, user), (items, item)):
+                    ids = list(itertools.compress(ids, positive))
+                    kept += map(shared.setdefault, ids, ids)
                 line_no += len(lines)
     except UnicodeDecodeError:
         raise ValueError(_utf8_error(path)) from None
@@ -194,7 +197,7 @@ def _check_lines(block, lines):
     check = np.where(split, 0, 1).astype(np.int8)
     user, item, ratings, stamps = _field_columns(lines, by_tab, n_fields, split)
     user, item = list(map(str.strip, user)), list(map(str.strip, item))
-    if "" in user or "" in item:  # as they are on a line that is not split
+    if "" in user or "" in item:  # or only on a line that is not split, which has no ids
         check[split & ~np.fromiter(map(all, zip(user, item)), bool, len(lines))] = 2
     rating, rejected = _floats(ratings, check == 0)
     check[rejected] = 3
