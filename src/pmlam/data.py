@@ -158,7 +158,7 @@ def ingest(path, rating_threshold=4.0):
     """
     users, items = [], []
     line_no = 0  # the lines of the blocks before this one
-    shared = {}  # id -> the one string object every line holding it keeps
+    ids = _StrippedIds()
     try:
         with open(path, encoding="utf-8-sig") as f:
             while block := f.read(INGEST_BLOCK):
@@ -166,16 +166,15 @@ def ingest(path, rating_threshold=4.0):
                 lines = block.split("\n")  # not splitlines: a line may hold "\x85"
                 if block.endswith("\n"):
                     lines.pop()
-                check, by_tab, user, item, rating = _check_lines(block, lines)
+                check, by_tab, user, item, rating = _check_lines(block, lines, ids)
                 bad = np.flatnonzero(check)
                 held = _not_blank(lines, bad)  # a blank line is skipped
                 if held.any():
                     k = bad[held.argmax()]
                     raise _parse_error(path, line_no + k + 1, lines[k], check[k], by_tab[k])
                 positive = (rating >= rating_threshold).tolist()  # NaN, as fails get, is not
-                for kept, ids in ((users, user), (items, item)):
-                    ids = list(itertools.compress(ids, positive))
-                    kept += map(shared.setdefault, ids, ids)
+                users += itertools.compress(user, positive)
+                items += itertools.compress(item, positive)
                 line_no += len(lines)
     except UnicodeDecodeError:
         raise ValueError(_utf8_error(path)) from None
@@ -184,11 +183,28 @@ def ingest(path, rating_threshold=4.0):
     return users, items
 
 
-def _check_lines(block, lines):
+class _StrippedIds(dict):
+    """An id field -> its stripped text, one string object for each distinct id.
+
+    The lines that hold one id then share its string in ``ingest``'s columns.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.texts = {}
+
+    def __missing__(self, field):
+        text = field.strip()
+        self[field] = text = self.texts.setdefault(text, text)
+        return text
+
+
+def _check_lines(block, lines, ids):
     """``ingest``'s checks on the ``lines`` of ``block``, as columns, one entry per line.
 
-    Returns each line's check number, whether it splits on tabs, its stripped
-    user and item ids (lists), and its rating (NaN where it fails a check).
+    Returns each line's check number, whether it splits on tabs, its user and
+    item ids, stripped through ``ids`` (lists), and its rating (NaN where it
+    fails a check).
     """
     n_tab, n_comma = _separator_counts(block, len(lines))
     by_tab = (n_tab >= 2) | (n_tab >= n_comma)  # tabs give 3 fields, or win a tie
@@ -196,7 +212,7 @@ def _check_lines(block, lines):
     split = (n_fields >= 3) & (n_fields <= 4)
     check = np.where(split, 0, 1).astype(np.int8)
     user, item, ratings, stamps = _field_columns(lines, by_tab, n_fields, split)
-    user, item = list(map(str.strip, user)), list(map(str.strip, item))
+    user, item = list(map(ids.__getitem__, user)), list(map(ids.__getitem__, item))
     if "" in user or "" in item:  # or only on a line that is not split, which has no ids
         check[split & ~np.fromiter(map(all, zip(user, item)), bool, len(lines))] = 2
     rating, rejected = _floats(ratings, check == 0)
