@@ -213,7 +213,7 @@ def _check_lines(block, lines, ids):
     check = np.where(split, 0, 1).astype(np.int8)
     user, item, ratings, stamps = _field_columns(lines, by_tab, n_fields, split)
     user, item = list(map(ids.__getitem__, user)), list(map(ids.__getitem__, item))
-    if "" in user or "" in item:  # or only on a line that is not split, which has no ids
+    if "" in user or "" in item:  # as every id of a line that is not split is
         check[split & ~np.fromiter(map(all, zip(user, item)), bool, len(lines))] = 2
     rating, rejected = _floats(ratings, check == 0)
     check[rejected] = 3
