@@ -33,8 +33,8 @@ generators' included, is that order's.
 The steps of an epoch may use one worker thread, beside the calling one. It
 runs the noise queue, and the calling thread waits for a relation's noise
 just before that relation's inner pass. In the hypergradient it runs the +
-probe, in a buffer pool of its own, while the calling thread runs the -
-probe. numpy's sampler, its ufuncs and BLAS release the interpreter lock, so
+probe, in a buffer pool of its own (:func:`_run_steps` says which buffers
+it borrows), while the calling thread runs the - probe. numpy's sampler, its ufuncs and BLAS release the interpreter lock, so
 the two overlap. Without the worker the queue runs inline, on the same path.
 The bits cannot move: each pass computes what it computes on one thread,
 from inputs no other thread writes while it runs; the one worker runs its
@@ -185,7 +185,7 @@ def _queue(worker, fn, *args, **kwargs):
     return done
 
 
-def darts_hypergradient(theta, v, alpha, eps_fd, grad_phi_fn, worker=None):
+def darts_hypergradient(theta, v, alpha, eps_fd, grad_phi_fn, worker=None, out=None):
     """Approximate d(outer)/d(phi) through one inner gradient step.
 
     ``theta`` and ``v`` are dicts of arrays (v = outer gradient at the
@@ -196,6 +196,14 @@ def darts_hypergradient(theta, v, alpha, eps_fd, grad_phi_fn, worker=None):
     step eps_fd / ||v||. An array of ``theta`` that ``v`` does not name has
     a zero direction and goes into both probes as it is. Returns None when
     v is zero.
+
+    The probes' arrays of the keys ``v`` names, ``theta + (eps * v)`` and
+    ``theta - (eps * v)``, are new unless ``out``, a pair of dicts with
+    those keys, is given to write them into. The second dict may be ``v``
+    itself, which is then consumed: ``eps * v`` is written over it, and
+    then the - probe's arrays. Training passes the proxy tables, which are
+    dead once the outer passes have read them, and ``v``. A key ``v`` does
+    not name is never written.
 
     With ``worker``, an executor, the + probe runs there as
     ``grad_phi_fn(theta_plus, plus=True)`` while this thread runs the - probe;
@@ -208,12 +216,15 @@ def darts_hypergradient(theta, v, alpha, eps_fd, grad_phi_fn, worker=None):
     if v_norm == 0.0:
         return None
     eps = eps_fd / v_norm
-    theta_plus = {**theta, **{k: theta[k] + eps * v[k] for k in v}}
+    plus_out, minus_out = out or ({}, {})
+    steps = {k: np.multiply(eps, v[k], out=minus_out.get(k)) for k in v}
+    theta_plus = {**theta, **{k: np.add(theta[k], steps[k], out=plus_out.get(k)) for k in v}}
     if worker is None:
         plus = grad_phi_fn(theta_plus)
     else:
         pending = _queue(worker, grad_phi_fn, theta_plus, plus=True)
-    minus = grad_phi_fn({**theta, **{k: theta[k] - eps * v[k] for k in v}})
+    minus = grad_phi_fn({**theta, **{k: np.subtract(theta[k], steps[k], out=steps[k])
+                                     for k in v}})
     if worker is not None:
         plus = pending.result()
     scale = -alpha / (2.0 * eps)
@@ -484,7 +495,14 @@ def _run_steps(setup, state, order):
 
     The steps share one :class:`BufferPool` ``ws`` for their row buffers
     and noise, and a second, ``probe_ws``, for the hypergradient's + probe.
-    Both go with this frame, so no buffer outlives the steps into the
+    That pool keeps its own ``mu``, ``rt`` and roots; ``ws`` lends it its
+    ``drt`` and ``d_sigma_a`` for the probe's ``dmu`` and ``da1``. Only the
+    inner and outer passes, which take table gradients, use those two, and
+    none runs from a step's last outer pass until its hypergradient has
+    returned, the + probe with it. A Euclidean run has neither, so its +
+    probe makes its own. The probes' tables are written over the proxy
+    tables and the outer gradient ``v``, which the step then lets go.
+    Both pools go with this frame, so no buffer outlives the steps into the
     evaluation or the next candidate-pool refresh. So does the one worker
     thread, which is joined when the steps end or raise; it is started only
     where it pays (:func:`_worker_pays`). Each step draws the next step's ui
@@ -573,8 +591,13 @@ def _run_steps(setup, state, order):
                                                         phis[rel], grad_phi=True, ws=pool).phi_grads
                                        for rel in phis})
 
-                hyper = darts_hypergradient(theta_dict(users, items), v,
-                                            cfg.alpha, cfg.eps_fd, _grad_phi, worker)
+                # the + probe's difference and hidden-gradient rows go over the step
+                # pool's variance-gradient rows, which only inner and outer passes use
+                ws.lend(probe_ws, {"dmu": "drt", "da1": "d_sigma_a"})
+                hyper = darts_hypergradient(theta_dict(users, items), v, cfg.alpha,
+                                            cfg.eps_fd, _grad_phi, worker,
+                                            out=(theta_dict(proxy_users, proxy_items), v))
+                del proxy_users, proxy_items, v
 
             _check_finite(
                 "joint margin gradient" if cfg.joint_margin_training else "hypergradient",

@@ -20,14 +20,32 @@ class BufferPool:
     :meth:`get` of the same name; the owner of a name decides how long that
     is. Functions that take an optional pool use a fresh one when given
     none, which makes every view they return a new array.
+
+    A pool can also :meth:`lend` its buffers to another pool, whose
+    :meth:`get` then returns views of those before any buffer of its own.
     """
 
     def __init__(self):
         self._buffers = {}
+        self._borrowed = {}  # name -> another pool's buffer, see lend
 
     def get(self, name, shape):
         size = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size)
+        for buffers in (self._borrowed, self._buffers):
+            buf = buffers.get(name)
+            if buf is not None and buf.size >= size:
+                return buf[:size].reshape(shape)
+        buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
+
+    def lend(self, other, names):
+        """Have ``other`` use this pool's buffers: ``names`` maps ``other``'s names to this pool's.
+
+        Replaces what ``other`` borrowed before. Where this pool has no
+        buffer of a name, or ``other`` asks for more than the lent buffer
+        holds, ``other`` makes a buffer of its own. The owner of both
+        pools lends only buffers that are dead in this pool for as long as
+        ``other`` uses them.
+        """
+        other._borrowed = {theirs: self._buffers[mine] for theirs, mine in names.items()
+                           if mine in self._buffers}

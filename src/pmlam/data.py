@@ -160,7 +160,10 @@ def ingest(path, rating_threshold=4.0):
     line_no = 0  # the lines of the blocks before this one
     ids = _StrippedIds()
     try:
-        with open(path, encoding="utf-8-sig") as f:
+        # not "utf-8-sig": its decoder reads a file of a cut mark alone as empty text
+        with open(path, encoding="utf-8") as f:
+            if f.read(1) != "\ufeff":  # a leading byte-order mark is skipped
+                f.seek(0)
             while block := f.read(INGEST_BLOCK):
                 block += f.readline()
                 lines = block.split("\n")  # not splitlines: a line may hold "\x85"

@@ -49,26 +49,34 @@ def item_side(items, kind):
     return ItemSide(np.sum(items.mu ** 2, axis=1), root, root_sq)
 
 
+def _work_slabs(kind):
+    """Slabs of :func:`pairwise_distances`' ``work`` that ``kind`` writes: W2 adds a term."""
+    return 3 if kind is DistanceKind.W2_SQUARED else 2
+
+
 def pairwise_distances(users, items, kind, user_idx=None, side=None, work=None):
     """Distance matrix between (a subset of) users and all items.
 
     Each term is ``(|a|^2 + |b|^2) - (2a) @ b``, rounded in that order; W2 adds
     the term of the roots of the variances to that of the means. A caller that
     ranks many chunks of users passes ``side``, :func:`item_side` of ``items``,
-    and ``work``, a float64 array of shape (3, at least the rows, items) that
-    the matrix and its temporaries are built in; the matrix is then a view of
-    ``work[0]``.
+    and ``work``, a float64 array of shape (slabs, at least the rows, items)
+    that the matrix and its temporaries are built in: the matrix goes into
+    ``work[0]`` and the products into ``work[1]``, and W2 writes its variance
+    term into ``work[2]``, so a Euclidean ``work`` needs two slabs and a W2
+    one three. The matrix is then a view of ``work[0]``.
     """
     side = item_side(items, kind) if side is None else side
     rows = slice(None) if user_idx is None else user_idx
     mu_u = users.mu[rows]
     if work is None:
-        work = np.empty((3, len(mu_u), items.n))
-    d2, product, term = work[:, :len(mu_u)]
+        work = np.empty((_work_slabs(kind), len(mu_u), items.n))
+    d2, product = work[:2, :len(mu_u)]
     np.add.outer(np.sum(mu_u ** 2, axis=1), side.mu_sq, out=d2)
     d2 -= np.matmul(2.0 * mu_u, items.mu.T, out=product)
     if kind is DistanceKind.W2_SQUARED:
         ru = np.sqrt(users.sigma[rows])
+        term = work[2, :len(mu_u)]
         np.add.outer(np.sum(ru ** 2, axis=1), side.root_sq, out=term)
         term -= np.matmul(2.0 * ru, side.root.T, out=product)
         d2 += term
@@ -153,7 +161,7 @@ def evaluate(users, items, fold, ks, kind):
     if len(evaluated) == 0:
         raise ValueError("no user has test interactions")
     side = item_side(items, kind)
-    work = np.empty((3, min(EVAL_CHUNK, len(evaluated)), items.n))
+    work = np.empty((_work_slabs(kind), min(EVAL_CHUNK, len(evaluated)), items.n))
     for start in range(0, len(evaluated), EVAL_CHUNK):
         idx = evaluated[start:start + EVAL_CHUNK]
         d2 = pairwise_distances(users, items, kind, user_idx=idx, side=side, work=work)

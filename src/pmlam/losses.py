@@ -35,10 +35,11 @@ after another has died goes over it:
 - ``mu``: the gathered mean rows, (3, B, h), anchors first. In a W2 pass
   with a margin net the features (B, 3h at most) go over them once the
   sampled inputs exist. In a Euclidean pass the net's inputs *are* the
-  mean rows, so its features go into ``features``;
+  mean rows, so its features go into ``features``. Last, once the net's
+  backward pass has read the features, the scatter's anchor rows;
 - ``rt``: the gathered variance roots, (3, B, h); then the sampled inputs
   ``mu + rt * noise``; then, once the features exist, the net's hidden
-  layer ``z``; then the scatter's anchor rows;
+  layer ``z``. A Euclidean pass with a fixed margin has no ``rt``;
 - ``root.user`` and ``root.item``: the tables' floored variance roots;
 - ``dmu``, ``drt`` and ``d_sigma_a``: the distance differences and gradient
   rows (:func:`distance.pair_rows`); ``da1``: the net's hidden gradient.
@@ -243,9 +244,11 @@ def _scatter(batch, rows, w, live, grads, ws):
     ``rows`` are :func:`distance.pair_rows`'s (2, B, h) gradients, positive
     pair first, and are overwritten; ``d2_pos`` enters the hinge with weight
     ``+w`` and ``d2_neg`` with ``-w``. The anchor rows of the mean part and
-    then of the variance part go over the pool's ``rt`` block, which is dead
-    by then. Each table role gets one sparse product per parameter. Floored
-    variances pass no gradient.
+    then of the variance part go over the pool's ``mu`` block, which is dead
+    by then: the gathered means have fed the distance and the net's
+    features, and the net's backward pass has read the features. Each table
+    role gets one sparse product per parameter. Floored variances pass no
+    gradient.
 
     The adds into ``grads`` must keep their order, or the bits move. For
     ``uu`` and ``ii`` the anchor role and the other role both add a term
@@ -263,7 +266,7 @@ def _scatter(batch, rows, w, live, grads, ws):
     if d_sig_a is not None:
         parts.append(("sigma", d_sig_a, d_sig_o, coef))
     for param, d_a, rows_o, c in parts:
-        rows_a = np.subtract(d_a[0], d_a[1], out=ws.get("rt", d_a.shape[1:]))
+        rows_a = np.subtract(d_a[0], d_a[1], out=ws.get("mu", d_a.shape[1:]))
         rows_a *= w[:, None]
         rows_o *= c
         if param == "sigma" and live is not None:

@@ -254,6 +254,62 @@ def test_hypergradient_with_a_worker_equals_the_serial_call():
         assert np.array_equal(threaded[key], g), key
 
 
+@pytest.mark.parametrize("threaded", [False, True])
+def test_hypergradient_written_into_given_arrays_equals_the_allocating_call(threaded):
+    users, items, batches, nets, v = three_relation_step()
+    theta = theta_dict(users, items)
+    theta_bytes = {k: a.tobytes() for k, a in theta.items()}
+    probes = {}  # + or - -> {key: (array, its bytes)} as the probe read them
+
+    def grad_phi_fn(t, plus=False):
+        probes["+" if plus or "+" not in probes else "-"] = {k: (a, a.tobytes())
+                                                             for k, a in t.items()}
+        tu = GaussianEmbeddingTable(t["user_mu"], t["user_sigma"])
+        ti = GaussianEmbeddingTable(t["item_mu"], t["item_sigma"])
+        return phi_params({rel: batch_inner(b, tu, ti, W2, nets[rel], grad_phi=True).phi_grads
+                           for rel, b in batches.items()})
+
+    def call(direction, out=None):
+        probes.clear()
+        with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as worker:
+            return darts_hypergradient(theta, direction, 0.1, 1e-2, grad_phi_fn, worker, out=out)
+
+    v_bytes = {k: a.tobytes() for k, a in v.items()}
+    want = call(v)
+    want_probes = dict(probes)
+    assert {k: a.tobytes() for k, a in v.items()} == v_bytes  # a call without out keeps v
+    # as training calls it: the + probe over proxy-shaped arrays, the - probe over v
+    plus_out, consumed = {k: np.full_like(a, np.nan) for k, a in theta.items()}, copy.deepcopy(v)
+    got = call(consumed, out=(plus_out, consumed))
+    assert list(got) == list(want)
+    assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+    for sign, written in (("+", plus_out), ("-", consumed)):
+        for k, a in written.items():
+            assert probes[sign][k][0] is a
+            assert probes[sign][k][1] == want_probes[sign][k][1] == a.tobytes()
+    assert {k: a.tobytes() for k, a in theta.items()} == theta_bytes
+
+    # a direction over some tables: only its keys are written, and theta goes in as it is
+    part = {k: v[k] for k in ("user_mu", "item_sigma")}
+    part_bytes = {k: a.tobytes() for k, a in part.items()}
+    want = call(part)
+    want_probes = dict(probes)
+    outs = tuple({k: np.full_like(a, np.nan) for k, a in theta.items()} for _ in "+-")
+    got = call(part, out=outs)
+    assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+    for sign, written in zip("+-", outs):
+        assert probes[sign]["user_sigma"][0] is theta["user_sigma"]
+        assert probes[sign]["item_mu"][0] is theta["item_mu"]
+        for k in theta:
+            if k in part:
+                assert probes[sign][k][0] is written[k]
+                assert written[k].tobytes() == want_probes[sign][k][1]
+            else:
+                assert np.isnan(written[k]).all(), k
+    assert {k: a.tobytes() for k, a in part.items()} == part_bytes
+    assert {k: a.tobytes() for k, a in theta.items()} == theta_bytes
+
+
 def test_noise_drawn_on_the_worker_equals_serial_draws_in_relation_order():
     h, rng = 3, np.random.default_rng(71)
     batches = {rel: TripletBatch(rel, *(rng.integers(0, 5, rows) for _ in range(3)))
@@ -404,6 +460,57 @@ def test_a_threaded_train_of_big_steps_equals_the_serial_one(outer_batch, monkey
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+
+
+def record_pools(monkeypatch):
+    """Thread name -> {id: pool} of the pools the steps' passes run in, filled as they run."""
+    pools = {}
+    real_inner = bilevel.batch_inner
+
+    def recording_inner(*args, **kwargs):
+        on = "main" if threading.current_thread() is threading.main_thread() else "worker"
+        pools.setdefault(on, {})[id(kwargs["ws"])] = kwargs["ws"]
+        return real_inner(*args, **kwargs)
+
+    monkeypatch.setattr(bilevel, "batch_inner", recording_inner)
+    return pools
+
+
+def test_the_plus_probe_borrows_the_step_pool_s_variance_gradient_rows(monkeypatch):
+    pools = record_pools(monkeypatch)
+    monkeypatch.setattr(bilevel, "_worker_pays", lambda batch_rows, h: True)
+    train(*big_step_run(epochs=1))
+    (step,), (plus,) = pools["main"].values(), pools["worker"].values()
+    assert set(plus._buffers) == {"mu", "rt", "root.user", "root.item"}
+    assert set(plus._borrowed) == {"dmu", "da1"}
+    assert plus._borrowed["dmu"] is step._buffers["drt"]
+    assert plus._borrowed["da1"] is step._buffers["d_sigma_a"]
+
+
+def test_a_euclidean_fixed_margin_step_gathers_no_variance_roots(monkeypatch):
+    pools = record_pools(monkeypatch)
+    ds, fold = planted_fold()
+    train(ds, fold, quick_config(distance_kind="euclidean", margin_mode="fixed:1.0", epochs=1))
+    (step,) = pools["main"].values()
+    assert set(step._buffers) == {"mu", "dmu"}  # the scatter's anchor rows go over mu
+
+
+@pytest.mark.parametrize("worker", [False, True])
+def test_a_euclidean_train_never_writes_the_variance_tables(worker, monkeypatch):
+    monkeypatch.setattr(bilevel, "_worker_pays", lambda batch_rows, h: worker)
+    ds, fold = planted_fold()
+    cfg = quick_config(distance_kind="euclidean", relations=("ui", "uu", "ii"), epochs=2)
+    setup = bilevel.set_up(ds, fold, cfg, lambda msg: None)
+    state = bilevel.init_state(ds, setup)
+    assert setup.margins == {"ui": None, "uu": None, "ii": None}  # every step runs the probes
+    sigmas = state.users.sigma, state.items.sigma
+    saved = [sigma.tobytes() for sigma in sigmas]
+    for sigma in sigmas:
+        sigma.flags.writeable = False  # the proxy shares them: a write there raises
+    for _ in range(cfg.epochs):
+        bilevel.run_epoch(setup, state, lambda msg: None)
+    assert state.users.sigma is sigmas[0] and state.items.sigma is sigmas[1]
+    assert [sigma.tobytes() for sigma in sigmas] == saved
 
 
 def test_the_steps_give_back_the_blas_thread_count_they_lowered(monkeypatch):

@@ -134,6 +134,17 @@ def test_ingest_ignores_a_leading_byte_order_mark(tmp_path):
         ("u0", "i1"), ("u0", "i2"), ("\ufeffu0", "i3")]
 
 
+@pytest.mark.parametrize("cut", [b"\xef\xbb", b"\xef"])
+def test_prepare_reports_a_file_of_a_cut_byte_order_mark_as_invalid_utf8(tmp_path, cut):
+    path = tmp_path / "ratings.tsv"
+    path.write_bytes(cut)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["prepare", str(path), str(tmp_path / "data")])
+    assert code == 2
+    assert err.getvalue() == f"error: {path}: invalid UTF-8 at byte 0 (unexpected end of data)\n"
+
+
 def test_ingest_parse_error_names_the_file(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("a\tx\t4\nnot-enough-fields\n")

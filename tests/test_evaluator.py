@@ -234,11 +234,16 @@ def test_pairwise_distances_equal_the_reference_expression_bit_for_bit(kind):
     for user_idx in (None, np.sort(rng.choice(300, 40, replace=False)), np.array([17])):
         want = reference_pairwise_distances(users, items, kind, user_idx).tobytes()
         assert pairwise_distances(users, items, kind, user_idx=user_idx).tobytes() == want
-        if user_idx is not None:  # as evaluate calls it: shared item terms, room to spare
-            work = np.full((3, 50, items.n), np.nan)
+        if user_idx is None:
+            continue
+        # as evaluate calls it: shared item terms, room to spare; Euclidean also
+        # in the two slabs evaluate gives it
+        for slabs in (3, 2) if kind is DistanceKind.EUCLIDEAN_SQUARED else (3,):
+            work = np.full((slabs, 50, items.n), np.nan)
             got = pairwise_distances(users, items, kind, user_idx=user_idx, side=side,
                                      work=work)
             assert got.tobytes() == want
+            assert np.shares_memory(got, work[0])
 
 
 def test_top_k_equals_the_reference_with_ties_at_the_kth_value():
