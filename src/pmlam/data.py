@@ -5,10 +5,10 @@ are converted to binary positives by thresholding the rating, filtered
 iteratively until every user and item clears its minimum interaction count,
 reindexed densely, and split per user into five folds for cross-validation.
 Each step works on whole columns: :func:`ingest` checks the file a block of
-lines at a time and returns the id columns of its positive lines, repeats
-kept; :func:`filter_iterative` takes those columns and counts a repeated pair
-once; :func:`write_index_rows` lays out the row text of ``dataset.txt`` and
-``folds.txt`` in one byte buffer.
+lines at a time and returns the id columns of its positive lines as
+:class:`IdColumn` codes, repeats kept; :func:`filter_iterative` takes those
+columns and counts a repeated pair once; :func:`write_index_rows` lays out
+the row text of ``dataset.txt`` and ``folds.txt`` in one byte buffer.
 Folds are one label per interaction in the dataset's row order, as in
 ``folds.txt``; :class:`Folds` builds only the :class:`FoldSplit` asked for.
 Every per-entity index list (a user's items, an entity's neighbors, an
@@ -28,7 +28,6 @@ import stat
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 DS_MAGIC = "PMLAM-DS v1"
 FOLDS_MAGIC = "PMLAM-FOLDS v1"
@@ -73,7 +72,14 @@ class Rows:
         return np.repeat(np.arange(len(self)), self.lens()), self.indices
 
     def matrix(self, n_cols):
-        """``(len(self), n_cols)`` sparse CSR matrix with a one at each ``(a, rows[a][j])``."""
+        """``(len(self), n_cols)`` sparse CSR matrix with a one at each ``(a, rows[a][j])``.
+
+        This is the package's one constructor of a scipy matrix, so
+        ``scipy.sparse`` is imported here, on the first call: ``train`` and
+        ``ablate`` load it, and the other commands never do.
+        """
+        from scipy import sparse
+
         return sparse.csr_array((np.ones(len(self.indices)), self.indices, self.indptr),
                                 shape=(len(self), n_cols))
 
@@ -138,27 +144,45 @@ _CHECK_MESSAGES = (None, "expected 3 or 4 fields, got {n}: {raw!r}",
                    "bad timestamp {stamp!r}")
 
 
+class IdColumn:
+    """A column of ids held as one code per entry: entry ``p`` is ``texts[codes[p]]``.
+
+    ``codes`` is an int64 array; ``texts`` may hold ids that no entry has.
+    Its length is its entries', and it iterates over their ids.
+    """
+
+    def __init__(self, codes, texts):
+        self.codes, self.texts = codes, texts
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __iter__(self):
+        return map(self.texts.__getitem__, self.codes.tolist())
+
+
 def ingest(path, rating_threshold=4.0):
-    """The ``(users, items)`` id columns of the lines rated >= threshold, in file order.
+    """The ``(users, items)`` :class:`IdColumn` of the lines rated >= threshold, in file order.
 
     A line holds 3 or 4 fields: user and item ids, which are stripped and
     must be non-empty, a finite rating, and an optional timestamp, which may
     be blank. It is split on tabs or, when that gives fewer than three
     fields, on whichever of tabs and commas gives more. Blank lines are
     skipped. A repeated pair is kept as often as its lines are; filtering
-    counts it once. The lines that hold one id share one string object for
-    it. A leading UTF-8 byte-order mark is ignored. Raises
-    ParseError, naming the file and line, on malformed lines and ValueError
-    on text that is not UTF-8 or when no positive survives.
+    counts it once. Each column codes its distinct stripped ids in the order
+    they are first seen on any line, positive or not: one dict lookup per
+    field strips and numbers it. A leading UTF-8 byte-order mark is ignored.
+    Raises ParseError, naming the file and line, on malformed lines and
+    ValueError on text that is not UTF-8 or when no positive survives.
 
     The file is read in blocks of :data:`INGEST_BLOCK` characters, each
     finished to a line end, and each block is checked as columns. Text that
     is not UTF-8 anywhere in a block is reported before a malformed line in
     it.
     """
-    users, items = [], []
+    users, items = [np.empty(0, np.int64)], [np.empty(0, np.int64)]  # codes, block by block
     line_no = 0  # the lines of the blocks before this one
-    ids = _StrippedIds()
+    user_codes, item_codes = _IdCodes(), _IdCodes()
     try:
         # not "utf-8-sig": its decoder reads a file of a cut mark alone as empty text
         with open(path, encoding="utf-8") as f:
@@ -169,45 +193,48 @@ def ingest(path, rating_threshold=4.0):
                 lines = block.split("\n")  # not splitlines: a line may hold "\x85"
                 if block.endswith("\n"):
                     lines.pop()
-                check, by_tab, user, item, rating = _check_lines(block, lines, ids)
+                check, by_tab, user, item, rating = _check_lines(block, lines, user_codes,
+                                                                 item_codes)
                 bad = np.flatnonzero(check)
                 held = _not_blank(lines, bad)  # a blank line is skipped
                 if held.any():
                     k = bad[held.argmax()]
                     raise _parse_error(path, line_no + k + 1, lines[k], check[k], by_tab[k])
-                positive = (rating >= rating_threshold).tolist()  # NaN, as fails get, is not
-                users += itertools.compress(user, positive)
-                items += itertools.compress(item, positive)
+                positive = rating >= rating_threshold  # NaN, as fails get, is not
+                users.append(user[positive])
+                items.append(item[positive])
                 line_no += len(lines)
     except UnicodeDecodeError:
         raise ValueError(_utf8_error(path)) from None
-    if not users:
+    users, items = np.concatenate(users), np.concatenate(items)
+    if not users.size:
         raise ValueError(f"{path}: no positives at rating threshold {rating_threshold}")
-    return users, items
+    return IdColumn(users, list(user_codes.texts)), IdColumn(items, list(item_codes.texts))
 
 
-class _StrippedIds(dict):
-    """An id field -> its stripped text, one string object for each distinct id.
+class _IdCodes(dict):
+    """An id field -> the code of its stripped text.
 
-    The lines that hold one id then share its string in ``ingest``'s columns.
+    Codes count up from 0 in the order the texts are first seen, and fields
+    that strip to one text share its code. Code 0 is the empty text.
     """
 
     def __init__(self):
         super().__init__()
-        self.texts = {}
+        self.texts = {"": 0}  # stripped text -> code, in code order
 
     def __missing__(self, field):
         text = field.strip()
-        self[field] = text = self.texts.setdefault(text, text)
-        return text
+        code = self[field] = self.texts.setdefault(text, len(self.texts))
+        return code
 
 
-def _check_lines(block, lines, ids):
+def _check_lines(block, lines, user_codes, item_codes):
     """``ingest``'s checks on the ``lines`` of ``block``, as columns, one entry per line.
 
-    Returns each line's check number, whether it splits on tabs, its user and
-    item ids, stripped through ``ids`` (lists), and its rating (NaN where it
-    fails a check).
+    Returns each line's check number, whether it splits on tabs, the codes of
+    its user and item ids in ``user_codes`` and ``item_codes`` (int64 arrays),
+    and its rating (NaN where it fails a check).
     """
     n_tab, n_comma = _separator_counts(block, len(lines))
     by_tab = (n_tab >= 2) | (n_tab >= n_comma)  # tabs give 3 fields, or win a tie
@@ -215,9 +242,9 @@ def _check_lines(block, lines, ids):
     split = (n_fields >= 3) & (n_fields <= 4)
     check = np.where(split, 0, 1).astype(np.int8)
     user, item, ratings, stamps = _field_columns(lines, by_tab, n_fields, split)
-    user, item = list(map(ids.__getitem__, user)), list(map(ids.__getitem__, item))
-    if "" in user or "" in item:  # as every id of a line that is not split is
-        check[split & ~np.fromiter(map(all, zip(user, item)), bool, len(lines))] = 2
+    user = np.fromiter(map(user_codes.__getitem__, user), np.int64, len(lines))
+    item = np.fromiter(map(item_codes.__getitem__, item), np.int64, len(lines))
+    check[split & ((user == 0) | (item == 0))] = 2  # an empty id, code 0
     rating, rejected = _floats(ratings, check == 0)
     check[rejected] = 3
     check[(check == 0) & ~np.isfinite(rating)] = 4
@@ -330,21 +357,20 @@ def _utf8_error(path):
 def filter_iterative(users, items, min_user=10, min_item=5):
     """Drop light users/items to a fixed point, then reindex densely.
 
-    ``users`` and ``items`` are the id columns of the pairs, as
+    ``users`` and ``items`` are the :class:`IdColumn` of the pairs, as
     :func:`ingest` returns them. Removing an item can push a user below the
     threshold and vice versa, so the two filters are interleaved until
     nothing changes. A repeated pair counts once. External ids keep their
-    first-appearance order in the surviving pairs.
+    first-appearance order in the surviving pairs, whatever the order of
+    their codes: the codes are renumbered once, at the end.
     """
     if min_user < 1 or min_item < 1:
         raise ValueError("minimum interaction counts must be >= 1")
-    u, user_ids = _first_appearance_index(users)
-    i, item_ids = _first_appearance_index(items)
-    first = np.sort(np.unique(u * len(item_ids) + i, return_index=True)[1])
+    u, i = users.codes, items.codes
+    first = np.sort(np.unique(u * len(items.texts) + i, return_index=True)[1])
     u, i = u[first], i[first]  # one pair per (user, item), in first-appearance order
     while True:
-        keep = ((np.bincount(u, minlength=len(user_ids)) >= min_user)[u]
-                & (np.bincount(i, minlength=len(item_ids)) >= min_item)[i])
+        keep = (np.bincount(u) >= min_user)[u] & (np.bincount(i) >= min_item)[i]
         if keep.all():
             break
         u, i = u[keep], i[keep]
@@ -354,14 +380,8 @@ def filter_iterative(users, items, min_user=10, min_item=5):
     rows = Rows.from_pairs(u, i, len(kept_users))
     return InteractionDataset(
         n_users=len(kept_users), n_items=len(kept_items), indptr=rows.indptr,
-        indices=rows.indices, user_ids=[user_ids[j] for j in kept_users],
-        item_ids=[item_ids[j] for j in kept_items])
-
-
-def _first_appearance_index(keys):
-    """``(index of each key, distinct keys)``: keys are numbered by first appearance."""
-    index = {key: n for n, key in enumerate(dict.fromkeys(keys))}
-    return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys)), list(index)
+        indices=rows.indices, user_ids=[users.texts[j] for j in kept_users.tolist()],
+        item_ids=[items.texts[j] for j in kept_items.tolist()])
 
 
 def _renumber(idx):

@@ -26,7 +26,6 @@ The caller picks the memory, so it decides which dead array each goes over
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 INDICATOR_MODES = ("squared-diff", "concat", "sum")
 
@@ -132,7 +131,14 @@ def backward(params, cache, upstream, out=None):
     ``z``, goes into ``out`` when given. Consumes ``cache``: once the ``W2``
     gradient has read the hidden activations ``z``, ``1 - z**2`` is written
     over them.
+
+    ``scipy.special`` is imported here, on the first call, so only a command
+    that trains a margin net loads it. The first call can come on two threads
+    at once (the hypergradient's two probes); CPython's per-module import lock
+    has the second wait for the first to finish the import.
     """
+    from scipy.special import expit
+
     s, z, a2 = cache
     upstream = np.asarray(upstream, float)
     da2 = upstream * expit(a2)

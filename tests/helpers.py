@@ -1,14 +1,18 @@
 """Shared test utilities: finite-difference and set oracles, small builders."""
 
 import hashlib
+import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
 
-from pmlam.data import (FOLDS_MAGIC, FoldSplit, InteractionDataset, ParseError, Rows,
+from pmlam.data import (FOLDS_MAGIC, FoldSplit, IdColumn, InteractionDataset, ParseError, Rows,
                         _id_line, _index_line, as_rows, filter_iterative)
 from pmlam.distance import SIGMA_MIN, DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
@@ -159,6 +163,31 @@ def reference_load_ids(files, name, expected):
     return ids
 
 
+def scipy_modules_of_a_fresh_run(argv=None, worker=None):
+    """The ``scipy`` modules a fresh interpreter holds once it has run ``pmlam`` command ``argv``.
+
+    With ``argv`` None it only imports ``pmlam.cli``. ``worker``, when not
+    None, turns the steps' worker thread on or off whatever the step size.
+    The command must exit 0. It runs in a new process because this module
+    imports ``scipy.special`` itself.
+    """
+    code = textwrap.dedent("""
+        import json, sys
+        from pmlam import bilevel
+        from pmlam.cli import main
+        argv, worker = json.loads(sys.argv[1])
+        if worker is not None:
+            bilevel._worker_pays = lambda batch_rows, h: worker
+        if argv is not None and main(argv) != 0:
+            raise SystemExit(f"{argv[0]} failed")
+        print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code, json.dumps([argv, worker])], env=env,
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 DAMAGES = ("bit flip", "set byte", "cut", "duplicated line", "deleted line")
 
 
@@ -247,9 +276,20 @@ def reference_transpose_rows(rows, n_cols):
     return [np.array(sorted(c), dtype=np.int64) for c in cols]
 
 
+def id_column(keys):
+    """``keys`` as an :class:`IdColumn` whose codes a dict numbers by first appearance.
+
+    An oracle for ``ingest``'s codes, which number ids by their first line,
+    positive or not.
+    """
+    code = {key: n for n, key in enumerate(dict.fromkeys(keys))}
+    return IdColumn(np.fromiter(map(code.__getitem__, keys), np.int64, len(keys)), list(code))
+
+
 def filter_pairs(pairs, min_user=10, min_item=5):
     """``data.filter_iterative`` of a list of ``(user, item)`` pairs, given as its two columns."""
-    return filter_iterative([u for u, _ in pairs], [i for _, i in pairs], min_user, min_item)
+    return filter_iterative(id_column([u for u, _ in pairs]), id_column([i for _, i in pairs]),
+                            min_user, min_item)
 
 
 def reference_filter_iterative(pairs, min_user=10, min_item=5):

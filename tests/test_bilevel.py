@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -16,11 +17,11 @@ from pmlam.bilevel import (Adam, NumericFailure, build_proxy,
                            darts_hypergradient, phi_params, phi_step, theta_dict,
                            theta_step, train)
 from pmlam.buffers import BufferPool
-from pmlam import checkpoint
+from pmlam import checkpoint, data
 from pmlam.checkpoint import _collect_arrays
 from pmlam.cli import _config_from_args, build_parser
-from pmlam.config import make_config
-from pmlam.data import FoldSplit, split_five_fold
+from pmlam.config import config_strings, make_config
+from pmlam.data import FoldSplit, save_dataset, save_folds, split_five_fold
 from pmlam.distance import DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
 from pmlam.losses import TripletBatch, batch_inner, batch_outer, zero_theta_grads
@@ -29,7 +30,8 @@ from pmlam.synth import planted_clusters
 
 import golden_runs
 from helpers import (ReferenceAdam, Sgd, filter_pairs, inner_theta_grads, random_table,
-                     reference_exclusions, reference_transpose_rows)
+                     reference_exclusions, reference_transpose_rows,
+                     scipy_modules_of_a_fresh_run)
 
 W2 = DistanceKind.W2_SQUARED
 
@@ -462,6 +464,31 @@ def test_a_threaded_train_of_big_steps_equals_the_serial_one(outer_batch, monkey
     assert threaded == serial
 
 
+def test_a_threaded_train_that_first_imports_expit_on_both_threads_writes_the_serial_bytes(
+        tmp_path):
+    # In a fresh interpreter the first margin-net backward imports scipy.special, and with the
+    # worker that first call is the two probes, one on each thread.
+    ds, fold, cfg = big_step_run(epochs=1)
+    d = tmp_path / "data"
+    save_dataset(d, ds)
+    save_folds(d, split_five_fold(ds, seed=4))
+    trains_on = data.load_fold(data.DataFiles(d), ds, 0).train_rows  # big_step_run's fold
+    for got, expect in ((trains_on.indptr, fold.train_rows.indptr),
+                        (trains_on.indices, fold.train_rows.indices)):
+        np.testing.assert_array_equal(got, expect)
+    (tmp_path / "run.cfg").write_text("".join(f"{key} = {value}\n"
+                                             for key, value in config_strings(cfg).items()))
+    digests = []
+    for worker in (False, True):
+        run = tmp_path / f"worker-{worker}"
+        loaded = scipy_modules_of_a_fresh_run(
+            ["train", str(d), "--out-dir", str(run), "--quiet", "--config",
+             str(tmp_path / "run.cfg")], worker=worker)
+        assert "scipy.special" in loaded
+        digests.append(hashlib.sha256((run / "checkpoint.bin").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
 def record_pools(monkeypatch):
     """Thread name -> {id: pool} of the pools the steps' passes run in, filled as they run."""
     pools = {}
@@ -485,6 +512,55 @@ def test_the_plus_probe_borrows_the_step_pool_s_variance_gradient_rows(monkeypat
     assert set(plus._borrowed) == {"dmu", "da1"}
     assert plus._borrowed["dmu"] is step._buffers["drt"]
     assert plus._borrowed["da1"] is step._buffers["d_sigma_a"]
+
+
+def test_the_plus_probe_writes_no_buffer_the_minus_probe_used(monkeypatch):
+    # The + probe is held until the - probe has written all its arrays, and those arrays are
+    # compared after the + probe: a buffer the two share shows as changed, however briefly it
+    # is live and whatever the two threads' timing.
+    monkeypatch.setattr(bilevel, "_worker_pays", lambda batch_rows, h: True)
+    ds, fold, cfg = big_step_run(epochs=1)
+    real_hypergradient, real_get = bilevel.darts_hypergradient, BufferPool.get
+    got, probes, changed = [], [], []  # got: (name, view) of the - probe's arrays
+    recording = threading.Event()
+
+    def recording_get(pool, name, shape):
+        view = real_get(pool, name, shape)
+        if recording.is_set() and threading.current_thread() is threading.main_thread():
+            got.append((name, view))
+        return view
+
+    def ordered_hypergradient(theta, v, alpha, eps_fd, grad_phi_fn, worker=None, out=None):
+        minus_written, written = threading.Event(), []
+
+        def ordered(theta_arrays, plus=False):
+            probes.append(plus)
+            if plus:
+                assert minus_written.wait(timeout=60)
+                return grad_phi_fn(theta_arrays, plus=True)
+            got.clear()
+            recording.set()
+            try:
+                grads = grad_phi_fn(theta_arrays)
+            finally:
+                recording.clear()
+            written.extend((name, view, view.copy()) for name, view in got)
+            minus_written.set()
+            return grads
+
+        hyper = real_hypergradient(theta, v, alpha, eps_fd, ordered, worker, out)
+        assert written
+        changed.extend(name for name, view, before in written
+                       if not np.array_equal(view, before, equal_nan=True))
+        return hyper
+
+    monkeypatch.setattr(BufferPool, "get", recording_get)
+    monkeypatch.setattr(bilevel, "darts_hypergradient", ordered_hypergradient)
+    ordered_run = saved_form(train(ds, fold, cfg))
+    assert probes.count(True) == probes.count(False) > 0
+    assert changed == []
+    monkeypatch.setattr(bilevel, "darts_hypergradient", real_hypergradient)
+    assert ordered_run == saved_form(train(ds, fold, cfg))
 
 
 def test_a_euclidean_fixed_margin_step_gathers_no_variance_roots(monkeypatch):

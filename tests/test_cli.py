@@ -22,7 +22,7 @@ from pmlam.losses import TripletBatch
 from pmlam.margin_net import forward, margin_input
 from pmlam.synth import planted_clusters
 
-from helpers import write_item_labels
+from helpers import scipy_modules_of_a_fresh_run, write_item_labels
 
 VARIANT_KEYS = ("distance_kind", "margin_mode", "margin_mode_uu", "margin_mode_ii",
                 "relations", "indicator_mode")
@@ -341,6 +341,28 @@ def test_importing_the_package_loads_no_submodule():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_importing_the_cli_loads_no_scipy_module():
+    assert scipy_modules_of_a_fresh_run() == []
+
+
+def test_prepare_evaluate_and_recommend_load_no_scipy_module(tmp_path):
+    ratings = tmp_path / "ratings.tsv"
+    write_ratings(ratings)
+    assert scipy_modules_of_a_fresh_run(["prepare", str(ratings), str(tmp_path / "ds")]) == []
+    d, ck = trained_checkpoint(tmp_path)
+    for argv in (["evaluate", str(d), str(ck)], ["recommend", str(d), str(ck), "u0"]):
+        assert scipy_modules_of_a_fresh_run(argv) == [], argv[0]
+
+
+def test_a_fixed_margin_train_loads_scipy_sparse_and_not_scipy_special(tmp_path):
+    d, _ = planted_dataset_dir(tmp_path)
+    loaded = scipy_modules_of_a_fresh_run(
+        ["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet", *FAST,
+         "--distance-kind", "euclidean", "--margin-mode", "fixed:1.0", "--relations", "ui"])
+    assert "scipy.sparse" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.special")]
 
 
 def rewrite_header(ck, edit):

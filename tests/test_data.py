@@ -11,7 +11,7 @@ from pmlam import data
 from pmlam.cli import main
 from pmlam.data import (DataFiles, InteractionDataset, ParseError, Rows, _canonical_rows,
                         _load_ids,
-                        as_rows, atomic_write, first_row_not_increasing,
+                        as_rows, atomic_write, filter_iterative, first_row_not_increasing,
                         ingest, load_dataset, load_folds, read_index_rows,
                         save_dataset, save_folds, split_five_fold, write_index_rows)
 from pmlam.synth import planted_clusters
@@ -67,7 +67,7 @@ def test_ingest_threshold_and_dedup(tmp_path):
 def test_ingest_returns_the_id_columns_of_positive_lines_with_repeats_kept(tmp_path):
     path = tmp_path / "ratings.tsv"
     path.write_text("a\tx\t5\n b \t y \t4\nc\tz\t1\n\na\tx\t4.5\n")
-    assert ingest(path) == (["a", "b", "a"], ["x", "y", "x"])
+    assert [list(column) for column in ingest(path)] == [["a", "b", "a"], ["x", "y", "x"]]
 
 
 def test_ingest_comma_separated_without_timestamp(tmp_path):
@@ -327,6 +327,34 @@ def test_filter_cascading_to_nothing_matches_reference_loop():
     for filt in (filter_pairs, reference_filter_iterative):
         with pytest.raises(ValueError, match="eliminated"):
             filt(pairs, min_user=2, min_item=2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_filtering_ingest_s_codes_matches_the_dict_numbering(tmp_path, seed):
+    # ingest codes an id where any line first shows it, and many ids first show on a line
+    # below the threshold, so their codes are out of order among the positive pairs
+    rng = np.random.default_rng(seed)
+    n = 800
+    users, items = rng.integers(0, 50, n), rng.integers(0, 40, n)
+    pad = np.array(["", " "])[rng.integers(0, 2, (n, 2))]  # fields that strip to one id
+    lines = [f"{p}u{u}\ti{i}{q}\t{r}\n" for u, i, r, (p, q)
+             in zip(users, items, rng.choice([1, 3, 4, 5], n), pad)]
+    path = tmp_path / "ratings.tsv"
+    path.write_text("".join(lines))
+    got_users, got_items = ingest(path)
+    for column in (got_users, got_items):
+        positive_order = list(dict.fromkeys(column))
+        held = set(positive_order)
+        assert [text for text in column.texts if text in held] != positive_order
+    pairs = list(zip(got_users, got_items))
+    assert list(dict.fromkeys(pairs)) == reference_ingest(path)
+    for min_user, min_item in ((1, 1), (3, 3), (6, 5)):
+        got = filter_iterative(got_users, got_items, min_user, min_item)
+        for expect in (filter_pairs(pairs, min_user, min_item),
+                       reference_filter_iterative(pairs, min_user, min_item)):
+            np.testing.assert_array_equal(got.indptr, expect.indptr)
+            np.testing.assert_array_equal(got.indices, expect.indices)
+            assert got.user_ids == expect.user_ids and got.item_ids == expect.item_ids
 
 
 def test_reindexing_is_dense():
