@@ -18,7 +18,8 @@ if not os.path.exists(path):
              "archive and unpack u.data there (or set PMLAM_ML100K)")
 
 out_dir = "ml100k-prepared"
-if not os.path.exists(os.path.join(out_dir, "dataset.txt")):
+# a directory without its seal (SHA256SUMS) is prepared again
+if not os.path.exists(os.path.join(out_dir, "SHA256SUMS")):
     main(["prepare", path, out_dir, "--rating-threshold", "4",
           "--min-user", "10", "--min-item", "5", "--seed", "0"])
 

@@ -14,7 +14,9 @@ Folds are one label per interaction in the dataset's row order, as in
 Every per-entity index list (a user's items, an entity's neighbors, an
 anchor's excluded ids or negative pool) is held as :class:`Rows`, one CSR
 pair of arrays. :class:`DataFiles` is the one reader of a prepared dataset's
-files: it reads each once, and its digests are of the bytes the parsers read.
+files: it reads each once and checks its digest against :data:`SEAL` before
+any parse, so the parsers read only the form :func:`save_dataset` and
+:func:`save_folds` write.
 """
 
 import filecmp
@@ -24,6 +26,7 @@ import itertools
 import math
 import operator
 import os
+import re
 import stat
 from dataclasses import dataclass
 
@@ -33,6 +36,10 @@ DS_MAGIC = "PMLAM-DS v1"
 FOLDS_MAGIC = "PMLAM-FOLDS v1"
 # The files of a prepared dataset, in the order their digests are checked.
 DATA_FILES = ("dataset.txt", "folds.txt", "user_ids.txt", "item_ids.txt")
+# The manifest beside them: a ``<sha256>  <name>`` line per file, as ``sha256sum`` writes.
+SEAL = "SHA256SUMS"
+# The message for text in a sealed file that ``save_dataset`` and ``save_folds`` never write.
+NOT_PREPARED = "not the form prepare writes"
 
 
 class ParseError(ValueError):
@@ -483,6 +490,41 @@ def save_dataset(dir_path, ds):
         atomic_write(os.path.join(dir_path, name),
                      lambda f, ids=ids: f.writelines(f"{i}\t{ext}\n"
                                                      for i, ext in enumerate(ids)))
+    seal(dir_path)
+
+
+def seal(dir_path):
+    """Write :data:`SEAL` in ``dir_path`` for whichever of the :data:`DATA_FILES` it holds."""
+    digests = {}
+    for name in DATA_FILES:
+        try:
+            with open(os.path.join(dir_path, name), "rb") as f:
+                digests[name] = hashlib.sha256(f.read()).hexdigest()
+        except FileNotFoundError:
+            continue
+    atomic_write(os.path.join(dir_path, SEAL), lambda f: f.write(_seal_text(digests)))
+
+
+def _seal_text(digests):
+    return "".join(f"{digest}  {name}\n" for name, digest in digests.items())
+
+
+def _check_seal(dir_path, digests):
+    """Reject files whose ``digests`` differ from those :data:`SEAL` in ``dir_path`` records."""
+    path = os.path.join(dir_path, SEAL)
+    try:
+        with open(path, "rb") as f:
+            sealed = f.read()
+    except FileNotFoundError:
+        raise ValueError(f"{dir_path}: no {SEAL}; re-run pmlam prepare") from None
+    if sealed == _seal_text(digests).encode():
+        return
+    lines = sealed.split(b"\n")
+    for name, digest in digests.items():
+        if f"{digest}  {name}".encode() not in lines:
+            raise ValueError(f"{os.path.join(dir_path, name)}: differs from its digest in "
+                             f"{path} (SHA-256 mismatch)")
+    raise ValueError(f"{path}: {NOT_PREPARED}")
 
 
 def load_dataset(files):
@@ -490,7 +532,7 @@ def load_dataset(files):
     path = files.path("dataset.txt")
     with files.open("dataset.txt") as f:
         n_users, n_items, n_interactions = _dataset_header(f, path)
-        rows = read_index_rows(f, path, 5, n_users, "user rows")
+        rows = read_index_rows(f.read(), path, n_users)
     if len(rows.indices) != n_interactions:
         raise ValueError(f"{path}:4: header gives {n_interactions} interactions, "
                          f"rows hold {len(rows.indices)}")
@@ -519,18 +561,10 @@ def _folds_header(f, path):
 
 def header_count(f, path, line_no, name):
     """The count of a ``name <count>`` header line."""
-    value = header_value(f, path, line_no, name)
-    if not value.isdigit():
-        raise ValueError(f"{path}:{line_no}: expected '{name} <count>'")
-    return int(value)
-
-
-def header_value(f, path, line_no, name):
-    """The value of a ``name <value>`` header line."""
     parts = f.readline().split()
-    if len(parts) != 2 or parts[0] != name:
-        raise ValueError(f"{path}:{line_no}: expected '{name} <value>'")
-    return parts[1]
+    if len(parts) != 2 or parts[0] != name or not parts[1].isdigit():
+        raise ValueError(f"{path}:{line_no}: expected '{name} <count>'")
+    return int(parts[1])
 
 
 def write_index_rows(f, rows):
@@ -559,25 +593,15 @@ def write_index_rows(f, rows):
     f.write(buf.tobytes().decode("ascii"))
 
 
-def read_index_rows(f, path, first_line, n_rows, what):
-    """Read ``n_rows`` lines of integers as :class:`Rows`; the file must end after them.
+def read_index_rows(text, path, n_rows):
+    """The ``n_rows`` lines of ``text`` as :class:`Rows`, in :func:`write_index_rows`' form.
 
-    A cut file fails, and so does any character after the last row, a blank
-    line or a lone space included. The form :func:`write_index_rows` writes
-    is read in one pass over the text; any other text is read line by line,
-    with the same result for every text both accept.
+    Any other text, a cut or a longer one included, fails.
     """
-    text = f.read()
     rows = _canonical_rows(text, n_rows)
-    if rows is not None:
-        return rows
-    lines = io.StringIO(text)  # f has translated every line end to "\n" already
-    rows = [_index_line(lines.readline(), path, first_line, r, n_rows, what)
-            for r in range(n_rows)]
-    if lines.read(1):
-        raise ValueError(f"{path}:{first_line + n_rows}: text after the last of the "
-                         f"{n_rows} {what}")
-    return as_rows(rows)
+    if rows is None:
+        raise ValueError(f"{path}: {NOT_PREPARED}")
+    return rows
 
 
 # Byte classes of the canonical row text, a ``bytes.translate`` table: a
@@ -609,17 +633,6 @@ def _canonical_rows(text, n_rows):
     values = (np.fromstring(text, dtype=np.int64, sep=" ") if indptr[-1]
               else np.empty(0, dtype=np.int64))  # a text without digits reads as [0]
     return Rows(indptr, values)
-
-
-def _index_line(line, path, first_line, r, n_rows, what):
-    """Row ``r`` of ``n_rows``, read from line ``first_line + r``: its integers."""
-    if not line.endswith("\n"):  # every complete line ends in a newline
-        raise ValueError(f"{path}:{first_line + r}: truncated after {r} of "
-                         f"{n_rows} {what}")
-    try:
-        return np.array(line.split(), dtype=np.int64)
-    except (ValueError, OverflowError):
-        raise ValueError(f"{path}:{first_line + r}: expected integers") from None
 
 
 def _check_item_rows(rows, path, first_line, n_items):
@@ -665,48 +678,27 @@ def first_row_not_increasing(rows):
 
 
 def _load_ids(files, name, expected):
-    """Read id sidecar ``name``: line ``i + 1`` is ``i<TAB><id>``, ids non-empty and unique.
-
-    Every line is checked at once; only when a check fails is the first line
-    at fault looked for, to name it.
-    """
+    """Read id sidecar ``name``: line ``i + 1`` is ``i<TAB><id>``, ids non-empty and unique."""
     path = files.path(name)
     with files.open(name) as f:
         lines = f.read().split("\n")
     cut = lines.pop()  # the text after the last newline: a line cut short, or nothing
     prefixes = list(map("{}\t".format, range(len(lines))))
     ids = list(map(str.removeprefix, lines, prefixes))
-    if (cut or not all(map(str.startswith, lines, prefixes)) or not all(ids)
-            or len(set(ids)) < len(ids)):
-        raise ValueError(_id_lines_error(path, lines, prefixes, ids))
+    if cut or not all(map(str.startswith, lines, prefixes)) or not all(ids):
+        raise ValueError(f"{path}: {NOT_PREPARED}")
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"{path}: an id repeats")
     if len(ids) != expected:
         raise ValueError(f"{path}: expected {expected} ids, found {len(ids)}")
     return ids
-
-
-def _id_lines_error(path, lines, prefixes, ids):
-    """The message for the first sidecar line that breaks its form or repeats an id.
-
-    With no such line among the complete ``lines``, the fault is the cut line
-    after them.
-    """
-    n = len(lines)
-    held = (np.fromiter(map(str.startswith, lines, prefixes), bool, n)
-            & np.fromiter(map(bool, ids), bool, n))
-    line_of = dict(zip(reversed(ids), range(n, 0, -1)))  # id -> the first line holding it
-    seen = np.fromiter(map(line_of.__getitem__, ids), np.int64, n) <= np.arange(n)
-    bad = np.flatnonzero(~held | seen)
-    pos = bad[0] if bad.size else n
-    if pos < n and held[pos]:
-        return f"{path}:{pos + 1}: id {ids[pos]!r} repeats line {line_of[ids[pos]]}"
-    return f"{path}:{pos + 1}: expected '{pos}<TAB><id>'"
 
 
 def _id_line(line, path, pos):
     """The id on line ``pos + 1`` of a sidecar, a line that must read ``pos<TAB><id>``."""
     index, tab, ext = line.removesuffix("\n").partition("\t")
     if not line.endswith("\n") or not tab or index != str(pos) or not ext:
-        raise ValueError(f"{path}:{pos + 1}: expected '{pos}<TAB><id>'")
+        raise ValueError(f"{path}: {NOT_PREPARED}")
     return ext
 
 
@@ -723,6 +715,7 @@ def save_folds(dir_path, folds):
         write_index_rows(f, Rows(folds.ds.indptr, folds.labels))
 
     atomic_write(os.path.join(dir_path, "folds.txt"), body)
+    seal(dir_path)
 
 
 def load_fold(files, ds, index):
@@ -743,7 +736,7 @@ def load_folds(files, ds):
     path = files.path("folds.txt")
     with files.open("folds.txt") as f:
         seed, n_folds = _folds_header(f, path)
-        labels = read_index_rows(f, path, 4, ds.n_users, "user lines")
+        labels = read_index_rows(f.read(), path, ds.n_users)
     _check_label_rows(labels, np.diff(ds.indptr), path, 0, n_folds)
     return Folds(ds, labels.indices, seed, n_folds)
 
@@ -751,23 +744,26 @@ def load_folds(files, ds):
 class DataFiles:
     """A prepared dataset's :data:`DATA_FILES`, each read once; the only reader of them.
 
-    Construction reads the four files, the counts in the header of
-    ``dataset.txt`` and the fold count in that of ``folds.txt``. :meth:`digests`
-    hashes the bytes read, and every parse (:func:`load_dataset`,
-    :func:`load_folds` and the methods below) reads those same bytes through
+    Construction reads the four files, hashes each once, and checks the
+    digests against :data:`SEAL` before it parses anything: the counts in the
+    header of ``dataset.txt`` and the fold count in that of ``folds.txt``.
+    :meth:`digests` gives those digests, and every parse (:func:`load_dataset`,
+    :func:`load_folds` and the methods below) reads the same bytes through
     :meth:`open`, so what a command checks against a checkpoint is what it
     parses. Once the digests match those recorded when a checkpoint was
     trained, ``train`` has parsed and checked these bytes in full, so the
     methods below parse only the lines they need, with the full readers'
-    per-line checks and ``file:line`` messages.
+    checks.
     """
 
     def __init__(self, dir_path):
         self.dir = dir_path
-        self.blobs = {}
+        self.blobs, self.sha256 = {}, {}
         for name in DATA_FILES:
             with open(self.path(name), "rb") as f:
                 self.blobs[name] = f.read()
+            self.sha256[name] = hashlib.sha256(self.blobs[name]).hexdigest()
+        _check_seal(dir_path, self.sha256)
         with self.open("dataset.txt") as f:
             self.n_users, self.n_items, _ = _dataset_header(f, self.path("dataset.txt"))
         with self.open("folds.txt") as f:
@@ -777,8 +773,8 @@ class DataFiles:
         return os.path.join(self.dir, name)
 
     def open(self, name):
-        """File ``name`` as text, decoded and split into lines as ``open`` does."""
-        return io.TextIOWrapper(io.BytesIO(self.blobs[name]))
+        """File ``name`` as text, decoded as ``open`` does; lines end at a newline alone."""
+        return io.TextIOWrapper(io.BytesIO(self.blobs[name]), newline="\n")
 
     def _line(self, name, line_no):
         """Line ``line_no`` (from 1) of file ``name``, as ``readline`` returns it there."""
@@ -787,13 +783,13 @@ class DataFiles:
 
     def digests(self):
         """SHA-256 hex digest of the bytes read, file name -> digest."""
-        return {name: hashlib.sha256(blob).hexdigest() for name, blob in self.blobs.items()}
+        return dict(self.sha256)
 
     def user_index(self, user_id):
         """The internal index of external user ``user_id``, or None if no line holds it.
 
-        The line is the first whose first tab is followed by ``user_id`` and
-        then the line's end.
+        The line is the one whose first tab is followed by ``user_id`` and
+        then the line's end; a second such line fails.
         """
         if "\n" in user_id:  # no id holds one, and the search below would span lines
             return None
@@ -802,11 +798,13 @@ class DataFiles:
             text = f.read()
         needle = f"\t{user_id}\n"
         lines = text if text.endswith("\n") else text + "\n"  # a last line ends there too
-        at = lines.find(needle)
-        while at >= 0 and lines.find("\t", lines.rfind("\n", 0, at) + 1, at) >= 0:
-            at = lines.find(needle, at + 1)  # that tab is not its line's first
-        if at < 0:
+        held = [at for at in (m.start() for m in re.finditer(re.escape(needle), lines))
+                if lines.find("\t", lines.rfind("\n", 0, at) + 1, at) < 0]  # its line's first tab
+        if len(held) > 1:
+            raise ValueError(f"{path}: an id repeats")
+        if not held:
             return None
+        at = held[0]
         start = text.rfind("\n", 0, at) + 1
         u = text.count("\n", 0, start)
         _id_line(text[start:at + len(needle)], path, u)
@@ -817,13 +815,11 @@ class DataFiles:
     def train_row(self, u, fold_index):
         """User ``u``'s items whose fold label is not ``fold_index``, in ascending order."""
         rows_path, folds_path = self.path("dataset.txt"), self.path("folds.txt")
-        items = _index_line(self._line("dataset.txt", u + 5), rows_path, 5, u,
-                            self.n_users, "user rows")
-        _check_item_rows(as_rows([items]), rows_path, u + 5, self.n_items)
-        labels = _index_line(self._line("folds.txt", u + 4), folds_path, 4, u,
-                             self.n_users, "user lines")
-        _check_label_rows(as_rows([labels]), [len(items)], folds_path, u, self.n_folds)
-        return items[labels != fold_index]
+        items = read_index_rows(self._line("dataset.txt", u + 5), rows_path, 1)
+        _check_item_rows(items, rows_path, u + 5, self.n_items)
+        labels = read_index_rows(self._line("folds.txt", u + 4), folds_path, 1)
+        _check_label_rows(labels, items.lens(), folds_path, u, self.n_folds)
+        return items.indices[labels.indices != fold_index]
 
     def item_ids(self, items):
         """The external id of each internal item index in ``items``."""

@@ -16,10 +16,11 @@ from ``split_five_fold(ds, seed=4)``) and keeps five files under
   tables, margin nets, optimizer moments and RNG states the run ends with.
 
 ``tests/golden/prepare.sha256`` pins ``prepare --seed 5``: the SHA-256 of
-each of the four files it writes, for one seeded ratings file written in
-each of :data:`RATINGS_FORMS` (tab or comma lines, with 3 or 4 fields). The
-file has ratings below the threshold, blank lines, CRLF line ends, repeated
-positive lines, and users and items that filtering drops.
+each of the four data files it writes and of their ``SHA256SUMS``, for one
+seeded ratings file written in each of :data:`RATINGS_FORMS` (tab or comma
+lines, with 3 or 4 fields). The file has ratings below the threshold, blank
+lines, CRLF line ends, repeated positive lines, and users and items that
+filtering drops.
 
 ``tests/test_golden.py`` reruns them and compares the files. A change that
 moves them on purpose regenerates them and states the old and new values:
@@ -37,7 +38,7 @@ import tempfile
 import numpy as np
 
 from pmlam.cli import main
-from pmlam.data import DATA_FILES, save_dataset, save_folds, split_five_fold
+from pmlam.data import DATA_FILES, SEAL, save_dataset, save_folds, split_five_fold
 from pmlam.synth import planted_clusters
 
 from helpers import write_item_labels
@@ -134,7 +135,7 @@ def produce_prepare(work_dir):
             f.writelines(ratings_lines(sep, n_fields))
         data_dir = os.path.join(work_dir, form)
         _quiet(["prepare", ratings, data_dir, "--seed", 5])
-        for name in DATA_FILES:
+        for name in (*DATA_FILES, SEAL):
             with open(os.path.join(data_dir, name), "rb") as f:
                 out.append(f"{hashlib.sha256(f.read()).hexdigest()}  {form}/{name}\n")
     return "".join(out)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import expit
 
 from pmlam.data import (FOLDS_MAGIC, FoldSplit, IdColumn, InteractionDataset, ParseError, Rows,
-                        _id_line, _index_line, as_rows, filter_iterative)
+                        filter_iterative, seal)
 from pmlam.distance import SIGMA_MIN, DistanceKind
 from pmlam.embeddings import GaussianEmbeddingTable
 from pmlam.losses import batch_inner, zero_theta_grads
@@ -146,23 +146,6 @@ def reference_ingest(path, rating_threshold=4.0):
     return list(pairs)
 
 
-def reference_load_ids(files, name, expected):
-    """``data._load_ids`` as one ``_id_line`` call and dict insert per line: its oracle."""
-    path = files.path(name)
-    line_of = {}  # id -> its line number, in file order
-    with files.open(name) as f:
-        for pos, line in enumerate(f):
-            ext = _id_line(line, path, pos)
-            if ext in line_of:
-                raise ValueError(f"{path}:{pos + 1}: id {ext!r} repeats line "
-                                 f"{line_of[ext]}")
-            line_of[ext] = pos + 1
-    ids = list(line_of)
-    if len(ids) != expected:
-        raise ValueError(f"{path}: expected {expected} ids, found {len(ids)}")
-    return ids
-
-
 def scipy_modules_of_a_fresh_run(argv=None, worker=None):
     """The ``scipy`` modules a fresh interpreter holds once it has run ``pmlam`` command ``argv``.
 
@@ -212,6 +195,16 @@ def damage(blob, how, rng):
     return bytes(out)
 
 
+def forge(path, edit):
+    """Rewrite prepared-data file ``path`` as ``edit(text)`` and re-seal its directory.
+
+    The digests in ``SHA256SUMS`` then pin the edited bytes, so only the
+    readers' own checks can tell the edit: a forged seal.
+    """
+    path.write_text(edit(path.read_text()))
+    seal(path.parent)
+
+
 def reference_folds_text(splits, seed):
     """The ``folds.txt`` text of the splits drawn with ``seed``, labels recovered user by user."""
     lines = [FOLDS_MAGIC, f"seed {seed}", f"folds {len(splits)}"]
@@ -221,16 +214,6 @@ def reference_folds_text(splits, seed):
                                  for s in splits])
         lines.append(" ".join(map(str, labels[np.argsort(items)])))
     return "\n".join(lines) + "\n"
-
-
-def reference_read_index_rows(f, path, first_line, n_rows, what):
-    """``data.read_index_rows`` as one ``_index_line`` call per line: its oracle."""
-    rows = [_index_line(f.readline(), path, first_line, r, n_rows, what)
-            for r in range(n_rows)]
-    if f.read(1):
-        raise ValueError(f"{path}:{first_line + n_rows}: text after the last of the "
-                         f"{n_rows} {what}")
-    return as_rows(rows)
 
 
 def reference_pairwise_distances(users, items, kind, user_idx=None):

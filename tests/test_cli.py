@@ -16,13 +16,13 @@ import pytest
 from pmlam import bilevel, checkpoint, data, evaluator
 from pmlam.cli import ABLATION_VARIANTS, build_parser, main
 from pmlam.config import RunConfig, make_config
-from pmlam.data import (DATA_FILES, DataFiles, load_dataset, load_folds, split_five_fold,
-                        save_dataset, save_folds)
+from pmlam.data import (DATA_FILES, NOT_PREPARED, SEAL, DataFiles, load_dataset, load_folds,
+                        save_dataset, save_folds, seal, split_five_fold)
 from pmlam.losses import TripletBatch
 from pmlam.margin_net import forward, margin_input
 from pmlam.synth import planted_clusters
 
-from helpers import scipy_modules_of_a_fresh_run, write_item_labels
+from helpers import forge, scipy_modules_of_a_fresh_run, write_item_labels
 
 VARIANT_KEYS = ("distance_kind", "margin_mode", "margin_mode_uu", "margin_mode_ii",
                 "relations", "indicator_mode")
@@ -52,6 +52,19 @@ def planted_dataset_dir(tmp_path, seed=0, labels=False, p_in=1.0, p_out=0.0):
 
 def file_digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def unsealed(path):
+    """The message for data file ``path`` when its bytes differ from those its seal records."""
+    return f"{path}: differs from its digest in {path.parent / SEAL} (SHA-256 mismatch)"
+
+
+def train_exits_2(tmp_path, capsys, d):
+    """``train`` on dataset directory ``d`` exits 2 with no run written; its stderr."""
+    rc = main(["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet"] + FAST)
+    assert rc == 2
+    assert not (tmp_path / "run").exists()
+    return capsys.readouterr().err
 
 
 def test_prepare_writes_cache_and_stats(tmp_path, capsys):
@@ -257,11 +270,10 @@ def test_train_on_text_after_the_last_row_exits_2(tmp_path, capsys, name, first_
     assert ds.n_users == 20  # rows on lines 5-24 of dataset.txt, 4-23 of folds.txt
     path = d / name
     path.write_bytes(path.read_bytes() + tail.encode())
-    rc = main(["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet"] + FAST)
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"{path}:{first_after}: text after the last of the 20 " in err
-    assert not (tmp_path / "run").exists()
+    assert path.read_text().split("\n")[first_after - 1] == tail.split("\n")[0]
+    assert unsealed(path) in train_exits_2(tmp_path, capsys, d)
+    forge(path, lambda text: text)
+    assert f"{path}: {NOT_PREPARED}" in train_exits_2(tmp_path, capsys, d)
 
 
 def trained_checkpoint(tmp_path, **shape):
@@ -488,8 +500,7 @@ def test_bad_fold_count_exits_2_before_the_digest_check(tmp_path, capsys):
     path = d / "folds.txt"
     lines = path.read_text().split("\n")
     assert lines[2] == "folds 5"
-    lines[2] = "folds x"
-    path.write_text("\n".join(lines))
+    forge(path, lambda text: text.replace("\nfolds 5\n", "\nfolds x\n", 1))
     capsys.readouterr()
     for argv in (["evaluate", str(d), str(ck)], ["recommend", str(d), str(ck), "u0"]):
         assert main(argv) == 2
@@ -500,9 +511,9 @@ def test_train_with_damaged_id_sidecar_exits_2(tmp_path, capsys):
     d, _ = planted_dataset_dir(tmp_path)
     path = d / "user_ids.txt"
     path.write_text(path.read_text().replace("1\t", "1 ", 1))
-    rc = main(["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet"] + FAST)
-    assert rc == 2
-    assert "user_ids.txt:2: expected '1<TAB><id>'" in capsys.readouterr().err
+    assert unsealed(path) in train_exits_2(tmp_path, capsys, d)
+    forge(path, lambda text: text)
+    assert f"{path}: {NOT_PREPARED}" in train_exits_2(tmp_path, capsys, d)
 
 
 @pytest.mark.parametrize("name, line", [("dataset.txt", 5), ("folds.txt", 4)])
@@ -513,9 +524,9 @@ def test_non_integer_token_exits_2(tmp_path, capsys, name, line, token):
     lines = path.read_text().split("\n")
     lines[line - 1] = " ".join([token] + lines[line - 1].split()[1:])
     path.write_text("\n".join(lines))
-    rc = main(["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet"] + FAST)
-    assert rc == 2
-    assert f"{name}:{line}: expected integers" in capsys.readouterr().err
+    assert unsealed(path) in train_exits_2(tmp_path, capsys, d)
+    forge(path, lambda text: text)
+    assert f"{path}: {NOT_PREPARED}" in train_exits_2(tmp_path, capsys, d)
 
 
 def test_case_study_on_damaged_item_labels_exits_2(tmp_path, capsys):
@@ -620,7 +631,7 @@ def test_dataset_row_not_strictly_increasing_exits_2(tmp_path, capsys, row):
     lines = path.read_text().split("\n")
     assert lines[4].startswith("0 1 2 ")  # user 0's row
     lines[4] = row + lines[4][3:]
-    path.write_text("\n".join(lines))
+    forge(path, lambda text: "\n".join(lines))
     rc = main(["train", str(d), "--out-dir", str(tmp_path / "run"), "--quiet",
                "--relations", "ui"] + FAST)
     assert rc == 2
@@ -662,8 +673,9 @@ def edit_one_byte(path):
 def test_one_byte_edit_of_the_training_data_exits_2(tmp_path, capsys, name):
     d, ck = trained_checkpoint(tmp_path, **SPARSE)
     edit_one_byte(d / name)
+    seal(d)
     files = DataFiles(d)
-    load_folds(files, load_dataset(files))  # the edited files load: only the digest tells
+    load_folds(files, load_dataset(files))  # the edited files load: only the digests tell
     capsys.readouterr()
     assert main(["evaluate", str(d), str(ck)]) == 2
     assert f"{name}: differs from the file {ck} was trained on" in capsys.readouterr().err
@@ -722,8 +734,7 @@ def test_data_edited_between_two_reads_exits_2(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["evaluate", str(d), str(ck)]) == 2
     assert len(served) == 1
-    assert (f"{d / 'dataset.txt'}: differs from the file {ck} was trained on"
-            in capsys.readouterr().err)
+    assert unsealed(d / "dataset.txt") in capsys.readouterr().err
 
 
 def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
@@ -853,7 +864,7 @@ def own_copy(tmp_path, run, labels=False):
     """
     d, ck = tmp_path / "data", tmp_path / "checkpoint.bin"
     d.mkdir()
-    for name in DATA_FILES:
+    for name in (*DATA_FILES, SEAL):
         (d / name).write_bytes((run[0] / name).read_bytes())
     ck.write_bytes(run[1].read_bytes())
     if labels:
@@ -1028,12 +1039,6 @@ def test_a_negative_seed_exits_2_naming_its_setting(criterion_9_run, tmp_path, c
 
 
 
-def edit_line(path, line_no, edit):
-    lines = path.read_text().split("\n")
-    lines[line_no - 1] = edit(lines[line_no - 1])
-    path.write_text("\n".join(lines))
-
-
 def on_line(line_no, edit):
     """A text edit that applies ``edit`` to line ``line_no`` (from 1)."""
     def edit_text(text):
@@ -1043,7 +1048,14 @@ def on_line(line_no, edit):
     return edit_text
 
 
-@pytest.mark.parametrize("name, edit, user, line, message", [
+# What each edit breaks, named by its line. Past a forged seal the readers name
+# that line for the checks they keep; a line not in the form prepare writes
+# fails as its whole file.
+FORM_FAULTS = ("expected integers", "truncated after 19 of 20 user rows",
+               "expected '0<TAB><id>'", "expected '19<TAB><id>'")
+
+
+@pytest.mark.parametrize("name, edit, user, line, fault", [
     ("dataset.txt", on_line(5, lambda row: "x " + row), "u0", 5, "expected integers"),
     ("dataset.txt", on_line(5, lambda row: "1 " + row), "u0", 5,
      "item indices not strictly increasing"),
@@ -1062,16 +1074,52 @@ def on_line(line_no, edit):
     ("item_ids.txt", on_line(20, lambda line: line.replace("\t", " ")), "u0", 20,
      "expected '19<TAB><id>'")])
 def test_a_pinned_malformed_line_of_the_user_exits_2(criterion_9_run, tmp_path, capsys,
-                                                      name, edit, user, line, message):
-    # rewriting the digests pins the damaged data, so only the line checks can tell
+                                                      name, edit, user, line, fault):
+    # forging the seal and the checkpoint's digests pins the damaged data, so only
+    # the readers' own checks can tell
     d, ck = own_copy(tmp_path, criterion_9_run)
     path = d / name
-    path.write_text(edit(path.read_text()))
+    forge(path, edit)
     rewrite_header(ck, lambda header: header.update(data_sha256=DataFiles(d).digests()))
     capsys.readouterr()
     assert main(["recommend", str(d), str(ck), user, "-k", "999"]) == 2
     err = capsys.readouterr().err
-    assert f"{path}:{line}: {message}" in err and "Traceback" not in err
+    message = f"{path}: {NOT_PREPARED}" if fault in FORM_FAULTS else f"{path}:{line}: {fault}"
+    assert message in err and "Traceback" not in err
+
+
+# A forged edit for each fault the readers must catch on their own, and the user
+# whose lines it is on. Criterion 9's data has 20 users and 20 items; its rows
+# are on lines 5-24 of dataset.txt and 4-23 of folds.txt.
+FORGED = {
+    "plus sign": ("dataset.txt", on_line(5, lambda row: "+" + row), "u0"),
+    "tab": ("folds.txt", on_line(4, lambda row: row.replace(" ", "\t", 1)), "u0"),
+    "item past the catalogue": ("dataset.txt", on_line(24, lambda row: row + " 20"), "u19"),
+    "fold label past the count": ("folds.txt", on_line(4, lambda row: "5" + row[1:]), "u0"),
+    "repeated id": ("user_ids.txt", lambda text: text.replace("1\tu1\n", "1\tu0\n"), "u0"),
+    "one row too few": ("dataset.txt", lambda text: text[:text.rstrip("\n").rfind("\n") + 1],
+                        "u19"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "recommend"])
+@pytest.mark.parametrize("fault", FORGED)
+def test_a_forged_seal_over_a_fault_exits_2_naming_the_file(criterion_9_run, tmp_path, capsys,
+                                                            fault, command):
+    d, ck = own_copy(tmp_path, criterion_9_run)
+    name, edit, user = FORGED[fault]
+    path = d / name
+    before = path.read_text()
+    forge(path, edit)
+    assert path.read_text() != before
+    rewrite_header(ck, lambda header: header.update(data_sha256=DataFiles(d).digests()))
+    argv = {"train": ["train", d, "--out-dir", tmp_path / "run", "--quiet", *CRITERION_9],
+            "evaluate": ["evaluate", d, ck],
+            "recommend": ["recommend", d, ck, user]}[command]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and "Traceback" not in err, err
 
 
 WRONG_JSON = (None, True, -1, 2.5, "0", [], {})

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -9,17 +10,16 @@ import pytest
 
 from pmlam import data
 from pmlam.cli import main
-from pmlam.data import (DataFiles, InteractionDataset, ParseError, Rows, _canonical_rows,
-                        _load_ids,
-                        as_rows, atomic_write, filter_iterative, first_row_not_increasing,
-                        ingest, load_dataset, load_folds, read_index_rows,
-                        save_dataset, save_folds, split_five_fold, write_index_rows)
+from pmlam.data import (NOT_PREPARED, DataFiles, InteractionDataset, ParseError, Rows,
+                        _canonical_rows, _load_ids, as_rows, atomic_write, filter_iterative,
+                        first_row_not_increasing, ingest, load_dataset, load_folds,
+                        read_index_rows, save_dataset, save_folds, seal, split_five_fold,
+                        write_index_rows)
 from pmlam.synth import planted_clusters
 
 from helpers import (DAMAGES, damage, dataset_digest, filter_pairs, reference_filter_iterative,
-                     reference_folds_text, reference_ingest, reference_load_ids,
-                     reference_read_index_rows,
-                     reference_split_five_fold, reference_transpose_rows)
+                     reference_folds_text, reference_ingest, reference_split_five_fold,
+                     reference_transpose_rows)
 
 
 def write_ratings(path, rows, sep="\t"):
@@ -469,13 +469,48 @@ def test_folds_match_nested_loop_reference(tmp_path, name, seed):
             got[5]
 
 
+def edit_past_the_seal(path, edit):
+    """Rewrite ``path`` as ``edit(text)``, check that the seal names it, then forge the seal.
+
+    The readers' own checks are then all that stands between the edit and a parse.
+    """
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: differs from its digest in")):
+        DataFiles(path.parent)
+    seal(path.parent)
+
+
 def test_load_rejects_wrong_magic(tmp_path):
     ds = filter_pairs([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)], 1, 1)
     save_dataset(tmp_path, ds)
     save_folds(tmp_path, split_five_fold(ds, seed=0))
-    (tmp_path / "dataset.txt").write_text("NOT-A-CACHE\n")
+    edit_past_the_seal(tmp_path / "dataset.txt", lambda text: "NOT-A-CACHE\n")
     with pytest.raises(ValueError, match="PMLAM-DS"):
         load_dataset(DataFiles(tmp_path))
+
+
+def test_a_directory_without_its_seal_exits_2(tmp_path, capsys):
+    ds = filter_pairs([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)], 1, 1)
+    save_dataset(tmp_path, ds)
+    save_folds(tmp_path, split_five_fold(ds, seed=0))
+    DataFiles(tmp_path)
+    (tmp_path / "SHA256SUMS").unlink()
+    assert main(["train", str(tmp_path), "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path}: no SHA256SUMS; "
+                                       f"re-run pmlam prepare\n")
+
+
+def test_the_seal_is_sha256sum_s_form_in_file_order(tmp_path):
+    ds = filter_pairs([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)], 1, 1)
+    save_dataset(tmp_path, ds)
+    assert (tmp_path / "SHA256SUMS").read_text() == "".join(
+        f"{hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}  {name}\n"
+        for name in ("dataset.txt", "user_ids.txt", "item_ids.txt"))
+    save_folds(tmp_path, split_five_fold(ds, seed=0))
+    files = DataFiles(tmp_path)
+    assert (tmp_path / "SHA256SUMS").read_text() == "".join(
+        f"{digest}  {name}\n" for name, digest in files.digests().items())
+    assert list(files.digests()) == list(data.DATA_FILES)
 
 
 def test_failed_atomic_write_leaves_target_and_no_temp_file(tmp_path):
@@ -552,21 +587,24 @@ def test_load_rejects_item_index_outside_catalog(tmp_path):
     save_dataset(tmp_path, ds)
     save_folds(tmp_path, split_five_fold(ds, seed=0))
     path = tmp_path / "dataset.txt"
-    lines = path.read_text().split("\n")
-    lines[5] = "0 1 2 4"  # the second user's last item is past the 4-item catalog
-    path.write_text("\n".join(lines))
+    assert path.read_text().split("\n")[5] == "0 1 2 3"
+    # the second user's last item is past the 4-item catalog
+    edit_past_the_seal(path, lambda text: text.replace("0 1 2 3\n0 1 2 3\n",
+                                                       "0 1 2 3\n0 1 2 4\n", 1))
     with pytest.raises(ValueError, match="dataset.txt:6: item index"):
         load_dataset(DataFiles(tmp_path))
 
 
-@pytest.mark.parametrize("damage, message", [
+# Each damage, and the fault it makes, named by its line; past a forged seal
+# the reader names only the file.
+@pytest.mark.parametrize("damage, fault", [
     ("tab", "user_ids.txt:2: expected '1<TAB><id>'"),
     ("index", "user_ids.txt:2: expected '1<TAB><id>'"),
     ("empty", "user_ids.txt:2: expected '1<TAB><id>'"),
     ("duplicate", "user_ids.txt:2: id 'u0' repeats line 1"),
     ("cut", "user_ids.txt:3: expected '2<TAB><id>'"),
 ])
-def test_load_rejects_damaged_id_sidecar(tmp_path, damage, message):
+def test_load_rejects_damaged_id_sidecar(tmp_path, damage, fault):
     ds = filter_pairs([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)],
                       min_user=1, min_item=1)
     save_dataset(tmp_path, ds)
@@ -577,8 +615,9 @@ def test_load_rejects_damaged_id_sidecar(tmp_path, damage, message):
     lines[1] = {"tab": "1 u1", "index": "2\tu1", "empty": "1\t",
                 "duplicate": "1\tu0", "cut": "1\tu1"}[damage]
     text = "\n".join(lines) + "\n"
-    path.write_text(text[:-1] if damage == "cut" else text)
-    with pytest.raises(ValueError, match=message):
+    edit_past_the_seal(path, lambda _: text[:-1] if damage == "cut" else text)
+    message = "an id repeats" if damage == "duplicate" else NOT_PREPARED
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_dataset(DataFiles(tmp_path))
 
 
@@ -595,9 +634,23 @@ SIDECAR_SEED = 37
 SIDECAR_TRIALS = 40
 
 
+def per_line_ids(text, expected):
+    """The ids of sidecar ``text``, read line by line, or None where the reader must fail."""
+    lines = text.split("\n")
+    if lines.pop():  # a cut last line
+        return None
+    ids = []
+    for pos, line in enumerate(lines):
+        index, tab, ext = line.partition("\t")
+        if index != str(pos) or not tab or not ext or ext in ids:
+            return None
+        ids.append(ext)
+    return ids if len(ids) == expected else None
+
+
 @pytest.mark.parametrize("trial", range(SIDECAR_TRIALS))
 def test_load_ids_matches_the_per_line_reference(tmp_path, trial):
-    """A damaged sidecar gives the per-line reference's ids, or its error message."""
+    """Past a forged seal, a damaged sidecar reads as the per-line reference reads it, or fails."""
     rng = np.random.default_rng([SIDECAR_SEED, trial])
     ids = [f"u{k}" for k in rng.permutation(rng.integers(1, 40))]
     ds = filter_pairs([(u, f"i{k}") for u in ids for k in range(2)], min_user=1, min_item=1)
@@ -605,14 +658,23 @@ def test_load_ids_matches_the_per_line_reference(tmp_path, trial):
     save_folds(tmp_path, split_five_fold(ds, seed=0))
     name = ("user_ids.txt", "item_ids.txt")[rng.integers(2)]
     blob = (tmp_path / name).read_bytes()
+    expected = (ds.n_users, ds.n_items)[name == "item_ids.txt"]
     for how in (*DAMAGES, "repeated id"):
         (tmp_path / name).write_bytes(damage(blob, how, rng) if how in DAMAGES
                                       else repeat_an_id(blob, rng))
+        seal(tmp_path)
         files = DataFiles(tmp_path)
-        expected = (ds.n_users, ds.n_items)[name == "item_ids.txt"]
-        got, want = (ingest_outcome(lambda f: read(f, name, expected), files)
-                     for read in (_load_ids, reference_load_ids))
-        assert got == want, f"{how}: {(tmp_path / name).read_bytes()!r}"
+        got = ingest_outcome(lambda f: _load_ids(f, name, expected), files)
+        try:
+            with files.open(name) as f:
+                want = per_line_ids(f.read(), expected)
+        except UnicodeDecodeError:  # the reader decodes as the reference does
+            assert got[0] is UnicodeDecodeError, (how, got)
+            continue
+        if want is None:
+            assert got[0] is ValueError and got[1].startswith(f"{tmp_path / name}: "), (how, got)
+        else:
+            assert got == want, f"{how}: {(tmp_path / name).read_bytes()!r}"
 
 
 def test_first_row_not_increasing_matches_a_row_loop():
@@ -726,24 +788,52 @@ def sweep_rows_text(rng, odd, depart=False):
     return text, n_rows
 
 
+def per_line_rows(text, n_rows):
+    """The rows of ``text`` read line by line in the form ``write_index_rows`` writes, or None.
+
+    That is ``n_rows`` lines, each ending in a newline, of ASCII digits and
+    spaces with no number longer than 18 digits; spaces split a line as
+    ``str.split`` does.
+    """
+    lines = text.split("\n")
+    if len(lines) != n_rows + 1 or lines[-1]:
+        return None
+    rows = []
+    for line in lines[:-1]:
+        if not set(line) <= set("0123456789 ") or any(len(t) > 18 for t in line.split()):
+            return None
+        rows.append(np.array([int(t) for t in line.split()], dtype=np.int64))
+    return as_rows(rows)
+
+
 def read_rows_outcome(read, text, n_rows):
-    """``read``'s Rows of ``text`` as lists with their dtypes, or its ValueError's text."""
-    f = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")  # as DataFiles.open
+    """``read``'s Rows of ``text`` as lists with their dtypes, or its ValueError's text.
+
+    ``read(text, path, n_rows)`` is :func:`read_index_rows` or the per-line
+    reference, which gives None where the reader must fail.
+    """
+    f = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), newline="\n")  # as DataFiles.open
     try:
-        rows = read(f, "rows.txt", 5, n_rows, "user rows")
+        rows = read(f.read(), "rows.txt", n_rows)
     except ValueError as e:
         return str(e)
+    if rows is None:
+        return f"rows.txt: {NOT_PREPARED}"
     return rows.indptr.dtype, rows.indptr.tolist(), rows.indices.dtype, rows.indices.tolist()
+
+
+def reference_read(text, path, n_rows):
+    return per_line_rows(text, n_rows)
 
 
 @pytest.mark.parametrize("trial", range(READ_TRIALS))
 def test_read_index_rows_matches_the_per_line_reference(trial):
-    """The same Rows as the per-line reader, or the same error, canonical text or not."""
+    """The same Rows as the per-line reader of the written form, or the form error."""
     rng = np.random.default_rng([READ_SEED, trial])
     for odd, depart in ((0.0, False), (0.0, True), (0.0, True), (0.2, False), (0.6, False)):
         text, n_rows = sweep_rows_text(rng, odd, depart)
         assert (read_rows_outcome(read_index_rows, text, n_rows)
-                == read_rows_outcome(reference_read_index_rows, text, n_rows)), repr(text)
+                == read_rows_outcome(reference_read, text, n_rows)), repr(text)
 
 
 # One departure from the canonical form each, as (text, n_rows).
@@ -758,8 +848,11 @@ ROW_DEPARTURES = (
 
 @pytest.mark.parametrize("text, n_rows", ROW_DEPARTURES)
 def test_read_index_rows_matches_the_per_line_reference_on_each_departure(text, n_rows):
-    assert (read_rows_outcome(read_index_rows, text, n_rows)
-            == read_rows_outcome(reference_read_index_rows, text, n_rows))
+    got = read_rows_outcome(read_index_rows, text, n_rows)
+    assert got == read_rows_outcome(reference_read, text, n_rows)
+    canonical = _canonical_rows(text, n_rows)
+    assert got == (f"rows.txt: {NOT_PREPARED}" if canonical is None else
+                   read_rows_outcome(lambda *_: canonical, text, n_rows))
 
 
 def test_the_written_form_is_read_in_one_pass():
@@ -815,14 +908,14 @@ def test_user_index_finds_the_line_whose_first_tab_precedes_the_id(tmp_path, cut
     save_dataset(tmp_path, ds)
     save_folds(tmp_path, split_five_fold(ds, seed=0))
     path = tmp_path / "user_ids.txt"
-    if cut:  # the last line without its newline
-        path.write_text(path.read_text()[:-1])
+    if cut:  # the last line without its newline, past a forged seal
+        edit_past_the_seal(path, lambda text: text[:-1])
     text = path.read_text()
     files = DataFiles(tmp_path)
     for u, user_id in enumerate(ds.user_ids):
         assert regex_user_index(text, user_id) == u
         if cut and u == ds.n_users - 1:
-            with pytest.raises(ValueError, match=f"user_ids.txt:{u + 1}: expected"):
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {NOT_PREPARED}")):
                 files.user_index(user_id)
         else:
             assert files.user_index(user_id) == u
