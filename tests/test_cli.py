@@ -1094,6 +1094,7 @@ def test_a_pinned_malformed_line_of_the_user_exits_2(criterion_9_run, tmp_path, 
 FORGED = {
     "plus sign": ("dataset.txt", on_line(5, lambda row: "+" + row), "u0"),
     "tab": ("folds.txt", on_line(4, lambda row: row.replace(" ", "\t", 1)), "u0"),
+    "non-ASCII digit": ("dataset.txt", on_line(5, lambda row: "\u0663" + row), "u0"),
     "item past the catalogue": ("dataset.txt", on_line(24, lambda row: row + " 20"), "u19"),
     "fold label past the count": ("folds.txt", on_line(4, lambda row: "5" + row[1:]), "u0"),
     "repeated id": ("user_ids.txt", lambda text: text.replace("1\tu1\n", "1\tu0\n"), "u0"),
