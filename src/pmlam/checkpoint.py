@@ -18,6 +18,10 @@ names a :class:`~pmlam.bilevel.TrainState`'s arrays in file order and gives
 its optimizer metadata. :func:`save` writes what it gives, and :func:`load`
 rebuilds the state and requires the file to hold exactly what it gives for
 that state. Writes go to a temp file and are renamed into place.
+
+This module checks a file against itself only. Whether a checkpoint fits
+the dataset it is used with (table shapes, ``data_sha256`` and fold index)
+is :meth:`~pmlam.data.DataFiles.check_run`'s to say.
 """
 
 import json
@@ -29,7 +33,7 @@ import numpy as np
 
 from .bilevel import Adam, TrainState, phi_params, theta_dict
 from .config import RunConfig, config_strings, make_config
-from .data import DATA_FILES, atomic_write
+from .data import atomic_write
 from .embeddings import GaussianEmbeddingTable
 from .margin_net import init_margin_net
 
@@ -79,7 +83,7 @@ def save(path, state, data_sha256, fold_index=0):
 
     ``data_sha256`` (:meth:`~pmlam.data.DataFiles.digests` of the files
     trained on, the bytes that were parsed) is recorded so that
-    :func:`check_data` can pin the run to them.
+    :meth:`~pmlam.data.DataFiles.check_run` can pin the run to them.
     """
     arrays, opt_meta = _collect_arrays(state)
     directory = [{"name": k, "shape": list(v.shape), "dtype": str(v.dtype)}
@@ -355,17 +359,3 @@ def _check_header(path, header):
         if not ok(header[key]):
             raise ValueError(f"{path}: bad header entry {key!r}: expected {what}")
 
-
-def check_data(ck, found, dir_path, path):
-    """Reject dataset files whose digests ``found`` differ from those ``ck`` was trained on."""
-    for name in DATA_FILES:
-        if found[name] != ck.data_sha256.get(name):
-            raise ValueError(f"{os.path.join(dir_path, name)}: differs from the file "
-                             f"{path} was trained on (SHA-256 mismatch)")
-
-
-def check_fits(ck, n_users, n_items, path):
-    """Reject a checkpoint whose tables do not match the dataset's shape."""
-    if (ck.users.n, ck.items.n) != (n_users, n_items):
-        raise ValueError(f"{path}: tables hold {ck.users.n} users x {ck.items.n} "
-                         f"items, the dataset has {n_users} x {n_items}")

@@ -95,20 +95,25 @@ def cmd_prepare(args):
     return 0
 
 
-def _read_split(dataset_dir, fold_index):
-    """The digests of the dataset's files, the dataset, and fold ``fold_index`` of it.
+def _read_run(args, ck=None):
+    """The digests of the dataset's files, the dataset, and the run's fold of it.
 
-    The files are read once, and their bytes are dropped on return: training
-    holds only what was parsed from them.
+    ``train`` and ``ablate`` take fold ``--fold``. The other commands pass
+    their checkpoint's :class:`~pmlam.checkpoint.Tables` ``ck`` and take its
+    fold, once :meth:`~pmlam.data.DataFiles.check_run` finds the checkpoint
+    trained on these files. The files are read once, and their bytes are
+    dropped on return: training holds only what was parsed from them.
     """
-    files = data.DataFiles(dataset_dir)
+    files = data.DataFiles(args.dataset_dir)
+    fold_index = args.fold if ck is None else ck.fold_index
+    files.check_run(fold_index, ck, None if ck is None else args.checkpoint)
     ds = data.load_dataset(files)
-    return files.digests(), ds, data.load_fold(files, ds, fold_index)
+    return files.digests(), ds, data.load_folds(files, ds)[fold_index]
 
 
 def cmd_train(args):
     cfg = _config_from_args(args)
-    digests, ds, fold = _read_split(args.dataset_dir, args.fold)
+    digests, ds, fold = _read_run(args)
     os.makedirs(args.out_dir, exist_ok=True)
     state = bilevel.train(ds, fold, cfg, log=print if not args.quiet else None)
     checkpoint.save(os.path.join(args.out_dir, "checkpoint.bin"), state, digests,
@@ -120,31 +125,9 @@ def cmd_train(args):
     return 0
 
 
-def _check_run(args, ck):
-    """The :class:`~pmlam.data.DataFiles` a checkpoint was trained on.
-
-    ``ck`` is the checkpoint's :class:`~pmlam.checkpoint.Tables`. Its tables
-    must fit the header counts of ``dataset.txt``, the files must be the
-    bytes it was trained on, and its fold must be one of the file's.
-    Once these hold, ``train`` has parsed and checked these bytes in full.
-    """
-    files = data.DataFiles(args.dataset_dir)
-    checkpoint.check_fits(ck, files.n_users, files.n_items, args.checkpoint)
-    checkpoint.check_data(ck, files.digests(), args.dataset_dir, args.checkpoint)
-    data.check_fold_index(files.path("folds.txt"), ck.fold_index, files.n_folds)
-    return files
-
-
-def _load_run(args, ck):
-    """The dataset and fold of a checkpoint's :class:`~pmlam.checkpoint.Tables` ``ck``."""
-    files = _check_run(args, ck)
-    ds = data.load_dataset(files)
-    return ds, data.load_folds(files, ds)[ck.fold_index]
-
-
 def cmd_evaluate(args):
     ck = checkpoint.load_tables(args.checkpoint)
-    _, fold = _load_run(args, ck)
+    *_, fold = _read_run(args, ck)
     ks = ck.cfg.ks if args.ks is None else make_config(file_values={"ks": args.ks}).ks
     report = evaluator.evaluate(ck.users, ck.items, fold, ks, ck.cfg.kind())
     print(evaluator.format_table(report, title=f"fold {ck.fold_index}"))
@@ -158,7 +141,8 @@ def cmd_recommend(args):
     """One user's top-K, from the checkpoint's tables and that user's lines of the data."""
     _at_least("-k", args.k, 1)
     ck = checkpoint.load_tables(args.checkpoint)
-    files = _check_run(args, ck)
+    files = data.DataFiles(args.dataset_dir)
+    files.check_run(ck.fold_index, ck, args.checkpoint)
     u = files.user_index(args.user)
     if u is None:
         raise ValueError(f"unknown user id {args.user!r}")
@@ -184,7 +168,7 @@ def cmd_ablate(args):
     if unknown:
         raise ValueError(f"--variants: unknown variant {unknown[0]}; valid variants "
                          f"are {min(ABLATION_VARIANTS)}-{max(ABLATION_VARIANTS)}")
-    _, ds, fold = _read_split(args.dataset_dir, args.fold)
+    _, ds, fold = _read_run(args)
     lines = ["variant,seed,recall10,ndcg10"]
     means = {}
     for variant in variants:
@@ -216,7 +200,7 @@ def cmd_case_study(args):
     _at_least("--n-users", args.n_users, 1)
     _at_least("--seed", args.seed, 0)
     ck, state = checkpoint.load(args.checkpoint)
-    ds, fold = _load_run(args, ck)
+    _, ds, fold = _read_run(args, ck)
     if "ui" not in state.phis:
         raise ValueError("checkpoint has no user-item margin net (fixed-margin run?)")
     labels = np.array(synth.load_item_labels(args.dataset_dir, ds))

@@ -13,10 +13,11 @@ Folds are one label per interaction in the dataset's row order, as in
 ``folds.txt``; :class:`Folds` builds only the :class:`FoldSplit` asked for.
 Every per-entity index list (a user's items, an entity's neighbors, an
 anchor's excluded ids or negative pool) is held as :class:`Rows`, one CSR
-pair of arrays. :class:`DataFiles` is the one reader of a prepared dataset's
-files: it reads each once and checks its digest against :data:`SEAL` before
-any parse, so the parsers read only the form :func:`save_dataset` and
-:func:`save_folds` write.
+pair of arrays. :class:`DataFiles` is the one reader and checker of a
+prepared dataset's files: it reads each once and checks its digest against
+:data:`SEAL` before any parse, so the parsers read only the form
+:func:`save_dataset` and :func:`save_folds` write, and it checks a run
+against its checkpoint.
 """
 
 import filecmp
@@ -210,8 +211,10 @@ def ingest(path, rating_threshold=4.0):
                 users.append(user[positive])
                 items.append(item[positive])
                 line_no += len(lines)
-    except UnicodeDecodeError:
-        raise ValueError(_utf8_error(path)) from None
+    except UnicodeDecodeError:  # a text-mode read's position is within its chunk
+        with open(path, "rb") as f:
+            _utf8_text(f.read(), path)
+        raise ValueError(f"{path}: invalid UTF-8") from None
     users, items = np.concatenate(users), np.concatenate(items)
     if not users.size:
         raise ValueError(f"{path}: no positives at rating threshold {rating_threshold}")
@@ -345,19 +348,12 @@ def _parse_error(path, line_no, raw, check, by_tab):
     return ParseError(f"{path}: line {line_no}: {what}")
 
 
-def _utf8_error(path):
-    """The message for a file that is not UTF-8, with the offset of its first bad byte.
-
-    The offset comes from the file's bytes: a text-mode read decodes in
-    chunks, so its error's position is within a chunk.
-    """
-    with open(path, "rb") as f:
-        blob = f.read()
+def _utf8_text(blob, path):
+    """The bytes ``blob`` of file ``path`` as UTF-8 text; other bytes fail, naming the first."""
     try:
-        blob.decode("utf-8")
+        return blob.decode("utf-8")
     except UnicodeDecodeError as e:
-        return f"{path}: invalid UTF-8 at byte {e.start} ({e.reason})"
-    return f"{path}: invalid UTF-8"
+        raise ValueError(f"{path}: invalid UTF-8 at byte {e.start} ({e.reason})") from None
 
 
 def filter_iterative(users, items, min_user=10, min_item=5):
@@ -474,8 +470,16 @@ def _regular_file_stat(path):
 
 
 def save_dataset(dir_path, ds):
-    """Write the dataset cache plus two-column id-map sidecars."""
+    """Write the dataset cache plus two-column id-map sidecars.
+
+    An earlier :data:`SEAL` is removed first, and only :func:`save_folds`,
+    which ``prepare`` calls last, writes the new one: a seal means a
+    complete prepare.
+    """
     os.makedirs(dir_path, exist_ok=True)
+    seal_path = os.path.join(dir_path, SEAL)
+    if os.path.lexists(seal_path):
+        os.unlink(seal_path)
 
     def body(f):
         f.write(f"{DS_MAGIC}\n")
@@ -489,7 +493,6 @@ def save_dataset(dir_path, ds):
         atomic_write(os.path.join(dir_path, name),
                      lambda f, ids=ids: f.writelines(f"{i}\t{ext}\n"
                                                      for i, ext in enumerate(ids)))
-    seal(dir_path)
 
 
 def seal(dir_path):
@@ -507,14 +510,18 @@ def _seal_text(digests):
     return "".join(f"{digest}  {name}\n" for name, digest in digests.items())
 
 
-def _check_seal(dir_path, digests):
-    """Reject files whose ``digests`` differ from those :data:`SEAL` in ``dir_path`` records."""
-    path = os.path.join(dir_path, SEAL)
+def _read_seal(dir_path):
+    """The bytes of :data:`SEAL` in ``dir_path``; a directory without it fails."""
     try:
-        with open(path, "rb") as f:
-            sealed = f.read()
+        with open(os.path.join(dir_path, SEAL), "rb") as f:
+            return f.read()
     except FileNotFoundError:
         raise ValueError(f"{dir_path}: no {SEAL}; re-run pmlam prepare") from None
+
+
+def _check_seal(dir_path, sealed, digests):
+    """Reject files whose ``digests`` differ from those the :data:`SEAL` bytes ``sealed`` list."""
+    path = os.path.join(dir_path, SEAL)
     if sealed == _seal_text(digests).encode():
         return
     lines = sealed.split(b"\n")
@@ -528,41 +535,16 @@ def _check_seal(dir_path, digests):
 def load_dataset(files):
     """The dataset in :class:`DataFiles` ``files``; rows that disagree with the header fail."""
     path = files.path("dataset.txt")
-    with files.open("dataset.txt") as f:
-        n_users, n_items, n_interactions = _dataset_header(f, path)
-        rows = read_index_rows(f.read(), path, n_users)
-    if len(rows.indices) != n_interactions:
-        raise ValueError(f"{path}:4: header gives {n_interactions} interactions, "
+    rows = files.rows("dataset.txt", files.n_users)
+    if len(rows.indices) != files.n_interactions:
+        raise ValueError(f"{path}:4: header gives {files.n_interactions} interactions, "
                          f"rows hold {len(rows.indices)}")
-    _check_item_rows(rows, path, 5, n_items)
+    _check_item_rows(rows, path, 5, files.n_items)
     return InteractionDataset(
-        n_users=n_users, n_items=n_items, indptr=rows.indptr, indices=rows.indices,
-        user_ids=_load_ids(files, "user_ids.txt", n_users),
-        item_ids=_load_ids(files, "item_ids.txt", n_items),
+        n_users=files.n_users, n_items=files.n_items, indptr=rows.indptr, indices=rows.indices,
+        user_ids=_load_ids(files, "user_ids.txt", files.n_users),
+        item_ids=_load_ids(files, "item_ids.txt", files.n_items),
     )
-
-
-def _dataset_header(f, path):
-    """The user, item and interaction counts on lines 2-4 of ``dataset.txt``."""
-    if f.readline().rstrip("\n") != DS_MAGIC:
-        raise ValueError(f"{path}: not a {DS_MAGIC} file")
-    return tuple(header_count(f, path, line_no, name)
-                 for line_no, name in ((2, "users"), (3, "items"), (4, "interactions")))
-
-
-def _folds_header(f, path):
-    """The seed and the fold count on lines 2-3 of ``folds.txt``."""
-    if f.readline().rstrip("\n") != FOLDS_MAGIC:
-        raise ValueError(f"{path}: not a {FOLDS_MAGIC} file")
-    return header_count(f, path, 2, "seed"), header_count(f, path, 3, "folds")
-
-
-def header_count(f, path, line_no, name):
-    """The count of a ``name <count>`` header line."""
-    parts = f.readline().split()
-    if len(parts) != 2 or parts[0] != name or not parts[1].isdigit():
-        raise ValueError(f"{path}:{line_no}: expected '{name} <count>'")
-    return int(parts[1])
 
 
 def write_index_rows(f, rows):
@@ -591,12 +573,12 @@ def write_index_rows(f, rows):
     f.write(buf.tobytes().decode("ascii"))
 
 
-def read_index_rows(text, path, n_rows):
-    """The ``n_rows`` lines of ``text`` as :class:`Rows`, in :func:`write_index_rows`' form.
+def read_index_rows(blob, path, n_rows):
+    """The ``n_rows`` lines of bytes ``blob`` as :class:`Rows`, in :func:`write_index_rows`' form.
 
-    Any other text, a cut or a longer one included, fails.
+    Any other bytes, a cut or a longer text included, fail.
     """
-    rows = _canonical_rows(text, n_rows)
+    rows = _canonical_rows(blob, n_rows)
     if rows is None:
         raise ValueError(f"{path}: {NOT_PREPARED}")
     return rows
@@ -611,16 +593,16 @@ _MAX_DIGITS = 18  # every number of 18 digits fits in an int64
 _POWERS_OF_10 = 10 ** np.arange(1, 19, dtype=np.int64)  # a number >= 10**k has > k digits
 
 
-def _canonical_rows(text, n_rows):
-    """``text`` as :class:`Rows` if it is exactly ``n_rows`` canonical lines, else None.
+def _canonical_rows(blob, n_rows):
+    """Bytes ``blob`` as :class:`Rows` if they are exactly ``n_rows`` canonical lines, else None.
 
     A canonical line is ASCII digits and spaces ending in a newline, with no
     number longer than :data:`_MAX_DIGITS` digits. Spaces anywhere in a line
     split it as ``str.split`` does.
     """
-    if not text.isascii() or text.count("\n") != n_rows or text[-1:] not in ("\n", ""):
+    if blob.count(b"\n") != n_rows or blob[-1:] not in (b"\n", b""):
         return None
-    cls = np.frombuffer(text.encode("ascii").translate(_BYTE_CLASS), dtype=np.uint8)
+    cls = np.frombuffer(blob.translate(_BYTE_CLASS), dtype=np.uint8)
     breaks = np.flatnonzero(cls != _DIGIT)  # a newline is last, so each number ends at one
     kind = cls[breaks]
     gap = np.diff(breaks, prepend=-1)  # one more than the digits before each break
@@ -628,7 +610,7 @@ def _canonical_rows(text, n_rows):
         return None
     numbers = np.cumsum(gap > 1)  # the numbers that end at or before each break
     indptr = np.concatenate([[0], numbers[kind == _NEWLINE]])
-    values = (np.fromstring(text, dtype=np.int64, sep=" ") if indptr[-1]
+    values = (np.fromstring(blob, dtype=np.int64, sep=" ") if indptr[-1]
               else np.empty(0, dtype=np.int64))  # a text without digits reads as [0]
     return Rows(indptr, values)
 
@@ -678,8 +660,7 @@ def first_row_not_increasing(rows):
 def _load_ids(files, name, expected):
     """Read id sidecar ``name``: line ``i + 1`` is ``i<TAB><id>``, ids non-empty and unique."""
     path = files.path(name)
-    with files.open(name) as f:
-        lines = f.read().split("\n")
+    lines = files.texts[name].split("\n")
     cut = lines.pop()  # the text after the last newline: a line cut short, or nothing
     prefixes = list(map("{}\t".format, range(len(lines))))
     ids = list(map(str.removeprefix, lines, prefixes))
@@ -716,69 +697,96 @@ def save_folds(dir_path, folds):
     seal(dir_path)
 
 
-def load_fold(files, ds, index):
-    """Split ``index`` of the checked file, the only one built; a fold past the count is rejected."""
-    folds = load_folds(files, ds)
-    check_fold_index(files.path("folds.txt"), index, len(folds))
-    return folds[index]
-
-
-def check_fold_index(path, index, n_folds):
-    """Reject a fold ``index`` past the ``n_folds`` of the folds file ``path``."""
-    if not 0 <= index < n_folds:
-        raise ValueError(f"{path}: fold {index} outside the file's {n_folds} folds")
-
-
 def load_folds(files, ds):
     """The :class:`Folds` of ``ds`` in :class:`DataFiles` ``files``; a misfit file fails."""
-    path = files.path("folds.txt")
-    with files.open("folds.txt") as f:
-        seed, n_folds = _folds_header(f, path)
-        labels = read_index_rows(f.read(), path, ds.n_users)
-    _check_label_rows(labels, np.diff(ds.indptr), path, 0, n_folds)
-    return Folds(ds, labels.indices, seed, n_folds)
+    labels = files.rows("folds.txt", ds.n_users)
+    _check_label_rows(labels, np.diff(ds.indptr), files.path("folds.txt"), 0, files.n_folds)
+    return Folds(ds, labels.indices, files.seed, files.n_folds)
 
 
 class DataFiles:
-    """A prepared dataset's :data:`DATA_FILES`, each read once; the only reader of them.
+    """A prepared dataset's :data:`DATA_FILES`, each read and parsed once: their one reader.
 
-    Construction reads the four files, hashes each once, and checks the
-    digests against :data:`SEAL` before it parses anything: the counts in the
-    header of ``dataset.txt`` and the fold count in that of ``folds.txt``.
-    :meth:`digests` gives those digests, and every parse (:func:`load_dataset`,
-    :func:`load_folds` and the methods below) reads the same bytes through
-    :meth:`open`, so what a command checks against a checkpoint is what it
-    parses. Once the digests match those recorded when a checkpoint was
-    trained, ``train`` has parsed and checked these bytes in full, so the
-    methods below parse only the lines they need, with the full readers'
-    checks.
+    Construction reads :data:`SEAL` and the four files, hashes each once,
+    and checks the digests against the seal before it parses anything.
+    From the bytes read, it then parses the header of ``dataset.txt``
+    (``n_users``, ``n_items``, ``n_interactions``) and that of ``folds.txt``
+    (``seed``, ``n_folds``), and decodes the two id sidecars, strictly: text
+    that is not UTF-8 fails, naming the file and its first bad byte. The
+    rows stay bytes until :func:`load_dataset`, :func:`load_folds` or the
+    one-user methods below parse them. :meth:`check_run` is the one check of
+    a run against the files, its checkpoint's digests included, so what a
+    command checks is what it parses. Once the digests match those recorded
+    when a checkpoint was trained, ``train`` has parsed and checked these
+    bytes in full, so the one-user methods parse only the lines they need,
+    with the full readers' checks.
     """
 
     def __init__(self, dir_path):
         self.dir = dir_path
-        self.blobs, self.sha256 = {}, {}
+        self.blobs, self.sha256, self.rows_at = {}, {}, {}
+        sealed = _read_seal(dir_path)  # first: without it, the files are an unfinished prepare
         for name in DATA_FILES:
             with open(self.path(name), "rb") as f:
                 self.blobs[name] = f.read()
             self.sha256[name] = hashlib.sha256(self.blobs[name]).hexdigest()
-        _check_seal(dir_path, self.sha256)
-        with self.open("dataset.txt") as f:
-            self.n_users, self.n_items, _ = _dataset_header(f, self.path("dataset.txt"))
-        with self.open("folds.txt") as f:
-            self.n_folds = _folds_header(f, self.path("folds.txt"))[1]
+        _check_seal(dir_path, sealed, self.sha256)
+        self.n_users, self.n_items, self.n_interactions = self._header(
+            "dataset.txt", DS_MAGIC, ("users", "items", "interactions"))
+        self.seed, self.n_folds = self._header("folds.txt", FOLDS_MAGIC, ("seed", "folds"))
+        self.texts = {name: _utf8_text(self.blobs[name], self.path(name))
+                      for name in ("user_ids.txt", "item_ids.txt")}
 
     def path(self, name):
         return os.path.join(self.dir, name)
 
-    def open(self, name):
-        """File ``name`` as text, decoded as ``open`` does; lines end at a newline alone."""
-        return io.TextIOWrapper(io.BytesIO(self.blobs[name]), newline="\n")
+    def _header(self, name, magic, fields):
+        """The counts of the ``<field> <count>`` lines after line ``magic`` of file ``name``.
+
+        The offset of the line after them is kept in ``rows_at``.
+        """
+        lines = list(itertools.islice(io.BytesIO(self.blobs[name]), len(fields) + 1))
+        self.rows_at[name] = sum(map(len, lines))
+        lines += [b""] * (len(fields) + 1 - len(lines))
+        if lines[0].removesuffix(b"\n") != magic.encode():
+            raise ValueError(f"{self.path(name)}: not a {magic} file")
+        counts = []
+        for line_no, (field, line) in enumerate(zip(fields, lines[1:]), start=2):
+            parts = line.split()
+            if len(parts) != 2 or parts[0] != field.encode() or not parts[1].isdigit():
+                raise ValueError(f"{self.path(name)}:{line_no}: expected '{field} <count>'")
+            counts.append(int(parts[1]))
+        return counts
+
+    def rows(self, name, n_rows):
+        """The ``n_rows`` rows after the header of ``dataset.txt`` or ``folds.txt``."""
+        return read_index_rows(self.blobs[name][self.rows_at[name]:], self.path(name), n_rows)
 
     def _row_line(self, name, line_no):
-        """Line ``line_no`` (from 1) of rows file ``name``, or "" past its end."""
-        with io.BytesIO(self.blobs[name]) as f:  # split as bytes: several times faster than text
-            line = next(itertools.islice(f, line_no - 1, None), b"")
-        return line.decode("ascii", "replace")  # a byte that is not ASCII stays so
+        """Line ``line_no`` (from 1) of rows file ``name``, as bytes, or b"" past its end."""
+        with io.BytesIO(self.blobs[name]) as f:
+            return next(itertools.islice(f, line_no - 1, None), b"")
+
+    def check_run(self, fold_index, ck=None, ck_path=None):
+        """Reject a run on fold ``fold_index`` that these files do not fit.
+
+        The fold must be one of ``folds.txt``'s. A trained run also passes
+        its checkpoint's :class:`~pmlam.checkpoint.Tables` ``ck``, read from
+        ``ck_path``, whose fold is ``fold_index``: its tables must fit the
+        header counts of ``dataset.txt``, and these files must be the bytes
+        it was trained on (its ``data_sha256``).
+        """
+        if ck is not None:
+            if (ck.users.n, ck.items.n) != (self.n_users, self.n_items):
+                raise ValueError(f"{ck_path}: tables hold {ck.users.n} users x {ck.items.n} "
+                                 f"items, the dataset has {self.n_users} x {self.n_items}")
+            for name in DATA_FILES:
+                if self.sha256[name] != ck.data_sha256.get(name):
+                    raise ValueError(f"{self.path(name)}: differs from the file {ck_path} was "
+                                     f"trained on (SHA-256 mismatch)")
+        if not 0 <= fold_index < self.n_folds:
+            raise ValueError(f"{self.path('folds.txt')}: fold {fold_index} outside the file's "
+                             f"{self.n_folds} folds")
 
     def digests(self):
         """SHA-256 hex digest of the bytes read, file name -> digest."""
@@ -792,9 +800,7 @@ class DataFiles:
         """
         if "\n" in user_id:  # no id holds one, and the search below would span lines
             return None
-        path = self.path("user_ids.txt")
-        with self.open("user_ids.txt") as f:
-            text = f.read()
+        path, text = self.path("user_ids.txt"), self.texts["user_ids.txt"]
         needle = f"\t{user_id}\n"
         lines = text if text.endswith("\n") else text + "\n"  # a last line ends there too
         held, at = [], lines.find(needle)
@@ -825,7 +831,6 @@ class DataFiles:
 
     def item_ids(self, items):
         """The external id of each internal item index in ``items``."""
-        with self.open("item_ids.txt") as f:
-            lines = f.readlines()
-        return [_id_line(lines[i] if i < len(lines) else "", self.path("item_ids.txt"), i)
-                for i in items]
+        lines = self.texts["item_ids.txt"].split("\n")  # the last ends at the file's end
+        return [_id_line(lines[i] + "\n" if i < len(lines) - 1 else "",
+                         self.path("item_ids.txt"), i) for i in items]

@@ -199,9 +199,10 @@ def forge(path, edit):
     """Rewrite prepared-data file ``path`` as ``edit(text)`` and re-seal its directory.
 
     The digests in ``SHA256SUMS`` then pin the edited bytes, so only the
-    readers' own checks can tell the edit: a forged seal.
+    readers' own checks can tell the edit: a forged seal. A byte that is not
+    UTF-8 is written as its escape, "\\udcff" for 0xff, and read back as one.
     """
-    path.write_text(edit(path.read_text()))
+    path.write_text(edit(path.read_text(errors="surrogateescape")), errors="surrogateescape")
     seal(path.parent)
 
 

@@ -1,4 +1,5 @@
 import copy
+import ctypes
 import hashlib
 import json
 import os
@@ -472,7 +473,7 @@ def test_a_threaded_train_that_first_imports_expit_on_both_threads_writes_the_se
     d = tmp_path / "data"
     save_dataset(d, ds)
     save_folds(d, split_five_fold(ds, seed=4))
-    trains_on = data.load_fold(data.DataFiles(d), ds, 0).train_rows  # big_step_run's fold
+    trains_on = data.load_folds(data.DataFiles(d), ds)[0].train_rows  # big_step_run's fold
     for got, expect in ((trains_on.indptr, fold.train_rows.indptr),
                         (trains_on.indices, fold.train_rows.indices)):
         np.testing.assert_array_equal(got, expect)
@@ -621,6 +622,42 @@ def test_the_steps_give_back_the_blas_thread_count_they_lowered(monkeypatch):
                 train(ds, fold, cfg)
             assert seen and set(seen) == {cores - 1}, error
             assert get() == cores, error
+    finally:
+        set_threads(old)
+
+
+def openblas_thread_getter(libs, folder):
+    """The thread-count getter of the one OpenBLAS in ``libs`` under ``folder``, or None."""
+    held = [lib for lib in libs if f"{os.sep}{folder}{os.sep}" in lib]
+    if len(held) != 1:
+        return None
+    dll = ctypes.CDLL(held[0])
+    names = ["scipy_openblas_get_num_threads", *(get for get, _ in bilevel.OPENBLAS_THREAD_CALLS)]
+    getter = next((getattr(dll, name) for name in names if hasattr(dll, name)), None)
+    if getter is not None:
+        getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter
+
+
+def test_the_thread_setter_acts_on_numpy_s_openblas_and_not_scipy_s():
+    # scipy.special maps scipy's own OpenBLAS beside numpy's: the steps must lower numpy's
+    import scipy.special  # noqa: F401
+    calls, cores = bilevel._openblas_thread_calls(), len(os.sched_getaffinity(0))
+    try:
+        with open("/proc/self/maps") as f:
+            libs = {line.split()[-1] for line in f if "openblas" in line.lower()}
+    except OSError:
+        libs = set()
+    numpy_threads = openblas_thread_getter(libs, "numpy.libs")
+    scipy_threads = openblas_thread_getter(libs, "scipy.libs")
+    if calls is None or cores < 2 or numpy_threads is None or scipy_threads is None:
+        pytest.skip("needs two cores and an OpenBLAS of numpy's own and of scipy's own")
+    _, set_threads = calls
+    old, scipy_old = numpy_threads(), scipy_threads()
+    new = 1 if old > 1 else 2
+    set_threads(new)
+    try:
+        assert (numpy_threads(), scipy_threads()) == (new, scipy_old)
     finally:
         set_threads(old)
 

@@ -507,6 +507,19 @@ def test_bad_fold_count_exits_2_before_the_digest_check(tmp_path, capsys):
         assert "folds.txt:3: expected 'folds <count>'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, line, edit", [
+    ("dataset.txt", 2, lambda text: text.replace("\nusers 20\n", "\nusers \u0662\u0660\n", 1)),
+    ("folds.txt", 3, lambda text: text.replace("\nfolds 5\n", "\nfolds \u00b2\n", 1))])
+def test_a_header_count_in_other_digits_exits_2_naming_its_line(tmp_path, capsys, name, line,
+                                                                 edit):
+    # str.isdigit takes these digits, and int() takes the Arabic-Indic but not the superscript
+    d, _ = planted_dataset_dir(tmp_path)
+    forge(d / name, edit)
+    field = {"dataset.txt": "users", "folds.txt": "folds"}[name]
+    assert (f"error: {d / name}:{line}: expected '{field} <count>'\n"
+            == train_exits_2(tmp_path, capsys, d))
+
+
 def test_train_with_damaged_id_sidecar_exits_2(tmp_path, capsys):
     d, _ = planted_dataset_dir(tmp_path)
     path = d / "user_ids.txt"
@@ -1121,6 +1134,45 @@ def test_a_forged_seal_over_a_fault_exits_2_naming_the_file(criterion_9_run, tmp
     assert main([str(a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and "Traceback" not in err, err
+
+
+# Where a forged 0xff byte goes in each data file, and what the readers then say.
+# A sidecar is decoded whole, so its message gives the byte's offset; a row
+# file's byte fails the header line it is on, or the form of the user's row.
+NOT_UTF8 = {
+    "user_ids.txt": ("user_ids.txt", on_line(2, lambda line: line + "\udcff"), None),
+    "item_ids.txt": ("item_ids.txt", on_line(2, lambda line: line + "\udcff"), None),
+    "dataset.txt header": ("dataset.txt", on_line(2, lambda line: line + "\udcff"),
+                           ":2: expected 'users <count>'"),
+    "dataset.txt row": ("dataset.txt", on_line(5, lambda row: row + "\udcff"),
+                        f": {NOT_PREPARED}"),
+    "folds.txt header": ("folds.txt", on_line(1, lambda line: line + "\udcff"),
+                         ": not a PMLAM-FOLDS v1 file"),
+    "folds.txt row": ("folds.txt", on_line(4, lambda row: "\udcff" + row), f": {NOT_PREPARED}"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "recommend", "case-study"])
+@pytest.mark.parametrize("where", NOT_UTF8)
+def test_a_forged_byte_that_is_not_utf8_exits_2_naming_the_file(criterion_9_run, tmp_path,
+                                                                capsys, where, command):
+    # the checkpoint's digests are forged too, so that its check passes the bytes on
+    d, ck = own_copy(tmp_path, criterion_9_run, labels=True)
+    name, edit, fault = NOT_UTF8[where]
+    path = d / name
+    forge(path, edit)
+    if fault is None:
+        at = path.read_bytes().index(0xff)
+        fault = f": invalid UTF-8 at byte {at} (invalid start byte)"
+    digests = {f: hashlib.sha256((d / f).read_bytes()).hexdigest() for f in DATA_FILES}
+    rewrite_header(ck, lambda header: header.update(data_sha256=digests))
+    argv = {"train": ["train", d, "--out-dir", tmp_path / "run", "--quiet", *CRITERION_9],
+            "evaluate": ["evaluate", d, ck],
+            "recommend": ["recommend", d, ck, "u0"],
+            "case-study": ["case-study", d, ck]}[command]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {path}{fault}\n"
 
 
 WRONG_JSON = (None, True, -1, 2.5, "0", [], {})

@@ -503,14 +503,26 @@ def test_a_directory_without_its_seal_exits_2(tmp_path, capsys):
 def test_the_seal_is_sha256sum_s_form_in_file_order(tmp_path):
     ds = filter_pairs([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)], 1, 1)
     save_dataset(tmp_path, ds)
-    assert (tmp_path / "SHA256SUMS").read_text() == "".join(
-        f"{hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}  {name}\n"
-        for name in ("dataset.txt", "user_ids.txt", "item_ids.txt"))
+    assert not (tmp_path / "SHA256SUMS").exists()  # save_folds, written last, seals
     save_folds(tmp_path, split_five_fold(ds, seed=0))
     files = DataFiles(tmp_path)
     assert (tmp_path / "SHA256SUMS").read_text() == "".join(
-        f"{digest}  {name}\n" for name, digest in files.digests().items())
+        f"{hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()}  {name}\n"
+        for name in data.DATA_FILES)
     assert list(files.digests()) == list(data.DATA_FILES)
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-a-prepare"])
+def test_a_prepare_cut_before_its_folds_leaves_no_seal(tmp_path, capsys, earlier):
+    ds = filter_pairs([(f"u{u}", f"i{i}") for u in range(3) for i in range(4)], 1, 1)
+    if earlier:  # a complete prepare, then one cut after its dataset
+        save_dataset(tmp_path, ds)
+        save_folds(tmp_path, split_five_fold(ds, seed=0))
+    save_dataset(tmp_path, filter_pairs([(f"u{u}", "i0") for u in range(3)], 1, 1))
+    assert not (tmp_path / "SHA256SUMS").exists()
+    assert main(["train", str(tmp_path), "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path}: no SHA256SUMS; "
+                                       f"re-run pmlam prepare\n")
 
 
 def test_failed_atomic_write_leaves_target_and_no_temp_file(tmp_path):
@@ -663,13 +675,12 @@ def test_load_ids_matches_the_per_line_reference(tmp_path, trial):
         (tmp_path / name).write_bytes(damage(blob, how, rng) if how in DAMAGES
                                       else repeat_an_id(blob, rng))
         seal(tmp_path)
-        files = DataFiles(tmp_path)
-        got = ingest_outcome(lambda f: _load_ids(f, name, expected), files)
+        got = ingest_outcome(lambda d: _load_ids(DataFiles(d), name, expected), tmp_path)
         try:
-            with files.open(name) as f:
-                want = per_line_ids(f.read(), expected)
-        except UnicodeDecodeError:  # the reader decodes as the reference does
-            assert got[0] is UnicodeDecodeError, (how, got)
+            want = per_line_ids((tmp_path / name).read_bytes().decode("utf-8"), expected)
+        except UnicodeDecodeError as e:  # the reader decodes as the reference does
+            assert got == (ValueError, f"{tmp_path / name}: invalid UTF-8 at byte {e.start} "
+                                       f"({e.reason})"), how
             continue
         if want is None:
             assert got[0] is ValueError and got[1].startswith(f"{tmp_path / name}: "), (how, got)
@@ -809,12 +820,12 @@ def per_line_rows(text, n_rows):
 def read_rows_outcome(read, text, n_rows):
     """``read``'s Rows of ``text`` as lists with their dtypes, or its ValueError's text.
 
-    ``read(text, path, n_rows)`` is :func:`read_index_rows` or the per-line
-    reference, which gives None where the reader must fail.
+    ``read(blob, path, n_rows)`` is :func:`read_index_rows` or the per-line
+    reference, which gives None where the reader must fail; ``blob`` is the
+    UTF-8 bytes of ``text``, as ``DataFiles`` holds them.
     """
-    f = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), newline="\n")  # as DataFiles.open
     try:
-        rows = read(f.read(), "rows.txt", n_rows)
+        rows = read(text.encode("utf-8"), "rows.txt", n_rows)
     except ValueError as e:
         return str(e)
     if rows is None:
@@ -822,8 +833,8 @@ def read_rows_outcome(read, text, n_rows):
     return rows.indptr.dtype, rows.indptr.tolist(), rows.indices.dtype, rows.indices.tolist()
 
 
-def reference_read(text, path, n_rows):
-    return per_line_rows(text, n_rows)
+def reference_read(blob, path, n_rows):
+    return per_line_rows(blob.decode("utf-8"), n_rows)
 
 
 @pytest.mark.parametrize("trial", range(READ_TRIALS))
@@ -850,7 +861,7 @@ ROW_DEPARTURES = (
 def test_read_index_rows_matches_the_per_line_reference_on_each_departure(text, n_rows):
     got = read_rows_outcome(read_index_rows, text, n_rows)
     assert got == read_rows_outcome(reference_read, text, n_rows)
-    canonical = _canonical_rows(text, n_rows)
+    canonical = _canonical_rows(text.encode("utf-8"), n_rows)
     assert got == (f"rows.txt: {NOT_PREPARED}" if canonical is None else
                    read_rows_outcome(lambda *_: canonical, text, n_rows))
 
@@ -863,7 +874,7 @@ def test_the_written_form_is_read_in_one_pass():
     for rows in (as_rows(lists), as_rows([]), as_rows([np.array([], int)] * 3)):
         f = io.StringIO()
         write_index_rows(f, rows)
-        back = _canonical_rows(f.getvalue(), len(rows))
+        back = _canonical_rows(f.getvalue().encode("ascii"), len(rows))
         assert back is not None
         assert back.indptr.dtype == back.indices.dtype == np.int64
         np.testing.assert_array_equal(back.indptr, rows.indptr)
